@@ -6,10 +6,12 @@ Usage (from the repository root):
 
 Each run builds one batch of items from the seed and runs it REPEATS times,
 each time in a fresh worker process, so every module-level cache starts
-cold. Each repetition does the same work, so an item's time is taken as its
-best over the repetitions, which drops short slow spells of the host.
-Set-up is probed in
-fresh interpreters between the repetitions and reported as the median. With
+cold. Item times are scaled to the speed of a reference host by timing a
+fixed reference chunk between items (hostspeed.py), because the shared host
+changes speed for spells longer than a run. Each repetition does the same
+work, so an item's time is taken as its median over the repetitions.
+Set-up is probed in fresh interpreters between the repetitions, scaled the
+same way, and reported as the median. With
 --trace 1 one more repetition runs traced, and the run reports the
 per-layer metrics and the tracing overhead. The summary lines name every
 metric with its unit; the last line is one JSON object with the keys
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -31,6 +34,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 
+from hostspeed import NEAREST, HostSpeed  # noqa: E402
 from tracer import METRICS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -61,7 +65,11 @@ def _child_env() -> dict:
 
 
 def probe_setup(env: dict) -> float:
-    """Time from process start through import and make_surface(2)."""
+    """Time from process start through import and make_surface(2), scaled
+    by the host speed of reference chunks run just before and after it."""
+    host = HostSpeed()
+    for _ in range(NEAREST // 2):
+        host.chunk()
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-c", SETUP_PROBE],
@@ -69,7 +77,10 @@ def probe_setup(env: dict) -> float:
     )
     if proc.returncode != 0:
         raise BenchError(f"set-up probe failed:\n{proc.stderr}")
-    return float(proc.stdout.split()[-1]) - start
+    elapsed = float(proc.stdout.split()[-1]) - start
+    for _ in range(NEAREST // 2):
+        host.chunk()
+    return elapsed * host.speed()
 
 
 def run_worker(workload: str, seed: int, items: int, trace: int, env: dict) -> dict:
@@ -86,14 +97,39 @@ def run_worker(workload: str, seed: int, items: int, trace: int, env: dict) -> d
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def hd_quantile(values: list, p: float, steps: int = 16) -> float:
+    """Harrell-Davis estimate of the p-quantile (Harrell and Davis, 1982).
+
+    A weighted mean of all order statistics, with the weights a Beta(p(n+1),
+    (1-p)(n+1)) distribution gives each rank's interval. Item times cluster
+    with gaps between the clusters, and a single order statistic jumps across
+    a gap when one item changes rank; this estimate moves smoothly.
+    """
+    x = sorted(values)
+    n = len(x)
+    a, b = p * (n + 1), (1 - p) * (n + 1)
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    weights = []
+    for i in range(n):
+        # midpoint rule over the rank's interval [i/n, (i+1)/n]
+        us = ((i + (k + 0.5) / steps) / n for k in range(steps))
+        weights.append(sum(
+            math.exp((a - 1) * math.log(u) + (b - 1) * math.log1p(-u) - log_beta)
+            for u in us
+        ))
+    return sum(w * v for w, v in zip(weights, x)) / sum(weights)
+
+
 def end_to_end(results: list, setup: list) -> dict:
-    """Best time per item over the repetitions, then the batch's metrics."""
-    times_ms = [min(ts) * 1e3 for ts in zip(*(r["item_s"] for r in results))]
-    deciles = statistics.quantiles(times_ms, n=10)
+    """Median scaled time per item over the repetitions, then the batch's
+    metrics."""
+    times_ms = [
+        statistics.median(ts) * 1e3 for ts in zip(*(r["item_s"] for r in results))
+    ]
     return {
         "wall_s": {"value": sum(times_ms) / 1e3, "unit": "s"},
-        "item_ms_p50": {"value": statistics.median(times_ms), "unit": "ms"},
-        "item_ms_p90": {"value": deciles[8], "unit": "ms"},
+        "item_ms_p50": {"value": hd_quantile(times_ms, 0.5), "unit": "ms"},
+        "item_ms_p90": {"value": hd_quantile(times_ms, 0.9), "unit": "ms"},
         "peak_rss_mb": {
             "value": statistics.median(r["peak_rss_mb"] for r in results),
             "unit": "MB",
@@ -106,9 +142,24 @@ def _failed(result: dict) -> int:
     return sum(result["failures"].values())
 
 
+def _with_walls(result: dict, repetitions: list) -> dict:
+    def each(f):
+        return [round(f(r), 3) for r in repetitions]
+
+    return dict(
+        result,
+        walls=each(lambda r: sum(r["item_s"])),
+        raw_walls=each(lambda r: r["raw_wall_s"]),
+        speeds=each(lambda r: r["host_speed"]),
+    )
+
+
 def _summary(label: str, result: dict, metrics: dict):
     failed = _failed(result)
-    print(f"[{label}] batch wall s per repetition: {result['walls']}")
+    print(
+        f"[{label}] per repetition: scaled batch s {result['walls']},"
+        f" raw batch s {result['raw_walls']}, host speed {result['speeds']}"
+    )
     for name, m in metrics.items():
         print(f"  {name:<28} {m['value']:.6g} {m['unit']}")
     print(
@@ -153,12 +204,9 @@ def main(argv=None) -> int:
         for _ in range(REPEATS):
             setup.extend(probe_setup(env) for _ in range(SETUP_PROBES))
             plain.append(run_worker(args.workload, args.seed, items, 0, env))
-        first = dict(
-            plain[0],
-            walls=[round(r["wall_s"], 3) for r in plain],
-        )
+        first = plain[0]
         metrics = end_to_end(plain, setup)
-        _summary("untraced", first, metrics)
+        _summary("untraced", _with_walls(first, plain), metrics)
         results = list(plain)
         if args.trace:
             traced = run_worker(args.workload, args.seed, items, 1, env)
@@ -168,11 +216,11 @@ def main(argv=None) -> int:
                 for name, value in traced["layers"].items()
             }
             metrics["trace.overhead_ratio"] = {
-                "value": traced["wall_s"]
-                / statistics.median(r["wall_s"] for r in plain),
+                "value": sum(traced["item_s"])
+                / statistics.median(sum(r["item_s"]) for r in plain),
                 "unit": "ratio",
             }
-            _summary("traced", dict(traced, walls=[round(traced["wall_s"], 3)]), metrics)
+            _summary("traced", _with_walls(traced, [traced]), metrics)
     except (BenchError, subprocess.TimeoutExpired) as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 1

@@ -5,8 +5,10 @@ Usage (from the repository root): python3 perfbench/selftest.py
 For each workload it runs one small item, confirms the check accepts the
 real answer and rejects corrupted ones (a shifted diagram count, i + 1, a
 perturbed coefficient). It also confirms the workloads' fixed input lists
-match the library, that inputs depend only on the seed, and that the tracer
-reaches every namespace binding and restores it. Exits 1 on any failure.
+match the library, that inputs depend only on the seed, that the tracer
+reaches every namespace binding and restores it, that host-speed scaling
+uses the chunks nearest each item, and that the quantile estimator is right
+on evenly spread values. Exits 1 on any failure.
 """
 from __future__ import annotations
 
@@ -20,12 +22,17 @@ sys.path.insert(0, HERE)
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 import curvetrace as ct  # noqa: E402
+from hostspeed import REFERENCE_S, HostSpeed  # noqa: E402
+from run import hd_quantile  # noqa: E402
 from tracer import METRICS, Tracer  # noqa: E402
 from workloads import (  # noqa: E402
+    BUDGET_PAIRS,
     DELTA_WORDS,
     GENUS,
+    HEAVY_PAIRS,
     MULTICURVES,
     WORKLOADS,
+    parse_text,
 )
 
 PROBLEMS = []
@@ -74,6 +81,10 @@ def main() -> int:
     listed = {ct.parse_multicurve(s, t) for t in MULTICURVES}
     expect(listed == multicurves, "MULTICURVES are the multicurves of length <= 3")
 
+    texts = [t for pair in HEAVY_PAIRS + BUDGET_PAIRS for t in pair]
+    same = all(parse_text(t) == ct.parse_word(s, t) for t in texts)
+    expect(same, "parse_text reads the fixed pairs as parse_word does")
+
     for w in WORKLOADS.values():
         n = w.item_count(1)
         same = w.inputs(random.Random(5), n) == w.inputs(random.Random(5), n)
@@ -93,6 +104,19 @@ def main() -> int:
     expect(restored, "tracer restores the original bindings")
     expect(set(layers) == set(METRICS), "tracer reports every per-layer metric")
     expect(layers["curves.self_s"] > 0, "tracer attributes self time to curves")
+
+    host = HostSpeed()
+    host.marks = [float(k) for k in range(40)]
+    host.durations = [REFERENCE_S * (2 if k < 20 else 1) for k in range(40)]
+    scaled = host.scaled([2.0, 30.0], [0.5, 0.5])
+    expect(scaled == [0.25, 0.5], "host speed scales each item by its nearest chunks")
+
+    evenly = list(range(1001))
+    expect(
+        abs(hd_quantile(evenly, 0.5) - 500) < 1e-6
+        and abs(hd_quantile(evenly, 0.9) - 900) < 1,
+        "Harrell-Davis quantiles of 0..1000 are 500 and 900",
+    )
 
     print(f"{len(PROBLEMS)} problem(s)")
     return 1 if PROBLEMS else 0

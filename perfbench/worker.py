@@ -4,7 +4,8 @@ Usage: python3 perfbench/worker.py --workload NAME --seed N --items K --trace 0|
 
 The batch is fed one item at a time from one thread (a closed loop with one
 client). Only the items are timed: the correctness checks run after the
-timed phase, so they cannot warm caches for later items.
+timed phase, so they cannot warm caches for later items. Host-speed
+reference chunks (hostspeed.py) run between items, outside the item times.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import curvetrace as ct
+    from hostspeed import HostSpeed
     from tracer import Tracer
     from workloads import GENUS, WORKLOADS
 
@@ -39,16 +41,21 @@ def main(argv=None) -> int:
         tracer.install()
 
     s = ct.make_surface(GENUS)
-    answers, errors, times = [], [], []
+    host = HostSpeed()
+    host.chunk()
+    answers, errors, starts, times = [], [], [], []
     for item in items:
         t0 = perf_counter()
         try:
             answer, error = workload.run(ct, s, item), None
         except ct.CurvetraceError as exc:
             answer, error = None, f"{type(exc).__name__}: {exc}"
+        starts.append(t0)
         times.append(perf_counter() - t0)
         answers.append(answer)
         errors.append(error)
+        host.after_item(times[-1])
+    host.chunk()
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     layers = tracer.finish() if tracer else None
 
@@ -63,8 +70,9 @@ def main(argv=None) -> int:
     print(
         json.dumps(
             {
-                "wall_s": sum(times),
-                "item_s": times,
+                "raw_wall_s": sum(times),
+                "item_s": host.scaled(starts, times),
+                "host_speed": host.speed(),
                 "attempted": len(items),
                 "failures": failures,
                 "unexpected": sum(
