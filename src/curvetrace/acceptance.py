@@ -3,6 +3,8 @@
 Every suite fixes genus 2, its own seeds, and its stated tolerance; exact
 checks use rational arithmetic throughout.  `run_suite` executes one suite
 by name, `run_all` the whole battery in order.
+Words come from words.letters and reduced_words, mod-2 classes from
+mod2_class, and SL2 products from representations._word_matrix and _inv.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .mapping import (
     twist_generator,
     verify_algebra_automorphism,
 )
-from .representations import evaluate_trace, random_representation
+from .representations import _inv, _word_matrix, evaluate_trace, random_representation
 from .valuations import (
     classify_discrete,
     curv_normalize,
@@ -46,7 +48,15 @@ from .valuations import (
     thurston_max_check,
     valuate,
 )
-from .words import canonical_class, homology_class, make_surface, parse_word
+from .words import (
+    canonical_class,
+    homology_class,
+    letters,
+    make_surface,
+    mod2_class,
+    parse_word,
+    reduced_words,
+)
 
 REPRESENTATION_COUNT = 20
 
@@ -71,63 +81,28 @@ class CriterionResult:
         )
 
 
-def _letters(s):
-    return [l for k in range(1, 2 * s.genus + 1) for l in (k, -k)]
-
-
 def _random_word(rng, s, length):
-    letters = _letters(s)
-    word = [rng.choice(letters)]
+    alphabet = letters(s.genus)
+    word = [rng.choice(alphabet)]
     while len(word) < length:
-        nxt = rng.choice(letters)
+        nxt = rng.choice(alphabet)
         if nxt != -word[-1]:
             word.append(nxt)
     return tuple(word)
-
-
-def _reduced_words(s, max_length):
-    letters = _letters(s)
-    out = []
-    layer = [()]
-    for _ in range(max_length):
-        nxt = []
-        for w in layer:
-            for l in letters:
-                if w and l == -w[-1]:
-                    continue
-                nxt.append(w + (l,))
-        out.extend(nxt)
-        layer = nxt
-    return out
-
-
-def _matrix(rep, word):
-    # extended precision: the identity under test cancels exactly, so the
-    # measured deviation is pure roundoff and must sit well under tolerance
-    m = np.eye(2, dtype=np.clongdouble)
-    for l in word:
-        g = np.asarray(rep.matrices[abs(l) - 1], dtype=np.clongdouble)
-        m = m @ (g if l > 0 else _adjugate(g))
-    return m
-
-
-def _adjugate(g):
-    return np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]], dtype=g.dtype)
 
 
 def _run_presentation():
     s = make_surface(2)
     reps = [random_representation(s, seed) for seed in range(REPRESENTATION_COUNT)]
     t1_dev = max(abs(evaluate_trace(rep, ()) - 2) for rep in reps)
-    words = _reduced_words(s, 3)
+    # extended precision: the identity under test cancels exactly, so the
+    # measured deviation is pure roundoff and must sit well under tolerance
+    extended = [np.asarray(rep.matrices, dtype=np.clongdouble) for rep in reps]
+    words = list(reduced_words(s.genus, 3))
     worst = 0.0
-    for rep in reps:
-        mats = np.stack([_matrix(rep, w) for w in words])
-        invs = np.empty_like(mats)
-        invs[:, 0, 0] = mats[:, 1, 1]
-        invs[:, 0, 1] = -mats[:, 0, 1]
-        invs[:, 1, 0] = -mats[:, 1, 0]
-        invs[:, 1, 1] = mats[:, 0, 0]
+    for gens in extended:
+        mats = np.stack([_word_matrix(gens, w) for w in words])
+        invs = np.stack([_inv(m) for m in mats])
         traces = np.einsum("aii->a", mats)
         direct = np.einsum("aij,bji->ab", mats, mats)
         inverted = np.einsum("aij,bji->ab", mats, invs)
@@ -138,12 +113,12 @@ def _run_presentation():
     for _ in range(sampled):
         wa = _random_word(rng, s, rng.randint(1, 6))
         wb = _random_word(rng, s, rng.randint(1, 6))
-        for rep in reps:
-            ma, mb = _matrix(rep, wa), _matrix(rep, wb)
+        for gens in extended:
+            ma, mb = _word_matrix(gens, wa), _word_matrix(gens, wb)
             dev = abs(
                 np.trace(ma) * np.trace(mb)
                 - np.trace(ma @ mb)
-                - np.trace(ma @ _adjugate(mb))
+                - np.trace(ma @ _inv(mb))
             )
             worst = max(worst, float(dev))
     passed = worst <= 1e-8 and t1_dev <= 1e-12
@@ -262,15 +237,6 @@ def _run_valuation():
     return passed, detail
 
 
-def _mod2_vanishes(s, mc):
-    parity = [0] * (2 * s.genus)
-    for cls, mult in mc.components:
-        if mult % 2:
-            coords = homology_class(s, cls.word, "Z2").coords
-            parity = [(p + e) % 2 for p, e in zip(parity, coords)]
-    return not any(parity)
-
-
 def _run_discreteness():
     s = make_surface(2)
     pool = [mc for mc in enumerate_multicurves(s, 3) if mc.components]
@@ -292,7 +258,7 @@ def _run_discreteness():
     exprs = [expand_trace(s, c.word) for c in enumerate_classes(s, 5)]
     failures = 0
     for mc in vanishing:
-        if not _mod2_vanishes(s, mc):
+        if any(mod2_class(s, mc.components)):
             failures += 1
             continue
         lam = make_lamination(
@@ -307,7 +273,7 @@ def _run_discreteness():
                 failures += 1
                 break
 
-    nonvanishing = [mc for mc in pool if not _mod2_vanishes(s, mc)]
+    nonvanishing = [mc for mc in pool if any(mod2_class(s, mc.components))]
     witnessed = 0
     for mc in rng.sample(nonvanishing, 50):
         lam = make_lamination(

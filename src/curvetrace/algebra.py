@@ -17,12 +17,12 @@ import numpy as np
 from .curves import (
     _pair_taut,
     _taut_single,
+    check_disjoint_simple,
     enumerate_simple_classes,
     intersection_number,
-    is_simple,
     tauten_routes,
 )
-from .errors import ExpansionBudgetExceeded, NotSimple
+from .errors import ExpansionBudgetExceeded, ModelInconsistency
 from .polygon import polygon_model
 from .representations import Representation, evaluate_trace, random_representation
 from .words import (
@@ -87,18 +87,8 @@ def make_multicurve(s: Surface, weights) -> Multicurve:
     for cls, mult in dict(weights).items():
         if mult <= 0 or mult != int(mult):
             raise ValueError(f"multiplicity {mult!r} must be a positive integer")
-        if not is_simple(s, cls):
-            raise NotSimple(f"{format_word(cls.word)} is not a simple class")
         counts[cls] = counts.get(cls, 0) + int(mult)
-    classes = sorted(counts, key=lambda c: (len(c.word), c.word))
-    for i, x in enumerate(classes):
-        for y in classes[i + 1 :]:
-            n = intersection_number(s, x, y)
-            if n != 0:
-                raise NotSimple(
-                    f"components {format_word(x.word)} and {format_word(y.word)}"
-                    f" cross {n} times"
-                )
+    check_disjoint_simple(s, counts)
     return _multicurve(s.genus, counts)
 
 
@@ -291,7 +281,8 @@ def _expand_primitive(s: Surface, cls: CurveClass, depth: int) -> TraceExpressio
     u = model.arc_word(taut_route, (p + 1) % n, q)
     v = model.arc_word(taut_route, (q + 1) % n, p)
     # the two loops at the chosen crossing recompose to the class itself
-    assert canonical_class(s, u + v) == cls
+    if canonical_class(s, u + v) != cls:
+        raise ModelInconsistency("crossing loops do not recompose to the class")
     f_u = _expand_word(s, u, depth + 1)
     f_v = _expand_word(s, v, depth + 1)
     f_mixed = _expand_word(s, u + inverse_word(v), depth + 1)
@@ -350,7 +341,8 @@ def _merge_basis(s, mc1, mc2, depth, picker) -> TraceExpression:
         model = polygon_model(s.genus)
         u = model.route_word(d.routes[0], (p + 1) % len(d.routes[0]))
         v = model.route_word(d.routes[1], (q + 1) % len(d.routes[1]))
-        assert canonical_class(s, u) == x and canonical_class(s, v) == y
+        if canonical_class(s, u) != x or canonical_class(s, v) != y:
+            raise ModelInconsistency("crossing loops do not read the pair's classes")
         merged = _expand_word(s, u + v, depth + 1) + _expand_word(
             s, u + inverse_word(v), depth + 1
         )

@@ -23,7 +23,7 @@ from functools import cmp_to_key
 
 from .errors import ModelInconsistency
 from .polygon import PolygonModel
-from .words import make_surface, normalize_word
+from .words import inverse_word, make_surface, normalize_word
 
 _MAX_JITTER_RETRIES = 8
 
@@ -34,10 +34,6 @@ _MAX_JITTER_RETRIES = 8
 def _circle_point(t: Fraction):
     d = 1 + t * t
     return ((1 - t * t) / d, 2 * t / d)
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _segment_meet(a, b, c, d):
@@ -135,13 +131,6 @@ def _arc_events(route_len: int, p_from: int, p_to: int, wraps: bool) -> int:
     return span
 
 
-def _arc_word(model, route, p_from: int, n_events: int):
-    out = ()
-    for t in range(n_events):
-        out = out + model.sigma[route[(p_from + 1 + t) % len(route)]]
-    return out
-
-
 @dataclass(frozen=True)
 class Arc:
     """Crossing-free piece of a strand between consecutive double points."""
@@ -179,13 +168,13 @@ def certify_taut(model: PolygonModel, diagram):
             p2, _, y = itin[(k + 1) % m]
             wraps = k + 1 == m
             n_ev = _arc_events(len(route), p1, p2, wraps)
-            word = _arc_word(model, route, p1, n_ev)
             arc = Arc(i, p1, n_ev, x, y)
+            word = model.exits_word(arc.sides(route))
             if x == y:
                 if normalize_word(surface, word) == ():
                     return ("monogon", arc)
             else:
-                inv = tuple(-l for l in reversed(word))
+                inv = inverse_word(word)
                 for prev_word, prev_arc in arcs.get((x, y), ()):
                     if normalize_word(surface, prev_word + inv) == ():
                         return ("bigon", arc, prev_arc)

@@ -8,12 +8,14 @@ one arc across the disc onto the other (its edge crossings are replaced by the
 partner arc's), innermost first since witness arcs are crossing-free.  Each
 move removes the witnessed pair.
 
-The embedded-bigon certificate is conclusive when at most one strand has
-double points; excess position of two self-crossing strands can be witnessed
-only by a singular bigon, which no embedded move removes.  Pair counts
-therefore minimize over all spelling/route seeds, and when both classes are
-non-simple the count is confirmed by exhausting slot assignments (capped,
-loud on overflow).
+The embedded-bigon certificate is not conclusive once a strand has double
+points: excess intersection in general needs immersed monogons or bigons to
+witness it (Hass & Scott, "Intersections of curves on surfaces", Israel J.
+Math. 51, 1985), and no embedded move removes those.  Pair counts therefore
+minimize over all spelling/route seeds, and when both classes are non-simple
+the count is confirmed by exhausting slot assignments (capped, loud on
+overflow).  Pairs with exactly one non-simple member are not confirmed and can
+still overcount.
 """
 from __future__ import annotations
 
@@ -34,10 +36,13 @@ from .words import (
     CurveClass,
     Surface,
     canonical_class,
+    format_word,
     homology_class,
+    intersection_form,
     is_primitive,
     make_surface,
     oriented_spellings,
+    reduced_words,
 )
 
 
@@ -184,10 +189,12 @@ def _pair_diagram(s: Surface, x: CurveClass, y: CurveClass, budget=None):
     # total count forces every self and cross count to its own minimum.
     if budget is None:
         budget = Budget()
+    u = homology_class(s, x.word).coords
+    v = homology_class(s, y.word).coords
     floor = (
         _taut_single(s.genus, x.word)[1]
         + _taut_single(s.genus, y.word)[1]
-        + _algebraic_intersection(s.genus, x.word, y.word)
+        + abs(intersection_form(u, v))
     )
     best = None
     for rx in _route_seeds(s.genus, x.word):
@@ -264,21 +271,14 @@ def _cross_min_exhaustive(model, routes):
     return best
 
 
-def _algebraic_intersection(genus: int, wx, wy) -> int:
-    s = make_surface(genus)
-    u = homology_class(s, wx).coords
-    v = homology_class(s, wy).coords
-    total = 0
-    for i in range(genus):
-        total += u[2 * i] * v[2 * i + 1] - u[2 * i + 1] * v[2 * i]
-    return abs(total)
-
-
 def _pair_cross_refined(genus: int, wx, wy) -> int:
     """Certified minimum for two self-crossing classes: the move loop's best
     diagram, improved by exhausting slot assignments over every seed pair."""
     best = _pair_taut(genus, wx, wy).cross_strand_crossings()
-    if best == _algebraic_intersection(genus, wx, wy):
+    s = make_surface(genus)
+    u = homology_class(s, wx).coords
+    v = homology_class(s, wy).coords
+    if best == abs(intersection_form(u, v)):
         return best
     model = polygon_model(genus)
     for rx in _route_seeds(genus, wx):
@@ -307,6 +307,24 @@ def intersection_number(s: Surface, x: CurveClass, y: CurveClass) -> int:
     return _pair_count(s.genus, wx, wy)
 
 
+def check_disjoint_simple(s: Surface, classes) -> list:
+    """Raise NotSimple unless the classes are simple and pairwise disjoint;
+    return them sorted by (length, word)."""
+    for cls in classes:
+        if not is_simple(s, cls):
+            raise NotSimple(f"{format_word(cls.word)} is not a simple class")
+    ordered = sorted(classes, key=lambda c: (len(c.word), c.word))
+    for i, x in enumerate(ordered):
+        for y in ordered[i + 1 :]:
+            n = intersection_number(s, x, y)
+            if n != 0:
+                raise NotSimple(
+                    f"components {format_word(x.word)} and {format_word(y.word)}"
+                    f" cross {n} times"
+                )
+    return ordered
+
+
 def complement_report(s: Surface, x: CurveClass, y: CurveClass) -> ComplementReport:
     """Census of the complement of a taut union of two simple curves."""
     for c in (x, y):
@@ -325,25 +343,16 @@ def complement_report(s: Surface, x: CurveClass, y: CurveClass) -> ComplementRep
 
 def enumerate_classes(s: Surface, max_length: int):
     """All canonical classes with representative length <= max_length."""
-    letters = [l for k in range(1, 2 * s.genus + 1) for l in (k, -k)]
     seen = set()
     out = []
-    stack = [()]
-    while stack:
-        w = stack.pop()
-        if w:
-            try:
-                c = canonical_class(s, w)
-            except TrivialClass:
-                c = None
-            if c is not None and c.word not in seen:
-                seen.add(c.word)
-                out.append(c)
-        if len(w) < max_length:
-            for l in letters:
-                if w and l == -w[-1]:
-                    continue
-                stack.append(w + (l,))
+    for w in reduced_words(s.genus, max_length):
+        try:
+            c = canonical_class(s, w)
+        except TrivialClass:
+            continue
+        if c.word not in seen:
+            seen.add(c.word)
+            out.append(c)
     out.sort(key=lambda c: (len(c.word), c.word))
     return out
 

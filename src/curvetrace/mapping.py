@@ -43,7 +43,10 @@ from .words import (
     free_reduce,
     generator_name,
     homology_class,
+    intersection_form,
     inverse_word,
+    make_surface,
+    mod2_class,
     normalize_word,
     parse_word,
     rotations,
@@ -150,33 +153,16 @@ def identity_mapping_class(s: Surface) -> MappingClass:
 
 def compose_mapping_classes(s: Surface, f: MappingClass, g: MappingClass) -> MappingClass:
     """Mapping class acting as f after g."""
-    raw = tuple(_substitute(f.images, w) for w in g.images)
-    raw_inv = tuple(_substitute(g.inverse_images, w) for w in f.inverse_images)
-    images = tuple(normalize_word(s, w) for w in raw)
-    inverse_images = tuple(normalize_word(s, w) for w in raw_inv)
-    cert = relator_certificate(s, raw)
-    relator_certificate(s, raw_inv)
-    for k in range(1, s.rank + 1):
-        if normalize_word(s, _substitute(inverse_images, images[k - 1])) != (k,):
-            raise ModelInconsistency("composition lost invertibility")
-    return MappingClass(
-        genus=s.genus,
-        images=images,
-        inverse_images=inverse_images,
-        certificate=cert,
+    images = tuple(normalize_word(s, _substitute(f.images, w)) for w in g.images)
+    inverse_images = tuple(
+        normalize_word(s, _substitute(g.inverse_images, w)) for w in f.inverse_images
     )
+    return _checked(s, images, inverse_images)
 
 
 def invert_mapping_class(f: MappingClass) -> MappingClass:
-    s = _surface(f.genus)
+    s = make_surface(f.genus)
     return _checked(s, f.inverse_images, f.images)
-
-
-@lru_cache(maxsize=None)
-def _surface(genus: int) -> Surface:
-    from .words import make_surface
-
-    return make_surface(genus)
 
 
 # -- Dehn twists --------------------------------------------------------------
@@ -187,10 +173,7 @@ def _rotation_prefixes(genus: int) -> tuple:
     """prefixes[j]: word read rotating from the base corner sector past the
     first j side germs of the vertex walk."""
     model = polygon_model(genus)
-    out = [()]
-    for t in range(model.n_sides):
-        out.append(free_reduce(out[-1] + model.sigma[model.orbit[t]]))
-    return tuple(out)
+    return tuple(model.exits_word(model.orbit[:j]) for j in range(model.n_sides + 1))
 
 
 def _twist_words(s: Surface, cls: CurveClass, turns: int) -> tuple:
@@ -227,12 +210,6 @@ def _twist_words(s: Surface, cls: CurveClass, turns: int) -> tuple:
     return tuple(images)
 
 
-def _symplectic(genus: int, u, v) -> int:
-    return sum(
-        u[2 * i] * v[2 * i + 1] - u[2 * i + 1] * v[2 * i] for i in range(genus)
-    )
-
-
 def _twist_homology_check(s: Surface, cls: CurveClass, turns: int, images):
     model = polygon_model(s.genus)
     route, _ = _taut_single(s.genus, cls.word)
@@ -240,7 +217,7 @@ def _twist_homology_check(s: Surface, cls: CurveClass, turns: int, images):
     for k in range(1, s.rank + 1):
         before = homology_class(s, (k,)).coords
         after = homology_class(s, images[k - 1]).coords
-        shift = turns * _symplectic(s.genus, curve, before)
+        shift = turns * intersection_form(curve, before)
         want = tuple(x + shift * c for x, c in zip(before, curve))
         if after != want:
             raise ModelInconsistency(
@@ -251,7 +228,7 @@ def _twist_homology_check(s: Surface, cls: CurveClass, turns: int, images):
 
 @lru_cache(maxsize=None)
 def _twist_cached(genus: int, word, turns: int) -> MappingClass:
-    s = _surface(genus)
+    s = make_surface(genus)
     cls = CurveClass(genus, word)
     raw = _twist_words(s, cls, turns)
     raw_inverse = _twist_words(s, cls, -turns)
@@ -284,13 +261,6 @@ def twist_along(s: Surface, cls: CurveClass, turns: int = 1) -> MappingClass:
 # -- twist generators (Humphries family) --------------------------------------
 
 
-def _mod2_pairing(genus: int, u, v) -> int:
-    return (
-        sum(u[2 * i] * v[2 * i + 1] + u[2 * i + 1] * v[2 * i] for i in range(genus))
-        % 2
-    )
-
-
 def _chain_pattern_ok(s: Surface, curves) -> bool:
     """Off-curve meets exactly the 4th chain curve once; consecutive chain
     curves meet once; all other pairs are disjoint."""
@@ -307,7 +277,6 @@ def _chain_pattern_ok(s: Surface, curves) -> bool:
 def _connector_search(s: Surface, chain, off, a_next):
     """First simple class (canonical order, length <= 5) meeting the chain
     end and the next meridian once while avoiding everything else placed."""
-    genus = s.genus
     placed = [off] + chain
     others = placed[:-1]
     want_one = (chain[-1], a_next)
@@ -320,9 +289,9 @@ def _connector_search(s: Surface, chain, off, a_next):
         v = mod2(cand)
         if not any(v):
             continue
-        if any(_mod2_pairing(genus, v, targets[c]) != 1 for c in want_one):
+        if any(intersection_form(v, targets[c]) % 2 != 1 for c in want_one):
             continue
-        if any(_mod2_pairing(genus, v, targets[c]) != 0 for c in others):
+        if any(intersection_form(v, targets[c]) % 2 != 0 for c in others):
             continue
         if not is_simple(s, cand):
             continue
@@ -350,7 +319,7 @@ def _complete_chain(s: Surface, chain, off, stage) -> bool:
 
 @lru_cache(maxsize=None)
 def _humphries(genus: int) -> tuple:
-    s = _surface(genus)
+    s = make_surface(genus)
     off = canonical_class(s, (4,))
     chain = [canonical_class(s, (2,)), canonical_class(s, (1,))]
     seeds = _CONNECTOR_SEEDS.get(genus)
@@ -530,12 +499,7 @@ def parse_sign_character(s: Surface, text: str) -> SignCharacter:
 
 def sign_pairing(s: Surface, a: SignCharacter, mc: Multicurve) -> int:
     """Evaluation of the character on the mod-2 class of the multicurve."""
-    total = [0] * s.rank
-    for cls, mult in mc.components:
-        if mult % 2 == 0:
-            continue
-        for i, c in enumerate(homology_class(s, cls.word, ring="Z2").coords):
-            total[i] = (total[i] + c) % 2
+    total = mod2_class(s, mc.components)
     return sum(b * v for b, v in zip(a.bits, total)) % 2
 
 

@@ -12,6 +12,9 @@ sigma over its exits.  The table is solved once per genus from the corner walk:
 each generator loop, pushed off the vertex, crosses exactly the germs between
 its two ends in the vertex rotation, which pins every sigma up to the relator.
 
+Route words are all read through exits_word, one free reduction of the chained
+sigma words of a sequence of exits.
+
 A letter's pushoff therefore contributes a rotation arc around v (at most half
 a turn) between its slide along the glued edge and the next letter's; exact
 half turns are genuinely ambiguous (the two choices are isotopic across v) and
@@ -20,6 +23,7 @@ are enumerated by the taut search.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 
 from .errors import ModelInconsistency
 from .words import (
@@ -27,6 +31,7 @@ from .words import (
     canonical_class,
     free_reduce,
     inverse_word,
+    letters,
     make_surface,
     normalize_word,
 )
@@ -75,7 +80,7 @@ class PolygonModel:
     def _solve_sigma(self, surface):
         n4 = self.n_sides
         relations = []  # (j, m, letter): V[j] = letter . V[m]
-        for letter in side_of_letters(self.genus):
+        for letter in letters(self.genus):
             relations.append(
                 (self.start_pos[letter], self.end_pos[letter], letter)
             )
@@ -111,14 +116,11 @@ class PolygonModel:
         for s in range(self.n_sides):
             if normalize_word(surface, self.sigma[s] + self.sigma[self.partner[s]]) != ():
                 raise ModelInconsistency("sigma not inverse across partners")
-        turn = ()
-        for k in range(self.n_sides):
-            turn = turn + self.sigma[self.orbit[k]]
-        if normalize_word(surface, turn) != ():
+        if normalize_word(surface, self.exits_word(self.orbit)) != ():
             raise ModelInconsistency("full turn around the vertex not trivial")
         # a route's word is only well defined up to conjugacy (its basepoint
         # sits on an edge, not at the vertex)
-        for letter in side_of_letters(self.genus):
+        for letter in letters(self.genus):
             route = self.route_for_spelling((letter,))[0]
             read = canonical_class(surface, self.route_word(route)).word
             if read != canonical_class(surface, (letter,)).word:
@@ -286,28 +288,19 @@ class PolygonModel:
             return route
         return min((route[i:] + route[:i] for i in range(n)), default=route)
 
+    def exits_word(self, exits) -> GroupWord:
+        """Freely reduced word read by crossing out through the given sides."""
+        return free_reduce(chain.from_iterable(self.sigma[s] for s in exits))
+
     def route_word(self, route, start: int = 0) -> GroupWord:
         """Group word read by the closed route, starting after position start."""
-        out = ()
-        n = len(route)
-        for t in range(n):
-            out = free_reduce(out + self.sigma[route[(start + t) % n]])
-        return out
+        return self.arc_word(route, start, start - 1)
 
     def arc_word(self, route, first: int, last: int) -> GroupWord:
         """Word read by the route exits first..last inclusive (cyclic)."""
         n = len(route)
         span = (last - first) % n + 1
-        out = ()
-        for t in range(span):
-            out = free_reduce(out + self.sigma[route[(first + t) % n]])
-        return out
-
-
-def side_of_letters(genus: int):
-    for k in range(1, 2 * genus + 1):
-        yield k
-        yield -k
+        return self.exits_word(route[(first + t) % n] for t in range(span))
 
 
 @lru_cache(maxsize=None)

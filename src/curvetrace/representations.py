@@ -29,8 +29,9 @@ class Representation:
 
 
 def _inv(m: np.ndarray) -> np.ndarray:
-    # adjugate: exact inverse for det-1 matrices, no linear solve noise
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+    # adjugate: exact inverse for det-1 matrices, no linear solve noise; keeps
+    # the input dtype so extended-precision callers stay extended
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=m.dtype)
 
 
 def _unipotent_product(rng: np.random.Generator, factors: int = 4) -> np.ndarray:

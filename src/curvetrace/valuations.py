@@ -22,7 +22,12 @@ from .algebra import (
     multiply_expressions,
     format_multicurve,
 )
-from .curves import enumerate_simple_classes, intersection_number, is_simple
+from .curves import (
+    check_disjoint_simple,
+    enumerate_simple_classes,
+    intersection_number,
+    is_simple,
+)
 from .errors import NotSimple
 from .words import (
     CurveClass,
@@ -30,6 +35,7 @@ from .words import (
     canonical_class,
     format_word,
     homology_class,
+    mod2_class,
     normalize_word,
     parse_word,
 )
@@ -61,18 +67,8 @@ def make_lamination(s: Surface, weights) -> Lamination:
         w = Fraction(w)
         if w <= 0:
             raise ValueError(f"weight {w} of {format_word(cls.word)} not positive")
-        if not is_simple(s, cls):
-            raise NotSimple(f"{format_word(cls.word)} is not a simple class")
         acc[cls] = acc.get(cls, Fraction(0)) + w
-    classes = sorted(acc, key=lambda c: (len(c.word), c.word))
-    for i, x in enumerate(classes):
-        for y in classes[i + 1 :]:
-            n = intersection_number(s, x, y)
-            if n != 0:
-                raise NotSimple(
-                    f"components {format_word(x.word)} and {format_word(y.word)}"
-                    f" cross {n} times"
-                )
+    classes = check_disjoint_simple(s, acc)
     items = tuple((c, acc[c]) for c in classes)
     return Lamination(genus=s.genus, weights=items)
 
@@ -261,14 +257,8 @@ def classify_discrete(s: Surface, lam: Lamination) -> DiscretenessReport:
     with fractional pairing among simple classes of bounded length."""
     doubled = [(c, 2 * w) for c, w in lam.weights]
     half_integral = all(w.denominator == 1 for _, w in doubled)
-    if half_integral:
-        parity = [0] * (2 * s.genus)
-        for c, w in doubled:
-            if int(w) % 2:
-                for k, entry in enumerate(homology_class(s, c.word, "Z2").coords):
-                    parity[k] = (parity[k] + entry) % 2
-        if not any(parity):
-            return DiscretenessReport(discrete=True, witness=None, value=None)
+    if half_integral and not any(mod2_class(s, doubled)):
+        return DiscretenessReport(discrete=True, witness=None, value=None)
     for c in enumerate_simple_classes(s, WITNESS_LENGTH_BOUND):
         value = lamination_intersection(s, lam, c)
         if value.denominator != 1:

@@ -13,6 +13,10 @@ lone cell is the exactly-half factor swap, while chains and rings of several
 cells pass through longer intermediates.  Both kinds of rewrite are chased
 when building canonical class representatives; cell chains and rings need at
 least 2(2g-1) boundary letters, so shorter words only ever need half swaps.
+
+The alphabet (letters, reduced_words) and the homology pairings live here too:
+intersection_form is the symplectic form on H_1 (mod 2, the pairing behind the
+sign characters) and mod2_class the mod-2 class of a weighted multicurve.
 """
 from __future__ import annotations
 
@@ -78,6 +82,23 @@ def make_surface(genus: int) -> Surface:
         relator.extend((a, b, -a, -b))
     names = tuple(generator_name(k) for k in range(1, 2 * genus + 1))
     return Surface(genus=genus, generators=names, relator=tuple(relator))
+
+
+def letters(genus: int) -> tuple:
+    """The 4g letters in the order a1, A1, b1, B1, a2, ..."""
+    return tuple(l for k in range(1, 2 * genus + 1) for l in (k, -k))
+
+
+def reduced_words(genus: int, max_length: int) -> Iterator[GroupWord]:
+    """Every nonempty freely reduced word of length <= max_length (depth first)."""
+    alphabet = letters(genus)
+    stack = [()]
+    while stack:
+        w = stack.pop()
+        if w:
+            yield w
+        if len(w) < max_length:
+            stack.extend(w + (l,) for l in alphabet if not w or l != -w[-1])
 
 
 def parse_word(surface: Surface, text: str) -> GroupWord:
@@ -253,10 +274,6 @@ def normalize_word(surface: Surface, word: Iterable) -> GroupWord:
     return min(geodesic_spellings(surface.genus, word), key=word_key)
 
 
-def is_trivial(surface: Surface, word: Iterable) -> bool:
-    return normalize_word(surface, word) == ()
-
-
 def words_equal(surface: Surface, u: Iterable, v: Iterable) -> bool:
     return normalize_word(surface, tuple(u) + inverse_word(tuple(v))) == ()
 
@@ -423,6 +440,10 @@ def canonical_class(surface: Surface, word: Iterable) -> CurveClass:
 
 @lru_cache(maxsize=None)
 def _canonical_class(genus: int, word: GroupWord) -> CurveClass:
+    # checked on cache misses only: a word that was ever cached is valid
+    for l in word:
+        if abs(l) > 2 * genus:
+            raise BadLetter(f"letter {l!r} outside genus-{genus} alphabet")
     w = _cyclic_dehn_reduce(genus, word)
     if not w:
         raise TrivialClass("word is null-homotopic")
@@ -500,3 +521,22 @@ def homology_class(surface: Surface, word: Iterable, ring: str = "Z") -> Homolog
     if ring == "Z2":
         coords = [c % 2 for c in coords]
     return HomologyVector(ring=ring, coords=tuple(coords))
+
+
+def intersection_form(u, v) -> int:
+    """Symplectic form on H_1 coordinates (a1, b1, ..., ag, bg): the algebraic
+    intersection number; reduced mod 2 it is the mod-2 intersection pairing."""
+    return sum(
+        u[2 * i] * v[2 * i + 1] - u[2 * i + 1] * v[2 * i] for i in range(len(u) // 2)
+    )
+
+
+def mod2_class(surface: Surface, components) -> tuple:
+    """Mod-2 homology coordinates of a weighted multicurve given as
+    ((CurveClass, weight), ...); components of even weight drop out."""
+    total = [0] * surface.rank
+    for cls, weight in components:
+        if weight % 2:
+            for i, c in enumerate(homology_class(surface, cls.word, "Z2").coords):
+                total[i] ^= c
+    return tuple(total)

@@ -22,7 +22,7 @@ from curvetrace.algebra import (
     zero_expression,
 )
 from curvetrace.curves import enumerate_classes
-from curvetrace.errors import ExpansionBudgetExceeded, NotSimple
+from curvetrace.errors import ExpansionBudgetExceeded, ModelInconsistency, NotSimple
 from curvetrace.representations import evaluate_trace, random_representation
 from curvetrace.words import canonical_class, inverse_word, make_surface, parse_word
 
@@ -242,6 +242,27 @@ def test_expansion_budget_trips_on_tiny_cap(monkeypatch):
         expand_trace(S2, W("a1A2b2"))
     algebra._EXPAND_CACHE.clear()
     algebra._MERGE_CACHE.clear()
+
+
+def test_crossing_loop_checks_raise_typed_errors(monkeypatch):
+    # the loops read at a crossing are checked against the classes they must
+    # recompose; the checks survive python -O and raise a package error
+    f, g = expand("a1"), expand("b1")
+    real = algebra.canonical_class
+    monkeypatch.setattr(algebra, "_EXPAND_CACHE", {})
+    monkeypatch.setattr(algebra, "_MERGE_CACHE", {})
+    monkeypatch.setattr(algebra, "canonical_class", lambda s, w: real(s, (3,)))
+    with pytest.raises(ModelInconsistency):
+        multiply_expressions(S2, f, g)
+    calls = []
+
+    def wrong_after_first(s, w):
+        calls.append(w)
+        return real(s, w) if len(calls) == 1 else real(s, (3,))
+
+    monkeypatch.setattr(algebra, "canonical_class", wrong_after_first)
+    with pytest.raises(ModelInconsistency):
+        expand_trace(S2, W("a1b2"))
 
 
 # -- rank of the evaluation pairing ----------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import all_classes_up_to, germ_simple, min_crossings
 from curvetrace.diagrams import Budget, build_with_slots
-from curvetrace.errors import ReductionBudgetExceeded
+from curvetrace.errors import ModelInconsistency, ReductionBudgetExceeded
 from curvetrace.curves import (
     enumerate_classes,
     enumerate_simple_classes,
@@ -87,6 +87,32 @@ def test_intersection_number_symmetric():
     for x in classes:
         for y in classes:
             assert intersection_number(S2, x, y) == intersection_number(S2, y, x)
+
+
+# Known defects, pinned so that the change which fixes one must drop its
+# marker.  The five pairs overcount: the taut pair diagram keeps excess cross
+# intersection that no embedded bigon witnesses (the values below are
+# min_crossings' and the trace expansion's).
+@pytest.mark.xfail(strict=True, reason="pair diagram overcounts; no embedded witness")
+@pytest.mark.parametrize(
+    "x, y, want",
+    [
+        ("a2b2", "a1B2B2B2a2", 4),
+        ("a1b1", "a1B2b1b1b2", 3),
+        ("a1b1", "a1B1B2B1B1", 4),
+        ("a1b1", "a1B1a2B1B1", 4),
+        ("a2b2", "b1A2b2b2b2", 4),
+    ],
+)
+def test_intersection_number_of_overcounted_pairs(x, y, want):
+    assert intersection_number(S2, C(x), C(y)) == want
+
+
+@pytest.mark.xfail(
+    strict=True, raises=ModelInconsistency, reason="bigon arcs cross different edges"
+)
+def test_self_intersection_of_long_twist_image():
+    assert self_intersection(S2, C("a1b1A1b2b1B2a1B1A1b2b1b2B1B2")) >= 0
 
 
 def test_two_letter_classes_match_vertex_germ_oracle():

@@ -234,6 +234,11 @@ def test_mapping_class_round_trip():
     lines = text.splitlines()
     assert lines[0] == "a1\tB1B2a1"
     assert lines[4] == ""
+    # a composite certifies the images it stores, so it survives the round trip
+    composed = compose_mapping_classes(
+        S2, twist_generator(S2, 2), compose_mapping_classes(S2, twist_generator(S2, 3), t)
+    )
+    assert parse_mapping_class(S2, format_mapping_class(composed)) == composed
 
 
 def test_parse_mapping_class_errors():

@@ -10,12 +10,16 @@ from curvetrace.words import (
     free_reduce,
     geodesic_spellings,
     homology_class,
+    intersection_form,
     inverse_word,
     is_primitive,
+    letters,
     make_surface,
+    mod2_class,
     normalize_word,
     parse_word,
     primitive_root,
+    reduced_words,
     rotations,
     words_equal,
 )
@@ -54,6 +58,33 @@ def test_parse_rejects_bad_letters():
             parse_word(S2, text)
     # a3 is fine at genus 3
     assert parse_word(S3, "a3") == (5,)
+
+
+def test_canonical_class_rejects_letters_outside_alphabet():
+    for word in ((99,), (5,), (1, -6), (2, 5, -2)):
+        with pytest.raises(BadLetter):
+            canonical_class(S2, word)
+    assert canonical_class(S3, (5,)).word == (5,)
+
+
+def test_alphabet_and_reduced_words():
+    assert letters(2) == (1, -1, 2, -2, 3, -3, 4, -4)
+    words = list(reduced_words(2, 3))
+    assert len(words) == len(set(words)) == 8 + 8 * 7 + 8 * 7 * 7
+    assert all(free_reduce(w) == w for w in words)
+
+
+def test_intersection_form_and_mod2_class():
+    def h(text):
+        return homology_class(S2, W(text)).coords
+
+    assert intersection_form(h("a1"), h("b1")) == 1
+    assert intersection_form(h("b1"), h("a1")) == -1
+    assert intersection_form(h("a1"), h("a2")) == 0
+    assert intersection_form(h("a1a1b2"), h("b1a2")) == 1
+    a1, b2 = canonical_class(S2, W("a1")), canonical_class(S2, W("b2"))
+    assert mod2_class(S2, ((a1, 3), (b2, 2))) == (1, 0, 0, 0)
+    assert mod2_class(S2, ((a1, 2),)) == (0, 0, 0, 0)
 
 
 def test_free_reduce():
