@@ -362,8 +362,7 @@ def _run_actions():
         twisted = central_twist(s, rep, a)
         for word in words:
             coords = homology_class(s, word, "Z2").coords
-            parity = sum(b * e for b, e in zip(a.bits, coords)) % 2
-            expected = (-1) ** parity * evaluate_trace(rep, word)
+            expected = (-1) ** a.evaluate(coords) * evaluate_trace(rep, word)
             dev = abs(evaluate_trace(twisted, word) - expected)
             worst = max(worst, float(dev))
     if worst > 1e-8:

@@ -13,19 +13,23 @@ points: excess intersection in general needs immersed monogons or bigons to
 witness it (Hass & Scott, "Intersections of curves on surfaces", Israel J.
 Math. 51, 1985), and no embedded move removes those.  Pair counts therefore
 minimize over all spelling/route seeds, and when both classes are non-simple
-the count is confirmed by exhausting slot assignments (capped, loud on
+the count is confirmed by the exact minimum over every slot assignment of
+each seed pair (computed from per-edge crossing tables; capped, loud on
 overflow).  Pairs with exactly one non-simple member are not confirmed and can
 still overcount.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations
 from math import factorial
+
+import numpy as np
 
 from .complement import ComplementReport, certify_taut, complement_census
 from .diagrams import Budget, CurveDiagram, build_diagram, build_with_slots
 from .errors import (
+    GenusMismatch,
     ModelInconsistency,
     NotSimple,
     ReductionBudgetExceeded,
@@ -159,8 +163,18 @@ def _taut_single(genus: int, class_word) -> tuple:
     return route, count
 
 
+def _check_genus(s: Surface, *classes) -> None:
+    for c in classes:
+        if c.genus != s.genus:
+            raise GenusMismatch(
+                f"{format_word(c.word)} is a genus-{c.genus} class;"
+                f" the surface has genus {s.genus}"
+            )
+
+
 def realize(s: Surface, c: CurveClass) -> CurveDiagram:
     """Taut single-strand diagram of the class."""
+    _check_genus(s, c)
     route, _ = _taut_single(s.genus, c.word)
     model = polygon_model(s.genus)
     return build_diagram(model, (c,), (route,))
@@ -173,12 +187,14 @@ def tauten(d: CurveDiagram) -> CurveDiagram:
 
 def self_intersection(s: Surface, c: CurveClass) -> int:
     """Minimal double-point count of a single representative."""
+    _check_genus(s, c)
     _, count = _taut_single(s.genus, c.word)
     return count
 
 
 def is_simple(s: Surface, c: CurveClass) -> bool:
     """True when the class is primitive with an embedded representative."""
+    _check_genus(s, c)
     return is_primitive(s, c) and self_intersection(s, c) == 0
 
 
@@ -218,7 +234,21 @@ PAIR_SEARCH_CAP = 200_000
 
 
 def _cross_min_exhaustive(model, routes):
-    """Minimum cross-strand count over every slot assignment of the routes."""
+    """Minimum cross-strand count over every slot assignment of the routes,
+    or None when there are more than PAIR_SEARCH_CAP assignments.
+
+    A slot assignment orders the events of each edge.  Whether two chords of
+    different strands cross depends only on the order of their four
+    endpoints: points on different sides compare by side, and two points on
+    one side compare by the slot ranks of their events on that side's edge.
+    At most two edges carry such a comparison for one chord pair, so the
+    cross count is exactly a constant plus one table per edge plus one table
+    per edge pair, each indexed by the rank vectors of its edges.  Their sum
+    is one array over every assignment (an edge no comparison reads gets a
+    single cell), so its minimum is the minimum over all assignments.  The
+    array is never larger than the search space, which the cap bounds as
+    before.
+    """
     n_edges = 2 * model.genus
     edge_events = [[] for _ in range(n_edges)]
     for i, route in enumerate(routes):
@@ -229,51 +259,99 @@ def _cross_min_exhaustive(model, routes):
         space *= factorial(len(evs))
     if space > PAIR_SEARCH_CAP:
         return None
-    base = {}
-    offset = 0
-    counts = [0] * len(model.sides)
-    for k, evs in enumerate(edge_events, start=1):
-        counts[model.side_of[k]] = len(evs)
-        counts[model.side_of[-k]] = len(evs)
-    for s in range(len(model.sides)):
-        base[s] = offset
-        offset += counts[s]
-    best = None
-    for assignment in product(*(permutations(evs) for evs in edge_events)):
-        entry_pos, exit_pos = {}, {}
-        for k, order in enumerate(assignment, start=1):
-            m = len(order)
-            s_plus, s_minus = model.side_of[k], model.side_of[-k]
-            for t, (i, p) in enumerate(order):
-                if routes[i][p] == s_plus:
-                    exit_pos[(i, p)] = base[s_plus] + t
-                    entry_pos[(i, p)] = base[s_minus] + m - 1 - t
-                else:
-                    exit_pos[(i, p)] = base[s_minus] + m - 1 - t
-                    entry_pos[(i, p)] = base[s_plus] + t
-        chords = []
-        for i, route in enumerate(routes):
-            n = len(route)
-            for p in range(n):
-                a = entry_pos[(i, p)]
-                b = exit_pos[(i, (p + 1) % n)]
-                chords.append((i, a, b) if a < b else (i, b, a))
-        cross = 0
-        for w, pair in enumerate(chords):
-            i1, a1, b1 = pair
-            for i2, a2, b2 in chords[w + 1:]:
-                if i1 != i2 and (a1 < a2 < b1) != (a1 < b2 < b1):
-                    cross += 1
-        if best is None or cross < best:
-            best = cross
-            if best == 0:
-                break
-    return best
+    # A boundary point is (side, edge, index of its event on the edge); on
+    # the edge's plus side it sits at the event's slot rank, on the minus
+    # side at the reversed rank.
+    where = {
+        ev: (k, t) for k, evs in enumerate(edge_events) for t, ev in enumerate(evs)
+    }
+    plus = [model.side_of[k] for k in range(1, n_edges + 1)]
+    chords = []
+    for i, route in enumerate(routes):
+        n = len(route)
+        for p in range(n):
+            q = (p + 1) % n
+            entry = (model.partner[route[p]],) + where[(i, p)]
+            exit_ = (route[q],) + where[(i, q)]
+            chords.append((i, entry, exit_))
+    # Chords {a, b} and {c, d} cross iff (a<c)^(a<d)^(b<c)^(b<d).  A term
+    # with the two points on different sides is a constant; one on a shared
+    # side is a constant ^ (rank lo < rank hi) for two events lo < hi of that
+    # side's edge.  A chord pair's terms touch at most two edges; with x and
+    # y the parities of its comparisons on each, its indicator is
+    # flip ^ x ^ y = flip + sign * (x + y - 2xy), sign = 1 - 2 * flip.
+    const = 0
+    columns = [{} for _ in range(n_edges)]  # comparison set -> column
+    linear = [[] for _ in range(n_edges)]  # coefficient of each column
+    links = {}  # (k1, k2) -> {(column in k1, column in k2): coefficient}
+    for w, (i1, a, b) in enumerate(chords):
+        for i2, c, d in chords[w + 1 :]:
+            if i1 == i2:
+                continue
+            flip = 0
+            by_edge = {}
+            for u in (a, b):
+                for v in (c, d):
+                    if u[0] != v[0]:
+                        flip ^= u[0] < v[0]
+                        continue
+                    lo, hi = (u[2], v[2]) if u[0] == plus[u[1]] else (v[2], u[2])
+                    if lo > hi:
+                        lo, hi = hi, lo
+                        flip ^= 1
+                    by_edge.setdefault(u[1], set()).symmetric_difference_update(
+                        {(lo, hi)}
+                    )
+            const += flip
+            sign = 1 - 2 * flip
+            cols = []
+            for k, comparisons in sorted(by_edge.items()):
+                if comparisons:
+                    key = tuple(sorted(comparisons))
+                    j = columns[k].setdefault(key, len(linear[k]))
+                    if j == len(linear[k]):
+                        linear[k].append(0)
+                    linear[k][j] += sign
+                    cols.append((k, j))
+            if len(cols) == 2:
+                (k1, j1), (k2, j2) = cols
+                link = links.setdefault((k1, k2), {})
+                link[j1, j2] = link.get((j1, j2), 0) - 2 * sign
+    # One table per edge (and per linked edge pair) over the rank vectors
+    # of that edge's events, broadcast into one array over all assignments.
+    shape = [
+        factorial(len(evs)) if columns[k] else 1 for k, evs in enumerate(edge_events)
+    ]
+    total = np.full(shape, const, dtype=np.int32)
+    parity = []
+    for k, evs in enumerate(edge_events):
+        x = np.zeros((shape[k], len(linear[k])), dtype=np.int32)
+        if columns[k]:
+            m = len(evs)
+            ranks = np.fromiter(
+                chain.from_iterable(permutations(range(m))), np.int8, shape[k] * m
+            ).reshape(shape[k], m)
+            for comparisons, j in columns[k].items():
+                for lo, hi in comparisons:
+                    x[:, j] ^= ranks[:, lo] < ranks[:, hi]
+            view = [1] * n_edges
+            view[k] = shape[k]
+            total += (x @ np.array(linear[k], dtype=np.int32)).reshape(view)
+        parity.append(x)
+    for (k1, k2), link in links.items():
+        coefficients = np.zeros((len(linear[k1]), len(linear[k2])), dtype=np.int32)
+        for (j1, j2), value in link.items():
+            coefficients[j1, j2] = value
+        view = [1] * n_edges
+        view[k1], view[k2] = shape[k1], shape[k2]
+        total += (parity[k1] @ coefficients @ parity[k2].T).reshape(view)
+    return int(total.min())
 
 
 def _pair_cross_refined(genus: int, wx, wy) -> int:
     """Certified minimum for two self-crossing classes: the move loop's best
-    diagram, improved by exhausting slot assignments over every seed pair."""
+    diagram, improved by the exact minimum over every slot assignment of
+    every seed pair."""
     best = _pair_taut(genus, wx, wy).cross_strand_crossings()
     s = make_surface(genus)
     u = homology_class(s, wx).coords
@@ -303,6 +381,7 @@ def _pair_count(genus: int, wx, wy) -> int:
 
 def intersection_number(s: Surface, x: CurveClass, y: CurveClass) -> int:
     """Geometric intersection number of two classes."""
+    _check_genus(s, x, y)
     wx, wy = sorted((x.word, y.word))
     return _pair_count(s.genus, wx, wy)
 
@@ -327,9 +406,10 @@ def check_disjoint_simple(s: Surface, classes) -> list:
 
 def complement_report(s: Surface, x: CurveClass, y: CurveClass) -> ComplementReport:
     """Census of the complement of a taut union of two simple curves."""
+    _check_genus(s, x, y)
     for c in (x, y):
         if not is_simple(s, c):
-            raise NotSimple(f"{c.word} is not a simple class")
+            raise NotSimple(f"{format_word(c.word)} is not a simple class")
     model = polygon_model(s.genus)
     d = _pair_diagram(s, x, y)
     report = complement_census(model, d)

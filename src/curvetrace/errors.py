@@ -13,6 +13,10 @@ class BadLetter(CurvetraceError):
     """Raised when word text references a generator outside the surface alphabet."""
 
 
+class GenusMismatch(CurvetraceError):
+    """Raised when a class of one genus is used on a surface of another."""
+
+
 class TrivialClass(CurvetraceError):
     """Raised when an operation needs a nontrivial free homotopy class."""
 

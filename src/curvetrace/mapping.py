@@ -471,6 +471,10 @@ class SignCharacter:
     def __str__(self) -> str:
         return format_sign_character(self)
 
+    def evaluate(self, coords) -> int:
+        """Value (0 or 1) on the class with these homology coordinates."""
+        return sum(b * c for b, c in zip(self.bits, coords)) % 2
+
 
 def make_sign_character(s: Surface, bits) -> SignCharacter:
     if isinstance(bits, str):
@@ -499,8 +503,7 @@ def parse_sign_character(s: Surface, text: str) -> SignCharacter:
 
 def sign_pairing(s: Surface, a: SignCharacter, mc: Multicurve) -> int:
     """Evaluation of the character on the mod-2 class of the multicurve."""
-    total = mod2_class(s, mc.components)
-    return sum(b * v for b, v in zip(a.bits, total)) % 2
+    return a.evaluate(mod2_class(s, mc.components))
 
 
 def h1_action(s: Surface, a: SignCharacter, expr: TraceExpression) -> TraceExpression:
@@ -588,7 +591,7 @@ def character_pullback(s: Surface, a: SignCharacter, f: MappingClass) -> SignCha
     bits = []
     for k in range(1, s.rank + 1):
         coords = homology_class(s, f.inverse_images[k - 1], ring="Z2").coords
-        bits.append(sum(b * c for b, c in zip(a.bits, coords)) % 2)
+        bits.append(a.evaluate(coords))
     return SignCharacter(genus=s.genus, bits=tuple(bits))
 
 

@@ -1,10 +1,21 @@
 """Taut diagrams and exact intersection numbers on the closed surface."""
+import random
+
 import pytest
 
-from oracles import all_classes_up_to, germ_simple, min_crossings
+from oracles import _min_for_routes, all_classes_up_to, germ_simple, min_crossings
 from curvetrace.diagrams import Budget, build_with_slots
-from curvetrace.errors import ModelInconsistency, ReductionBudgetExceeded
+from curvetrace.errors import (
+    GenusMismatch,
+    ModelInconsistency,
+    NotSimple,
+    ReductionBudgetExceeded,
+)
 from curvetrace.curves import (
+    PAIR_SEARCH_CAP,
+    _cross_min_exhaustive,
+    _route_seeds,
+    complement_report,
     enumerate_classes,
     enumerate_simple_classes,
     intersection_number,
@@ -15,7 +26,13 @@ from curvetrace.curves import (
     tauten_routes,
 )
 from curvetrace.polygon import polygon_model
-from curvetrace.words import canonical_class, format_word, make_surface, parse_word
+from curvetrace.words import (
+    canonical_class,
+    format_word,
+    make_surface,
+    parse_word,
+    reduced_words,
+)
 
 S2 = make_surface(2)
 S3 = make_surface(3)
@@ -222,3 +239,66 @@ def test_budget_exhaustion_is_loud():
             ((1, 4, 7, 7, 6, 6, 5),),
             budget=Budget(limit=4),
         )
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_cross_min_exhaustive_matches_oracle(genus):
+    # seeded pairs of production routes, kept to small search spaces so the
+    # oracle's enumeration stays cheap; short classes at genus 3 leave edges
+    # with no events
+    model = polygon_model(genus)
+    surface = make_surface(genus)
+    words = list(reduced_words(genus, 2))
+    rng = random.Random(genus)
+    checked = empty = 0
+    while checked < 60:
+        classes = [canonical_class(surface, rng.choice(words)) for _ in range(2)]
+        routes = tuple(rng.choice(_route_seeds(genus, c.word)) for c in classes)
+        want = _min_for_routes(model, routes, 720)
+        if want is None:
+            continue
+        edges = {abs(model.sides[side]) for route in routes for side in route}
+        empty += len(edges) < 2 * genus
+        assert _cross_min_exhaustive(model, routes) == want[1], routes
+        checked += 1
+    assert empty > 0
+    for routes in (((0,), (0,)), ((0,), (1,))):  # most edges empty
+        assert _cross_min_exhaustive(model, routes) == _min_for_routes(
+            model, routes, 2
+        )[1]
+
+
+def test_cross_min_exhaustive_above_cap_is_none():
+    model = polygon_model(2)
+    routes = ((0,) * 5, (2,) * 4)  # nine events on one edge: 9! assignments
+    assert _min_for_routes(model, routes, PAIR_SEARCH_CAP) is None
+    assert _cross_min_exhaustive(model, routes) is None
+
+
+def test_intersection_number_of_two_nonsimple_classes_matches_oracle():
+    x, y = C("A1B2"), C("A1a2")
+    assert intersection_number(S2, x, y) == min_crossings(2, (x.word, y.word))[1] == 3
+
+
+def test_pair_search_cap_is_loud():
+    with pytest.raises(ReductionBudgetExceeded):
+        intersection_number(S2, C("A1a2"), C("b2B1B1b2"))
+
+
+def test_genus_mismatch_is_typed():
+    s2_class, s3_class = C("a1"), C("a3b3", S3)
+    for call in (
+        lambda: realize(S2, s3_class),
+        lambda: self_intersection(S2, s3_class),
+        lambda: is_simple(S2, s3_class),
+        lambda: intersection_number(S2, s2_class, s3_class),
+        lambda: complement_report(S2, s3_class, s2_class),
+        lambda: intersection_number(S3, s2_class, C("a1", S3)),
+    ):
+        with pytest.raises(GenusMismatch):
+            call()
+
+
+def test_complement_report_names_nonsimple_class():
+    with pytest.raises(NotSimple, match="^a1b2 is not a simple class$"):
+        complement_report(S2, C("a1b2"), C("a1"))

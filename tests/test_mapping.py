@@ -277,6 +277,14 @@ def test_sign_pairing_values():
                         parse_multicurve(S2, "a1b1A1B1^1")) == 0
 
 
+def test_sign_character_evaluate():
+    a = make_sign_character(S2, "1011")
+    assert a.evaluate((1, 0, 0, 0)) == 1
+    assert a.evaluate((0, 1, 0, 0)) == 0
+    assert a.evaluate((1, 0, 1, 0)) == 0
+    assert a.evaluate((1, 1, 1, 1)) == 1
+
+
 def test_h1_action_flips_coefficients():
     a = make_sign_character(S2, "1000")
     f = parse_expression(S2, "2\ta1^1\n5\tb1^1\n1\t-")
