@@ -28,9 +28,22 @@ from .algebra import (
     enumerate_multicurves,
     multiply_expressions,
 )
-from .curves import _taut_single, enumerate_classes, intersection_number, is_simple
+from .curves import (
+    _check_genus,
+    _taut_single,
+    check_disjoint_simple,
+    enumerate_classes,
+    intersection_number,
+    is_simple,
+)
 from .diagrams import build_diagram
-from .errors import BadIndex, ModelInconsistency, NotSimple, NotSimpleImage
+from .errors import (
+    BadIndex,
+    GenusMismatch,
+    ModelInconsistency,
+    NotSimple,
+    NotSimpleImage,
+)
 from .polygon import polygon_model
 from .representations import Representation, relator_residual
 from .words import (
@@ -363,28 +376,27 @@ def apply_to_word(s: Surface, f: MappingClass, word) -> GroupWord:
     return normalize_word(s, _substitute(f.images, tuple(word)))
 
 
+def _check_surface(s: Surface, what: str, genus: int) -> None:
+    if genus != s.genus:
+        raise GenusMismatch(f"a genus-{genus} {what}; the surface has genus {s.genus}")
+
+
 def apply_to_class(s: Surface, f: MappingClass, cls: CurveClass) -> CurveClass:
+    _check_surface(s, "mapping class", f.genus)
+    _check_genus(s, cls)
     return canonical_class(s, _substitute(f.images, cls.word))
 
 
 def apply_to_multicurve(s: Surface, f: MappingClass, mc: Multicurve) -> Multicurve:
+    _check_surface(s, "multicurve", mc.genus)
     counts = {}
     for cls, mult in mc.components:
         image = apply_to_class(s, f, cls)
-        if not is_simple(s, image):
-            raise NotSimpleImage(
-                f"image {format_word(image.word)} of component"
-                f" {format_word(cls.word)} is not simple"
-            )
         counts[image] = counts.get(image, 0) + mult
-    pieces = sorted(counts, key=lambda c: (len(c.word), c.word))
-    for i, x in enumerate(pieces):
-        for y in pieces[i + 1 :]:
-            if intersection_number(s, x, y) != 0:
-                raise NotSimpleImage(
-                    f"components {format_word(x.word)} and {format_word(y.word)}"
-                    " cross after mapping"
-                )
+    try:
+        check_disjoint_simple(s, counts)
+    except NotSimple as e:
+        raise NotSimpleImage(f"after mapping: {e}") from None
     return _multicurve(s.genus, counts)
 
 

@@ -14,6 +14,13 @@ cells pass through longer intermediates.  Both kinds of rewrite are chased
 when building canonical class representatives; cell chains and rings need at
 least 2(2g-1) boundary letters, so shorter words only ever need half swaps.
 
+That chase (cyclic_spellings) is the costly step, so each oriented class is
+chased at most once per process: its closure is stored as one frozenset under
+every member, and the closure of the inverse class is stored with it as the
+mirror image, which is exact because every rewrite table commutes with
+inversion.  canonical_class therefore chases one orientation, and later
+spellings of the class in either orientation are lookups.
+
 The alphabet (letters, reduced_words) and the homology pairings live here too:
 intersection_form is the symplectic form on H_1 (mod 2, the pairing behind the
 sign characters) and mod2_class the mod-2 class of a weighted multicurve.
@@ -32,6 +39,9 @@ GroupWord = tuple  # tuple of nonzero ints
 _TOKEN_RE = re.compile(r"([abAB])(\d+)")
 _CLOSURE_CAP = 200_000
 _ANNULUS_CAP = 60_000
+# (genus, rotation-minimal cyclic geodesic) -> frozenset closure of its
+# oriented class, filled by cyclic_spellings
+_CLOSURES: dict = {}
 
 
 @dataclass(frozen=True)
@@ -205,6 +215,15 @@ class _Tables:
                 factor, rest = s[:length], s[length:]
                 moves.setdefault(factor, []).append(inverse_word(rest))
         self.cell_moves = {f: tuple(rs) for f, rs in moves.items()}
+        # both move tables commute with inversion (factor f -> r gives f^-1 ->
+        # r^-1); cyclic_spellings relies on this to mirror a closure exactly
+        for factor, repl in self.half_repl.items():
+            if self.half_repl.get(inverse_word(factor)) != inverse_word(repl):
+                raise ModelInconsistency("half replacement not closed under inversion")
+        for factor, repls in self.cell_moves.items():
+            mirrored = self.cell_moves.get(inverse_word(factor), ())
+            if set(mirrored) != {inverse_word(r) for r in repls}:
+                raise ModelInconsistency("cell moves not closed under inversion")
 
 
 @lru_cache(maxsize=None)
@@ -389,17 +408,33 @@ def _annulus_neighbors(t: _Tables, word: GroupWord):
     return out
 
 
-def cyclic_spellings(genus: int, word: GroupWord):
-    """All cyclic geodesic spellings of the class, up to rotation.
+def cyclic_spellings(genus: int, word: GroupWord) -> frozenset:
+    """All cyclic geodesic spellings of the oriented class, up to rotation.
 
     Input must be cyclically Dehn-reduced; returns rotation-minimal
-    representatives.  Words long enough for multi-cell annulus rewrites are
-    additionally chased through them.  Raises _Shortened if a rewrite exposes
-    a shorter conjugate (cannot happen for a true conjugacy geodesic, but
-    callers restart on it).
+    representatives as one shared frozenset.  Each closure is chased once per
+    process and stored in _CLOSURES under every member, together with its
+    mirror, the closure of the inverse class: the move tables commute with
+    inversion (checked in _Tables), so inverting every step of a chase from w
+    gives a chase from w^-1 and the mirror is exact.  Raises _Shortened if a
+    rewrite exposes a shorter conjugate (cannot happen for a true conjugacy
+    geodesic, but callers restart on it); such a chase is not stored.
     """
-    t = _tables(genus)
     w = _min_rotation(word)
+    closure = _CLOSURES.get((genus, w))
+    if closure is None:
+        closure = frozenset(_chase_spellings(genus, w))
+        mirror = frozenset(_min_rotation(inverse_word(m)) for m in closure)
+        for members in (closure, mirror):
+            for m in members:
+                _CLOSURES[genus, m] = members
+    return closure
+
+
+def _chase_spellings(genus: int, w: GroupWord) -> set:
+    """Close the rotation-minimal cyclic geodesic w under half swaps and, for
+    words long enough for multi-cell annulus rewrites, annulus rewrites."""
+    t = _tables(genus)
     chase = len(w) >= 2 * (2 * genus - 1)
     seen = {w}
     frontier = [w]
@@ -449,10 +484,11 @@ def _canonical_class(genus: int, word: GroupWord) -> CurveClass:
         raise TrivialClass("word is null-homotopic")
     while True:
         try:
-            members = set()
-            for seed in (w, inverse_word(w)):
-                seed = _cyclic_dehn_reduce(genus, seed)
-                members |= cyclic_spellings(genus, seed)
+            # the inverse of a cyclic Dehn geodesic is one; its closure is the
+            # mirror stored by the first call, so only one orientation is chased
+            members = cyclic_spellings(genus, w) | cyclic_spellings(
+                genus, inverse_word(w)
+            )
             break
         except _Shortened as s:
             w = _cyclic_dehn_reduce(genus, s.word)
@@ -462,7 +498,10 @@ def _canonical_class(genus: int, word: GroupWord) -> CurveClass:
 
 
 def oriented_spellings(surface: Surface, cls: CurveClass):
-    """Cyclic geodesic spellings (rotation-minimal) of the canonical orientation."""
+    """Cyclic geodesic spellings (rotation-minimal) of the canonical orientation.
+
+    A lookup in the closure table once canonical_class has built the class.
+    """
     try:
         return cyclic_spellings(surface.genus, cls.word)
     except _Shortened as s:  # canonical words are conjugacy-minimal

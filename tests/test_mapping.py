@@ -11,7 +11,13 @@ from curvetrace.algebra import (
     parse_multicurve,
 )
 from curvetrace.curves import enumerate_simple_classes, intersection_number
-from curvetrace.errors import BadIndex, ModelInconsistency, NotSimple, NotSimpleImage
+from curvetrace.errors import (
+    BadIndex,
+    GenusMismatch,
+    ModelInconsistency,
+    NotSimple,
+    NotSimpleImage,
+)
 from curvetrace.mapping import (
     MappingClass,
     apply_to_class,
@@ -211,6 +217,16 @@ def test_not_simple_image_error():
     )
     with pytest.raises(NotSimpleImage):
         apply_to_multicurve(S2, fake, make_multicurve(S2, {C("b1"): 1}))
+
+
+def test_apply_rejects_other_genus():
+    t = twist_generator(S2, 1)
+    with pytest.raises(GenusMismatch):
+        apply_to_class(S2, t, C("a1b3", S3))
+    with pytest.raises(GenusMismatch):
+        apply_to_class(S3, t, C("a1b1", S3))
+    with pytest.raises(GenusMismatch):
+        apply_to_multicurve(S2, t, make_multicurve(S3, {C("a3", S3): 1}))
 
 
 def test_verify_algebra_automorphism_reports():

@@ -2,10 +2,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvetrace.errors import BadLetter, GenusTooSmall, TrivialClass
 from curvetrace.words import (
+    _chase_spellings,
+    _cyclic_dehn_reduce,
+    _min_rotation,
+    _Shortened,
     canonical_class,
+    cyclic_spellings,
     format_word,
     free_reduce,
     geodesic_spellings,
@@ -164,6 +171,71 @@ def test_canonical_class_invariances():
         assert canonical_class(S2, inverse_word(word)) == base
         k = rng.randrange(len(word))
         assert canonical_class(S2, word[k:] + word[:k]) == base
+
+
+def _random_cyclic_geodesics(genus, lo, hi, count, seed):
+    """Seeded rotation-minimal cyclic geodesics of length lo..hi; each starts
+    with half a relator, so most of them have several spellings."""
+    rng = random.Random(seed)
+    alphabet = letters(genus)
+    relator = make_surface(genus).relator
+    cells = [r[i:] + r[:i] for r in (relator, inverse_word(relator)) for i in range(len(r))]
+    out = []
+    while len(out) < count:
+        word = list(rng.choice(cells)[: 2 * genus])
+        word += [rng.choice(alphabet) for _ in range(rng.randint(lo, hi) - len(word))]
+        word = _cyclic_dehn_reduce(genus, word)
+        if len(word) >= lo:
+            out.append(_min_rotation(word))
+    return out
+
+
+@pytest.mark.parametrize("genus,lo,hi", [(2, 6, 8), (3, 5, 6)])
+def test_spelling_closure_is_shared_and_mirrored(genus, lo, hi):
+    for word in _random_cyclic_geodesics(genus, lo, hi, 40, seed=1909 + genus):
+        try:
+            closure = cyclic_spellings(genus, word)
+        except _Shortened:
+            continue
+        assert isinstance(closure, frozenset) and word in closure
+        # the stored closure is what a fresh chase finds from any member
+        for member in closure:
+            assert _chase_spellings(genus, member) == closure
+            assert cyclic_spellings(genus, member) is closure
+        # the stored mirror is what a fresh chase of the inverse finds
+        inverse = _min_rotation(inverse_word(word))
+        mirror = cyclic_spellings(genus, inverse)
+        assert isinstance(mirror, frozenset)
+        assert mirror == _chase_spellings(genus, inverse)
+        assert mirror == {_min_rotation(inverse_word(m)) for m in closure}
+
+
+_G2_WORDS = st.lists(st.sampled_from(letters(2)), max_size=7).map(tuple)
+
+
+def _class_or_trivial(word):
+    try:
+        return canonical_class(S2, word)
+    except TrivialClass:
+        return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    word=_G2_WORDS,
+    conj=_G2_WORDS,
+    cut=st.integers(0, 7),
+    shift=st.integers(0, 7),
+    inverted=st.booleans(),
+)
+def test_canonical_class_property(word, conj, cut, shift, inverted):
+    """Invariant under conjugation, inversion and relator insertion."""
+    base = _class_or_trivial(word)
+    assert _class_or_trivial(conj + word + inverse_word(conj)) == base
+    assert _class_or_trivial(inverse_word(word)) == base
+    relator = inverse_word(S2.relator) if inverted else S2.relator
+    cell = relator[shift:] + relator[:shift]
+    assert _class_or_trivial(word[:cut] + cell + word[cut:]) == base
 
 
 def test_canonical_class_rejects_trivial():
