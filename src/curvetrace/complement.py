@@ -1,12 +1,22 @@
 """Exact arrangement of a diagram inside the polygon: certificates and faces.
 
-Boundary points get rational circle coordinates through the parametrization
-t -> ((1-t^2)/(1+t^2), 2t/(1+t^2)), so chord crossings, their order along each
-chord, and the face structure are all exact.  Triple points cannot be told
-apart from genuine transverse pictures combinatorially, so the boundary
-parameters are re-jittered deterministically until all crossing points are
-pairwise distinct; collinear degeneracies are impossible since a line meets
-the circle at most twice.
+Placement is in integer homogeneous coordinates.  The boundary point with
+parameter t = p/q is (q^2-p^2, 2pq, q^2+p^2), the circle point
+((1-t^2)/(1+t^2), 2t/(1+t^2)) with weight W > 0, and t grows along the
+boundary.  A chord is the line through its endpoints.  Where chord CD meets
+chord AB, with nX = line_CD . X, the meet is |nB| A + |nA| B, at parameter
+nA W_B / (nA W_B - nB W_A) along AB (nA and nB have opposite signs, as
+crossings are interleaved chord pairs).  Parameters on a chord are compared
+by cross-multiplying; the census works positions out of the same triples.
+
+Two chords of a circle meet inside it exactly when their endpoints
+interleave, and diagram.crossings holds exactly the interleaved pairs.  So a
+point on three chords puts two crossings at one parameter on each, and two
+crossings at one parameter on a chord are one point: equal parameters on a
+chord are exactly the triple points.  Those cannot be told apart from
+transverse pictures combinatorially, so the boundary parameters are
+re-jittered deterministically until no chord has two equal parameters; a
+line meets the circle at most twice, so no other degeneracy can occur.
 
 The taut certificate is word-level.  An arc of a strand between two
 consecutive crossings along it is crossing-free, so a candidate bigon (two
@@ -18,7 +28,6 @@ no monogons and no bigons realizes minimal position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 
 from .errors import ModelInconsistency
@@ -31,24 +40,20 @@ _MAX_JITTER_RETRIES = 8
 # -- exact geometry -----------------------------------------------------------
 
 
-def _circle_point(t: Fraction):
-    d = 1 + t * t
-    return ((1 - t * t) / d, 2 * t / d)
+def _line(a, b):
+    x, y, w = a
+    return (y * b[2] - w * b[1], w * b[0] - x * b[2], x * b[1] - y * b[0])
 
 
-def _segment_meet(a, b, c, d):
-    """Exact meet point and parameters of segments a-b and c-d."""
-    r = (b[0] - a[0], b[1] - a[1])
-    s = (d[0] - c[0], d[1] - c[1])
-    den = r[0] * s[1] - r[1] * s[0]
-    if den == 0:
-        raise ModelInconsistency("interleaved chords cannot be parallel")
-    q = (c[0] - a[0], c[1] - a[1])
-    lam = (q[0] * s[1] - q[1] * s[0]) / den
-    mu = (q[0] * r[1] - q[1] * r[0]) / den
-    if not (0 < lam < 1 and 0 < mu < 1):
-        raise ModelInconsistency("crossing fell outside its chords")
-    return (a[0] + lam * r[0], a[1] + lam * r[1]), lam, mu
+def _dot(u, v) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _compare_parameters(u, v) -> int:
+    return u[0] * v[1] - v[0] * u[1]
+
+
+_BY_PARAMETER = cmp_to_key(_compare_parameters)
 
 
 class Geometry:
@@ -59,6 +64,7 @@ class Geometry:
         self.diagram = diagram
         for retry in range(_MAX_JITTER_RETRIES):
             if self._place(retry):
+                self.retry = retry
                 return
         raise ModelInconsistency("could not reach generic position")
 
@@ -76,49 +82,50 @@ class Geometry:
             for rank in range(counts[s]):
                 sequence.append((s, rank))
         big = 1009 * len(sequence) * len(sequence)
+        q = 2 * big
         self.coord = {}
         for n, key in enumerate(sequence):
-            t = Fraction(2 * n - (len(sequence) - 1), 2)
-            t += Fraction(retry * n * n, big)
-            self.coord[key] = _circle_point(t)
+            # t = p/q = (2n - (len - 1))/2 + retry n^2/big
+            p = (2 * n - (len(sequence) - 1)) * big + 2 * retry * n * n
+            self.coord[key] = (q * q - p * p, 2 * p * q, q * q + p * p)
         self.sequence = sequence
         self.side_counts = counts
 
-        self.chord_ids = sorted(
-            (i, p) for i, chords in enumerate(diagram.chords)
-            for p in range(len(chords))
-        )
         self.chord_ends = {
-            (i, p): diagram.chord_points[i][p] for (i, p) in self.chord_ids
+            (i, p): ends for i, strand in enumerate(diagram.chord_points)
+            for p, ends in enumerate(strand)
         }
-        points = {}
-        self.on_chord = {cid: [] for cid in self.chord_ids}
-        for c1, c2 in sorted(diagram.crossings):
-            a, b = self.chord_ends[c1]
-            c, d = self.chord_ends[c2]
-            pt, lam, mu = _segment_meet(
-                self.coord[a], self.coord[b], self.coord[c], self.coord[d]
-            )
-            if pt in points:
-                return False  # triple point; jitter and retry
-            points[pt] = (c1, c2)
-            self.on_chord[c1].append((lam, (c1, c2)))
-            self.on_chord[c2].append((mu, (c1, c2)))
-        self.crossing_point = {v: k for k, v in points.items()}
-        for cid in self.chord_ids:
-            self.on_chord[cid].sort()
+        self.chord_ids = sorted(self.chord_ends)
+        lines = {
+            cid: _line(*self._ends(cid)) for cid in set().union(*diagram.crossings)
+        }
+        params = {cid: [] for cid in self.chord_ids}
+        for crossing in diagram.crossings:
+            for own, other in (crossing, crossing[::-1]):
+                a, b = self._ends(own)
+                na, nb = _dot(lines[other], a), _dot(lines[other], b)
+                if na * nb >= 0:
+                    raise ModelInconsistency("crossing fell outside its chords")
+                num = abs(na) * b[2]
+                params[own].append((num, num + abs(nb) * a[2], crossing))
+        self.on_chord = {}
+        for cid, entries in params.items():
+            entries.sort(key=_BY_PARAMETER)
+            for u, v in zip(entries, entries[1:]):
+                if _compare_parameters(u, v) == 0:
+                    return False  # triple point; jitter and retry
+            self.on_chord[cid] = [crossing for _, _, crossing in entries]
         return True
 
-    def itineraries(self):
-        """Per strand, the cyclic crossing sequence with chord positions."""
-        out = []
-        for i, route in enumerate(self.diagram.routes):
-            entries = []
-            for p in range(len(route)):
-                for lam, crossing in self.on_chord[(i, p)]:
-                    entries.append((p, lam, crossing))
-            out.append(entries)
-        return out
+    def _ends(self, cid):
+        return tuple(self.coord[key] for key in self.chord_ends[cid])
+
+    def meet(self, crossing):
+        """Homogeneous point, weight positive, where a crossing's chords meet."""
+        a, b = self._ends(crossing[0])
+        line = _line(*self._ends(crossing[1]))
+        na, nb = _dot(line, a), _dot(line, b)
+        return tuple(abs(nb) * u + abs(na) * v for u, v in zip(a, b))
 
 
 # -- taut certificate ---------------------------------------------------------
@@ -160,12 +167,13 @@ def certify_taut(model: PolygonModel, diagram):
     surface = make_surface(model.genus)
     geo = Geometry(model, diagram)
     arcs = {}  # (x_from, x_to) -> list of (word, Arc)
-    for i, itin in enumerate(geo.itineraries()):
-        route = diagram.routes[i]
+    for i, route in enumerate(diagram.routes):
+        # the strand's cyclic crossing sequence with chord positions
+        itin = [(p, x) for p in range(len(route)) for x in geo.on_chord[(i, p)]]
         m = len(itin)
         for k in range(m):
-            p1, _, x = itin[k]
-            p2, _, y = itin[(k + 1) % m]
+            p1, x = itin[k]
+            p2, y = itin[(k + 1) % m]
             wraps = k + 1 == m
             n_ev = _arc_events(len(route), p1, p2, wraps)
             arc = Arc(i, p1, n_ev, x, y)
@@ -229,8 +237,8 @@ class _Faces:
         self.edges = []  # (node u, node v, tag)
         for key in geo.sequence:
             self.pos[("b", key)] = geo.coord[key]
-        for crossing, pt in geo.crossing_point.items():
-            self.pos[("x", crossing)] = pt
+        for crossing in geo.diagram.crossings:
+            self.pos[("x", crossing)] = geo.meet(crossing)
         # boundary arcs, tagged with (side, piece index)
         seq = geo.sequence
         piece = {}
@@ -244,7 +252,7 @@ class _Faces:
         for cid in geo.chord_ids:
             a, b = geo.chord_ends[cid]
             chain = [("b", a)]
-            chain += [("x", c) for _, c in geo.on_chord[cid]]
+            chain += [("x", c) for c in geo.on_chord[cid]]
             chain.append(("b", b))
             for u, v in zip(chain, chain[1:]):
                 self.edges.append((u, v, ("chord", cid)))
@@ -260,7 +268,8 @@ class _Faces:
             u, v, _ = self.edges[eid]
             a, b = (u, v) if sgn == 1 else (v, u)
             pa, pb = self.pos[a], self.pos[b]
-            return (pb[0] - pa[0], pb[1] - pa[1])
+            # b/W_b - a/W_a scaled by W_a*W_b > 0
+            return (pb[0] * pa[2] - pa[0] * pb[2], pb[1] * pa[2] - pa[1] * pb[2])
 
         index_at = {}
         for node, halves in outgoing.items():
@@ -304,18 +313,13 @@ class _Faces:
             u, v, _ = self.edges[eid]
             return u if sgn == 1 else v
 
-        self.outer = None
-        for fid, cycle in enumerate(faces):
-            area = 0
-            pts = [self.pos[tail(h)] for h in cycle]
-            for a, b in zip(pts, pts[1:] + pts[:1]):
-                area += a[0] * b[1] - a[1] * b[0]
-            if area < 0:
-                if self.outer is not None:
-                    raise ModelInconsistency("two outer faces")
-                self.outer = fid
-        if self.outer is None:
-            raise ModelInconsistency("no outer face")
+        # Faces run counterclockwise with their inside on the left, and the
+        # boundary arcs run counterclockwise around the disc, so the outer
+        # face is the boundary traversed backwards (the first edge is an arc).
+        self.outer = face_of[(0, -1)]
+        backwards = {(eid, -1) for eid, e in enumerate(self.edges) if e[2][0] == "arc"}
+        if set(faces[self.outer]) != backwards:
+            raise ModelInconsistency("outer face is not the polygon boundary")
         self._tail = tail
 
 
@@ -330,10 +334,7 @@ def complement_census(model: PolygonModel, diagram) -> ComplementReport:
     for eid, (u, v, tag) in enumerate(tracer.edges):
         if tag[0] != "arc":
             continue
-        fid = face_of[(eid, 1)]
-        if fid == tracer.outer:
-            fid = face_of[(eid, -1)]
-        arc_face[(tag[1], tag[2])] = fid
+        arc_face[(tag[1], tag[2])] = face_of[(eid, 1)]
 
     parent = list(range(len(faces)))
 
@@ -362,14 +363,11 @@ def complement_census(model: PolygonModel, diagram) -> ComplementReport:
             union(fa, fb)
             glue_pairs.append((fa, fb))
 
-    corner_faces = set()
-    for eid, (u, v, tag) in enumerate(tracer.edges):
-        for node in (u, v):
-            if node[0] == "b" and node[1][0] == "corner":
-                for sgn in (1, -1):
-                    fid = face_of[(eid, sgn)]
-                    if fid != tracer.outer:
-                        corner_faces.add(find(fid))
+    # the arcs at the polygon's corners: the first and last piece of a side
+    corner_faces = {
+        find(arc_face[(s, u)])
+        for s in range(model.n_sides) for u in (0, geo.side_counts[s])
+    }
     if len(corner_faces) != 1:
         raise ModelInconsistency("polygon vertex split across regions")
     vertex_region = corner_faces.pop()

@@ -5,10 +5,17 @@ the tiling.  The oracle here ignores it entirely: it enumerates every slot
 permutation on every edge (capped), counts interleaved chord pairs from
 scratch, and minimizes.  Agreement pins both the comparator and the counting
 code.
+
+reference_placement keeps the rational placement rule the integer placement
+in curvetrace.complement must reproduce: Fraction circle points, segment
+meets and the same jitter schedule.
 """
+from fractions import Fraction
 from itertools import permutations, product
 
+from curvetrace.complement import _MAX_JITTER_RETRIES
 from curvetrace.curves import _route_seeds
+from curvetrace.errors import ModelInconsistency
 from curvetrace.polygon import polygon_model
 from curvetrace.words import make_surface
 
@@ -146,3 +153,70 @@ def germ_simple(genus, x, y):
         return True  # shared germ position: perturb to either side
     span = (b - a) % n
     return ((u - a) % n < span) == ((v - a) % n < span)
+
+
+def _circle_point(t):
+    d = 1 + t * t
+    return ((1 - t * t) / d, 2 * t / d)
+
+
+def _segment_meet(a, b, c, d):
+    """Exact meet point and parameters of segments a-b and c-d."""
+    r = (b[0] - a[0], b[1] - a[1])
+    s = (d[0] - c[0], d[1] - c[1])
+    den = r[0] * s[1] - r[1] * s[0]
+    if den == 0:
+        raise ModelInconsistency("interleaved chords cannot be parallel")
+    q = (c[0] - a[0], c[1] - a[1])
+    lam = (q[0] * s[1] - q[1] * s[0]) / den
+    mu = (q[0] * r[1] - q[1] * r[0]) / den
+    if not (0 < lam < 1 and 0 < mu < 1):
+        raise ModelInconsistency("crossing fell outside its chords")
+    return (a[0] + lam * r[0], a[1] + lam * r[1]), lam, mu
+
+
+def _rational_place(model, diagram, retry):
+    counts = [0] * model.n_sides
+    for k in range(1, 2 * model.genus + 1):
+        m = len(diagram.slot_orders[k - 1])
+        counts[model.side_of[k]] = m
+        counts[model.side_of[-k]] = m
+    sequence = []
+    for s in range(model.n_sides):
+        sequence.append(("corner", s))
+        sequence += [(s, rank) for rank in range(counts[s])]
+    big = 1009 * len(sequence) * len(sequence)
+    coord = {}
+    for n, key in enumerate(sequence):
+        t = Fraction(2 * n - (len(sequence) - 1), 2)
+        t += Fraction(retry * n * n, big)
+        coord[key] = _circle_point(t)
+    points = {}
+    on_chord = {}
+    for i, strand in enumerate(diagram.chord_points):
+        for p in range(len(strand)):
+            on_chord[(i, p)] = []
+    for c1, c2 in sorted(diagram.crossings):
+        a, b = diagram.chord_points[c1[0]][c1[1]]
+        c, d = diagram.chord_points[c2[0]][c2[1]]
+        pt, lam, mu = _segment_meet(coord[a], coord[b], coord[c], coord[d])
+        if pt in points:
+            return None  # triple point
+        points[pt] = (c1, c2)
+        on_chord[c1].append((lam, (c1, c2)))
+        on_chord[c2].append((mu, (c1, c2)))
+    return {
+        cid: [crossing for _, crossing in sorted(entries)]
+        for cid, entries in on_chord.items()
+    }
+
+
+def reference_placement(model, diagram):
+    """(retry index, crossings in order along each chord) of the rational
+    placement: boundary parameters t on the circle point
+    ((1-t^2)/(1+t^2), 2t/(1+t^2)), jittered until no two crossings coincide."""
+    for retry in range(_MAX_JITTER_RETRIES):
+        on_chord = _rational_place(model, diagram, retry)
+        if on_chord is not None:
+            return retry, on_chord
+    raise ModelInconsistency("could not reach generic position")

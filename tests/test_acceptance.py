@@ -1,7 +1,9 @@
-"""The cheap acceptance suites, run as tests so a FAIL verdict breaks the build.
+"""The acceptance suites cheap enough for tier-1, run as tests so a FAIL
+verdict breaks the build.
 
-thurston (a known FAIL), discreteness and basis take from 8 s to over a
-minute each and are run through curvetrace.acceptance.run_suite instead.
+thurston (a known FAIL) and discreteness take tens of seconds each and are
+run through curvetrace.acceptance.run_suite instead; CI runs discreteness
+as its own step.
 """
 import pytest
 
@@ -10,7 +12,15 @@ from curvetrace.acceptance import run_suite
 
 @pytest.mark.parametrize(
     "name",
-    ["presentation", "valuation", "complement", "curv", "actions", "twist-invariance"],
+    [
+        "presentation",
+        "basis",
+        "valuation",
+        "complement",
+        "curv",
+        "actions",
+        "twist-invariance",
+    ],
 )
 def test_acceptance_suite_passes(name):
     line = run_suite(name).line()

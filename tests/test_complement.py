@@ -3,17 +3,20 @@ import random
 
 import pytest
 
-from curvetrace.complement import certify_taut, complement_census
+from curvetrace.complement import Geometry, certify_taut, complement_census
 from curvetrace.curves import (
+    _route_seeds,
     complement_report,
     enumerate_simple_classes,
     intersection_number,
     realize,
     tauten_routes,
 )
+from curvetrace.diagrams import build_diagram
 from curvetrace.errors import NotSimple
 from curvetrace.polygon import polygon_model
-from curvetrace.words import canonical_class, make_surface, parse_word
+from curvetrace.words import canonical_class, letters, make_surface, parse_word
+from oracles import reference_placement
 
 S2 = make_surface(2)
 
@@ -92,3 +95,31 @@ def test_census_on_self_crossing_strand():
     rep = complement_census(model, d)
     assert rep.crossing_count == 1
     assert rep.euler_total == -1
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_chord_orders_match_rational_reference(genus):
+    # Comparator builds of seeded route pairs, before tautening, as the first
+    # certificate of every tauten loop sees them; a few in a hundred place
+    # three chords through one point at retry 0.
+    rng = random.Random(genus)
+    s = make_surface(genus)
+    model = polygon_model(genus)
+    alphabet = letters(genus)
+    retried = 0
+    for _ in range(60):
+        words = []
+        for _ in range(2):
+            length = rng.randint(2, 6 if genus == 2 else 5)
+            w = [rng.choice(alphabet)]
+            while len(w) < length:
+                w.append(rng.choice([l for l in alphabet if l != -w[-1]]))
+            words.append(canonical_class(s, tuple(w)).word)
+        routes = tuple(_route_seeds(genus, w)[0] for w in words)
+        d = build_diagram(model, words, routes)
+        geo = Geometry(model, d)
+        retry, on_chord = reference_placement(model, d)
+        assert geo.retry == retry
+        assert geo.on_chord == on_chord
+        retried += retry > 0
+    assert retried >= 1
