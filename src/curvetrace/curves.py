@@ -163,12 +163,15 @@ def _taut_single(genus: int, class_word) -> tuple:
     return route, count
 
 
-def _check_genus(s: Surface, *classes) -> None:
-    for c in classes:
-        if c.genus != s.genus:
+def _check_genus(s: Surface, *items) -> None:
+    """Raise GenusMismatch unless every item (anything with .genus) is on s."""
+    for x in items:
+        if x.genus != s.genus:
+            name = type(x).__name__
+            if isinstance(x, CurveClass):
+                name = format_word(x.word)
             raise GenusMismatch(
-                f"{format_word(c.word)} is a genus-{c.genus} class;"
-                f" the surface has genus {s.genus}"
+                f"{name} has genus {x.genus}; the surface has genus {s.genus}"
             )
 
 

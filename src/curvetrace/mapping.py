@@ -5,9 +5,14 @@ pushed off the vertex, becomes a rotation to its side's start corner, a slide
 along the side, and a rotation back.  Twisting along a taut simple curve
 inserts the curve's based loop word wherever the slide crosses a strand, with
 the insertion direction set by the crossing side.  Images are stored in
-normalized form and every constructor certifies itself: the relator's image
-must cyclically reduce, in the free group, to a rotation of the relator or
-its inverse, and the stored inverse must compose back to the identity.
+normalized form, a free-group lift of the map only up to the relator, so every
+constructor certifies itself in pi1: the relator's image under the map and
+under the stored inverse normalizes to the empty word (both are endomorphisms
+of pi1), and the stored inverse undoes the map on every generator (the inverse
+is onto).  Surface groups are Hopfian, so the onto inverse is an automorphism
+and the map is its inverse.  The orientation sign comes from H1, where an
+automorphism keeps the intersection form up to sign: sum_i omega(phi(a_i),
+phi(b_i)) must be +g or -g.
 
 Sign characters flip basis coefficients by the mod-2 pairing with the class
 of the multicurve; together with mapping classes they generate the symmetry
@@ -39,7 +44,6 @@ from .curves import (
 from .diagrams import build_diagram
 from .errors import (
     BadIndex,
-    GenusMismatch,
     ModelInconsistency,
     NotSimple,
     NotSimpleImage,
@@ -51,7 +55,6 @@ from .words import (
     GroupWord,
     Surface,
     canonical_class,
-    cyclic_free_reduce,
     format_word,
     free_reduce,
     generator_name,
@@ -62,10 +65,7 @@ from .words import (
     mod2_class,
     normalize_word,
     parse_word,
-    rotations,
 )
-
-TWIST_CONJUGATOR_CAP = 8
 
 # connector words completing the twist-generator chain, found by the
 # intersection-pattern search below and frozen after verification
@@ -80,18 +80,16 @@ _CONNECTOR_SEEDS = {
 
 @dataclass(frozen=True)
 class RelatorCertificate:
-    """Witness that a substitution respects the surface relation.
+    """Witness that a substitution is an endomorphism of pi1.
 
-    The image of the relator, freely and then cyclically reduced, is a
-    rotation of the relator (sign +1) or of its inverse (sign -1); conjugator
-    is the prefix stripped by the cyclic reduction.
+    The relator's image is trivial in pi1.  sign is the orientation read off
+    H1: +1 when sum_i omega(phi(a_i), phi(b_i)) is g, -1 when it is -g.
     """
 
     sign: int
-    conjugator: GroupWord
 
     def __str__(self) -> str:
-        return f"relator image: sign={self.sign:+d} conjugator={len(self.conjugator)}"
+        return f"relator image: trivial in pi1, sign={self.sign:+d}"
 
 
 @dataclass(frozen=True)
@@ -126,20 +124,19 @@ def _substitute(images, word) -> GroupWord:
 
 
 def relator_certificate(s: Surface, images) -> RelatorCertificate:
-    """Certify that the substitution maps the relator to a conjugate of a
-    rotation of itself or its inverse in the free group."""
-    image = _substitute(images, s.relator)
-    core = cyclic_free_reduce(image)
-    half = (len(image) - len(core)) // 2
-    conjugator = image[:half]
-    if core in set(rotations(s.relator)):
-        return RelatorCertificate(sign=1, conjugator=conjugator)
-    if core in set(rotations(inverse_word(s.relator))):
-        return RelatorCertificate(sign=-1, conjugator=conjugator)
-    raise ModelInconsistency(
-        "relator image does not cyclically reduce to a rotation of the"
-        " relator or its inverse"
-    )
+    """Certify that the substitution is an endomorphism of pi1 (the relator's
+    image normalizes to the empty word) and read its orientation sign off H1
+    (sum_i omega(phi(a_i), phi(b_i)) is +g or -g); with an inverse that undoes
+    it, this makes an automorphism, since surface groups are Hopfian."""
+    if normalize_word(s, _substitute(images, s.relator)) != ():
+        raise ModelInconsistency("relator image is not trivial in the surface group")
+    h1 = [homology_class(s, w).coords for w in images]
+    degree = sum(intersection_form(h1[2 * i], h1[2 * i + 1]) for i in range(s.genus))
+    if abs(degree) != s.genus:
+        raise ModelInconsistency(
+            f"generator images pair to {degree} in H1, not +-{s.genus}"
+        )
+    return RelatorCertificate(sign=degree // s.genus)
 
 
 def _checked(s: Surface, images, inverse_images) -> MappingClass:
@@ -166,6 +163,7 @@ def identity_mapping_class(s: Surface) -> MappingClass:
 
 def compose_mapping_classes(s: Surface, f: MappingClass, g: MappingClass) -> MappingClass:
     """Mapping class acting as f after g."""
+    _check_genus(s, f, g)
     images = tuple(normalize_word(s, _substitute(f.images, w)) for w in g.images)
     inverse_images = tuple(
         normalize_word(s, _substitute(g.inverse_images, w)) for w in f.inverse_images
@@ -248,12 +246,7 @@ def _twist_cached(genus: int, word, turns: int) -> MappingClass:
     _twist_homology_check(s, cls, turns, raw)
     images = tuple(normalize_word(s, w) for w in raw)
     inverse_images = tuple(normalize_word(s, w) for w in raw_inverse)
-    out = _checked(s, images, inverse_images)
-    if len(out.certificate.conjugator) > TWIST_CONJUGATOR_CAP:
-        raise ModelInconsistency(
-            f"twist certificate conjugator exceeds {TWIST_CONJUGATOR_CAP}"
-        )
-    return out
+    return _checked(s, images, inverse_images)
 
 
 def twist_along(s: Surface, cls: CurveClass, turns: int = 1) -> MappingClass:
@@ -262,8 +255,7 @@ def twist_along(s: Surface, cls: CurveClass, turns: int = 1) -> MappingClass:
     One positive turn along the first handle's meridian sends b1 to b1a1
     and fixes the other generators.
     """
-    if cls.genus != s.genus:
-        raise ValueError("class and surface genus differ")
+    _check_genus(s, cls)
     if not is_simple(s, cls):
         raise NotSimple(f"cannot twist along {format_word(cls.word)}")
     if turns == 0:
@@ -287,17 +279,18 @@ def _chain_pattern_ok(s: Surface, curves) -> bool:
     return True
 
 
-def _connector_search(s: Surface, chain, off, a_next):
+def _connector_search(s: Surface, chain, off, a_next, later):
     """First simple class (canonical order, length <= 5) meeting the chain
-    end and the next meridian once while avoiding everything else placed."""
+    end and the next meridian once while avoiding everything else placed and
+    the later meridians."""
     placed = [off] + chain
-    others = placed[:-1]
+    others = placed[:-1] + later
     want_one = (chain[-1], a_next)
 
     def mod2(c):
         return homology_class(s, c.word, ring="Z2").coords
 
-    targets = {c: mod2(c) for c in placed + [a_next]}
+    targets = {c: mod2(c) for c in placed + [a_next] + later}
     for cand in enumerate_classes(s, 5):
         v = mod2(cand)
         if not any(v):
@@ -320,7 +313,8 @@ def _complete_chain(s: Surface, chain, off, stage) -> bool:
     if stage == genus:
         return True
     a_next = canonical_class(s, (2 * stage + 1,))
-    for cand in _connector_search(s, chain, off, a_next):
+    later = [canonical_class(s, (2 * j + 1,)) for j in range(stage + 1, genus)]
+    for cand in _connector_search(s, chain, off, a_next, later):
         chain.append(cand)
         chain.append(a_next)
         if _complete_chain(s, chain, off, stage + 1):
@@ -373,22 +367,17 @@ def twist_generator(s: Surface, index: int) -> MappingClass:
 
 
 def apply_to_word(s: Surface, f: MappingClass, word) -> GroupWord:
+    _check_genus(s, f)
     return normalize_word(s, _substitute(f.images, tuple(word)))
 
 
-def _check_surface(s: Surface, what: str, genus: int) -> None:
-    if genus != s.genus:
-        raise GenusMismatch(f"a genus-{genus} {what}; the surface has genus {s.genus}")
-
-
 def apply_to_class(s: Surface, f: MappingClass, cls: CurveClass) -> CurveClass:
-    _check_surface(s, "mapping class", f.genus)
-    _check_genus(s, cls)
+    _check_genus(s, f, cls)
     return canonical_class(s, _substitute(f.images, cls.word))
 
 
 def apply_to_multicurve(s: Surface, f: MappingClass, mc: Multicurve) -> Multicurve:
-    _check_surface(s, "multicurve", mc.genus)
+    _check_genus(s, f, mc)
     counts = {}
     for cls, mult in mc.components:
         image = apply_to_class(s, f, cls)
@@ -515,11 +504,13 @@ def parse_sign_character(s: Surface, text: str) -> SignCharacter:
 
 def sign_pairing(s: Surface, a: SignCharacter, mc: Multicurve) -> int:
     """Evaluation of the character on the mod-2 class of the multicurve."""
+    _check_genus(s, a, mc)
     return a.evaluate(mod2_class(s, mc.components))
 
 
 def h1_action(s: Surface, a: SignCharacter, expr: TraceExpression) -> TraceExpression:
     """Flip each basis coefficient by the character's pairing with the class."""
+    _check_genus(s, a, expr)
     acc = {}
     for mc, coeff in expr.terms:
         acc[mc] = -coeff if sign_pairing(s, a, mc) else coeff
@@ -528,6 +519,7 @@ def h1_action(s: Surface, a: SignCharacter, expr: TraceExpression) -> TraceExpre
 
 def central_twist(s: Surface, rep: Representation, a: SignCharacter) -> Representation:
     """Representation with each generator matrix flipped by the character."""
+    _check_genus(s, rep, a)
     matrices = tuple(
         -m if bit else m for m, bit in zip(rep.matrices, a.bits)
     )
@@ -600,6 +592,7 @@ def verify_algebra_automorphism(
 
 def character_pullback(s: Surface, a: SignCharacter, f: MappingClass) -> SignCharacter:
     """The character evaluating on x as a does on the inverse image of x."""
+    _check_genus(s, a, f)
     bits = []
     for k in range(1, s.rank + 1):
         coords = homology_class(s, f.inverse_images[k - 1], ring="Z2").coords
