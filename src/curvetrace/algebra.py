@@ -2,27 +2,36 @@
 
 Basis elements are multicurves: disjoint unions of simple classes with
 positive multiplicities, the empty multicurve acting as the unit.  All
-coefficients are exact rationals.  Products and trace expansions resolve
-crossings through the relation t_u t_v = t_{uv} + t_{uv^-1}; powers of a
-class go through the Chebyshev-style recursion t_{u^n} = t_u t_{u^n-1} -
-t_{u^n-2} so diagrams stay embedded.
+coefficients are exact rationals.
+
+Trace expansions and products are Kauffman-bracket state sums at A = -1,
+where the skein algebra is the SL2(C) character ring and a diagram D of a
+closed curve is -t_D (Bullock, Comment. Math. Helv. 72, 1997; Przytycki &
+Sikora, Topology 39, 2000).  Every crossing is smoothed both ways with
+coefficient -1, a trivial circle counts -2 and an essential component c
+counts -t_c.  Crossing changes do nothing at A = -1, so any diagram gives
+the same sum, and a taut one has few states.  The components of a smoothed
+state are embedded, hence trivial or simple; parallel ones add up as
+multiplicity.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
+from .complement import strand_arcs
 from .curves import (
-    _pair_taut,
     _taut_single,
     check_disjoint_simple,
     enumerate_simple_classes,
     intersection_number,
     tauten_routes,
 )
-from .errors import ExpansionBudgetExceeded, ModelInconsistency
+from .diagrams import Budget
+from .errors import ModelInconsistency, TrivialClass
 from .polygon import polygon_model
 from .representations import Representation, evaluate_trace, random_representation
 from .words import (
@@ -31,13 +40,11 @@ from .words import (
     canonical_class,
     format_word,
     inverse_word,
-    make_surface,
     normalize_word,
     parse_word,
     primitive_root,
 )
 
-EXPANSION_DEPTH_CAP = 64
 RANK_TOLERANCE = 1e-6
 
 
@@ -227,146 +234,134 @@ _EXPAND_CACHE: dict = {}
 _MERGE_CACHE: dict = {}
 
 
-def _check_depth(depth: int):
-    # depth counts crossing resolutions along one recursion path; each one
-    # strictly lowers the configuration's crossing total, so hitting the cap
-    # means a model bug rather than a large input
-    if depth > EXPANSION_DEPTH_CAP:
-        raise ExpansionBudgetExceeded(
-            f"expansion recursion exceeded depth {EXPANSION_DEPTH_CAP}"
-        )
-
-
 def expand_trace(s: Surface, word) -> TraceExpression:
-    """The trace of the word written in the multicurve basis."""
-    return _expand_word(s, tuple(word), 0)
+    """The trace of the word written in the multicurve basis.
 
-
-def _expand_word(s: Surface, word, depth: int) -> TraceExpression:
-    reduced = normalize_word(s, word)
+    The state sum runs over a taut diagram of the word's primitive root
+    traversed as many times as the power, so powers need no separate rule.
+    """
+    reduced = normalize_word(s, tuple(word))
     if not reduced:
         return scalar_expression(s.genus, 2)
-    return _expand_class(s, canonical_class(s, reduced), depth)
+    return _expand_class(s, canonical_class(s, reduced))
 
 
-def _expand_class(s: Surface, cls: CurveClass, depth: int) -> TraceExpression:
+def _expand_class(s: Surface, cls: CurveClass) -> TraceExpression:
     key = (s.genus, cls.word)
     hit = _EXPAND_CACHE.get(key)
-    if hit is not None:
-        return hit
-    root, power = primitive_root(s, cls)
-    if power >= 2:
-        base = _expand_class(s, root, depth)
-        prev = scalar_expression(s.genus, 2)
-        cur = base
-        for _ in range(power - 1):
-            cur, prev = _mul(s, base, cur, depth, None) - prev, cur
-        out = cur
-    else:
-        out = _expand_primitive(s, cls, depth)
-    _EXPAND_CACHE[key] = out
-    return out
-
-
-def _expand_primitive(s: Surface, cls: CurveClass, depth: int) -> TraceExpression:
-    route, count = _taut_single(s.genus, cls.word)
-    if count == 0:
-        return basis_expression(_multicurve(s.genus, {cls: 1}))
-    _check_depth(depth)
-    diagram = tauten_routes(s.genus, (cls,), (route,))
-    (_, p), (_, q) = min(diagram.crossings)
-    taut_route = diagram.routes[0]
-    model = polygon_model(s.genus)
-    n = len(taut_route)
-    u = model.arc_word(taut_route, (p + 1) % n, q)
-    v = model.arc_word(taut_route, (q + 1) % n, p)
-    # the two loops at the chosen crossing recompose to the class itself
-    if canonical_class(s, u + v) != cls:
-        raise ModelInconsistency("crossing loops do not recompose to the class")
-    f_u = _expand_word(s, u, depth + 1)
-    f_v = _expand_word(s, v, depth + 1)
-    f_mixed = _expand_word(s, u + inverse_word(v), depth + 1)
-    return _mul(s, f_u, f_v, depth + 1, None) - f_mixed
+    if hit is None:
+        root, power = primitive_root(s, cls)
+        route, _ = _taut_single(s.genus, root.word)
+        hit = _EXPAND_CACHE[key] = _state_sum(s, (cls,), (route * power,))
+    return hit
 
 
 def multiply_expressions(
-    s: Surface, f: TraceExpression, g: TraceExpression, merge_picker=None
+    s: Surface, f: TraceExpression, g: TraceExpression
 ) -> TraceExpression:
     """Product re-expressed in the basis.
 
-    merge_picker, when given, chooses among crossing component pairs and
-    among crossings of the chosen pair at each merge step; the result is
-    independent of those choices (tested) and the hook exists to exercise
-    exactly that.
+    Each pair of basis elements is multiplied by one state sum over the
+    tautened union of their components, one strand per unit of multiplicity.
     """
-    return _mul(s, f, g, 0, merge_picker)
-
-
-def _mul(s, f, g, depth, picker) -> TraceExpression:
     acc = {}
     for mc1, c1 in f.terms:
         for mc2, c2 in g.terms:
-            prod = _merge_basis(s, mc1, mc2, depth, picker)
-            for mc, coeff in prod.terms:
+            for mc, coeff in _merge_basis(s, mc1, mc2).terms:
                 acc[mc] = acc.get(mc, Fraction(0)) + coeff * c1 * c2
     return _from_terms(s.genus, acc)
 
 
-def _merge_basis(s, mc1, mc2, depth, picker) -> TraceExpression:
+def _merge_basis(s: Surface, mc1: Multicurve, mc2: Multicurve) -> TraceExpression:
     key = (s.genus, mc1.components, mc2.components)
-    if picker is None:
-        hit = _MERGE_CACHE.get(key)
-        if hit is not None:
-            return hit
-    crossing = [
-        (x, y)
-        for x, _ in mc1.components
-        for y, _ in mc2.components
-        if intersection_number(s, x, y) > 0
+    hit = _MERGE_CACHE.get(key)
+    if hit is None:
+        classes = tuple(
+            c for mc in (mc1, mc2) for c, m in mc.components for _ in range(m)
+        )
+        routes = tuple(_taut_single(s.genus, c.word)[0] for c in classes)
+        hit = _MERGE_CACHE[key] = _state_sum(s, classes, routes)
+    return hit
+
+
+def _read_class(s: Surface, word):
+    """The class a closed word reads, or None when it is null-homotopic."""
+    try:
+        return canonical_class(s, word)
+    except TrivialClass:
+        return None
+
+
+def _state_sum(s: Surface, classes, routes) -> TraceExpression:
+    """Product of the strands' traces, summed over the states of their
+    tautened diagram (see the module docstring); a strand of class c is -t_c.
+
+    Arc k has ends 2k (start) and 2k + 1 (finish), and a state links the four
+    ends met at each crossing in two pairs.  A strand without crossings is
+    one arc whose two ends stay linked.
+    """
+    budget = Budget()
+    model = polygon_model(s.genus)
+    diagram = tauten_routes(s.genus, classes, routes, budget)
+    arcs = list(strand_arcs(model, diagram))
+    words = [word for word, _ in arcs]
+    for i, cls in enumerate(classes):
+        own = [word for word, arc in arcs if arc.strand == i]
+        if not own:
+            own = [model.route_word(diagram.routes[i])]
+            words += own
+        if _read_class(s, sum(own, ())) != cls:
+            raise ModelInconsistency("strand arcs do not read the strand's class")
+    ends = {}  # (crossing, chord, 0 arriving / 1 leaving) -> arc end
+    for k, (_, arc) in enumerate(arcs):
+        n = len(diagram.routes[arc.strand])
+        ends[arc.x_from, (arc.strand, arc.chord_from), 1] = 2 * k
+        to = (arc.strand, (arc.chord_from + arc.n_events) % n)
+        ends[arc.x_to, to, 0] = 2 * k + 1
+    # per crossing: arriving and leaving ends on its first chord, then second
+    quads = [
+        tuple(ends[x, chord, way] for chord in x for way in (0, 1))
+        for x in sorted(diagram.crossings)
     ]
-    if not crossing:
-        counts = dict(mc1.components)
-        for cls, m in mc2.components:
-            counts[cls] = counts.get(cls, 0) + m
-        out = basis_expression(_multicurve(s.genus, counts))
-    else:
-        _check_depth(depth)
-        x, y = crossing[0] if picker is None else picker(crossing)
-        # base the product at a crossing of the taut pair diagram: both
-        # smoothings there are carried by the diagram minus that crossing,
-        # so the product classes have self-crossing number < i(x, y)
-        d = _pair_taut(s.genus, x.word, y.word)
-        pairs = sorted(d.crossings)
-        (_, p), (_, q) = pairs[0] if picker is None else picker(pairs)
-        model = polygon_model(s.genus)
-        u = model.route_word(d.routes[0], (p + 1) % len(d.routes[0]))
-        v = model.route_word(d.routes[1], (q + 1) % len(d.routes[1]))
-        if canonical_class(s, u) != x or canonical_class(s, v) != y:
-            raise ModelInconsistency("crossing loops do not read the pair's classes")
-        merged = _expand_word(s, u + v, depth + 1) + _expand_word(
-            s, u + inverse_word(v), depth + 1
-        )
-        rest1 = _remove_one(mc1, x)
-        rest2 = _remove_one(mc2, y)
-        out = _mul(
-            s,
-            basis_expression(rest1),
-            _mul(s, merged, basis_expression(rest2), depth + 1, picker),
-            depth + 1,
-            picker,
-        )
-    if picker is None:
-        _MERGE_CACHE[key] = out
-    return out
-
-
-def _remove_one(mc: Multicurve, cls: CurveClass) -> Multicurve:
-    counts = dict(mc.components)
-    if counts[cls] == 1:
-        del counts[cls]
-    else:
-        counts[cls] -= 1
-    return _multicurve(mc.genus, counts)
+    reads = [w for word in words for w in (word, inverse_word(word))]
+    link = [e ^ 1 for e in range(len(reads))]
+    components = {}  # entered ends, from the least arc -> class or None
+    acc = {}
+    for state in range(1 << len(quads)):
+        budget.spend()
+        for j, (in0, out0, in1, out1) in enumerate(quads):
+            if state >> j & 1:
+                link[in0], link[in1], link[out0], link[out1] = in1, in0, out1, out0
+            else:
+                link[in0], link[out1], link[in1], link[out0] = out1, in0, out0, in1
+        coeff = (-1) ** (len(classes) + len(quads))
+        counts = {}
+        seen = [False] * len(words)
+        for k in range(len(words)):
+            if seen[k]:
+                continue
+            path, end = [], 2 * k
+            while not path or end != 2 * k:
+                seen[end >> 1] = True
+                path.append(end)
+                end = link[end ^ 1]
+            path = tuple(path)
+            if path not in components:
+                word = tuple(chain.from_iterable(reads[e] for e in path))
+                components[path] = _read_class(s, word)
+            cls = components[path]
+            coeff *= -2 if cls is None else -1
+            if cls is not None:
+                counts[cls] = counts.get(cls, 0) + 1
+        key = tuple(sorted(counts.items(), key=_component_key))
+        acc[key] = acc.get(key, 0) + coeff
+    # at the trivial representation every trace is 2
+    at_one = sum(c * 2 ** sum(m for _, m in key) for key, c in acc.items())
+    if at_one != 2 ** len(classes):
+        raise ModelInconsistency("state sum is wrong at the trivial representation")
+    return _from_terms(
+        s.genus, {Multicurve(s.genus, key): c for key, c in acc.items()}
+    )
 
 
 # -- numerical evaluation -----------------------------------------------------

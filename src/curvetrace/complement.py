@@ -155,18 +155,12 @@ class Arc:
         )
 
 
-def certify_taut(model: PolygonModel, diagram):
-    """Return None if no monogon or bigon exists, else a witness.
-
-    A monogon witness is ("monogon", arc); a bigon witness is
-    ("bigon", arc_a, arc_b) where both arcs join the same two double points
-    (arc_b possibly running opposite to arc_a).
-    """
+def strand_arcs(model: PolygonModel, diagram):
+    """Yield (word read, Arc) for the arcs between double points, strand by
+    strand and in order along each; a strand without crossings has none."""
     if not diagram.crossings:
-        return None
-    surface = make_surface(model.genus)
+        return
     geo = Geometry(model, diagram)
-    arcs = {}  # (x_from, x_to) -> list of (word, Arc)
     for i, route in enumerate(diagram.routes):
         # the strand's cyclic crossing sequence with chord positions
         itin = [(p, x) for p in range(len(route)) for x in geo.on_chord[(i, p)]]
@@ -174,22 +168,33 @@ def certify_taut(model: PolygonModel, diagram):
         for k in range(m):
             p1, x = itin[k]
             p2, y = itin[(k + 1) % m]
-            wraps = k + 1 == m
-            n_ev = _arc_events(len(route), p1, p2, wraps)
-            arc = Arc(i, p1, n_ev, x, y)
-            word = model.exits_word(arc.sides(route))
-            if x == y:
-                if normalize_word(surface, word) == ():
-                    return ("monogon", arc)
-            else:
-                inv = inverse_word(word)
-                for prev_word, prev_arc in arcs.get((x, y), ()):
-                    if normalize_word(surface, prev_word + inv) == ():
-                        return ("bigon", arc, prev_arc)
-                for prev_word, prev_arc in arcs.get((y, x), ()):
-                    if normalize_word(surface, prev_word + word) == ():
-                        return ("bigon", arc, prev_arc)
-                arcs.setdefault((x, y), []).append((word, arc))
+            arc = Arc(i, p1, _arc_events(len(route), p1, p2, k + 1 == m), x, y)
+            yield model.exits_word(arc.sides(route)), arc
+
+
+def certify_taut(model: PolygonModel, diagram):
+    """Return None if no monogon or bigon exists, else a witness.
+
+    A monogon witness is ("monogon", arc); a bigon witness is
+    ("bigon", arc_a, arc_b) where both arcs join the same two double points
+    (arc_b possibly running opposite to arc_a).
+    """
+    surface = make_surface(model.genus)
+    arcs = {}  # (x_from, x_to) -> list of (word, Arc)
+    for word, arc in strand_arcs(model, diagram):
+        x, y = arc.x_from, arc.x_to
+        if x == y:
+            if normalize_word(surface, word) == ():
+                return ("monogon", arc)
+        else:
+            inv = inverse_word(word)
+            for prev_word, prev_arc in arcs.get((x, y), ()):
+                if normalize_word(surface, prev_word + inv) == ():
+                    return ("bigon", arc, prev_arc)
+            for prev_word, prev_arc in arcs.get((y, x), ()):
+                if normalize_word(surface, prev_word + word) == ():
+                    return ("bigon", arc, prev_arc)
+            arcs.setdefault((x, y), []).append((word, arc))
     return None
 
 

@@ -29,10 +29,6 @@ class ReductionBudgetExceeded(CurvetraceError):
     """Raised when diagram tautening exceeds its operation budget."""
 
 
-class ExpansionBudgetExceeded(CurvetraceError):
-    """Raised when trace expansion recursion exceeds its depth cap."""
-
-
 class NotSimple(CurvetraceError):
     """Raised when an operation requires a simple curve but got one with crossings."""
 

@@ -72,6 +72,7 @@ from .words import (
 _CONNECTOR_SEEDS = {
     2: ((2, 4),),
     3: ((2, -5, 4, 5), (4, -6, -5)),
+    4: ((2, 3, -4, -3), (4, -7, 6), (5, -8, -7, 6)),
 }
 
 

@@ -9,15 +9,39 @@ code.
 reference_placement keeps the rational placement rule the integer placement
 in curvetrace.complement must reproduce: Fraction circle points, segment
 meets and the same jitter schedule.
+
+reference_expand and reference_multiply keep the crossing-resolution
+recursion the state sum in curvetrace.algebra must reproduce: resolve one
+crossing of a taut diagram through t_u t_v = t_{uv} + t_{uv^-1}, re-expand
+the loops read off there, and recurse; powers go through the Chebyshev
+recursion t_{u^n} = t_u t_{u^n-1} - t_{u^n-2}.
 """
 from fractions import Fraction
 from itertools import permutations, product
 
+from curvetrace.algebra import (
+    _from_terms,
+    _multicurve,
+    basis_expression,
+    scalar_expression,
+)
 from curvetrace.complement import _MAX_JITTER_RETRIES
-from curvetrace.curves import _route_seeds
+from curvetrace.curves import (
+    _pair_taut,
+    _route_seeds,
+    _taut_single,
+    intersection_number,
+    tauten_routes,
+)
 from curvetrace.errors import ModelInconsistency
 from curvetrace.polygon import polygon_model
-from curvetrace.words import make_surface
+from curvetrace.words import (
+    canonical_class,
+    inverse_word,
+    make_surface,
+    normalize_word,
+    primitive_root,
+)
 
 PERM_CAP = 200_000
 
@@ -114,7 +138,6 @@ def _count(model, routes, slot_orders):
 def all_classes_up_to(genus, max_len):
     """Canonical classes with representative length <= max_len."""
     surface = make_surface(genus)
-    from curvetrace.words import canonical_class
     letters = [l for k in range(1, 2 * genus + 1) for l in (k, -k)]
     seen = set()
     stack = [()]
@@ -220,3 +243,112 @@ def reference_placement(model, diagram):
         if on_chord is not None:
             return retry, on_chord
     raise ModelInconsistency("could not reach generic position")
+
+
+# -- crossing-resolution recursion ---------------------------------------------
+
+_REFERENCE_EXPANSIONS = {}
+_REFERENCE_MERGES = {}
+
+
+def reference_expand(s, word):
+    """The trace of the word in the multicurve basis, by the recursion."""
+    reduced = normalize_word(s, tuple(word))
+    if not reduced:
+        return scalar_expression(s.genus, 2)
+    return _reference_class(s, canonical_class(s, reduced))
+
+
+def _reference_class(s, cls):
+    key = (s.genus, cls.word)
+    hit = _REFERENCE_EXPANSIONS.get(key)
+    if hit is not None:
+        return hit
+    root, power = primitive_root(s, cls)
+    if power >= 2:
+        base = _reference_class(s, root)
+        prev = scalar_expression(s.genus, 2)
+        cur = base
+        for _ in range(power - 1):
+            cur, prev = reference_multiply(s, base, cur) - prev, cur
+        out = cur
+    else:
+        out = _reference_primitive(s, cls)
+    _REFERENCE_EXPANSIONS[key] = out
+    return out
+
+
+def _reference_primitive(s, cls):
+    route, count = _taut_single(s.genus, cls.word)
+    if count == 0:
+        return basis_expression(_multicurve(s.genus, {cls: 1}))
+    diagram = tauten_routes(s.genus, (cls,), (route,))
+    (_, p), (_, q) = min(diagram.crossings)
+    taut_route = diagram.routes[0]
+    model = polygon_model(s.genus)
+    n = len(taut_route)
+    u = model.arc_word(taut_route, (p + 1) % n, q)
+    v = model.arc_word(taut_route, (q + 1) % n, p)
+    if canonical_class(s, u + v) != cls:
+        raise ModelInconsistency("crossing loops do not recompose to the class")
+    return reference_multiply(
+        s, reference_expand(s, u), reference_expand(s, v)
+    ) - reference_expand(s, u + inverse_word(v))
+
+
+def reference_multiply(s, f, g):
+    """Product of two expressions in the basis, by the recursion."""
+    acc = {}
+    for mc1, c1 in f.terms:
+        for mc2, c2 in g.terms:
+            for mc, coeff in _reference_merge(s, mc1, mc2).terms:
+                acc[mc] = acc.get(mc, Fraction(0)) + coeff * c1 * c2
+    return _from_terms(s.genus, acc)
+
+
+def _reference_merge(s, mc1, mc2):
+    key = (s.genus, mc1.components, mc2.components)
+    hit = _REFERENCE_MERGES.get(key)
+    if hit is not None:
+        return hit
+    crossing = [
+        (x, y)
+        for x, _ in mc1.components
+        for y, _ in mc2.components
+        if intersection_number(s, x, y) > 0
+    ]
+    if not crossing:
+        counts = dict(mc1.components)
+        for cls, m in mc2.components:
+            counts[cls] = counts.get(cls, 0) + m
+        out = basis_expression(_multicurve(s.genus, counts))
+    else:
+        # base the product at a crossing of the taut pair diagram: both
+        # smoothings there are carried by the diagram minus that crossing
+        x, y = crossing[0]
+        d = _pair_taut(s.genus, x.word, y.word)
+        (_, p), (_, q) = min(d.crossings)
+        model = polygon_model(s.genus)
+        u = model.route_word(d.routes[0], (p + 1) % len(d.routes[0]))
+        v = model.route_word(d.routes[1], (q + 1) % len(d.routes[1]))
+        if canonical_class(s, u) != x or canonical_class(s, v) != y:
+            raise ModelInconsistency("crossing loops do not read the pair's classes")
+        merged = reference_expand(s, u + v) + reference_expand(
+            s, u + inverse_word(v)
+        )
+        out = reference_multiply(
+            s,
+            basis_expression(_remove_one(mc1, x)),
+            reference_multiply(s, merged, basis_expression(_remove_one(mc2, y))),
+        )
+    _REFERENCE_MERGES[key] = out
+    return out
+
+
+def _remove_one(mc, cls):
+    counts = dict(mc.components)
+    if counts[cls] == 1:
+        del counts[cls]
+    else:
+        counts[cls] -= 1
+    return _multicurve(mc.genus, counts)

@@ -3,12 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_expand, reference_multiply
 import curvetrace.algebra as algebra
 from curvetrace.algebra import (
     basis_expression,
     basis_rank_check,
     empty_multicurve,
+    enumerate_multicurves,
     evaluate_expression,
     expand_trace,
     format_expression,
@@ -22,9 +26,16 @@ from curvetrace.algebra import (
     zero_expression,
 )
 from curvetrace.curves import enumerate_classes
-from curvetrace.errors import ExpansionBudgetExceeded, ModelInconsistency, NotSimple
+from curvetrace.errors import ModelInconsistency, NotSimple
+from curvetrace.mapping import apply_to_multicurve, twist_generator
 from curvetrace.representations import evaluate_trace, random_representation
-from curvetrace.words import canonical_class, inverse_word, make_surface, parse_word
+from curvetrace.words import (
+    canonical_class,
+    inverse_word,
+    letters,
+    make_surface,
+    parse_word,
+)
 
 S2 = make_surface(2)
 S3 = make_surface(3)
@@ -193,15 +204,6 @@ def test_product_commutes_and_associates():
     assert lhs == rhs
 
 
-def test_product_independent_of_merge_choices():
-    f = expand("a1b1")
-    g = expand("b1a2")
-    base = multiply_expressions(S2, f, g)
-    for i in range(10):
-        picker = random.Random(1000 + i).choice
-        assert multiply_expressions(S2, f, g, merge_picker=picker) == base
-
-
 def test_product_matches_numerics():
     f = expand("a1b1")
     g = expand("a1B1")
@@ -230,23 +232,62 @@ def test_genus_three_expansion():
     assert abs(evaluate_expression(rep, f) - evaluate_trace(rep, w)) < 1e-9
 
 
-# -- budget ---------------------------------------------------------------------
+# -- agreement with the crossing-resolution recursion ----------------------------
 
 
-def test_expansion_budget_trips_on_tiny_cap(monkeypatch):
-    # cap 0 allows one crossing resolution per path; this word needs a chain
-    monkeypatch.setattr(algebra, "EXPANSION_DEPTH_CAP", 0)
-    algebra._EXPAND_CACHE.clear()
-    algebra._MERGE_CACHE.clear()
-    with pytest.raises(ExpansionBudgetExceeded):
-        expand_trace(S2, W("a1A2b2"))
-    algebra._EXPAND_CACHE.clear()
-    algebra._MERGE_CACHE.clear()
+def test_expansion_matches_reference_on_genus_two_classes():
+    for c in enumerate_classes(S2, 4):
+        assert expand_trace(S2, c.word) == reference_expand(S2, c.word), c.word
+
+
+def test_expansion_matches_reference_on_genus_three_sample():
+    rng = random.Random(4)
+    for _ in range(100):
+        w = tuple(rng.choice(letters(3)) for _ in range(rng.randint(1, 5)))
+        assert expand_trace(S3, w) == reference_expand(S3, w), w
+
+
+def test_product_matches_reference_on_basis_pairs():
+    # short multicurves and their images under one twist generator, so the
+    # products also run over longer strands and over parallel copies
+    family = enumerate_multicurves(S2, 3)[1:]
+    rng = random.Random(11)
+    pairs = []
+    for _ in range(40):
+        x, y = rng.choice(family), rng.choice(family)
+        twist = twist_generator(S2, rng.randint(1, 5))
+        pairs.append((x, y))
+        pairs.append(
+            (apply_to_multicurve(S2, twist, x), apply_to_multicurve(S2, twist, y))
+        )
+    for x, y in pairs:
+        f, g = basis_expression(x), basis_expression(y)
+        assert multiply_expressions(S2, f, g) == reference_multiply(S2, f, g), (
+            str(x),
+            str(y),
+        )
+
+
+_G3_WORDS = st.lists(st.sampled_from(letters(3)), min_size=1, max_size=5).map(
+    tuple
+)
+_G3_REPS = [random_representation(S3, seed) for seed in range(2)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(word=_G3_WORDS)
+def test_expansion_agrees_with_numerical_trace_genus_three(word):
+    f = expand_trace(S3, word)
+    for rep in _G3_REPS:
+        assert abs(evaluate_expression(rep, f) - evaluate_trace(rep, word)) < 1e-8
+
+
+# -- loud checks ----------------------------------------------------------------
 
 
 def test_crossing_loop_checks_raise_typed_errors(monkeypatch):
-    # the loops read at a crossing are checked against the classes they must
-    # recompose; the checks survive python -O and raise a package error
+    # every strand's arcs must read its class again; the check survives
+    # python -O and raises a package error
     f, g = expand("a1"), expand("b1")
     real = algebra.canonical_class
     monkeypatch.setattr(algebra, "_EXPAND_CACHE", {})

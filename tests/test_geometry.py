@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oracles import _min_for_routes, all_classes_up_to, germ_simple, min_crossings
+from curvetrace.algebra import enumerate_multicurves
 from curvetrace.diagrams import Budget, build_with_slots
 from curvetrace.errors import (
     GenusMismatch,
@@ -15,6 +16,7 @@ from curvetrace.curves import (
     PAIR_SEARCH_CAP,
     _cross_min_exhaustive,
     _route_seeds,
+    _taut_single,
     complement_report,
     enumerate_classes,
     enumerate_simple_classes,
@@ -25,6 +27,7 @@ from curvetrace.curves import (
     tauten,
     tauten_routes,
 )
+from curvetrace.mapping import apply_to_multicurve, twist_generator
 from curvetrace.polygon import polygon_model
 from curvetrace.words import (
     canonical_class,
@@ -203,6 +206,38 @@ def test_pair_diagram_strand_accounting():
     assert d.pair_crossings(0, 1) == 2
     assert d.cross_strand_crossings() == 2
     assert d.crossing_count == 3
+
+
+def test_tauten_union_of_two_multicurves():
+    # products expand over such unions, one strand per unit of multiplicity:
+    # only strands of different multicurves cross, each pair minimally
+    family = [
+        mc
+        for mc in enumerate_multicurves(S2, 3)
+        if sum(m for _, m in mc.components) >= 2
+    ]
+    twist = twist_generator(S2, 4)
+    rng = random.Random(21)
+    crossed = 0
+    for _ in range(12):
+        x, y = rng.choice(family), apply_to_multicurve(S2, twist, rng.choice(family))
+        classes, sides = [], []
+        for side, mc in enumerate((x, y)):
+            for c, m in mc.components:
+                classes += [c] * m
+                sides += [side] * m
+        routes = [_taut_single(2, c.word)[0] for c in classes]
+        d = tauten_routes(2, classes, routes)
+        want = sum(
+            m * n * intersection_number(S2, a, b)
+            for a, m in x.components
+            for b, n in y.components
+        )
+        assert len(classes) >= 4
+        assert d.crossing_count == want, (str(x), str(y))
+        assert all(sides[a[0]] != sides[b[0]] for a, b in d.crossings)
+        crossed += want > 0
+    assert crossed >= 6
 
 
 def test_enumerate_classes_counts():

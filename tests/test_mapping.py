@@ -133,6 +133,17 @@ def test_humphries_family_genus3():
     )
 
 
+def test_humphries_family_genus4():
+    # seeded with the chain the unseeded search finds (about a minute cold)
+    s4 = make_surface(4)
+    curves = humphries_classes(s4)
+    assert tuple(c.word for c in curves) == (
+        (4,), (2,), (1,), (2, 3, -4, -3), (3,), (4, -7, 6), (5,),
+        (5, -8, -7, 6), (7,),
+    )
+    assert mapping._chain_pattern_ok(s4, curves)
+
+
 @pytest.mark.parametrize("genus", [2, 3])
 def test_unseeded_chain_search_finds_the_seeds(monkeypatch, genus):
     # each connector must also avoid the meridians placed after it
