@@ -45,19 +45,19 @@ from .words import (
     intersection_form,
     is_primitive,
     make_surface,
-    oriented_spellings,
     reduced_words,
 )
 
 
 def _route_seeds(genus: int, class_word) -> tuple:
-    model = polygon_model(genus)
-    surface = make_surface(genus)
-    seen = set()
-    for spelling in oriented_spellings(surface, CurveClass(genus, class_word)):
-        for route in model.route_variants(spelling):
-            seen.add(model._canonical_rotation(route))
-    return tuple(sorted(seen, key=lambda r: (len(r), r)))
+    """Rotation-minimal routes of the class, shortest first.
+
+    A route is a word of the dual presentation (see polygon), so the routes
+    of the class are the half-swap closure of the canonical spelling's one
+    route; the other spellings and junction choices land in that closure.
+    """
+    routes = polygon_model(genus).route_variants(class_word)
+    return tuple(sorted(routes, key=lambda r: (len(r), r)))
 
 
 def _retract_arc(model, routes, mover, stay):
@@ -176,11 +176,14 @@ def _check_genus(s: Surface, *items) -> None:
 
 
 def realize(s: Surface, c: CurveClass) -> CurveDiagram:
-    """Taut single-strand diagram of the class."""
+    """Taut single-strand diagram of the class.
+
+    The taut route alone does not fix the slots: the comparator's order can
+    miss swap moves, so the route is tautened again.
+    """
     _check_genus(s, c)
     route, _ = _taut_single(s.genus, c.word)
-    model = polygon_model(s.genus)
-    return build_diagram(model, (c,), (route,))
+    return tauten_routes(s.genus, (c,), (route,))
 
 
 def tauten(d: CurveDiagram) -> CurveDiagram:

@@ -20,6 +20,7 @@ group checked by semidirect_check.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -256,6 +257,10 @@ def twist_along(s: Surface, cls: CurveClass, turns: int = 1) -> MappingClass:
     One positive turn along the first handle's meridian sends b1 to b1a1
     and fixes the other generators.
     """
+    try:
+        turns = operator.index(turns)
+    except TypeError:
+        raise ValueError(f"turns {turns!r} must be an integer") from None
     _check_genus(s, cls)
     if not is_simple(s, cls):
         raise NotSimple(f"cannot twist along {format_word(cls.word)}")

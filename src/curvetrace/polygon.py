@@ -15,10 +15,20 @@ its two ends in the vertex rotation, which pins every sigma up to the relator.
 Route words are all read through exits_word, one free reduction of the chained
 sigma words of a sequence of exits.
 
-A letter's pushoff therefore contributes a rotation arc around v (at most half
-a turn) between its slide along the glued edge and the next letter's; exact
-half turns are genuinely ambiguous (the two choices are isotopic across v) and
-are enumerated by the taut search.
+A route is also a word of the surface group itself, in the dual presentation:
+name side s by its relator letter with every b_i inverted (side_letter), and
+the corner walk around v reads exactly the relator.  Exiting through s and then
+through its partner is a letter followed by its inverse, and a run of exits
+turning around v is a relator factor.  So removing backtracks and replacing a
+turn of more than half around v by the complementary turn is cyclic Dehn
+reduction (words._cyclic_dehn_reduce), and flipping an exact half turn to the
+other side of v is a half swap (words.half_swap_closure).
+
+A letter's pushoff contributes a rotation arc around v (at most half a turn)
+between its slide along the glued edge and the next letter's.  Exact half
+turns are genuinely ambiguous (the two choices are isotopic across v):
+route_for_spelling takes the forward one, and route_variants reaches the
+others through the half-swap closure.
 """
 from __future__ import annotations
 
@@ -28,12 +38,15 @@ from itertools import chain
 from .errors import ModelInconsistency
 from .words import (
     GroupWord,
+    _cyclic_dehn_reduce,
     canonical_class,
     free_reduce,
+    half_swap_closure,
     inverse_word,
     letters,
     make_surface,
     normalize_word,
+    rotations,
 )
 
 
@@ -59,19 +72,21 @@ class PolygonModel:
             orbit.append(nxt)
             if len(orbit) > self.n_sides:
                 raise ModelInconsistency("corner walk does not close up")
-        if len(orbit) != self.n_sides:
-            raise ModelInconsistency("polygon has more than one vertex")
         self.orbit = tuple(orbit)
-        self.orbitpos = tuple(
-            self.orbit.index(s) for s in range(self.n_sides)
-        )
+        # routes are words of the dual presentation: with every b_i inverted
+        # the sides read the relator around the vertex (so it is the only one)
+        self.side_letter = tuple(l if abs(l) % 2 else -l for l in self.sides)
+        self.letter_side = {l: s for s, l in enumerate(self.side_letter)}
+        if self._letters(self.orbit) != surface.relator:
+            raise ModelInconsistency("vertex walk does not read the relator")
         # arc endpoints per letter: a letter's slide runs along its side from
         # the side's start corner to its end corner
+        orbitpos = {s: k for k, s in enumerate(self.orbit)}
         self.start_pos = {}
         self.end_pos = {}
         for letter, s in side_of.items():
-            self.start_pos[letter] = self.orbitpos[s]
-            self.end_pos[letter] = self.orbitpos[(s + 1) % self.n_sides]
+            self.start_pos[letter] = orbitpos[s]
+            self.end_pos[letter] = orbitpos[(s + 1) % self.n_sides]
         self.sigma = self._solve_sigma(surface)
         self._verify(surface)
 
@@ -121,7 +136,7 @@ class PolygonModel:
         # a route's word is only well defined up to conjugacy (its basepoint
         # sits on an edge, not at the vertex)
         for letter in letters(self.genus):
-            route = self.route_for_spelling((letter,))[0]
+            route = self.route_for_spelling((letter,))
             read = canonical_class(surface, self.route_word(route)).word
             if read != canonical_class(surface, (letter,)).word:
                 raise ModelInconsistency(f"route for letter {letter} reads wrong class")
@@ -139,154 +154,40 @@ class PolygonModel:
             for t in range(steps)
         ]
 
-    def _junction_arcs(self, from_pos: int, to_pos: int):
-        """Shorter rotation arc(s) between corner positions; an exact half
-        turn is ambiguous and yields both."""
-        fl = (to_pos - from_pos) % self.n_sides
-        bl = (from_pos - to_pos) % self.n_sides
-        if fl == 0:
-            return ([],)
-        if fl < bl:
-            return (self.forward_arc(from_pos, fl),)
-        if bl < fl:
-            return (self.backward_arc(from_pos, bl),)
-        return (self.forward_arc(from_pos, fl), self.backward_arc(from_pos, bl))
+    def _letters(self, route) -> GroupWord:
+        return tuple(self.side_letter[s] for s in route)
 
-    def route_for_spelling(self, word: GroupWord):
-        """One reduced route of the cyclic word, plus its exact-half runs."""
-        routes = self.spelling_routes(word, cap=1)
-        route = next(iter(routes))
-        return route, self._half_runs(route)
+    def _sides(self, word) -> tuple:
+        return tuple(self.letter_side[l] for l in word)
 
-    def spelling_routes(self, word: GroupWord, cap: int = 64):
-        """Reduced routes of the cyclic word over all half-turn junction
-        choices (capped)."""
+    def route_for_spelling(self, word: GroupWord) -> tuple:
+        """Reduced route of the cyclic word: at each junction the shorter
+        rotation arc, the forward one on an exact half turn."""
         if not word:
             raise ModelInconsistency("empty word has no route")
         n = len(word)
-        prefixes = [[]]
+        route = []
         for i in range(n):
-            x, y = word[i], word[(i + 1) % n]
-            arcs = self._junction_arcs(self.end_pos[x], self.start_pos[y])
-            prefixes = [
-                p + arc for p in prefixes for arc in arcs
-            ][:cap]
-        return {self.reduce_route(tuple(p)) for p in prefixes}
+            at = self.end_pos[word[i]]
+            steps = (self.start_pos[word[(i + 1) % n]] - at) % self.n_sides
+            if 2 * steps <= self.n_sides:
+                route += self.forward_arc(at, steps)
+            else:
+                route += self.backward_arc(at, self.n_sides - steps)
+        return self.reduce_route(route)
 
     def reduce_route(self, route) -> tuple:
-        w = list(route)
-        changed = True
-        while changed:
-            changed = False
-            stack = []
-            for s in w:
-                if stack and stack[-1] == self.partner[s]:
-                    stack.pop()
-                    changed = True
-                else:
-                    stack.append(s)
-            while len(stack) >= 2 and stack[0] == self.partner[stack[-1]]:
-                stack.pop()
-                stack.pop(0)
-                changed = True
-            w = stack
-            hit = self._long_run(w)
-            if hit is not None:
-                i, length, repl = hit
-                w = self._splice(w, i, length, repl)
-                changed = True
-        return tuple(w)
+        """Cyclic Dehn reduction of the route read as a surface-group word."""
+        return self._sides(_cyclic_dehn_reduce(self.genus, self._letters(route)))
 
-    def _run_length(self, w, i, direction):
-        """Length of the rotation run starting at index i (cyclic, capped)."""
-        n = len(w)
-        length = 1
-        while length < n and length < self.n_sides:
-            cur = w[(i + length - 1) % n]
-            nxt = w[(i + length) % n]
-            if direction > 0:
-                ok = self.orbitpos[nxt] == (self.orbitpos[cur] + 1) % self.n_sides
-            else:
-                ok = (
-                    self.orbitpos[self.partner[nxt]]
-                    == (self.orbitpos[self.partner[cur]] - 1) % self.n_sides
-                )
-            if not ok:
-                break
-            length += 1
-        return length
+    def route_variants(self, word: GroupWord) -> set:
+        """Rotation-minimal routes of the spelling's route and of every route
+        its half swaps reach."""
+        start = self._letters(self.route_for_spelling(word))
+        closure = half_swap_closure(self.genus, start)
+        return {min(rotations(self._sides(w))) for w in closure}
 
-    def _run_complement(self, w, i, length, direction):
-        """Replacement arc for the run w[i:i+length] (cyclic indexing)."""
-        first = w[i % len(w)]
-        if direction > 0:
-            start = self.orbitpos[first]
-            return self.backward_arc(start, self.n_sides - length)
-        start = (self.orbitpos[self.partner[first]] + 1) % self.n_sides
-        return self.forward_arc(start, self.n_sides - length)
-
-    def _long_run(self, w):
-        n = len(w)
-        if n == 0:
-            return None
-        half = self.n_sides // 2
-        for direction in (1, -1):
-            for i in range(n):
-                length = self._run_length(w, i, direction)
-                if length > half:
-                    return i, length, self._run_complement(w, i, length, direction)
-        return None
-
-    def _half_runs(self, w):
-        """Start indices and directions of exact-half rotation runs."""
-        n = len(w)
-        half = self.n_sides // 2
-        out = []
-        for direction in (1, -1):
-            for i in range(n):
-                if self._run_length(w, i, direction) >= half:
-                    # skip runs that merely continue an earlier one
-                    prev = (i - 1) % n
-                    if n > 1 and self._run_length(w, prev, direction) > half:
-                        continue
-                    out.append((i, direction))
-        return tuple(out)
-
-    def _splice(self, w, i, length, repl):
-        n = len(w)
-        keep = [w[(i + length + t) % n] for t in range(n - length)]
-        return list(repl) + keep
-
-    def route_variants(self, word: GroupWord, cap: int = 64):
-        """Closure of the reduced routes under exact-half run flips."""
-        seeds = {
-            self._canonical_rotation(r) for r in self.spelling_routes(word, cap)
-        }
-        seen = set(seeds)
-        frontier = list(seeds)
-        while frontier:
-            nxt = []
-            for r in frontier:
-                for i, direction in self._half_runs(r):
-                    repl = self._run_complement(r, i, self.n_sides // 2, direction)
-                    flipped = self.reduce_route(
-                        tuple(self._splice(list(r), i, self.n_sides // 2, repl))
-                    )
-                    flipped = self._canonical_rotation(flipped)
-                    if flipped not in seen:
-                        seen.add(flipped)
-                        nxt.append(flipped)
-                if len(seen) > cap:
-                    return seen
-            frontier = nxt
-        return seen
-
-    @staticmethod
-    def _canonical_rotation(route):
-        n = len(route)
-        if n == 0:
-            return route
-        return min((route[i:] + route[:i] for i in range(n)), default=route)
+    spelling_routes = route_variants  # perfbench/tracer.py wraps this name too
 
     def exits_word(self, exits) -> GroupWord:
         """Freely reduced word read by crossing out through the given sides."""

@@ -14,6 +14,10 @@ cells pass through longer intermediates.  Both kinds of rewrite are chased
 when building canonical class representatives; cell chains and rings need at
 least 2(2g-1) boundary letters, so shorter words only ever need half swaps.
 
+half_swap_closure is the lone-cell part of that chase alone, for cyclic
+words that need not be geodesic: it Dehn-reduces after every swap and keeps
+going from whatever the swap exposed.
+
 That chase (cyclic_spellings) is the costly step, so each oriented class is
 chased at most once per process: its closure is stored as one frozenset under
 every member, and the closure of the inverse class is stored with it as the
@@ -319,6 +323,37 @@ def _cyclic_dehn_reduce(genus: int, word: Iterable) -> GroupWord:
             return w
         i, length, repl = hit
         w = cyclic_free_reduce(repl + doubled[i + length : i + n])
+
+
+def half_swap_closure(genus: int, word: GroupWord) -> set:
+    """Every cyclic word that exactly-half swaps reach from the word, each one
+    cyclically Dehn-reduced, as its rotation-minimal spelling (tuple order).
+
+    A swap that exposes a shorter word keeps the shorter word and goes on
+    from it, where cyclic_spellings stops.
+    """
+    t = _tables(genus)
+    start = min(rotations(_cyclic_dehn_reduce(genus, word)))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            n = len(state)
+            doubled = state + state
+            for i in range(n):
+                repl = t.half_repl.get(doubled[i : i + t.half])
+                if repl is None:
+                    continue
+                new = _cyclic_dehn_reduce(genus, repl + doubled[i + t.half : i + n])
+                new = min(rotations(new))
+                if new not in seen:
+                    seen.add(new)
+                    nxt.append(new)
+            if len(seen) > _CLOSURE_CAP:
+                raise ModelInconsistency("half-swap closure exploded")
+        frontier = nxt
+    return seen
 
 
 def _min_rotation(word: GroupWord) -> GroupWord:

@@ -10,6 +10,12 @@ reference_placement keeps the rational placement rule the integer placement
 in curvetrace.complement must reproduce: Fraction circle points, segment
 meets and the same jitter schedule.
 
+reference_route_seeds keeps the spelling-by-spelling seed construction that
+curvetrace.curves._route_seeds must reproduce: every oriented spelling, every
+junction choice at an exact half turn, and the side-based route reduction
+(partner cancellation, long vertex runs replaced by their complements), closed
+under exact-half run flips.
+
 reference_expand and reference_multiply keep the crossing-resolution
 recursion the state sum in curvetrace.algebra must reproduce: resolve one
 crossing of a taut diagram through t_u t_v = t_{uv} + t_{uv^-1}, re-expand
@@ -36,10 +42,12 @@ from curvetrace.curves import (
 from curvetrace.errors import ModelInconsistency
 from curvetrace.polygon import polygon_model
 from curvetrace.words import (
+    CurveClass,
     canonical_class,
     inverse_word,
     make_surface,
     normalize_word,
+    oriented_spellings,
     primitive_root,
 )
 
@@ -243,6 +251,137 @@ def reference_placement(model, diagram):
         if on_chord is not None:
             return retry, on_chord
     raise ModelInconsistency("could not reach generic position")
+
+
+# -- route seeds, spelling by spelling -----------------------------------------
+
+
+def reference_route_seeds(genus, class_word):
+    """Sorted rotation-minimal routes of every spelling of the class."""
+    model = polygon_model(genus)
+    orbitpos = [model.orbit.index(s) for s in range(model.n_sides)]
+    seen = set()
+    for spelling in oriented_spellings(make_surface(genus), CurveClass(genus, class_word)):
+        choices = []
+        n = len(spelling)
+        for i in range(n):
+            a = model.end_pos[spelling[i]]
+            b = model.start_pos[spelling[(i + 1) % n]]
+            fl, bl = (b - a) % model.n_sides, (a - b) % model.n_sides
+            arcs = []
+            if fl == 0:
+                arcs.append([])
+            if 0 < fl <= bl:
+                arcs.append(model.forward_arc(a, fl))
+            if 0 < bl <= fl:
+                arcs.append(model.backward_arc(a, bl))
+            choices.append(arcs)
+        frontier = {
+            _rotation(_reduce(model, orbitpos, sum(arcs, [])))
+            for arcs in product(*choices)
+        }
+        frontier -= seen
+        seen |= frontier
+        while frontier:
+            nxt = set()
+            for r in frontier:
+                for i, direction in _half_runs(model, orbitpos, r):
+                    half = model.n_sides // 2
+                    repl = _run_complement(model, orbitpos, r, i, half, direction)
+                    flipped = _splice(list(r), i, half, repl)
+                    nxt.add(_rotation(_reduce(model, orbitpos, flipped)))
+            frontier = nxt - seen
+            seen |= frontier
+    return tuple(sorted(seen, key=lambda r: (len(r), r)))
+
+
+def _rotation(route):
+    return min((route[i:] + route[:i] for i in range(len(route))), default=route)
+
+
+def _reduce(model, orbitpos, route):
+    w = list(route)
+    changed = True
+    while changed:
+        changed = False
+        stack = []
+        for s in w:
+            if stack and stack[-1] == model.partner[s]:
+                stack.pop()
+                changed = True
+            else:
+                stack.append(s)
+        while len(stack) >= 2 and stack[0] == model.partner[stack[-1]]:
+            stack.pop()
+            stack.pop(0)
+            changed = True
+        w = stack
+        hit = _long_run(model, orbitpos, w)
+        if hit is not None:
+            i, length, repl = hit
+            w = _splice(w, i, length, repl)
+            changed = True
+    return tuple(w)
+
+
+def _run_length(model, orbitpos, w, i, direction):
+    """Length of the rotation run starting at index i (cyclic, capped)."""
+    n = len(w)
+    length = 1
+    while length < n and length < model.n_sides:
+        cur = w[(i + length - 1) % n]
+        nxt = w[(i + length) % n]
+        if direction > 0:
+            ok = orbitpos[nxt] == (orbitpos[cur] + 1) % model.n_sides
+        else:
+            ok = (
+                orbitpos[model.partner[nxt]]
+                == (orbitpos[model.partner[cur]] - 1) % model.n_sides
+            )
+        if not ok:
+            break
+        length += 1
+    return length
+
+
+def _run_complement(model, orbitpos, w, i, length, direction):
+    """Replacement arc for the run w[i:i+length] (cyclic indexing)."""
+    first = w[i % len(w)]
+    if direction > 0:
+        return model.backward_arc(orbitpos[first], model.n_sides - length)
+    start = (orbitpos[model.partner[first]] + 1) % model.n_sides
+    return model.forward_arc(start, model.n_sides - length)
+
+
+def _long_run(model, orbitpos, w):
+    half = model.n_sides // 2
+    for direction in (1, -1):
+        for i in range(len(w)):
+            length = _run_length(model, orbitpos, w, i, direction)
+            if length > half:
+                return i, length, _run_complement(model, orbitpos, w, i, length, direction)
+    return None
+
+
+def _half_runs(model, orbitpos, w):
+    """Start indices and directions of exact-half rotation runs."""
+    n = len(w)
+    half = model.n_sides // 2
+    out = []
+    for direction in (1, -1):
+        for i in range(n):
+            if _run_length(model, orbitpos, w, i, direction) >= half:
+                # skip runs that merely continue an earlier one
+                prev = (i - 1) % n
+                if n > 1 and _run_length(model, orbitpos, w, prev, direction) > half:
+                    continue
+                out.append((i, direction))
+    return out
+
+
+def _splice(w, i, length, repl):
+    n = len(w)
+    return list(repl) + [w[(i + length + t) % n] for t in range(n - length)]
 
 
 # -- crossing-resolution recursion ---------------------------------------------

@@ -56,6 +56,14 @@ def test_realize_dump_frozen():
     assert realize(S2, C("a1b1")).dump() == "2:0->1:0 1:0->2:0"
 
 
+def test_realize_is_taut():
+    assert realize(S2, C("a1B2B1")).crossing_count == 2
+    for cls in all_classes_up_to(2, 4):
+        route, count = _taut_single(2, cls.word)
+        d = realize(S2, cls)
+        assert (d.routes, d.crossing_count) == ((route,), count), cls.word
+
+
 def test_self_intersection_frozen_values():
     cases = {
         "a1": 0,

@@ -103,6 +103,12 @@ def test_twist_rejects_bad_input():
         twist_along(S2, C("a1", S3))
 
 
+def test_twist_rejects_non_integer_turns():
+    for bad in (1.5, "2", None, 2.0):
+        with pytest.raises(ValueError):
+            twist_along(S2, C("a1"), turns=bad)
+
+
 def test_twist_generator_index_errors():
     for bad in (0, 6, -1):
         with pytest.raises(BadIndex):
