@@ -38,9 +38,9 @@ from .words import (
     CurveClass,
     Surface,
     canonical_class,
+    dehn_reduce,
     format_word,
     inverse_word,
-    normalize_word,
     parse_word,
     primitive_root,
 )
@@ -240,7 +240,7 @@ def expand_trace(s: Surface, word) -> TraceExpression:
     The state sum runs over a taut diagram of the word's primitive root
     traversed as many times as the power, so powers need no separate rule.
     """
-    reduced = normalize_word(s, tuple(word))
+    reduced = dehn_reduce(s.genus, word)
     if not reduced:
         return scalar_expression(s.genus, 2)
     return _expand_class(s, canonical_class(s, reduced))

@@ -32,7 +32,7 @@ from functools import cmp_to_key
 
 from .errors import ModelInconsistency
 from .polygon import PolygonModel
-from .words import inverse_word, make_surface, normalize_word
+from .words import dehn_reduce, inverse_word
 
 _MAX_JITTER_RETRIES = 8
 
@@ -160,7 +160,7 @@ def strand_arcs(model: PolygonModel, diagram):
     strand and in order along each; a strand without crossings has none."""
     if not diagram.crossings:
         return
-    geo = Geometry(model, diagram)
+    geo = diagram.geometry
     for i, route in enumerate(diagram.routes):
         # the strand's cyclic crossing sequence with chord positions
         itin = [(p, x) for p in range(len(route)) for x in geo.on_chord[(i, p)]]
@@ -179,20 +179,19 @@ def certify_taut(model: PolygonModel, diagram):
     ("bigon", arc_a, arc_b) where both arcs join the same two double points
     (arc_b possibly running opposite to arc_a).
     """
-    surface = make_surface(model.genus)
     arcs = {}  # (x_from, x_to) -> list of (word, Arc)
     for word, arc in strand_arcs(model, diagram):
         x, y = arc.x_from, arc.x_to
         if x == y:
-            if normalize_word(surface, word) == ():
+            if not dehn_reduce(model.genus, word):
                 return ("monogon", arc)
         else:
             inv = inverse_word(word)
             for prev_word, prev_arc in arcs.get((x, y), ()):
-                if normalize_word(surface, prev_word + inv) == ():
+                if not dehn_reduce(model.genus, prev_word + inv):
                     return ("bigon", arc, prev_arc)
             for prev_word, prev_arc in arcs.get((y, x), ()):
-                if normalize_word(surface, prev_word + word) == ():
+                if not dehn_reduce(model.genus, prev_word + word):
                     return ("bigon", arc, prev_arc)
             arcs.setdefault((x, y), []).append((word, arc))
     return None
@@ -329,7 +328,7 @@ class _Faces:
 
 
 def complement_census(model: PolygonModel, diagram) -> ComplementReport:
-    geo = Geometry(model, diagram)
+    geo = diagram.geometry
     tracer = _Faces(geo)
     faces = tracer.faces
     face_of = tracer.face_of

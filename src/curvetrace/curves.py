@@ -230,7 +230,6 @@ def _pair_diagram(s: Surface, x: CurveClass, y: CurveClass, budget=None):
     return best[1]
 
 
-@lru_cache(maxsize=None)
 def _pair_taut(genus: int, wx, wy) -> CurveDiagram:
     s = make_surface(genus)
     return _pair_diagram(s, CurveClass(genus, wx), CurveClass(genus, wy))

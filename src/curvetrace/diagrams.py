@@ -15,9 +15,11 @@ packed by a fixed positional rule, which cannot create crossings among them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from .complement import Geometry
 from .errors import ModelInconsistency, ReductionBudgetExceeded
-from .polygon import PolygonModel
+from .polygon import PolygonModel, polygon_model
 
 DEFAULT_BUDGET = 10**6
 
@@ -74,6 +76,12 @@ class CurveDiagram:
 
     def cross_strand_crossings(self) -> int:
         return sum(1 for (a, b) in self.crossings if a[0] != b[0])
+
+    @cached_property
+    def geometry(self) -> Geometry:
+        """Exact placement of the strands, built on first use and kept with
+        the diagram, so certifying it and reading its arcs place it once."""
+        return Geometry(polygon_model(self.genus), self)
 
     def dump(self) -> str:
         lines = []

@@ -7,7 +7,7 @@ inserts the curve's based loop word wherever the slide crosses a strand, with
 the insertion direction set by the crossing side.  Images are stored in
 normalized form, a free-group lift of the map only up to the relator, so every
 constructor certifies itself in pi1: the relator's image under the map and
-under the stored inverse normalizes to the empty word (both are endomorphisms
+under the stored inverse Dehn-reduces to the empty word (both are endomorphisms
 of pi1), and the stored inverse undoes the map on every generator (the inverse
 is onto).  Surface groups are Hopfian, so the onto inverse is an automorphism
 and the map is its inverse.  The orientation sign comes from H1, where an
@@ -56,6 +56,7 @@ from .words import (
     GroupWord,
     Surface,
     canonical_class,
+    dehn_reduce,
     format_word,
     free_reduce,
     generator_name,
@@ -127,10 +128,10 @@ def _substitute(images, word) -> GroupWord:
 
 def relator_certificate(s: Surface, images) -> RelatorCertificate:
     """Certify that the substitution is an endomorphism of pi1 (the relator's
-    image normalizes to the empty word) and read its orientation sign off H1
+    image Dehn-reduces to the empty word) and read its orientation sign off H1
     (sum_i omega(phi(a_i), phi(b_i)) is +g or -g); with an inverse that undoes
     it, this makes an automorphism, since surface groups are Hopfian."""
-    if normalize_word(s, _substitute(images, s.relator)) != ():
+    if dehn_reduce(s.genus, _substitute(images, s.relator)):
         raise ModelInconsistency("relator image is not trivial in the surface group")
     h1 = [homology_class(s, w).coords for w in images]
     degree = sum(intersection_form(h1[2 * i], h1[2 * i + 1]) for i in range(s.genus))
@@ -146,7 +147,7 @@ def _checked(s: Surface, images, inverse_images) -> MappingClass:
     relator_certificate(s, inverse_images)
     for k in range(1, s.rank + 1):
         round_trip = _substitute(inverse_images, _substitute(images, (k,)))
-        if normalize_word(s, round_trip) != (k,):
+        if dehn_reduce(s.genus, round_trip + (-k,)):
             raise ModelInconsistency(
                 f"stored inverse does not undo the map on {generator_name(k)}"
             )

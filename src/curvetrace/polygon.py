@@ -40,12 +40,12 @@ from .words import (
     GroupWord,
     _cyclic_dehn_reduce,
     canonical_class,
+    dehn_reduce,
     free_reduce,
     half_swap_closure,
     inverse_word,
     letters,
     make_surface,
-    normalize_word,
     rotations,
 )
 
@@ -116,7 +116,7 @@ class PolygonModel:
             raise ModelInconsistency("corner relation graph is disconnected")
         for j, m, letter in relations:
             lhs = free_reduce(inverse_word(v[j]) + (letter,) + v[m])
-            if normalize_word(surface, lhs) != ():
+            if dehn_reduce(surface.genus, lhs):
                 raise ModelInconsistency("corner relations inconsistent")
         full = v + [()]
         sigma = [None] * n4
@@ -129,9 +129,9 @@ class PolygonModel:
     def _verify(self, surface):
         # crossing back is the inverse crossing
         for s in range(self.n_sides):
-            if normalize_word(surface, self.sigma[s] + self.sigma[self.partner[s]]) != ():
+            if dehn_reduce(surface.genus, self.sigma[s] + self.sigma[self.partner[s]]):
                 raise ModelInconsistency("sigma not inverse across partners")
-        if normalize_word(surface, self.exits_word(self.orbit)) != ():
+        if dehn_reduce(surface.genus, self.exits_word(self.orbit)):
             raise ModelInconsistency("full turn around the vertex not trivial")
         # a route's word is only well defined up to conjugacy (its basepoint
         # sits on an edge, not at the vertex)

@@ -33,10 +33,10 @@ from .words import (
     CurveClass,
     Surface,
     canonical_class,
+    dehn_reduce,
     format_word,
     homology_class,
     mod2_class,
-    normalize_word,
     parse_word,
 )
 
@@ -196,7 +196,7 @@ def thurston_max_check(s: Surface, delta: CurveClass, word) -> ThurstonReport:
     word = tuple(word)
     lam = make_lamination(s, {delta: 1})
     value = valuate(s, lam, expand_trace(s, word))
-    reduced = normalize_word(s, word)
+    reduced = dehn_reduce(s.genus, word)
     if reduced:
         count = intersection_number(s, delta, canonical_class(s, reduced))
     else:

@@ -7,23 +7,25 @@ commutators [a1,b1][a2,b2]...[ag,bg].
 The relator has all 4g letters pairwise distinct, so any two of its cyclic
 shifts (or shifts of its inverse) share factors of length at most 1.  Dehn's
 algorithm therefore applies: a word is geodesic iff it contains no factor
-longer than half the relator.  Two conjugate cyclic geodesics are related by
-rotations together with rewrites coming from an annulus of relator cells: a
-lone cell is the exactly-half factor swap, while chains and rings of several
-cells pass through longer intermediates.  Both kinds of rewrite are chased
-when building canonical class representatives; cell chains and rings need at
-least 2(2g-1) boundary letters, so shorter words only ever need half swaps.
+longer than half the relator, and a word is trivial iff it Dehn-reduces to
+the empty word.  Two conjugate cyclic geodesics of equal length bound an
+annular diagram of relator cells (Lyndon & Schupp, Combinatorial Group
+Theory, ch. V), and each annulus is a ladder: a run of cells along the word,
+each on a factor of 2g-2..2g letters and sharing one edge with the next, up
+to a ring around the whole word.  A lone cell on 2g letters is the
+exactly-half swap.  _ladders reads every ladder off the word directly, and
+canonical class representatives close under those rewrites.
 
-half_swap_closure is the lone-cell part of that chase alone, for cyclic
-words that need not be geodesic: it Dehn-reduces after every swap and keeps
-going from whatever the swap exposed.
+The ladder closure (cyclic_spellings) is the costly step, so each oriented
+class is closed at most once per process: its closure is stored as one
+frozenset under every member, and the closure of the inverse class is stored
+with it as the mirror image, which is exact because every rewrite table
+commutes with inversion.  canonical_class therefore closes one orientation,
+and later spellings of the class in either orientation are lookups.
 
-That chase (cyclic_spellings) is the costly step, so each oriented class is
-chased at most once per process: its closure is stored as one frozenset under
-every member, and the closure of the inverse class is stored with it as the
-mirror image, which is exact because every rewrite table commutes with
-inversion.  canonical_class therefore chases one orientation, and later
-spellings of the class in either orientation are lookups.
+half_swap_closure closes under lone cells alone, for cyclic words that need
+not be geodesic: it Dehn-reduces after every swap and keeps going from
+whatever the swap exposed.
 
 The alphabet (letters, reduced_words) and the homology pairings live here too:
 intersection_form is the symplectic form on H_1 (mod 2, the pairing behind the
@@ -42,7 +44,6 @@ GroupWord = tuple  # tuple of nonzero ints
 
 _TOKEN_RE = re.compile(r"([abAB])(\d+)")
 _CLOSURE_CAP = 200_000
-_ANNULUS_CAP = 60_000
 # (genus, rotation-minimal cyclic geodesic) -> frozenset closure of its
 # oriented class, filled by cyclic_spellings
 _CLOSURES: dict = {}
@@ -70,8 +71,9 @@ class CurveClass:
     """A nontrivial free homotopy class, keyed by its canonical cyclic word.
 
     Construct through canonical_class(); the word is cyclically reduced,
-    geodesic, and lexicographically minimal over all rotations, relator-cell
-    rewritings (half swaps, cell chains, cell rings), and both orientations.
+    geodesic, and lexicographically minimal over all rotations, ladders of
+    relator cells (a lone cell is a half swap, a closed ladder a ring), and
+    both orientations.
     """
 
     genus: int
@@ -298,7 +300,7 @@ def normalize_word(surface: Surface, word: Iterable) -> GroupWord:
 
 
 def words_equal(surface: Surface, u: Iterable, v: Iterable) -> bool:
-    return normalize_word(surface, tuple(u) + inverse_word(tuple(v))) == ()
+    return not dehn_reduce(surface.genus, tuple(u) + inverse_word(tuple(v)))
 
 
 def _cyclic_dehn_reduce(genus: int, word: Iterable) -> GroupWord:
@@ -367,93 +369,58 @@ class _Shortened(Exception):
         self.word = word
 
 
-def _splice(rotated: GroupWord, flen: int, repl: GroupWord):
-    """Replace the length-flen prefix of a rotated cyclic word by repl.
+def _ladders(t: _Tables, word: GroupWord) -> Iterator[GroupWord]:
+    """Equal-length conjugates of a cyclic geodesic across one ladder of
+    relator cells.
 
-    Returns (word, mark) where mark bounds the surviving replacement letters;
-    free reduction at the seam may eat into them, never past position 0.
-    """
-    out = list(repl)
-    mark = len(out)
-    for l in rotated[flen:]:
-        if out and out[-1] == -l:
-            out.pop()
-            if len(out) < mark:
-                mark = len(out)
-        else:
-            out.append(l)
-    return tuple(out), mark
-
-
-def _annulus_neighbors(t: _Tables, word: GroupWord):
-    """Equal-length conjugates of a cyclic geodesic across one relator annulus.
-
-    A lone relator cell meeting both boundary circles of an annulus is the
-    exactly-half swap; chains and rings of several cells rewrite the word
-    through longer intermediates that no sequence of half swaps visits.  Chase
-    them: apply one cell move anywhere, then keep applying cell moves where
-    the previous one left off, collecting every rewrite that returns to the
-    original length.  Raises _Shortened if a strictly shorter conjugate turns
-    up along the way.
+    A ladder starts with a cell on any factor of 2g-2..2g letters and grows
+    forward by further cells, each trading the next such factor for its cell
+    move; a cell joins only where its replacement starts by walking back
+    along the edge the ladder's replacement ends on, the edge the two cells
+    share.  Every ladder, up to a ring covering the whole word, yields the
+    cyclic free reduction of its replacement plus the rest of the word.  A
+    lone cell on 2g letters is the exactly-half swap.  Raises _Shortened if
+    a ladder exposes a shorter conjugate.
     """
     n = len(word)
-    maxlen = n + 2 * t.half
-    out = set()
-    seen = set()
-    frontier = []
-
-    def push(state):
-        if state in seen:
-            return
-        seen.add(state)
-        if len(seen) > _ANNULUS_CAP:
-            raise ModelInconsistency("annulus chase exploded")
-        frontier.append(state)
-
-    # a cell bordering a geodesic boundary keeps an outer arc of at least
-    # half - 2 letters, and at most two shared edges ever join the arc, so
-    # only factor lengths half - 2 .. half + 2 take part in chains and rings
     doubled = word + word
-    for flen in range(t.half - 2, t.half + 1):
-        for i in range(n):
-            for repl in t.cell_moves.get(doubled[i : i + flen], ()):
-                push(_splice(doubled[i : i + n], flen, repl))
-    while frontier:
-        w, mark = frontier.pop()
-        m = len(w)
-        reduced = cyclic_free_reduce(w)
-        if len(reduced) <= n:
-            full = _cyclic_dehn_reduce(t.genus, reduced)
-            if len(full) < n:
-                raise _Shortened(full)
-            if len(reduced) == n:
-                out.add(reduced)
-                continue
-        d2 = w + w
-        for flen in range(t.half - 2, t.half + 3):
-            if flen > m:
+    # a cell meets each geodesic boundary in at most 2g letters and each
+    # neighbour in one edge, so it covers 2g-2..2g letters of the word
+    lengths = range(t.half - 2, min(t.half, n) + 1)
+    stack = [
+        (i, flen, repl)
+        for i in range(n)
+        for flen in lengths
+        for repl in t.cell_moves.get(doubled[i : i + flen], ())
+    ]
+    while stack:
+        i, covered, repl = stack.pop()
+        new = cyclic_free_reduce(repl + doubled[i + covered : i + n])
+        if len(new) <= n:
+            reduced = _cyclic_dehn_reduce(t.genus, new)
+            if len(reduced) < n:
+                raise _Shortened(reduced)
+            yield new
+        j = i + covered
+        for flen in lengths:
+            if covered + flen > n:
                 break
-            for i in range(m):
-                # only rewrite where the previous cell left off
-                if i > mark + 1 and i + flen < m - 1:
-                    continue
-                for repl in t.cell_moves.get(d2[i : i + flen], ()):
-                    if m - flen + len(repl) <= maxlen:
-                        push(_splice(d2[i : i + m], flen, repl))
-    return out
+            for nxt in t.cell_moves.get(doubled[j : j + flen], ()):
+                if nxt[0] == -repl[-1]:
+                    stack.append((i, covered + flen, repl + nxt))
 
 
 def cyclic_spellings(genus: int, word: GroupWord) -> frozenset:
     """All cyclic geodesic spellings of the oriented class, up to rotation.
 
     Input must be cyclically Dehn-reduced; returns rotation-minimal
-    representatives as one shared frozenset.  Each closure is chased once per
+    representatives as one shared frozenset.  Each closure is built once per
     process and stored in _CLOSURES under every member, together with its
     mirror, the closure of the inverse class: the move tables commute with
-    inversion (checked in _Tables), so inverting every step of a chase from w
-    gives a chase from w^-1 and the mirror is exact.  Raises _Shortened if a
-    rewrite exposes a shorter conjugate (cannot happen for a true conjugacy
-    geodesic, but callers restart on it); such a chase is not stored.
+    inversion (checked in _Tables), so inverting every ladder from w gives a
+    ladder from w^-1 and the mirror is exact.  Raises _Shortened if a ladder
+    exposes a shorter conjugate (cannot happen for a true conjugacy geodesic,
+    but callers restart on it); such a closure is not stored.
     """
     w = _min_rotation(word)
     closure = _CLOSURES.get((genus, w))
@@ -467,32 +434,14 @@ def cyclic_spellings(genus: int, word: GroupWord) -> frozenset:
 
 
 def _chase_spellings(genus: int, w: GroupWord) -> set:
-    """Close the rotation-minimal cyclic geodesic w under half swaps and, for
-    words long enough for multi-cell annulus rewrites, annulus rewrites."""
+    """Close the rotation-minimal cyclic geodesic w under ladder rewrites."""
     t = _tables(genus)
-    chase = len(w) >= 2 * (2 * genus - 1)
     seen = {w}
     frontier = [w]
     while frontier:
         nxt = []
         for state in frontier:
-            n = len(state)
-            doubled = state + state
-            found = []
-            for i in range(n):
-                repl = t.half_repl.get(doubled[i : i + t.half])
-                if repl is None:
-                    continue
-                new = cyclic_free_reduce(repl + doubled[i + t.half : i + n])
-                if len(new) < n:
-                    raise _Shortened(new)
-                reduced = _cyclic_dehn_reduce(genus, new)
-                if len(reduced) < len(new):
-                    raise _Shortened(reduced)
-                found.append(new)
-            if chase:
-                found.extend(_annulus_neighbors(t, state))
-            for new in found:
+            for new in _ladders(t, state):
                 cand = _min_rotation(new)
                 if cand not in seen:
                     seen.add(cand)
@@ -520,7 +469,7 @@ def _canonical_class(genus: int, word: GroupWord) -> CurveClass:
     while True:
         try:
             # the inverse of a cyclic Dehn geodesic is one; its closure is the
-            # mirror stored by the first call, so only one orientation is chased
+            # mirror stored by the first call, so only one orientation is closed
             members = cyclic_spellings(genus, w) | cyclic_spellings(
                 genus, inverse_word(w)
             )

@@ -16,6 +16,11 @@ junction choice at an exact half turn, and the side-based route reduction
 (partner cancellation, long vertex runs replaced by their complements), closed
 under exact-half run flips.
 
+reference_spellings keeps the sequential annulus chase that the ladder
+enumeration in curvetrace.words must reproduce: half swaps, then, on words
+of at least 2(2g-1) letters, one relator-cell move at a time from where the
+previous one left off, until the word is back to its length.
+
 reference_expand and reference_multiply keep the crossing-resolution
 recursion the state sum in curvetrace.algebra must reproduce: resolve one
 crossing of a taut diagram through t_u t_v = t_{uv} + t_{uv^-1}, re-expand
@@ -42,8 +47,14 @@ from curvetrace.curves import (
 from curvetrace.errors import ModelInconsistency
 from curvetrace.polygon import polygon_model
 from curvetrace.words import (
+    _CLOSURE_CAP,
     CurveClass,
+    _cyclic_dehn_reduce,
+    _min_rotation,
+    _Shortened,
+    _tables,
     canonical_class,
+    cyclic_free_reduce,
     inverse_word,
     make_surface,
     normalize_word,
@@ -382,6 +393,121 @@ def _half_runs(model, orbitpos, w):
 def _splice(w, i, length, repl):
     n = len(w)
     return list(repl) + [w[(i + length + t) % n] for t in range(n - length)]
+
+
+# -- spelling closures, cell move by cell move ---------------------------------
+
+ANNULUS_CAP = 60_000
+
+
+def reference_spellings(genus, w):
+    """Close the rotation-minimal cyclic geodesic w under half swaps and, for
+    words long enough for multi-cell annulus rewrites, annulus rewrites."""
+    t = _tables(genus)
+    chase = len(w) >= 2 * (2 * genus - 1)
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            n = len(state)
+            doubled = state + state
+            found = []
+            for i in range(n):
+                repl = t.half_repl.get(doubled[i : i + t.half])
+                if repl is None:
+                    continue
+                new = cyclic_free_reduce(repl + doubled[i + t.half : i + n])
+                if len(new) < n:
+                    raise _Shortened(new)
+                reduced = _cyclic_dehn_reduce(genus, new)
+                if len(reduced) < len(new):
+                    raise _Shortened(reduced)
+                found.append(new)
+            if chase:
+                found.extend(_annulus_neighbors(t, state))
+            for new in found:
+                cand = _min_rotation(new)
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+            if len(seen) > _CLOSURE_CAP:
+                raise ModelInconsistency("cyclic closure exploded")
+        frontier = nxt
+    return seen
+
+
+def _cell_splice(rotated, flen, repl):
+    """Replace the length-flen prefix of a rotated cyclic word by repl.
+
+    Returns (word, mark) where mark bounds the surviving replacement letters;
+    free reduction at the seam may eat into them, never past position 0.
+    """
+    out = list(repl)
+    mark = len(out)
+    for l in rotated[flen:]:
+        if out and out[-1] == -l:
+            out.pop()
+            if len(out) < mark:
+                mark = len(out)
+        else:
+            out.append(l)
+    return tuple(out), mark
+
+
+def _annulus_neighbors(t, word):
+    """Equal-length conjugates of a cyclic geodesic across one relator annulus.
+
+    Apply one cell move anywhere, then keep applying cell moves where the
+    previous one left off, collecting every rewrite that returns to the
+    original length.  Raises _Shortened if a strictly shorter conjugate turns
+    up along the way.
+    """
+    n = len(word)
+    maxlen = n + 2 * t.half
+    out = set()
+    seen = set()
+    frontier = []
+
+    def push(state):
+        if state in seen:
+            return
+        seen.add(state)
+        if len(seen) > ANNULUS_CAP:
+            raise ModelInconsistency("annulus chase exploded")
+        frontier.append(state)
+
+    # a cell bordering a geodesic boundary keeps an outer arc of at least
+    # half - 2 letters, and at most two shared edges ever join the arc, so
+    # only factor lengths half - 2 .. half + 2 take part in chains and rings
+    doubled = word + word
+    for flen in range(t.half - 2, t.half + 1):
+        for i in range(n):
+            for repl in t.cell_moves.get(doubled[i : i + flen], ()):
+                push(_cell_splice(doubled[i : i + n], flen, repl))
+    while frontier:
+        w, mark = frontier.pop()
+        m = len(w)
+        reduced = cyclic_free_reduce(w)
+        if len(reduced) <= n:
+            full = _cyclic_dehn_reduce(t.genus, reduced)
+            if len(full) < n:
+                raise _Shortened(full)
+            if len(reduced) == n:
+                out.add(reduced)
+                continue
+        d2 = w + w
+        for flen in range(t.half - 2, t.half + 3):
+            if flen > m:
+                break
+            for i in range(m):
+                # only rewrite where the previous cell left off
+                if i > mark + 1 and i + flen < m - 1:
+                    continue
+                for repl in t.cell_moves.get(d2[i : i + flen], ()):
+                    if m - flen + len(repl) <= maxlen:
+                        push(_cell_splice(d2[i : i + m], flen, repl))
+    return out
 
 
 # -- crossing-resolution recursion ---------------------------------------------

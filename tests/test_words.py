@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_spellings
 
 from curvetrace.errors import BadLetter, GenusTooSmall, TrivialClass
 from curvetrace.words import (
@@ -16,6 +17,7 @@ from curvetrace.words import (
     format_word,
     free_reduce,
     geodesic_spellings,
+    half_swap_closure,
     homology_class,
     intersection_form,
     inverse_word,
@@ -173,26 +175,32 @@ def test_canonical_class_invariances():
         assert canonical_class(S2, word[k:] + word[:k]) == base
 
 
-def _random_cyclic_geodesics(genus, lo, hi, count, seed):
-    """Seeded rotation-minimal cyclic geodesics of length lo..hi; each starts
-    with half a relator, so most of them have several spellings."""
+def _relator_rich_words(genus, lo, hi, count, seed):
+    """Seeded rotation-minimal cyclic geodesics of length lo..hi, Dehn-reduced
+    from runs of relator factors of 2g-2..2g letters with a few random
+    letters between them, so that ladders of several cells occur."""
     rng = random.Random(seed)
     alphabet = letters(genus)
     relator = make_surface(genus).relator
     cells = [r[i:] + r[:i] for r in (relator, inverse_word(relator)) for i in range(len(r))]
     out = []
     while len(out) < count:
-        word = list(rng.choice(cells)[: 2 * genus])
-        word += [rng.choice(alphabet) for _ in range(rng.randint(lo, hi) - len(word))]
+        word = []
+        target = rng.randint(lo, hi)
+        while len(word) < target:
+            if rng.random() < 0.8:
+                word += rng.choice(cells)[: rng.randint(2 * genus - 2, 2 * genus)]
+            else:
+                word.append(rng.choice(alphabet))
         word = _cyclic_dehn_reduce(genus, word)
-        if len(word) >= lo:
+        if lo <= len(word) <= hi:
             out.append(_min_rotation(word))
     return out
 
 
-@pytest.mark.parametrize("genus,lo,hi", [(2, 6, 8), (3, 5, 6)])
+@pytest.mark.parametrize("genus,lo,hi", [(2, 6, 8), (3, 10, 12)])
 def test_spelling_closure_is_shared_and_mirrored(genus, lo, hi):
-    for word in _random_cyclic_geodesics(genus, lo, hi, 40, seed=1909 + genus):
+    for word in _relator_rich_words(genus, lo, hi, 40, seed=1909 + genus):
         try:
             closure = cyclic_spellings(genus, word)
         except _Shortened:
@@ -208,6 +216,38 @@ def test_spelling_closure_is_shared_and_mirrored(genus, lo, hi):
         assert isinstance(mirror, frozenset)
         assert mirror == _chase_spellings(genus, inverse)
         assert mirror == {_min_rotation(inverse_word(m)) for m in closure}
+
+
+def _closure_or_shortened(chase, genus, word):
+    try:
+        return chase(genus, word)
+    except _Shortened:
+        return "shortened"
+
+
+@pytest.mark.parametrize(
+    "genus,lo,hi,count", [(2, 8, 16, 20), (3, 10, 24, 20), (4, 14, 28, 10)]
+)
+def test_ladder_closures_match_reference_chase(genus, lo, hi, count):
+    outcomes = []
+    for word in _relator_rich_words(genus, lo, hi, count, seed=1909 + genus):
+        got = _closure_or_shortened(_chase_spellings, genus, word)
+        assert got == _closure_or_shortened(reference_spellings, genus, word)
+        outcomes.append(got)
+    # the sample reaches closures of several spellings, and a shortened word
+    assert any(o != "shortened" and len(o) > 2 for o in outcomes)
+    if genus == 2:
+        assert "shortened" in outcomes
+
+
+def test_two_cell_ring_reaches_the_class():
+    word = W("B2B2A2b1b2a2")
+    # no exactly-half swap applies, so only the ring of two cells rewrites it
+    assert half_swap_closure(2, word) == {min(rotations(word))}
+    assert format_word(canonical_class(S2, word).word) == "a1b1b1A1B1B2"
+    closure = cyclic_spellings(2, _min_rotation(word))
+    assert closure == reference_spellings(2, _min_rotation(word))
+    assert W("a1b1b1A1B1B2") in closure
 
 
 _G2_WORDS = st.lists(st.sampled_from(letters(2)), max_size=7).map(tuple)
