@@ -7,7 +7,9 @@ boundary.  A chord is the line through its endpoints.  Where chord CD meets
 chord AB, with nX = line_CD . X, the meet is |nB| A + |nA| B, at parameter
 nA W_B / (nA W_B - nB W_A) along AB (nA and nB have opposite signs, as
 crossings are interleaved chord pairs).  Parameters on a chord are compared
-by cross-multiplying; the census works positions out of the same triples.
+by cross-multiplying; that order of crossings along each chord is all the
+complement census takes from the coordinates, and it reads the rotation at
+each node off the boundary order.
 
 Two chords of a circle meet inside it exactly when their endpoints
 interleave, and diagram.crossings holds exactly the interleaved pairs.  So a
@@ -120,13 +122,6 @@ class Geometry:
     def _ends(self, cid):
         return tuple(self.coord[key] for key in self.chord_ends[cid])
 
-    def meet(self, crossing):
-        """Homogeneous point, weight positive, where a crossing's chords meet."""
-        a, b = self._ends(crossing[0])
-        line = _line(*self._ends(crossing[1]))
-        na, nb = _dot(line, a), _dot(line, b)
-        return tuple(abs(nb) * u + abs(na) * v for u, v in zip(a, b))
-
 
 # -- taut certificate ---------------------------------------------------------
 
@@ -218,17 +213,6 @@ class ComplementReport:
         )
 
 
-def _angle_cmp(d1, d2):
-    h1 = 0 if (d1[1] > 0 or (d1[1] == 0 and d1[0] > 0)) else 1
-    h2 = 0 if (d2[1] > 0 or (d2[1] == 0 and d2[0] > 0)) else 1
-    if h1 != h2:
-        return -1 if h1 < h2 else 1
-    c = d1[0] * d2[1] - d1[1] * d2[0]
-    if c == 0:
-        raise ModelInconsistency("coincident directions at a vertex")
-    return -1 if c > 0 else 1
-
-
 class _Faces:
     def __init__(self, geo: Geometry):
         self.geo = geo
@@ -237,14 +221,15 @@ class _Faces:
 
     def _build_graph(self):
         geo = self.geo
-        self.pos = {}
-        self.edges = []  # (node u, node v, tag)
-        for key in geo.sequence:
-            self.pos[("b", key)] = geo.coord[key]
-        for crossing in geo.diagram.crossings:
-            self.pos[("x", crossing)] = geo.meet(crossing)
-        # boundary arcs, tagged with (side, piece index)
         seq = geo.sequence
+        at = {key: n for n, key in enumerate(seq)}
+        self.edges = []  # (node u, node v, tag)
+        # Per edge, the boundary point each end heads for, as a doubled
+        # sequence position: a chord piece heads for the far end of its chord
+        # and a boundary arc for its own midpoint.  Seen from any point of
+        # the disc these lie in boundary order, which gives the rotation.
+        self.heads = []
+        # boundary arcs, tagged with (side, piece index)
         piece = {}
         for n, key in enumerate(seq):
             nxt = seq[(n + 1) % len(seq)]
@@ -252,6 +237,7 @@ class _Faces:
             idx = piece.get(side, 0)
             piece[side] = idx + 1
             self.edges.append((("b", key), ("b", nxt), ("arc", side, idx)))
+            self.heads.append((2 * n + 1, 2 * n + 1))
         # chord segments
         for cid in geo.chord_ids:
             a, b = geo.chord_ends[cid]
@@ -260,6 +246,8 @@ class _Faces:
             chain.append(("b", b))
             for u, v in zip(chain, chain[1:]):
                 self.edges.append((u, v, ("chord", cid)))
+                self.heads.append((2 * at[b], 2 * at[a]))
+        self.at = at
 
     def _trace(self):
         outgoing = {}
@@ -267,27 +255,15 @@ class _Faces:
             outgoing.setdefault(u, []).append((eid, 1))
             outgoing.setdefault(v, []).append((eid, -1))
 
-        def direction(node, half):
-            eid, sgn = half
-            u, v, _ = self.edges[eid]
-            a, b = (u, v) if sgn == 1 else (v, u)
-            pa, pb = self.pos[a], self.pos[b]
-            # b/W_b - a/W_a scaled by W_a*W_b > 0
-            return (pb[0] * pa[2] - pa[0] * pb[2], pb[1] * pa[2] - pa[1] * pb[2])
-
+        period = 2 * len(self.geo.sequence)
         index_at = {}
         for node, halves in outgoing.items():
-            halves.sort(key=cmp_to_key(
-                lambda h1, h2: _angle_cmp(direction(node, h1), direction(node, h2))
-            ))
+            own = 2 * self.at[node[1]] if node[0] == "b" else 0
+            halves.sort(
+                key=lambda h: (self.heads[h[0]][h[1] < 0] - own) % period
+            )
             for idx, h in enumerate(halves):
                 index_at[(node, h)] = idx
-        self.outgoing = outgoing
-
-        def head(half):
-            eid, sgn = half
-            u, v, _ = self.edges[eid]
-            return v if sgn == 1 else u
 
         face_of = {}
         faces = []
@@ -301,21 +277,16 @@ class _Faces:
                 while h not in face_of:
                     face_of[h] = len(faces)
                     cycle.append(h)
-                    node = head(h)
+                    node = self.head(h)
                     rev = (h[0], -h[1])
                     idx = index_at[(node, rev)]
-                    ring = self.outgoing[node]
+                    ring = outgoing[node]
                     h = ring[(idx - 1) % len(ring)]
                 if h != start:
                     raise ModelInconsistency("face tracing did not close up")
                 faces.append(tuple(cycle))
         self.faces = faces
         self.face_of = face_of
-
-        def tail(half):
-            eid, sgn = half
-            u, v, _ = self.edges[eid]
-            return u if sgn == 1 else v
 
         # Faces run counterclockwise with their inside on the left, and the
         # boundary arcs run counterclockwise around the disc, so the outer
@@ -324,7 +295,12 @@ class _Faces:
         backwards = {(eid, -1) for eid, e in enumerate(self.edges) if e[2][0] == "arc"}
         if set(faces[self.outer]) != backwards:
             raise ModelInconsistency("outer face is not the polygon boundary")
-        self._tail = tail
+
+    def head(self, half):
+        """The node a half-edge (edge id, +1 along the edge or -1 against)
+        points at; its tail is the head of (edge id, -sign)."""
+        eid, sgn = half
+        return self.edges[eid][1 if sgn == 1 else 0]
 
 
 def complement_census(model: PolygonModel, diagram) -> ComplementReport:
@@ -388,7 +364,7 @@ def complement_census(model: PolygonModel, diagram) -> ComplementReport:
     face_corners = {}
     for fid, cycle in enumerate(tracer.faces):
         face_corners[fid] = sum(
-            1 for h in cycle if tracer._tail(h)[0] == "x"
+            1 for h in cycle if tracer.head((h[0], -h[1]))[0] == "x"
         )
 
     eulers = {}

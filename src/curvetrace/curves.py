@@ -43,7 +43,6 @@ from .words import (
     format_word,
     homology_class,
     intersection_form,
-    is_primitive,
     make_surface,
     reduced_words,
 )
@@ -199,9 +198,10 @@ def self_intersection(s: Surface, c: CurveClass) -> int:
 
 
 def is_simple(s: Surface, c: CurveClass) -> bool:
-    """True when the class is primitive with an embedded representative."""
-    _check_genus(s, c)
-    return is_primitive(s, c) and self_intersection(s, c) == 0
+    """True when the class has an embedded representative.  The count comes
+    from an actual diagram, so 0 means one exists; an embedded essential
+    curve is primitive, and a diagram of a proper power crosses itself."""
+    return self_intersection(s, c) == 0
 
 
 def _pair_diagram(s: Surface, x: CurveClass, y: CurveClass, budget=None):

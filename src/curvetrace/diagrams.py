@@ -48,8 +48,8 @@ class CurveDiagram:
     """Strands in transverse position on the glued polygon.
 
     slot_orders[k-1] lists the events on the edge of generator k in
-    increasing boundary parameter.  chords[i][p] gives strand i's chord
-    after its p-th edge point as an ((edge, slot), (edge, slot)) pair.
+    increasing boundary parameter.  chord_points[i][p] gives strand i's
+    chord after its p-th edge point as a ((side, rank), (side, rank)) pair.
     crossings holds interleaved chord pairs as sorted ((i, p), (j, q)).
     """
 
@@ -57,8 +57,7 @@ class CurveDiagram:
     classes: tuple
     routes: tuple
     slot_orders: tuple
-    chords: tuple
-    chord_points: tuple  # per strand, ((side, rank), (side, rank)) per chord
+    chord_points: tuple
     crossings: frozenset
 
     @property
@@ -84,14 +83,19 @@ class CurveDiagram:
         return Geometry(polygon_model(self.genus), self)
 
     def dump(self) -> str:
-        lines = []
-        for i, strand_chords in enumerate(self.chords):
-            parts = [
-                f"{e1}:{s1}->{e2}:{s2}"
-                for ((e1, s1), (e2, s2)) in strand_chords
-            ]
-            lines.append(" ".join(parts))
-        return "\n".join(lines)
+        """One line per strand: its chords as edge:slot->edge:slot."""
+        slot_of = {
+            ev: f"{k}:{t}"
+            for k, order in enumerate(self.slot_orders, 1)
+            for t, ev in enumerate(order)
+        }
+        return "\n".join(
+            " ".join(
+                f"{slot_of[i, p]}->{slot_of[i, (p + 1) % len(route)]}"
+                for p in range(len(route))
+            )
+            for i, route in enumerate(self.routes)
+        )
 
 
 # -- comparator --------------------------------------------------------------
@@ -211,19 +215,14 @@ def _assemble(model, classes, routes, slot_orders, budget) -> CurveDiagram:
             return (s_plus, t), (s_minus, m - 1 - t)
         return (s_minus, m - 1 - t), (s_plus, t)
 
-    chords = []
     chord_points = []
     for i, route in enumerate(routes):
         n = len(route)
-        strand_chords = []
         strand_points = []
         for p in range(n):
-            ev, nxt = (i, p), (i, (p + 1) % n)
-            _, entry_pt = exit_entry(ev)
-            exit_pt, _ = exit_entry(nxt)
+            _, entry_pt = exit_entry((i, p))
+            exit_pt, _ = exit_entry((i, (p + 1) % n))
             strand_points.append((entry_pt, exit_pt))
-            strand_chords.append((slot_of[ev], slot_of[nxt]))
-        chords.append(tuple(strand_chords))
         chord_points.append(tuple(strand_points))
 
     flat = [
@@ -252,7 +251,6 @@ def _assemble(model, classes, routes, slot_orders, budget) -> CurveDiagram:
         classes=tuple(classes),
         routes=tuple(routes),
         slot_orders=slot_orders,
-        chords=tuple(chords),
         chord_points=tuple(chord_points),
         crossings=frozenset(crossings),
     )

@@ -16,16 +16,20 @@ to a ring around the whole word.  A lone cell on 2g letters is the
 exactly-half swap.  _ladders reads every ladder off the word directly, and
 canonical class representatives close under those rewrites.
 
+Every spelling search is one breadth-first closure (_closure, the one place
+that checks _CLOSURE_CAP) under a neighbour function: half swaps in
+geodesic_spellings (a swap that shortens raises _Shortened, and the search
+restarts from the shorter word), cyclic half swaps in half_swap_closure (each
+cyclically Dehn-reduced; shorter words are kept), and ladders in
+_chase_spellings.  The one Dehn scan, _first_long_match, reads a cyclic word
+w as w + w[:4g-2].
+
 The ladder closure (cyclic_spellings) is the costly step, so each oriented
 class is closed at most once per process: its closure is stored as one
 frozenset under every member, and the closure of the inverse class is stored
 with it as the mirror image, which is exact because every rewrite table
 commutes with inversion.  canonical_class therefore closes one orientation,
 and later spellings of the class in either orientation are lookups.
-
-half_swap_closure closes under lone cells alone, for cyclic words that need
-not be geodesic: it Dehn-reduces after every swap and keeps going from
-whatever the swap exposed.
 
 The alphabet (letters, reduced_words) and the homology pairings live here too:
 intersection_form is the symplectic form on H_1 (mod 2, the pairing behind the
@@ -90,8 +94,6 @@ def generator_name(letter: int) -> str:
 
 
 def make_surface(genus: int) -> Surface:
-    if genus < 2:
-        raise GenusTooSmall(f"genus must be >= 2, got {genus}")
     relator = []
     for i in range(genus):
         a, b = 2 * i + 1, 2 * i + 2
@@ -237,14 +239,40 @@ def _tables(genus: int) -> _Tables:
     return _Tables(genus)
 
 
-def _first_long_match(t: _Tables, word: GroupWord):
-    top = min(len(word), 4 * t.genus - 1)
-    for length in range(top, t.half, -1):
-        for i in range(len(word) - length + 1):
-            repl = t.long_repl.get(word[i : i + length])
-            if repl is not None:
-                return i, length, repl
-    return None
+def _first_long_match(t: _Tables, word: GroupWord, span: int | None = None):
+    """Leftmost of the longest factors (> 2g letters) that long_repl rewrites,
+    as (position, length, replacement), or None; only factors of at most span
+    letters that start below span count (default len(word)).  Every factor of
+    a relator shift is a key, so only a position whose first 2g+1 letters
+    match can match longer."""
+    span = len(word) if span is None else span
+    top, best = min(span, 4 * t.genus - 1), None
+    for i in range(min(span, len(word) - t.half)):
+        if word[i : i + t.half + 1] in t.long_repl:
+            length = min(top, len(word) - i)
+            while word[i : i + length] not in t.long_repl:
+                length -= 1
+            if best is None or length > best[1]:
+                best = (i, length, t.long_repl[word[i : i + length]])
+    return best
+
+
+def _closure(start, neighbours) -> set:
+    """Breadth-first closure of start under neighbours(state), an iterable of
+    states.  Raises ModelInconsistency once it holds more than _CLOSURE_CAP."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for new in neighbours(state):
+                if new not in seen:
+                    seen.add(new)
+                    nxt.append(new)
+            if len(seen) > _CLOSURE_CAP:
+                raise ModelInconsistency(f"spelling closure of {start} exploded")
+        frontier = nxt
+    return seen
 
 
 def dehn_reduce(genus: int, word: Iterable) -> GroupWord:
@@ -259,39 +287,25 @@ def dehn_reduce(genus: int, word: Iterable) -> GroupWord:
         w = free_reduce(w[:i] + repl + w[i + length :])
 
 
-def _half_swaps(t: _Tables, word: GroupWord) -> Iterator[GroupWord]:
-    for i in range(len(word) - t.half + 1):
-        repl = t.half_repl.get(word[i : i + t.half])
-        if repl is not None:
-            yield free_reduce(word[:i] + repl + word[i + t.half :])
-
-
 def geodesic_spellings(genus: int, word: Iterable):
     """All geodesic spellings of the element (closure under half swaps)."""
     t = _tables(genus)
+
+    def half_swaps(state):
+        for i in range(len(state) - t.half + 1):
+            repl = t.half_repl.get(state[i : i + t.half])
+            if repl is not None:
+                new = free_reduce(state[:i] + repl + state[i + t.half :])
+                if len(new) < len(state) or _first_long_match(t, new):
+                    raise _Shortened(new)
+                yield new
+
     w = dehn_reduce(genus, word)
     while True:
-        seen = {w}
-        frontier = [w]
-        shortened = None
-        while frontier and shortened is None:
-            nxt = []
-            for state in frontier:
-                for new in _half_swaps(t, state):
-                    if len(new) < len(state) or _first_long_match(t, new):
-                        shortened = new
-                        break
-                    if new not in seen:
-                        seen.add(new)
-                        nxt.append(new)
-                if shortened is not None:
-                    break
-                if len(seen) > _CLOSURE_CAP:
-                    raise ModelInconsistency("geodesic closure exploded")
-            frontier = nxt
-        if shortened is None:
-            return seen
-        w = dehn_reduce(genus, shortened)
+        try:
+            return _closure(w, half_swaps)
+        except _Shortened as s:
+            w = dehn_reduce(genus, s.word)
 
 
 def normalize_word(surface: Surface, word: Iterable) -> GroupWord:
@@ -304,27 +318,16 @@ def words_equal(surface: Surface, u: Iterable, v: Iterable) -> bool:
 
 
 def _cyclic_dehn_reduce(genus: int, word: Iterable) -> GroupWord:
+    """Cyclic Dehn reduction.  Relator letters are pairwise distinct, so the
+    cyclic factors that can match are the factors of w + w[:4g-2] in span."""
     t = _tables(genus)
     w = cyclic_free_reduce(word)
     while True:
-        n = len(w)
-        if n == 0:
-            return w
-        doubled = w + w
-        hit = None
-        top = min(n, 4 * genus - 1)
-        for length in range(top, t.half, -1):
-            for i in range(n):
-                repl = t.long_repl.get(doubled[i : i + length])
-                if repl is not None:
-                    hit = (i, length, repl)
-                    break
-            if hit:
-                break
+        hit = _first_long_match(t, w + w[: 4 * genus - 2], len(w))
         if hit is None:
             return w
         i, length, repl = hit
-        w = cyclic_free_reduce(repl + doubled[i + length : i + n])
+        w = cyclic_free_reduce(repl + (w[i:] + w[:i])[length:])
 
 
 def half_swap_closure(genus: int, word: GroupWord) -> set:
@@ -335,27 +338,17 @@ def half_swap_closure(genus: int, word: GroupWord) -> set:
     from it, where cyclic_spellings stops.
     """
     t = _tables(genus)
-    start = min(rotations(_cyclic_dehn_reduce(genus, word)))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            n = len(state)
-            doubled = state + state
-            for i in range(n):
-                repl = t.half_repl.get(doubled[i : i + t.half])
-                if repl is None:
-                    continue
+
+    def cyclic_half_swaps(state):
+        n = len(state)
+        doubled = state + state
+        for i in range(n):
+            repl = t.half_repl.get(doubled[i : i + t.half])
+            if repl is not None:
                 new = _cyclic_dehn_reduce(genus, repl + doubled[i + t.half : i + n])
-                new = min(rotations(new))
-                if new not in seen:
-                    seen.add(new)
-                    nxt.append(new)
-            if len(seen) > _CLOSURE_CAP:
-                raise ModelInconsistency("half-swap closure exploded")
-        frontier = nxt
-    return seen
+                yield min(rotations(new))
+
+    return _closure(min(rotations(_cyclic_dehn_reduce(genus, word))), cyclic_half_swaps)
 
 
 def _min_rotation(word: GroupWord) -> GroupWord:
@@ -363,7 +356,7 @@ def _min_rotation(word: GroupWord) -> GroupWord:
 
 
 class _Shortened(Exception):
-    """Internal signal: a cyclic word turned out not to be conjugacy-minimal."""
+    """Internal signal: a word or cyclic word turned out not to be minimal."""
 
     def __init__(self, word: GroupWord):
         self.word = word
@@ -418,38 +411,29 @@ def cyclic_spellings(genus: int, word: GroupWord) -> frozenset:
     process and stored in _CLOSURES under every member, together with its
     mirror, the closure of the inverse class: the move tables commute with
     inversion (checked in _Tables), so inverting every ladder from w gives a
-    ladder from w^-1 and the mirror is exact.  Raises _Shortened if a ladder
-    exposes a shorter conjugate (cannot happen for a true conjugacy geodesic,
-    but callers restart on it); such a closure is not stored.
+    ladder from w^-1 and the mirror is exact.  A stored member is found as
+    it stands; only a miss pays for the rotation-minimal key.  Raises
+    _Shortened if a ladder exposes a shorter conjugate (cannot happen for a
+    true conjugacy geodesic, but callers restart on it); such a closure is
+    not stored.
     """
-    w = _min_rotation(word)
-    closure = _CLOSURES.get((genus, w))
+    closure = _CLOSURES.get((genus, word))
     if closure is None:
-        closure = frozenset(_chase_spellings(genus, w))
-        mirror = frozenset(_min_rotation(inverse_word(m)) for m in closure)
-        for members in (closure, mirror):
-            for m in members:
-                _CLOSURES[genus, m] = members
+        w = _min_rotation(word)
+        closure = _CLOSURES.get((genus, w))
+        if closure is None:
+            closure = frozenset(_chase_spellings(genus, w))
+            mirror = frozenset(_min_rotation(inverse_word(m)) for m in closure)
+            for members in (closure, mirror):
+                for m in members:
+                    _CLOSURES[genus, m] = members
     return closure
 
 
 def _chase_spellings(genus: int, w: GroupWord) -> set:
     """Close the rotation-minimal cyclic geodesic w under ladder rewrites."""
     t = _tables(genus)
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for new in _ladders(t, state):
-                cand = _min_rotation(new)
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-            if len(seen) > _CLOSURE_CAP:
-                raise ModelInconsistency("cyclic closure exploded")
-        frontier = nxt
-    return seen
+    return _closure(w, lambda state: map(_min_rotation, _ladders(t, state)))
 
 
 def canonical_class(surface: Surface, word: Iterable) -> CurveClass:

@@ -4,7 +4,13 @@ verdict breaks the build.
 thurston (a known FAIL) and discreteness take tens of seconds each and are
 run through curvetrace.acceptance.run_suite instead; CI runs discreteness
 as its own step.
+
+The package's own invariants raise typed errors rather than assert, so they
+hold under python -O as well.
 """
+import ast
+from pathlib import Path
+
 import pytest
 
 from curvetrace.acceptance import run_suite
@@ -25,3 +31,16 @@ from curvetrace.acceptance import run_suite
 def test_acceptance_suite_passes(name):
     line = run_suite(name).line()
     assert line.startswith("PASS"), line
+
+
+def test_package_has_no_assert_statements():
+    package = Path(__file__).resolve().parents[1] / "src" / "curvetrace"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -48,7 +48,7 @@ def C(text, surface=S2):
 def test_realize_single_generator():
     d = realize(S2, C("a1"))
     assert len(d.routes) == 1
-    assert len(d.chords[0]) == 1
+    assert len(d.chord_points[0]) == 1
     assert d.crossing_count == 0
 
 
@@ -83,12 +83,27 @@ def test_self_intersection_frozen_values():
         assert self_intersection(S2, C(text)) == want, text
 
 
-def test_is_simple_requires_primitivity():
+# the 12 simple classes of length <= 2 at genus 2
+SHORT_SIMPLE = (
+    "a1", "b1", "a2", "b2", "a1B2", "a1B1", "a1b1", "a1a2", "b1A2", "b1b2",
+    "a2B2", "a2b2",
+)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("root", SHORT_SIMPLE)
+def test_is_simple_requires_primitivity(root, k):
     # a1a1 embeds as a diagram only after one crossing; also non-primitive
     assert not is_simple(S2, C("a1a1"))
     assert is_simple(S2, C("a1"))
     assert is_simple(S2, C("a1b1A1B1"))
     assert not is_simple(S2, C("a1b2"))
+    # is_simple reads the diagram count alone: the k-th power of a simple
+    # class crosses itself exactly k - 1 times
+    power = C(root * k)
+    assert is_simple(S2, C(root))
+    assert not is_simple(S2, power)
+    assert self_intersection(S2, power) == k - 1
 
 
 def test_intersection_number_frozen_values():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_spellings
 
-from curvetrace.errors import BadLetter, GenusTooSmall, TrivialClass
+from curvetrace import words
+from curvetrace.errors import BadLetter, GenusTooSmall, ModelInconsistency, TrivialClass
 from curvetrace.words import (
     _chase_spellings,
     _cyclic_dehn_reduce,
@@ -143,6 +144,17 @@ def test_geodesic_spellings_of_half_relator():
     other = inverse_word(W("a2b2A2B2"))
     spellings = set(geodesic_spellings(2, half))
     assert spellings == {half, other}
+
+
+def test_one_closure_cap_is_loud_for_every_search(monkeypatch):
+    # a word with two spellings overflows a cap of 1 in each search; the
+    # empty table keeps closures cached by earlier tests from being found
+    monkeypatch.setattr(words, "_CLOSURE_CAP", 1)
+    monkeypatch.setattr(words, "_CLOSURES", {})
+    half = W("a1b1A1B1")
+    for search in (geodesic_spellings, half_swap_closure, cyclic_spellings):
+        with pytest.raises(ModelInconsistency):
+            search(2, half)
 
 
 def test_canonical_class_frozen_forms():
