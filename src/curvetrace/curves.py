@@ -11,12 +11,15 @@ move removes the witnessed pair.
 The embedded-bigon certificate is not conclusive once a strand has double
 points: excess intersection in general needs immersed monogons or bigons to
 witness it (Hass & Scott, "Intersections of curves on surfaces", Israel J.
-Math. 51, 1985), and no embedded move removes those.  Pair counts therefore
-minimize over all spelling/route seeds, and when both classes are non-simple
-the count is confirmed by the exact minimum over every slot assignment of
-each seed pair (computed from per-edge crossing tables; capped, loud on
-overflow).  Pairs with exactly one non-simple member are not confirmed and can
-still overcount.
+Math. 51, 1985), and no embedded move removes those.  So a pair with a simple
+member is counted on that member's splitting of pi1 instead (see splitting),
+and no diagram is built for it.  The diagram path remains for
+complement_report, for the trace expansion's state sum, for pairs of two
+simple classes whose splitting search misses (the certificate is conclusive
+for two simple curves), and for pairs of two non-simple classes.  Those pair
+counts minimize over all spelling/route seeds and are confirmed by the exact
+minimum over every slot assignment of each seed pair (computed from per-edge
+crossing tables; capped, loud on overflow).
 """
 from __future__ import annotations
 
@@ -379,9 +382,23 @@ def _pair_cross_refined(genus: int, wx, wy) -> int:
 
 @lru_cache(maxsize=None)
 def _pair_count(genus: int, wx, wy) -> int:
-    if _taut_single(genus, wx)[1] and _taut_single(genus, wy)[1]:
+    simple = [w for w in (wx, wy) if _taut_single(genus, w)[1] == 0]
+    if not simple:
         return _pair_cross_refined(genus, wx, wy)
-    return _pair_taut(genus, wx, wy).cross_strand_crossings()
+    # deferred: splitting imports mapping, and mapping imports this module
+    from .splitting import _SPLIT_SEARCH_CAP, splitting_count
+
+    delta = min(simple, key=lambda w: (len(w), w))
+    count = splitting_count(genus, delta, wy if delta == wx else wx)
+    if count is not None:
+        return count
+    if len(simple) == 2:
+        # the embedded-bigon certificate is conclusive for two simple curves
+        return _pair_taut(genus, wx, wy).cross_strand_crossings()
+    raise ReductionBudgetExceeded(
+        f"no product of short twists carries a standard curve to"
+        f" {format_word(delta)} within {_SPLIT_SEARCH_CAP} classes"
+    )
 
 
 def intersection_number(s: Surface, x: CurveClass, y: CurveClass) -> int:

@@ -173,6 +173,9 @@ class ThurstonReport:
 
     delta: CurveClass
     word: tuple
+    # i(delta, word) from intersection_number, which counts it on delta's
+    # splitting, not on a diagram; the name stays because the benchmark's
+    # workloads read it
     diagram_count: int
     expansion_value: ValuationValue
 
@@ -189,8 +192,10 @@ class ThurstonReport:
 
 
 def thurston_max_check(s: Surface, delta: CurveClass, word) -> ThurstonReport:
-    """Intersection with a simple class read two ways: off the taut pair
-    diagram, and as the valuation of the expanded trace."""
+    """Intersection with a simple class read two ways: as the translation
+    length of the word on the Bass-Serre tree of delta's splitting (the
+    splitting count of intersection_number, not a diagram count), and as the
+    valuation of the expanded trace."""
     if not is_simple(s, delta):
         raise NotSimple(f"{format_word(delta.word)} is not a simple class")
     word = tuple(word)

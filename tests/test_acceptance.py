@@ -1,9 +1,8 @@
 """The acceptance suites cheap enough for tier-1, run as tests so a FAIL
 verdict breaks the build.
 
-thurston (a known FAIL) and discreteness take tens of seconds each and are
-run through curvetrace.acceptance.run_suite instead; CI runs discreteness
-as its own step.
+thurston and discreteness take several seconds each and are run through
+curvetrace.acceptance.run_suite instead; CI runs each as its own step.
 
 The package's own invariants raise typed errors rather than assert, so they
 hold under python -O as well.

@@ -29,6 +29,7 @@ from curvetrace.curves import (
 )
 from curvetrace.mapping import apply_to_multicurve, twist_generator
 from curvetrace.polygon import polygon_model
+from curvetrace.splitting import splitting_count
 from curvetrace.words import (
     canonical_class,
     format_word,
@@ -132,11 +133,10 @@ def test_intersection_number_symmetric():
             assert intersection_number(S2, x, y) == intersection_number(S2, y, x)
 
 
-# Known defects, pinned so that the change which fixes one must drop its
-# marker.  The five pairs overcount: the taut pair diagram keeps excess cross
-# intersection that no embedded bigon witnesses (the values below are
-# min_crossings' and the trace expansion's).
-@pytest.mark.xfail(strict=True, reason="pair diagram overcounts; no embedded witness")
+# The taut pair diagram overcounted these five pairs of a simple and a
+# non-simple class: it kept excess cross intersection that no embedded bigon
+# witnesses.  The count on the simple member's splitting gives the values of
+# min_crossings and of the trace expansion.
 @pytest.mark.parametrize(
     "x, y, want",
     [
@@ -151,6 +151,14 @@ def test_intersection_number_of_overcounted_pairs(x, y, want):
     assert intersection_number(S2, C(x), C(y)) == want
 
 
+def test_genus_three_pair_counts():
+    # two simple classes whose pair diagram raised ModelInconsistency in the
+    # bigon move, and a pair the diagram overcounted (6)
+    assert intersection_number(S3, C("a1B1B1a2", S3), C("a1B1a2B2", S3)) == 0
+    assert intersection_number(S3, C("a1B2", S3), C("a1A3", S3)) == 2
+
+
+# Known defect, pinned so that the change which fixes it must drop its marker.
 @pytest.mark.xfail(
     strict=True, raises=ModelInconsistency, reason="bigon arcs cross different edges"
 )
@@ -194,10 +202,18 @@ def test_pair_counts_match_brute_force_sample():
         )
         if n % 26 == 0
     ]
+    with_simple = 0
     for x, y in picked:
         expect = min_crossings(2, (x.word, y.word))
         assert expect is not None
         assert intersection_number(S2, x, y) == expect[1], (x.word, y.word)
+        simple = [c.word for c in (x, y) if is_simple(S2, c)]
+        if simple:
+            delta = min(simple, key=lambda w: (len(w), w))
+            other = y.word if delta == x.word else x.word
+            assert splitting_count(2, delta, other) == expect[1], (x.word, y.word)
+            with_simple += 1
+    assert with_simple == 6
 
 
 def test_tauten_is_idempotent():
