@@ -38,7 +38,6 @@ from .curves import (
     _check_genus,
     _taut_single,
     check_disjoint_simple,
-    enumerate_classes,
     intersection_number,
     is_simple,
 )
@@ -68,15 +67,6 @@ from .words import (
     normalize_word,
     parse_word,
 )
-
-# connector words completing the twist-generator chain, found by the
-# intersection-pattern search below and frozen after verification
-_CONNECTOR_SEEDS = {
-    2: ((2, 4),),
-    3: ((2, -5, 4, 5), (4, -6, -5)),
-    4: ((2, 3, -4, -3), (4, -7, 6), (5, -8, -7, 6)),
-}
-
 
 # -- mapping classes ----------------------------------------------------------
 
@@ -271,6 +261,19 @@ def twist_along(s: Surface, cls: CurveClass, turns: int = 1) -> MappingClass:
 
 
 # -- twist generators (Humphries family) --------------------------------------
+#
+# Twists along 2g+1 curves generate the mapping class group (Humphries,
+# "Generators for the mapping class group", LNM 722, 1979; Farb & Margalit,
+# A Primer on Mapping Class Groups, section 4.4): the chain b1, a1, c_1, a2,
+# ..., c_{g-1}, a_g and the off-chain curve b2, with the connectors
+# c_i = b_i a_{i+1} B_{i+1} A_{i+1}.  The chain is written down in this
+# closed form and checked against its intersection pattern.
+
+# c_1 at genus 2, the one exception: the family's b1a2B2A2 (canonically
+# a1b1A1B2) also completes the chain, but the genus-2 tests, the actions and
+# twist-invariance suites and the twist benchmark workload pin generator 4 as
+# the twist along b1b2, so switching would change their work.
+_GENUS2_CONNECTOR = (2, 4)
 
 
 def _chain_pattern_ok(s: Surface, curves) -> bool:
@@ -286,84 +289,37 @@ def _chain_pattern_ok(s: Surface, curves) -> bool:
     return True
 
 
-def _connector_search(s: Surface, chain, off, a_next, later):
-    """First simple class (canonical order, length <= 5) meeting the chain
-    end and the next meridian once while avoiding everything else placed and
-    the later meridians."""
-    placed = [off] + chain
-    others = placed[:-1] + later
-    want_one = (chain[-1], a_next)
-
-    def mod2(c):
-        return homology_class(s, c.word, ring="Z2").coords
-
-    targets = {c: mod2(c) for c in placed + [a_next] + later}
-    for cand in enumerate_classes(s, 5):
-        v = mod2(cand)
-        if not any(v):
-            continue
-        if any(intersection_form(v, targets[c]) % 2 != 1 for c in want_one):
-            continue
-        if any(intersection_form(v, targets[c]) % 2 != 0 for c in others):
-            continue
-        if not is_simple(s, cand):
-            continue
-        if any(intersection_number(s, cand, c) != 1 for c in want_one):
-            continue
-        if any(intersection_number(s, cand, c) != 0 for c in others):
-            continue
-        yield cand
-
-
-def _complete_chain(s: Surface, chain, off, stage) -> bool:
-    genus = s.genus
-    if stage == genus:
-        return True
-    a_next = canonical_class(s, (2 * stage + 1,))
-    later = [canonical_class(s, (2 * j + 1,)) for j in range(stage + 1, genus)]
-    for cand in _connector_search(s, chain, off, a_next, later):
-        chain.append(cand)
-        chain.append(a_next)
-        if _complete_chain(s, chain, off, stage + 1):
-            return True
-        chain.pop()
-        chain.pop()
-    return False
-
-
 @lru_cache(maxsize=None)
 def _humphries(genus: int) -> tuple:
     s = make_surface(genus)
-    off = canonical_class(s, (4,))
-    chain = [canonical_class(s, (2,)), canonical_class(s, (1,))]
-    seeds = _CONNECTOR_SEEDS.get(genus)
-    if seeds is not None:
-        seeded = list(chain)
-        for i, word in enumerate(seeds):
-            seeded.append(canonical_class(s, word))
-            seeded.append(canonical_class(s, (2 * i + 3,)))
-        if _chain_pattern_ok(s, [off] + seeded):
-            return tuple([off] + seeded)
-    if not _complete_chain(s, chain, off, 1):
-        raise ModelInconsistency(
-            f"no twist-generator chain completes at genus {genus}"
-        )
-    curves = [off] + chain
+    words = [(4,), (2,), (1,)]
+    for i in range(1, genus):
+        b, a_next = 2 * i, 2 * i + 1
+        c = _GENUS2_CONNECTOR if genus == 2 else (b, a_next, -(b + 2), -a_next)
+        words += [c, (a_next,)]
+    curves = tuple(canonical_class(s, w) for w in words)
     if not _chain_pattern_ok(s, curves):
         raise ModelInconsistency("twist-generator chain fails its own pattern")
-    return tuple(curves)
+    return curves
 
 
 def humphries_classes(s: Surface) -> tuple:
-    """The 2g+1 twist-generator curves: one off-chain curve, then a chain
-    alternating meridians and connectors, pairwise meeting at most once."""
+    """The 2g+1 Humphries twist-generator curves in closed form: b2, then the
+    chain b1, a1, c_1, a2, ..., c_{g-1}, a_g with c_i = b_i a_{i+1} B_{i+1}
+    A_{i+1} (c_1 = b1b2 at genus 2).  Consecutive chain curves meet once, b2
+    meets c_1 once, and all other pairs are disjoint (Humphries, LNM 722,
+    1979; Farb & Margalit, A Primer on Mapping Class Groups, section 4.4)."""
     return _humphries(s.genus)
 
 
 def twist_generator(s: Surface, index: int) -> MappingClass:
     """Dehn twist along the index-th twist-generator curve (1-based)."""
     curves = humphries_classes(s)
-    if not isinstance(index, int) or not 1 <= index <= len(curves):
+    if (
+        isinstance(index, bool)
+        or not isinstance(index, int)
+        or not 1 <= index <= len(curves)
+    ):
         raise BadIndex(
             f"twist generator index {index!r} outside 1..{len(curves)}"
         )
