@@ -8,23 +8,26 @@ one arc across the disc onto the other (its edge crossings are replaced by the
 partner arc's), innermost first since witness arcs are crossing-free.  Each
 move removes the witnessed pair.
 
-The embedded-bigon certificate is not conclusive once a strand has double
-points: excess intersection in general needs immersed monogons or bigons to
-witness it (Hass & Scott, "Intersections of curves on surfaces", Israel J.
-Math. 51, 1985), and no embedded move removes those.  So a pair with a simple
-member is counted on that member's splitting of pi1 instead (see splitting),
-and no diagram is built for it.  The diagram path remains for
-complement_report, for the trace expansion's state sum, for pairs of two
-simple classes whose splitting search misses (the certificate is conclusive
-for two simple curves), and for pairs of two non-simple classes.  Those pair
-counts minimize over all spelling/route seeds and are confirmed by the exact
-minimum over every slot assignment of each seed pair (computed from per-edge
-crossing tables; capped, loud on overflow).
+The embedded-bigon certificate is conclusive for simple curves, but a strand
+with double points can need immersed monogons or bigons to witness its excess
+(Hass & Scott, "Intersections of curves on surfaces", Israel J. Math. 51,
+1985).  So each question runs one search:
+
+- A class tautens its route seeds, shortest first, until one comes out
+  embedded; a self-crossing class takes the best of them all.
+- A pair tests its members shortest first and is counted on the splitting of
+  pi1 along the first simple one (see splitting).  On a splitting miss, two
+  simple members read their pair diagram, one tautened pair of taut routes
+  (complement_report checks that diagram against the count); one raises.
+- Two self-crossing classes tauten seed pair by seed pair until the cross
+  count meets the algebraic intersection, a lower bound; failing that, the
+  exact minimum over every slot assignment of every seed pair (per-edge
+  crossing tables; capped, loud on overflow) decides.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain, permutations, product
 from math import factorial
 
 import numpy as np
@@ -153,11 +156,15 @@ def tauten_routes(genus: int, classes, routes, budget=None):
 
 @lru_cache(maxsize=None)
 def _taut_single(genus: int, class_word) -> tuple:
-    """Tautened route and self-crossing count for one class."""
+    """Tautened route and self-crossing count for one class: the first seed
+    that tautens to an embedded strand, else the fewest crossings over all
+    seeds."""
     best = None
     budget = Budget()
     for seed in _route_seeds(genus, class_word):
         d = tauten_routes(genus, (class_word,), (seed,), budget)
+        if d.crossing_count == 0:
+            return d.routes[0], 0
         key = (d.crossing_count, len(d.routes[0]), d.routes[0])
         if best is None or key < best:
             best = key
@@ -207,30 +214,12 @@ def is_simple(s: Surface, c: CurveClass) -> bool:
     return self_intersection(s, c) == 0
 
 
-def _pair_diagram(s: Surface, x: CurveClass, y: CurveClass, budget=None):
-    # Bigon elimination alone is seed-dependent for non-embedded strands
-    # (only singular bigons are guaranteed in excess position), so minimize
-    # over the same spelling/route seeds the single-strand path uses.  The
-    # total count forces every self and cross count to its own minimum.
-    if budget is None:
-        budget = Budget()
-    u = homology_class(s, x.word).coords
-    v = homology_class(s, y.word).coords
-    floor = (
-        _taut_single(s.genus, x.word)[1]
-        + _taut_single(s.genus, y.word)[1]
-        + abs(intersection_form(u, v))
-    )
-    best = None
-    for rx in _route_seeds(s.genus, x.word):
-        for ry in _route_seeds(s.genus, y.word):
-            d = tauten_routes(s.genus, (x, y), (rx, ry), budget)
-            key = (d.crossing_count, d.routes)
-            if best is None or key < best[0]:
-                best = (key, d)
-            if best[0][0] == floor:
-                return best[1]
-    return best[1]
+def _pair_diagram(s: Surface, x: CurveClass, y: CurveClass) -> CurveDiagram:
+    """Taut diagram of two simple classes.  The embedded-bigon certificate is
+    conclusive for simple curves, so one tauten of their taut routes is
+    minimal."""
+    routes = tuple(_taut_single(s.genus, c.word)[0] for c in (x, y))
+    return tauten_routes(s.genus, (x, y), routes)
 
 
 def _pair_taut(genus: int, wx, wy) -> CurveDiagram:
@@ -357,43 +346,50 @@ def _cross_min_exhaustive(model, routes):
 
 
 def _pair_cross_refined(genus: int, wx, wy) -> int:
-    """Certified minimum for two self-crossing classes: the move loop's best
-    diagram, improved by the exact minimum over every slot assignment of
-    every seed pair."""
-    best = _pair_taut(genus, wx, wy).cross_strand_crossings()
+    """Certified minimum for two self-crossing classes.  Each seed pair is
+    tautened, and a cross count equal to the algebraic intersection, a lower
+    bound, is the answer.  Otherwise the best count is confirmed or improved
+    by the exact minimum over every slot assignment of every seed pair."""
     s = make_surface(genus)
     u = homology_class(s, wx).coords
     v = homology_class(s, wy).coords
-    if best == abs(intersection_form(u, v)):
-        return best
+    floor = abs(intersection_form(u, v))
+    classes = (CurveClass(genus, wx), CurveClass(genus, wy))
+    seed_pairs = list(product(_route_seeds(genus, wx), _route_seeds(genus, wy)))
+    budget = Budget()
+    counts = []
+    for routes in seed_pairs:
+        got = tauten_routes(genus, classes, routes, budget).cross_strand_crossings()
+        if got == floor:
+            return got
+        counts.append(got)
     model = polygon_model(genus)
-    for rx in _route_seeds(genus, wx):
-        for ry in _route_seeds(genus, wy):
-            got = _cross_min_exhaustive(model, (rx, ry))
-            if got is None:
-                raise ReductionBudgetExceeded(
-                    "pair position search space exceeds"
-                    f" {PAIR_SEARCH_CAP} slot assignments"
-                )
-            if got < best:
-                best = got
-    return best
+    for routes in seed_pairs:
+        got = _cross_min_exhaustive(model, routes)
+        if got is None:
+            raise ReductionBudgetExceeded(
+                "pair position search space exceeds"
+                f" {PAIR_SEARCH_CAP} slot assignments"
+            )
+        counts.append(got)
+    return min(counts)
 
 
 @lru_cache(maxsize=None)
 def _pair_count(genus: int, wx, wy) -> int:
-    simple = [w for w in (wx, wy) if _taut_single(genus, w)[1] == 0]
-    if not simple:
-        return _pair_cross_refined(genus, wx, wy)
     # deferred: splitting imports mapping, and mapping imports this module
     from .splitting import _SPLIT_SEARCH_CAP, splitting_count
 
-    delta = min(simple, key=lambda w: (len(w), w))
-    count = splitting_count(genus, delta, wy if delta == wx else wx)
+    short, long_ = sorted((wx, wy), key=lambda w: (len(w), w))
+    for delta, other in ((short, long_), (long_, short)):
+        if _taut_single(genus, delta)[1] == 0:
+            break
+    else:
+        return _pair_cross_refined(genus, wx, wy)
+    count = splitting_count(genus, delta, other)
     if count is not None:
         return count
-    if len(simple) == 2:
-        # the embedded-bigon certificate is conclusive for two simple curves
+    if _taut_single(genus, other)[1] == 0:
         return _pair_taut(genus, wx, wy).cross_strand_crossings()
     raise ReductionBudgetExceeded(
         f"no product of short twists carries a standard curve to"
@@ -434,8 +430,14 @@ def complement_report(s: Surface, x: CurveClass, y: CurveClass) -> ComplementRep
             raise NotSimple(f"{format_word(c.word)} is not a simple class")
     model = polygon_model(s.genus)
     d = _pair_diagram(s, x, y)
-    report = complement_census(model, d)
     i = d.cross_strand_crossings()
+    n = intersection_number(s, x, y)
+    if i != n:
+        raise ModelInconsistency(
+            f"{format_word(x.word)} and {format_word(y.word)} cross {i} times"
+            f" in their diagram, but their count is {n}"
+        )
+    report = complement_census(model, d)
     if i > 0 and report.face_count >= i:
         raise ModelInconsistency(
             f"disc count {report.face_count} not below crossing count {i}"

@@ -172,14 +172,6 @@ def invert_mapping_class(f: MappingClass) -> MappingClass:
 # -- Dehn twists --------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _rotation_prefixes(genus: int) -> tuple:
-    """prefixes[j]: word read rotating from the base corner sector past the
-    first j side germs of the vertex walk."""
-    model = polygon_model(genus)
-    return tuple(model.exits_word(model.orbit[:j]) for j in range(model.n_sides + 1))
-
-
 def _twist_words(s: Surface, cls: CurveClass, turns: int) -> tuple:
     """Raw generator images of the twist along cls, with the given number of
     turns (sign = handedness)."""
@@ -188,7 +180,9 @@ def _twist_words(s: Surface, cls: CurveClass, turns: int) -> tuple:
     if crossings:
         raise NotSimple(f"cannot twist along {format_word(cls.word)}")
     diagram = build_diagram(model, (cls,), (route,))
-    prefixes = _rotation_prefixes(s.genus)
+    # prefixes[j]: word read rotating from the base corner sector past the
+    # first j side germs of the vertex walk
+    prefixes = [model.exits_word(model.orbit[:j]) for j in range(model.n_sides + 1)]
     n = len(route)
     images = []
     for k in range(1, s.rank + 1):

@@ -313,10 +313,6 @@ def normalize_word(surface: Surface, word: Iterable) -> GroupWord:
     return min(geodesic_spellings(surface.genus, word), key=word_key)
 
 
-def words_equal(surface: Surface, u: Iterable, v: Iterable) -> bool:
-    return not dehn_reduce(surface.genus, tuple(u) + inverse_word(tuple(v)))
-
-
 def _cyclic_dehn_reduce(genus: int, word: Iterable) -> GroupWord:
     """Cyclic Dehn reduction.  Relator letters are pairwise distinct, so the
     cyclic factors that can match are the factors of w + w[:4g-2] in span."""

@@ -21,6 +21,11 @@ enumeration in curvetrace.words must reproduce: half swaps, then, on words
 of at least 2(2g-1) letters, one relator-cell move at a time from where the
 previous one left off, until the word is back to its length.
 
+reference_taut_single and reference_pair_diagram keep the seed searches that
+curvetrace.curves replaced by one tauten per question: the fewest self
+crossings over every route seed of a class, and the fewest total crossings over
+every seed pair of two classes, stopping at self + self + |algebraic|.
+
 reference_expand and reference_multiply keep the crossing-resolution
 recursion the state sum in curvetrace.algebra must reproduce: resolve one
 crossing of a taut diagram through t_u t_v = t_{uv} + t_{uv^-1}, re-expand
@@ -44,6 +49,7 @@ from curvetrace.curves import (
     intersection_number,
     tauten_routes,
 )
+from curvetrace.diagrams import Budget
 from curvetrace.errors import ModelInconsistency
 from curvetrace.polygon import polygon_model
 from curvetrace.words import (
@@ -55,6 +61,8 @@ from curvetrace.words import (
     _tables,
     canonical_class,
     cyclic_free_reduce,
+    homology_class,
+    intersection_form,
     inverse_word,
     make_surface,
     normalize_word,
@@ -63,6 +71,43 @@ from curvetrace.words import (
 )
 
 PERM_CAP = 200_000
+
+
+def reference_taut_single(genus, class_word):
+    """(route, count) with the fewest self crossings over every route seed,
+    ties broken by the shorter, then the smaller route."""
+    best = None
+    budget = Budget()
+    for seed in _route_seeds(genus, class_word):
+        d = tauten_routes(genus, (class_word,), (seed,), budget)
+        key = (d.crossing_count, len(d.routes[0]), d.routes[0])
+        if best is None or key < best:
+            best = key
+    count, _, route = best
+    return route, count
+
+
+def reference_pair_diagram(s, x, y):
+    """The tautened seed pair with the fewest crossings, ties broken by the
+    routes; the search stops at self + self + |algebraic intersection|."""
+    budget = Budget()
+    u = homology_class(s, x.word).coords
+    v = homology_class(s, y.word).coords
+    floor = (
+        reference_taut_single(s.genus, x.word)[1]
+        + reference_taut_single(s.genus, y.word)[1]
+        + abs(intersection_form(u, v))
+    )
+    best = None
+    for rx in _route_seeds(s.genus, x.word):
+        for ry in _route_seeds(s.genus, y.word):
+            d = tauten_routes(s.genus, (x, y), (rx, ry), budget)
+            key = (d.crossing_count, d.routes)
+            if best is None or key < best[0]:
+                best = (key, d)
+            if best[0][0] == floor:
+                return best[1]
+    return best[1]
 
 
 def _route_candidates(genus, word):

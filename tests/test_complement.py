@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from curvetrace import curves, splitting
 from curvetrace.complement import Geometry, certify_taut, complement_census
 from curvetrace.curves import (
+    _pair_diagram,
     _route_seeds,
     complement_report,
     enumerate_simple_classes,
@@ -13,10 +15,10 @@ from curvetrace.curves import (
     tauten_routes,
 )
 from curvetrace.diagrams import build_diagram
-from curvetrace.errors import NotSimple
+from curvetrace.errors import ModelInconsistency, NotSimple
 from curvetrace.polygon import polygon_model
 from curvetrace.words import canonical_class, letters, make_surface, parse_word
-from oracles import reference_placement
+from oracles import reference_pair_diagram, reference_placement
 
 S2 = make_surface(2)
 
@@ -57,6 +59,31 @@ def test_rejects_non_simple_input():
         complement_report(S2, C("a1b2"), C("a1"))
     with pytest.raises(NotSimple):
         complement_report(S2, C("a1"), C("a1a1"))
+
+
+def test_one_tauten_matches_the_seed_pair_search():
+    # two simple classes: tautening their taut routes once gives the census
+    # of the best diagram over every seed pair
+    model = polygon_model(2)
+    pool = enumerate_simple_classes(S2, 2)
+    for i, x in enumerate(pool):
+        for y in pool[i:]:
+            got = complement_census(model, _pair_diagram(S2, x, y))
+            want = complement_census(model, reference_pair_diagram(S2, x, y))
+            assert str(got) == str(want), (x.word, y.word)
+
+
+def test_report_rejects_a_diagram_that_disagrees_with_the_count(monkeypatch):
+    real = splitting.splitting_count
+
+    def off_by_one(genus, delta, word):
+        return real(genus, delta, word) + 1
+
+    monkeypatch.setattr(splitting, "splitting_count", off_by_one)
+    monkeypatch.setattr(curves, "_pair_count", curves._pair_count.__wrapped__)
+    want = "^a1 and b1 cross 1 times in their diagram, but their count is 2$"
+    with pytest.raises(ModelInconsistency, match=want):
+        complement_report(S2, C("a1"), C("b1"))
 
 
 def test_certify_taut_accepts_taut_diagrams():

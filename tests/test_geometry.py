@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from oracles import _min_for_routes, all_classes_up_to, germ_simple, min_crossings
+from oracles import (
+    _min_for_routes,
+    all_classes_up_to,
+    germ_simple,
+    min_crossings,
+    reference_taut_single,
+)
+from curvetrace import curves
 from curvetrace.algebra import enumerate_multicurves
 from curvetrace.diagrams import Budget, build_with_slots
 from curvetrace.errors import (
@@ -190,6 +197,33 @@ def test_self_counts_match_brute_force_sample():
         expect = min_crossings(2, (cls.word,))
         assert expect is not None
         assert self_intersection(S2, cls) == expect[0], cls.word
+
+
+def test_taut_single_matches_every_seed_reference():
+    # the first seed that tautens to an embedded strand is the fewest-crossing
+    # route of the whole seed search
+    for surface, bound in ((S2, 4), (S3, 3)):
+        for cls in enumerate_classes(surface, bound):
+            got = _taut_single(surface.genus, cls.word)
+            assert got == reference_taut_single(surface.genus, cls.word), cls.word
+
+
+def test_short_simple_member_decides_without_the_long_member(monkeypatch):
+    # a1 is simple, so its splitting counts the pair, and the long
+    # self-crossing member is never tautened
+    long_word = C("a1B2b1b1b2").word
+    assert len(long_word) >= 5 and _taut_single(2, long_word)[1] > 0
+    seen = []
+
+    def recording(genus, class_word):
+        seen.append(class_word)
+        return _taut_single(genus, class_word)
+
+    monkeypatch.setattr(curves, "_taut_single", recording)
+    monkeypatch.setattr(curves, "_pair_count", curves._pair_count.__wrapped__)
+    assert intersection_number(S2, C("a1"), C("a1B2b1b1b2")) == 2
+    assert seen[0] == C("a1").word
+    assert long_word not in seen
 
 
 def test_pair_counts_match_brute_force_sample():
