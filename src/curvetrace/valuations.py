@@ -6,12 +6,20 @@ number, weighted and summed; the valuation of an expression is the largest
 pairing over its basis terms, and the zero expression takes the bottom value.
 Discreteness, positivity and strictness are decided or checked against
 explicitly bounded curve universes, and every report says which bound it used.
+
+Values are computed as integers over one common denominator: the lcm of the
+weight denominators.  Every weight is then an integer numerator over that
+positive denominator, so every pairing and every term sum is an integer over
+it too, and comparing, maximizing and testing equality of the numerators is
+exact.  Each public call builds one pairing table that pairs every distinct
+component class with the lamination once; the table lives for that call only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import lcm
 
 from .algebra import (
     Multicurve,
@@ -23,6 +31,7 @@ from .algebra import (
     format_multicurve,
 )
 from .curves import (
+    _check_genus,
     check_disjoint_simple,
     enumerate_simple_classes,
     intersection_number,
@@ -142,26 +151,64 @@ class ValuationValue:
         return str(self.value) if self.finite else "-inf"
 
 
+class _Pairing:
+    """The pairings of one lamination, as integers over its common
+    denominator den, with a table of the classes paired so far.  One public
+    call builds one and drops it when it returns.  Raises GenusMismatch up
+    front unless lam and the other items (anything with .genus) are on s: an
+    empty lamination makes no pair count that would notice."""
+
+    def __init__(self, s: Surface, lam: Lamination, *items):
+        _check_genus(s, lam, *items)
+        self.s = s
+        self.den = lcm(*(w.denominator for _, w in lam.weights))
+        # den * weight, an integer for every component
+        self.scaled = tuple(
+            (c, w.numerator * (self.den // w.denominator)) for c, w in lam.weights
+        )
+        self.table: dict = {}
+
+    def of_class(self, c: CurveClass) -> int:
+        """den * i(lam, c)."""
+        # keyed by word: every class of one call has the genus of s
+        value = self.table.get(c.word)
+        if value is None:
+            s = self.s
+            value = sum(w * intersection_number(s, comp, c) for comp, w in self.scaled)
+            self.table[c.word] = value
+        return value
+
+    def of_multicurve(self, mc: Multicurve) -> int:
+        """den * i(lam, mc)."""
+        of_class = self.of_class
+        # lists rather than generators here and in value: the sums are short
+        # and run once per term of every valuation
+        return sum([mult * of_class(c) for c, mult in mc.components])
+
+    def value(self, f: TraceExpression) -> ValuationValue:
+        if f.is_zero():
+            return ValuationValue.bottom()
+        best = max([self.of_multicurve(mc) for mc, _ in f.terms])
+        return ValuationValue(finite=True, value=Fraction(best, self.den))
+
+
 def lamination_intersection(s: Surface, lam: Lamination, c: CurveClass) -> Fraction:
-    total = Fraction(0)
-    for comp, w in lam.weights:
-        total += w * intersection_number(s, comp, c)
-    return total
+    pairing = _Pairing(s, lam, c)
+    return Fraction(pairing.of_class(c), pairing.den)
 
 
 def multicurve_intersection(s: Surface, lam: Lamination, mc: Multicurve) -> Fraction:
-    total = Fraction(0)
-    for comp, mult in mc.components:
-        total += mult * lamination_intersection(s, lam, comp)
-    return total
+    pairing = _Pairing(s, lam, mc)
+    return Fraction(pairing.of_multicurve(mc), pairing.den)
 
 
 def valuate(s: Surface, lam: Lamination, f: TraceExpression) -> ValuationValue:
-    if f.is_zero():
-        return ValuationValue.bottom()
-    return ValuationValue.of(
-        max(multicurve_intersection(s, lam, mc) for mc, _ in f.terms)
-    )
+    """The largest pairing of lam with a basis term of f, or the bottom value
+    when f is zero.  The maximum is taken over integers on one common
+    denominator and turned into one Fraction at the end, and each distinct
+    component class of f is paired with lam once, in a table that lives for
+    this call only."""
+    return _Pairing(s, lam, f).value(f)
 
 
 # -- checks with reports --------------------------------------------------------
@@ -199,7 +246,8 @@ def thurston_max_check(s: Surface, delta: CurveClass, word) -> ThurstonReport:
     if not is_simple(s, delta):
         raise NotSimple(f"{format_word(delta.word)} is not a simple class")
     word = tuple(word)
-    lam = make_lamination(s, {delta: 1})
+    # make_lamination would only test delta's simplicity again
+    lam = Lamination(genus=s.genus, weights=((delta, Fraction(1)),))
     value = valuate(s, lam, expand_trace(s, word))
     reduced = dehn_reduce(s.genus, word)
     if reduced:
@@ -232,10 +280,11 @@ class MultiplicativityReport:
 def multiplicativity_check(
     s: Surface, lam: Lamination, f: TraceExpression, g: TraceExpression
 ) -> MultiplicativityReport:
+    pairing = _Pairing(s, lam, f, g)
     return MultiplicativityReport(
-        left_value=valuate(s, lam, f),
-        right_value=valuate(s, lam, g),
-        product_value=valuate(s, lam, multiply_expressions(s, f, g)),
+        left_value=pairing.value(f),
+        right_value=pairing.value(g),
+        product_value=pairing.value(multiply_expressions(s, f, g)),
     )
 
 
@@ -260,14 +309,19 @@ def classify_discrete(s: Surface, lam: Lamination) -> DiscretenessReport:
     """Integer-valued exactly for half-integer weights whose doubled
     multicurve is null-homologous mod 2; otherwise hunt a witness curve
     with fractional pairing among simple classes of bounded length."""
-    doubled = [(c, 2 * w) for c, w in lam.weights]
-    half_integral = all(w.denominator == 1 for _, w in doubled)
-    if half_integral and not any(mod2_class(s, doubled)):
-        return DiscretenessReport(discrete=True, witness=None, value=None)
+    pairing = _Pairing(s, lam)
+    den = pairing.den
+    # half-integral weights: den divides 2
+    if 2 % den == 0:
+        doubled = [(c, n * (2 // den)) for c, n in pairing.scaled]
+        if not any(mod2_class(s, doubled)):
+            return DiscretenessReport(discrete=True, witness=None, value=None)
     for c in enumerate_simple_classes(s, WITNESS_LENGTH_BOUND):
-        value = lamination_intersection(s, lam, c)
-        if value.denominator != 1:
-            return DiscretenessReport(discrete=False, witness=c, value=value)
+        value = pairing.of_class(c)
+        if value % den:
+            return DiscretenessReport(
+                discrete=False, witness=c, value=Fraction(value, den)
+            )
     return DiscretenessReport(discrete=False, witness=None, value=None)
 
 
@@ -290,8 +344,9 @@ def check_positive_up_to(s: Surface, lam: Lamination, bound: int) -> PositivityR
     """Positive pairing with every simple class of length <= bound."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    pairing = _Pairing(s, lam)
     for c in enumerate_simple_classes(s, bound):
-        if lamination_intersection(s, lam, c) == 0:
+        if pairing.of_class(c) == 0:
             return PositivityReport(bound=bound, positive=False, witness=c)
     return PositivityReport(bound=bound, positive=True, witness=None)
 
@@ -318,12 +373,17 @@ def check_strict_up_to(s: Surface, lam: Lamination, bound: int) -> StrictnessRep
     """Pairwise-distinct values on all multicurves of total length <= bound."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    pairing = _Pairing(s, lam)
     seen: dict = {}
     for mc in enumerate_multicurves(s, bound):
-        value = multicurve_intersection(s, lam, mc)
+        value = pairing.of_multicurve(mc)
         if value in seen:
             return StrictnessReport(
-                bound=bound, strict=False, first=seen[value], second=mc, value=value
+                bound=bound,
+                strict=False,
+                first=seen[value],
+                second=mc,
+                value=Fraction(value, pairing.den),
             )
         seen[value] = mc
     return StrictnessReport(

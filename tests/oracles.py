@@ -31,6 +31,11 @@ recursion the state sum in curvetrace.algebra must reproduce: resolve one
 crossing of a taut diagram through t_u t_v = t_{uv} + t_{uv^-1}, re-expand
 the loops read off there, and recurse; powers go through the Chebyshev
 recursion t_{u^n} = t_u t_{u^n-1} - t_{u^n-2}.
+
+reference_valuate and reference_lamination_intersection keep the Fraction
+arithmetic that the integer pairing table in curvetrace.valuations must
+reproduce: every weight times every pair count, summed term by term, with no
+table, and the maximum over the terms taken in Fraction.
 """
 from fractions import Fraction
 from itertools import permutations, product
@@ -52,6 +57,7 @@ from curvetrace.curves import (
 from curvetrace.diagrams import Budget
 from curvetrace.errors import ModelInconsistency
 from curvetrace.polygon import polygon_model
+from curvetrace.valuations import ValuationValue
 from curvetrace.words import (
     _CLOSURE_CAP,
     CurveClass,
@@ -662,3 +668,25 @@ def _remove_one(mc, cls):
     else:
         counts[cls] -= 1
     return _multicurve(mc.genus, counts)
+
+
+def reference_lamination_intersection(s, lam, c):
+    total = Fraction(0)
+    for comp, w in lam.weights:
+        total += w * intersection_number(s, comp, c)
+    return total
+
+
+def _reference_multicurve_intersection(s, lam, mc):
+    total = Fraction(0)
+    for comp, mult in mc.components:
+        total += mult * reference_lamination_intersection(s, lam, comp)
+    return total
+
+
+def reference_valuate(s, lam, f):
+    if f.is_zero():
+        return ValuationValue.bottom()
+    return ValuationValue.of(
+        max(_reference_multicurve_intersection(s, lam, mc) for mc, _ in f.terms)
+    )

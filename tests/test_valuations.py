@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import reference_lamination_intersection, reference_valuate
 
+from curvetrace.acceptance import _acceptance_laminations
 from curvetrace.algebra import (
     basis_expression,
     enumerate_multicurves,
@@ -11,7 +13,8 @@ from curvetrace.algebra import (
     make_multicurve,
     zero_expression,
 )
-from curvetrace.errors import NotSimple
+from curvetrace.curves import enumerate_classes
+from curvetrace.errors import GenusMismatch, NotSimple
 from curvetrace.valuations import (
     ValuationValue,
     check_positive_up_to,
@@ -153,6 +156,89 @@ def test_valuate_scaling_equivariance():
         assert scaled.value == Fraction(7, 3) * base.value
 
 
+def _mixed_laminations():
+    """The acceptance laminations, then weights of mixed denominators."""
+    return _acceptance_laminations(S2) + [
+        L({C("a1"): Fraction(1, 2), C("a2"): Fraction(1, 3),
+           C("a1b1A1B1"): Fraction(5, 6)}),
+        L({C("b1"): Fraction(5, 6), C("b2"): Fraction(1, 3)}),
+        L({C("a1b1"): Fraction(1, 3), C("a2b2"): Fraction(1, 2)}),
+        L({C("a1A2B2"): Fraction(5, 6), C("a1a1A2b1"): Fraction(1, 3)}),
+    ]
+
+
+def test_integer_pairing_matches_fraction_reference():
+    classes = enumerate_classes(S2, 4)
+    for lam in _mixed_laminations():
+        for c in classes:
+            f = expand_trace(S2, c.word)
+            assert valuate(S2, lam, f) == reference_valuate(S2, lam, f), (lam, c)
+            assert lamination_intersection(S2, lam, c) == \
+                reference_lamination_intersection(S2, lam, c), (lam, c)
+
+
+def test_reports_on_mixed_denominators():
+    # the strings the Fraction code printed for these laminations
+    expected = [
+        ("Discrete", "NotPositive witness=b1 bound=3",
+         "NotStrict first=- second=b1^1 value=0 bound=3"),
+        ("NotDiscrete witness=a1 value=1/2", "NotPositive witness=b1 bound=3",
+         "NotStrict first=- second=b1^1 value=0 bound=3"),
+        ("Discrete", "NotPositive witness=a1 bound=3",
+         "NotStrict first=- second=a1^1 value=0 bound=3"),
+        ("Discrete", "NotPositive witness=a1 bound=3",
+         "NotStrict first=- second=a1^1 value=0 bound=3"),
+        ("NotDiscrete witness=b1 value=1/2", "NotPositive witness=a1 bound=3",
+         "NotStrict first=- second=a1^1 value=0 bound=3"),
+        ("NotDiscrete witness=a1 value=5/6", "NotPositive witness=b1 bound=3",
+         "NotStrict first=- second=b1^1 value=0 bound=3"),
+        ("NotDiscrete witness=a1 value=1/3", "NotPositive witness=a1b1 bound=3",
+         "NotStrict first=a1^1 second=b1^1 value=1/3 bound=3"),
+        ("NotDiscrete witness=a1 value=1/3", "NotPositive witness=a1A2B2 bound=3",
+         "NotStrict first=b2^1 second=a1^1,a2^1 value=7/6 bound=3"),
+    ]
+    got = [
+        (
+            str(classify_discrete(S2, lam)),
+            str(check_positive_up_to(S2, lam, 3)),
+            str(check_strict_up_to(S2, lam, 3)),
+        )
+        for lam in _mixed_laminations()
+    ]
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lam: valuate(S2, lam, expand("a3", S3)),
+        lambda lam: valuate(S3, lam, expand("a3", S3)),
+        lambda lam: lamination_intersection(S2, lam, C("a3", S3)),
+        lambda lam: multicurve_intersection(
+            S2, lam, make_multicurve(S3, {C("a3", S3): 1})
+        ),
+        lambda lam: multiplicativity_check(S2, lam, expand("a3", S3), expand("a1")),
+        lambda lam: classify_discrete(S3, lam),
+        lambda lam: check_positive_up_to(S3, lam, 1),
+        lambda lam: check_strict_up_to(S3, lam, 1),
+    ],
+    ids=[
+        "valuate-expression",
+        "valuate-surface",
+        "lamination_intersection",
+        "multicurve_intersection",
+        "multiplicativity_check",
+        "classify_discrete",
+        "check_positive_up_to",
+        "check_strict_up_to",
+    ],
+)
+def test_genus_mismatch_raised_before_any_pairing(call):
+    # an empty lamination makes no pair count that could notice the mismatch
+    with pytest.raises(GenusMismatch):
+        call(L({}))
+
+
 # -- two-sided checks -------------------------------------------------------------
 
 
@@ -172,7 +258,7 @@ def test_thurston_rejects_nonsimple_delta():
 
 
 def test_thurston_suite_short_words():
-    from curvetrace.curves import enumerate_classes, enumerate_simple_classes
+    from curvetrace.curves import enumerate_simple_classes
 
     deltas = enumerate_simple_classes(S2, 2)
     words = [c.word for c in enumerate_classes(S2, 3)]
