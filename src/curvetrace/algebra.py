@@ -24,6 +24,7 @@ import numpy as np
 
 from .complement import strand_arcs
 from .curves import (
+    _check_genus,
     _taut_single,
     check_disjoint_simple,
     enumerate_simple_classes,
@@ -264,6 +265,7 @@ def multiply_expressions(
     Each pair of basis elements is multiplied by one state sum over the
     tautened union of their components, one strand per unit of multiplicity.
     """
+    _check_genus(s, f, g)
     acc = {}
     for mc1, c1 in f.terms:
         for mc2, c2 in g.terms:

@@ -3,10 +3,11 @@
 A diagram built straight from the slot comparator is close to minimal but can
 still contain bigons (the comparator orders strands as their developed rays
 would sit, and a route produced from letter gadgets is not always developed
-straight).  tauten therefore loops: certify, and on a bigon witness isotope
-one arc across the disc onto the other (its edge crossings are replaced by the
-partner arc's), innermost first since witness arcs are crossing-free.  Each
-move removes the witnessed pair.
+straight).  tauten therefore loops: certify, and on a bigon witness move one
+arc across the disc, innermost first since witness arcs are crossing-free.
+Two arcs that cross the same edges in step swap slots; otherwise the longer,
+either on a tie, retracts onto the other.  Each move drops (total route
+length, crossing count), compared in that order.
 
 The embedded-bigon certificate is conclusive for simple curves, but a strand
 with double points can need immersed monogons or bigons to witness its excess
@@ -92,6 +93,18 @@ def _arc_event_positions(route_len, arc):
     ]
 
 
+def _same_edges(model, routes, arc_a, arc_b) -> bool:
+    """True when the two arcs cross the same edges in step, arc_b read
+    backwards when it runs opposite to arc_a."""
+    edges_a, edges_b = (
+        [abs(model.sides[s]) for s in arc.sides(routes[arc.strand])]
+        for arc in (arc_a, arc_b)
+    )
+    if arc_b.x_from != arc_a.x_from:
+        edges_b.reverse()
+    return edges_a == edges_b
+
+
 def _swap_move(model, diagram, arc_a, arc_b, budget):
     """Slide two parallel arcs past each other: swap their adjacent events
     on every crossed edge.  Removes the witnessed crossing pair."""
@@ -104,11 +117,7 @@ def _swap_move(model, diagram, arc_a, arc_b, budget):
         raise ModelInconsistency("parallel chords witnessed as a bigon")
     orders = [list(o) for o in diagram.slot_orders]
     for ev1, ev2 in zip(evs_a, evs_b):
-        k1 = abs(model.sides[routes[ev1[0]][ev1[1]]])
-        k2 = abs(model.sides[routes[ev2[0]][ev2[1]]])
-        if k1 != k2:
-            raise ModelInconsistency("bigon arcs cross different edges")
-        ring = orders[k1 - 1]
+        ring = orders[abs(model.sides[routes[ev1[0]][ev1[1]]]) - 1]
         i1, i2 = ring.index(ev1), ring.index(ev2)
         if abs(i1 - i2) != 1:
             raise ModelInconsistency("bigon events not adjacent on their edge")
@@ -120,10 +129,13 @@ def _swap_move(model, diagram, arc_a, arc_b, budget):
 def tauten_routes(genus: int, classes, routes, budget=None):
     """Comparator build plus innermost monogon/bigon elimination, certified.
 
-    Equal-length arcs slide past each other (two crossings gone, routes
-    kept); otherwise the longer arc retracts across the disc, strictly
-    shortening its route, and the diagram is rebuilt.  The pair (total route
-    length, crossing count) drops on every move, so the loop terminates.
+    Arcs that cross the same edges in step, arc_b read backwards when it
+    runs opposite, slide past each other (routes kept).  Otherwise the
+    longer arc, arc_b on a tie, retracts across the disc onto the other and
+    the diagram is rebuilt.  The measure (total route length, crossing
+    count) drops on every move, so the loop terminates: a retract of a
+    longer arc shortens its route, and a move between arcs of equal length
+    must drop the crossing count or raise ModelInconsistency.
     """
     model = polygon_model(genus)
     if budget is None:
@@ -141,17 +153,17 @@ def tauten_routes(genus: int, classes, routes, budget=None):
             )
         _, arc_a, arc_b = witness
         budget.spend(arc_a.n_events + arc_b.n_events + 1)
-        if arc_a.n_events == arc_b.n_events:
-            before = diagram.crossing_count
+        before = diagram.crossing_count
+        if _same_edges(model, diagram.routes, arc_a, arc_b):
             diagram = _swap_move(model, diagram, arc_a, arc_b, budget)
-            if diagram.crossing_count >= before:
-                raise ModelInconsistency("bigon move failed to drop crossings")
         else:
             mover, stay = (
                 (arc_a, arc_b) if arc_a.n_events > arc_b.n_events else (arc_b, arc_a)
             )
             routes = _retract_arc(model, diagram.routes, mover, stay)
             diagram = build_diagram(model, classes, routes, budget)
+        if arc_a.n_events == arc_b.n_events and diagram.crossing_count >= before:
+            raise ModelInconsistency("bigon move failed to drop crossings")
 
 
 @lru_cache(maxsize=None)

@@ -137,13 +137,13 @@ def _ray_verdict(model, routes, ev_x, ev_y, anchor, budget) -> int:
 def _compare_on_edge(model, routes, k, ev_x, ev_y, budget) -> int:
     """-1 when ev_x comes before ev_y in the canonical edge parameter."""
     s_plus = model.side_of[k]
-    s_minus = model.side_of[-k]
     v = _ray_verdict(model, routes, ev_x, ev_y, s_plus, budget)
     if v:
         return v  # larger parameter along s_plus sorts later
-    v = _ray_verdict(model, routes, ev_x, ev_y, s_minus, budget)
-    if v:
-        return -v  # the glued side runs against the canonical parameter
+    # A tie means the two rays' exits agreed for both route lengths plus 4
+    # steps.  Each exit sequence is periodic with its route's length, so by
+    # Fine and Wilf they are equal as two-sided sequences, and the rays into
+    # the s_minus tile, which read them the other way, would tie too.
     exit_x = routes[ev_x[0]][ev_x[1]]
     exit_y = routes[ev_y[0]][ev_y[1]]
     if exit_x != exit_y:

@@ -4,21 +4,30 @@ A simple closed curve delta splits the surface group, and i(delta, alpha) is
 the translation length of alpha on the Bass-Serre tree dual to delta (Serre,
 Trees, 1980; Britton's lemma and the amalgam normal form in Lyndon & Schupp,
 Combinatorial Group Theory, 1977, ch. IV).  The translation length is the
-length of a cyclically reduced form, so the count is pure word algebra:
+length of a cyclically reduced form, so the count is pure word algebra.
+
+Both splittings are graphs of groups with one edge, so both counts are one
+reduction of a cyclic word t^s0 u0 t^s1 u1 ... whose crossings t^+-1 of the
+edge alternate with segments u in the vertex groups.  A segment between
+crossings of opposite sign that is a power of the edge word on its side is a
+backtrack: it is replaced by the same power of the edge word on the other
+side and merges with its neighbours, and the count is the number of
+crossings left when no backtrack is (_tree_length).  The two counts differ
+only in their cutters:
 
 - delta = d, a generator, is non-separating: pi1 is an HNN extension of the
   free group on the other 2g-1 generators with stable letter t = b_k for
   d = a_k and t = a_k for d = b_k, and t d t^-1 = Y d.  Y is R_k for d = a_k
   and R_k^-1 for d = b_k, where R_k is the product of the other g-1
   commutators in cyclic order starting after handle k (the relator, rotated
-  to start at handle k, reads [a_k, b_k] R_k).  Pinch t u t^-1 when u is a
-  power of d and t^-1 u t when u is a power of Yd, until no pinch is left;
-  the count is the number of t letters that remain.
+  to start at handle k, reads [a_k, b_k] R_k).  The crossings are the t
+  letters, and the edge words are d after t and Yd after t^-1 (Britton's
+  pinches).
 - delta = [a1,b1]...[ah,bh] separates: pi1 is the amalgam of the free groups
   on the first h handles and on the rest over C1 = [a1,b1]...[ah,bh] =
-  ([a_{h+1},b_{h+1}]...[ag,bg])^-1 = C2.  Move every syllable that is a power
-  of C1 or C2 to the other factor and merge, until none is left; the count
-  is the number of syllables, or 0 when one is left.
+  ([a_{h+1},b_{h+1}]...[ag,bg])^-1 = C2.  The crossings are where the word
+  changes factor, +1 into handles h+1..g and -1 back, and the edge words are
+  C2 after +1 and C1 after -1.
 
 d, Yd, C1 and C2 are cyclically reduced, so a freely reduced word is a power
 of one of them exactly when it is a repeat of it or of its inverse.
@@ -75,22 +84,10 @@ def _repeat(base, n) -> tuple:
     return base * n if n >= 0 else inverse_word(base) * -n
 
 
-def hnn_count(genus: int, d: int, word) -> int:
-    """i(d, word) for a generator d, as the translation length on the tree
-    of the HNN splitting along d."""
-    k = (d + 1) // 2
-    t = d + 1 if d % 2 else d - 1
-    r_k = _commutators(list(range(k + 1, genus + 1)) + list(range(1, k)))
-    ends = {1: (d,), -1: (inverse_word(r_k) if d % 2 == 0 else r_k) + (d,)}
-    w = cyclic_free_reduce(word)
-    cuts = [i for i, l in enumerate(w) if abs(l) == t]
-    if not cuts:
-        return 0
-    w = w[cuts[0] :] + w[: cuts[0]]
-    cuts = [i - cuts[0] for i in cuts] + [len(w)]
-    # the cyclic word t^signs[0] segs[0] t^signs[1] segs[1] ...
-    signs = [1 if w[i] == t else -1 for i in cuts[:-1]]
-    segs = [w[i + 1 : j] for i, j in zip(cuts, cuts[1:])]
+def _tree_length(signs, segs, ends) -> int:
+    """Translation length of the cyclic word t^signs[0] segs[0] t^signs[1]
+    segs[1] ..., where ends[sign] is the edge word a segment after t^sign
+    may be a power of: cancel backtracks until none is left."""
     pinched = True
     while pinched and signs:
         pinched = False
@@ -98,7 +95,7 @@ def hnn_count(genus: int, d: int, word) -> int:
         for i in range(m):
             if signs[i] == signs[(i + 1) % m]:
                 continue
-            # t u t^-1 = (Yd)^n for u = d^n; t^-1 u t = d^n for u = (Yd)^n
+            # t^s u t^-s with u = ends[s]^n is ends[-s]^n on the other side
             n = _power(segs[i], ends[signs[i]])
             if n is None:
                 continue
@@ -115,51 +112,41 @@ def hnn_count(genus: int, d: int, word) -> int:
     return len(signs)
 
 
-def _merge_syllables(syllables) -> list:
-    """Cyclically merge neighbouring syllables of one factor, dropping any
-    that cancel to the empty word."""
-    out = []
-    for side, word in syllables:
-        if out and out[-1][0] == side:
-            word = free_reduce(out.pop()[1] + word)
-        if word:
-            out.append((side, word))
-    while len(out) > 1 and out[0][0] == out[-1][0]:
-        side, word = out.pop()
-        word = free_reduce(word + out[0][1])
-        if word:
-            out[0] = (side, word)
-        else:
-            out.pop(0)
-    return out
+def _segments(w, cuts, skip: int) -> list:
+    """The pieces of the cyclic word w between its cut positions, each
+    without the skip letters at its cut."""
+    n, doubled = len(w), w + w
+    return [
+        doubled[i + skip : i + ((j - i) % n or n)]
+        for i, j in zip(cuts, cuts[1:] + cuts[:1])
+    ]
+
+
+def hnn_count(genus: int, d: int, word) -> int:
+    """i(d, word) for a generator d, as the translation length on the tree
+    of the HNN splitting along d."""
+    k = (d + 1) // 2
+    t = d + 1 if d % 2 else d - 1
+    r_k = _commutators(list(range(k + 1, genus + 1)) + list(range(1, k)))
+    ends = {1: (d,), -1: (inverse_word(r_k) if d % 2 == 0 else r_k) + (d,)}
+    w = cyclic_free_reduce(word)
+    cuts = [i for i, l in enumerate(w) if abs(l) == t]
+    signs = [1 if w[i] == t else -1 for i in cuts]
+    return _tree_length(signs, _segments(w, cuts, 1), ends)
 
 
 def amalgam_count(genus: int, h: int, word) -> int:
     """i([a1,b1]...[ah,bh], word), as the translation length on the tree of
     the amalgam splitting along that separating curve."""
-    joined = {
-        True: _commutators(range(1, h + 1)),
-        False: inverse_word(_commutators(range(h + 1, genus + 1))),
+    ends = {
+        1: inverse_word(_commutators(range(h + 1, genus + 1))),
+        -1: _commutators(range(1, h + 1)),
     }
     w = cyclic_free_reduce(word)
-    syllables = []
-    for l in w:
-        side = abs(l) <= 2 * h
-        if syllables and syllables[-1][0] == side:
-            syllables[-1] = (side, syllables[-1][1] + (l,))
-        else:
-            syllables.append((side, (l,)))
-    syllables = _merge_syllables(syllables)
-    while len(syllables) > 1:
-        for i, (side, part) in enumerate(syllables):
-            n = _power(part, joined[side])
-            if n is not None:
-                syllables[i] = (not side, _repeat(joined[not side], n))
-                syllables = _merge_syllables(syllables)
-                break
-        else:
-            return len(syllables)
-    return 0
+    inner = [abs(l) <= 2 * h for l in w]
+    cuts = [i for i in range(len(w)) if inner[i] != inner[i - 1]]
+    signs = [-1 if inner[i] else 1 for i in cuts]
+    return _tree_length(signs, _segments(w, cuts, 0), ends)
 
 
 def standard_count(genus: int, standard, word) -> int:

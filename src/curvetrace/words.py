@@ -27,9 +27,10 @@ w as w + w[:4g-2].
 The ladder closure (cyclic_spellings) is the costly step, so each oriented
 class is closed at most once per process: its closure is stored as one
 frozenset under every member, and the closure of the inverse class is stored
-with it as the mirror image, which is exact because every rewrite table
-commutes with inversion.  canonical_class therefore closes one orientation,
-and later spellings of the class in either orientation are lookups.
+with it as the mirror image, which is exact because the one move table,
+_Tables.cell_moves, commutes with inversion.  canonical_class therefore
+closes one orientation, and later spellings of the class in either
+orientation are lookups.
 
 The alphabet (letters, reduced_words) and the homology pairings live here too:
 intersection_form is the symplectic form on H_1 (mod 2, the pairing behind the
@@ -187,7 +188,10 @@ def word_key(word: GroupWord):
 
 
 class _Tables:
-    """Per-genus Dehn rewriting tables."""
+    """Per-genus relator-cell moves: cell_moves maps each factor of a relator
+    shift to the inverses of its complements.  A factor of 2 or more letters
+    has exactly one, so the Dehn replacements (factors longer than 2g) and
+    the exactly-half swaps (factors of 2g) read cell_moves[f][0]."""
 
     def __init__(self, genus: int):
         self.genus = genus
@@ -200,19 +204,6 @@ class _Tables:
                 shifts.add(rot)
         if len(shifts) != 8 * genus:
             raise ModelInconsistency("relator shifts collide")
-        self.long_repl = {}
-        self.half_repl = {}
-        for s in shifts:
-            for length in range(self.half, 4 * genus):
-                factor, rest = s[:length], s[length:]
-                repl = inverse_word(rest)
-                table = self.half_repl if length == self.half else self.long_repl
-                if table.setdefault(factor, repl) != repl:
-                    raise ModelInconsistency("ambiguous Dehn replacement")
-        # exactly-half replacement is an involution
-        for factor, repl in self.half_repl.items():
-            if self.half_repl[repl] != factor:
-                raise ModelInconsistency("half replacement not involutive")
         # every relator-cell move: any prefix of a shift may be traded for the
         # inverse of its complement (lengthening when the prefix is short);
         # prefixes of length >= 2 determine their shift because pieces have
@@ -223,12 +214,14 @@ class _Tables:
                 factor, rest = s[:length], s[length:]
                 moves.setdefault(factor, []).append(inverse_word(rest))
         self.cell_moves = {f: tuple(rs) for f, rs in moves.items()}
-        # both move tables commute with inversion (factor f -> r gives f^-1 ->
-        # r^-1); cyclic_spellings relies on this to mirror a closure exactly
-        for factor, repl in self.half_repl.items():
-            if self.half_repl.get(inverse_word(factor)) != inverse_word(repl):
-                raise ModelInconsistency("half replacement not closed under inversion")
         for factor, repls in self.cell_moves.items():
+            if len(factor) >= 2 and len(repls) != 1:
+                raise ModelInconsistency("ambiguous Dehn replacement")
+            # the exactly-half replacement is an involution
+            if len(factor) == self.half and self.cell_moves[repls[0]][0] != factor:
+                raise ModelInconsistency("half replacement not involutive")
+            # the moves commute with inversion (factor f -> r gives f^-1 ->
+            # r^-1); cyclic_spellings relies on this to mirror a closure exactly
             mirrored = self.cell_moves.get(inverse_word(factor), ())
             if set(mirrored) != {inverse_word(r) for r in repls}:
                 raise ModelInconsistency("cell moves not closed under inversion")
@@ -240,20 +233,20 @@ def _tables(genus: int) -> _Tables:
 
 
 def _first_long_match(t: _Tables, word: GroupWord, span: int | None = None):
-    """Leftmost of the longest factors (> 2g letters) that long_repl rewrites,
-    as (position, length, replacement), or None; only factors of at most span
+    """Leftmost of the longest factors (> 2g letters) of a relator shift, as
+    (position, length, replacement), or None; only factors of at most span
     letters that start below span count (default len(word)).  Every factor of
-    a relator shift is a key, so only a position whose first 2g+1 letters
-    match can match longer."""
+    a relator shift is a key of cell_moves, so only a position whose first
+    2g+1 letters match can match longer."""
     span = len(word) if span is None else span
     top, best = min(span, 4 * t.genus - 1), None
     for i in range(min(span, len(word) - t.half)):
-        if word[i : i + t.half + 1] in t.long_repl:
+        if word[i : i + t.half + 1] in t.cell_moves:
             length = min(top, len(word) - i)
-            while word[i : i + length] not in t.long_repl:
+            while word[i : i + length] not in t.cell_moves:
                 length -= 1
             if best is None or length > best[1]:
-                best = (i, length, t.long_repl[word[i : i + length]])
+                best = (i, length, t.cell_moves[word[i : i + length]][0])
     return best
 
 
@@ -293,9 +286,9 @@ def geodesic_spellings(genus: int, word: Iterable):
 
     def half_swaps(state):
         for i in range(len(state) - t.half + 1):
-            repl = t.half_repl.get(state[i : i + t.half])
-            if repl is not None:
-                new = free_reduce(state[:i] + repl + state[i + t.half :])
+            repls = t.cell_moves.get(state[i : i + t.half])
+            if repls is not None:
+                new = free_reduce(state[:i] + repls[0] + state[i + t.half :])
                 if len(new) < len(state) or _first_long_match(t, new):
                     raise _Shortened(new)
                 yield new
@@ -339,9 +332,9 @@ def half_swap_closure(genus: int, word: GroupWord) -> set:
         n = len(state)
         doubled = state + state
         for i in range(n):
-            repl = t.half_repl.get(doubled[i : i + t.half])
-            if repl is not None:
-                new = _cyclic_dehn_reduce(genus, repl + doubled[i + t.half : i + n])
+            repls = t.cell_moves.get(doubled[i : i + t.half])
+            if repls is not None:
+                new = _cyclic_dehn_reduce(genus, repls[0] + doubled[i + t.half : i + n])
                 yield min(rotations(new))
 
     return _closure(min(rotations(_cyclic_dehn_reduce(genus, word))), cyclic_half_swaps)

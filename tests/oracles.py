@@ -32,6 +32,15 @@ crossing of a taut diagram through t_u t_v = t_{uv} + t_{uv^-1}, re-expand
 the loops read off there, and recurse; powers go through the Chebyshev
 recursion t_{u^n} = t_u t_{u^n-1} - t_{u^n-2}.
 
+reference_hnn_count and reference_amalgam_count keep the two reductions that
+curvetrace.splitting replaced by one tree reduction with two cutters: Britton
+pinches of t u t^-1 for the HNN splitting, and syllables moved across the
+edge and merged for the amalgam.
+
+reference_dehn_tables rebuilds the Dehn replacements and exactly-half swaps
+from the relator, as the two tables curvetrace.words read before it read
+everything off its one cell-move table.
+
 reference_valuate and reference_lamination_intersection keep the Fraction
 arithmetic that the integer pairing table in curvetrace.valuations must
 reproduce: every weight times every pair count, summed term by term, with no
@@ -57,6 +66,7 @@ from curvetrace.curves import (
 from curvetrace.diagrams import Budget
 from curvetrace.errors import ModelInconsistency
 from curvetrace.polygon import polygon_model
+from curvetrace.splitting import _commutators, _power, _repeat
 from curvetrace.valuations import ValuationValue
 from curvetrace.words import (
     _CLOSURE_CAP,
@@ -67,6 +77,7 @@ from curvetrace.words import (
     _tables,
     canonical_class,
     cyclic_free_reduce,
+    free_reduce,
     homology_class,
     intersection_form,
     inverse_word,
@@ -74,6 +85,7 @@ from curvetrace.words import (
     normalize_word,
     oriented_spellings,
     primitive_root,
+    rotations,
 )
 
 PERM_CAP = 200_000
@@ -446,6 +458,23 @@ def _splice(w, i, length, repl):
     return list(repl) + [w[(i + length + t) % n] for t in range(n - length)]
 
 
+# -- Dehn tables, one per move length -------------------------------------------
+
+
+def reference_dehn_tables(genus):
+    """(long_repl, half_repl): every factor of a relator shift longer than 2g,
+    and every factor of exactly 2g letters, mapped to the inverse of the rest
+    of its shift."""
+    relator = make_surface(genus).relator
+    long_repl, half_repl = {}, {}
+    for base in (relator, inverse_word(relator)):
+        for shift in rotations(base):
+            for length in range(2 * genus, 4 * genus):
+                table = half_repl if length == 2 * genus else long_repl
+                table[shift[:length]] = inverse_word(shift[length:])
+    return long_repl, half_repl
+
+
 # -- spelling closures, cell move by cell move ---------------------------------
 
 ANNULUS_CAP = 60_000
@@ -455,6 +484,8 @@ def reference_spellings(genus, w):
     """Close the rotation-minimal cyclic geodesic w under half swaps and, for
     words long enough for multi-cell annulus rewrites, annulus rewrites."""
     t = _tables(genus)
+    half = 2 * genus
+    half_repl = reference_dehn_tables(genus)[1]
     chase = len(w) >= 2 * (2 * genus - 1)
     seen = {w}
     frontier = [w]
@@ -465,10 +496,10 @@ def reference_spellings(genus, w):
             doubled = state + state
             found = []
             for i in range(n):
-                repl = t.half_repl.get(doubled[i : i + t.half])
+                repl = half_repl.get(doubled[i : i + half])
                 if repl is None:
                     continue
-                new = cyclic_free_reduce(repl + doubled[i + t.half : i + n])
+                new = cyclic_free_reduce(repl + doubled[i + half : i + n])
                 if len(new) < n:
                     raise _Shortened(new)
                 reduced = _cyclic_dehn_reduce(genus, new)
@@ -690,3 +721,90 @@ def reference_valuate(s, lam, f):
     return ValuationValue.of(
         max(_reference_multicurve_intersection(s, lam, mc) for mc, _ in f.terms)
     )
+
+
+# -- intersection with a standard curve, one loop per splitting ---------------
+
+
+def reference_hnn_count(genus, d, word):
+    """i(d, word) by Britton pinches on the cyclic word cut at the stable
+    letters."""
+    k = (d + 1) // 2
+    t = d + 1 if d % 2 else d - 1
+    r_k = _commutators(list(range(k + 1, genus + 1)) + list(range(1, k)))
+    ends = {1: (d,), -1: (inverse_word(r_k) if d % 2 == 0 else r_k) + (d,)}
+    w = cyclic_free_reduce(word)
+    cuts = [i for i, l in enumerate(w) if abs(l) == t]
+    if not cuts:
+        return 0
+    w = w[cuts[0] :] + w[: cuts[0]]
+    cuts = [i - cuts[0] for i in cuts] + [len(w)]
+    signs = [1 if w[i] == t else -1 for i in cuts[:-1]]
+    segs = [w[i + 1 : j] for i, j in zip(cuts, cuts[1:])]
+    pinched = True
+    while pinched and signs:
+        pinched = False
+        m = len(signs)
+        for i in range(m):
+            if signs[i] == signs[(i + 1) % m]:
+                continue
+            n = _power(segs[i], ends[signs[i]])
+            if n is None:
+                continue
+            if m == 2:
+                return 0
+            j = (i - 1) % m
+            signs = signs[j:] + signs[:j]
+            segs = segs[j:] + segs[:j]
+            merged = free_reduce(segs[0] + _repeat(ends[-signs[1]], n) + segs[2])
+            signs = signs[:1] + signs[3:]
+            segs = [merged] + segs[3:]
+            pinched = True
+            break
+    return len(signs)
+
+
+def _merge_syllables(syllables):
+    """Cyclically merge neighbouring syllables of one factor, dropping any
+    that cancel to the empty word."""
+    out = []
+    for side, word in syllables:
+        if out and out[-1][0] == side:
+            word = free_reduce(out.pop()[1] + word)
+        if word:
+            out.append((side, word))
+    while len(out) > 1 and out[0][0] == out[-1][0]:
+        side, word = out.pop()
+        word = free_reduce(word + out[0][1])
+        if word:
+            out[0] = (side, word)
+        else:
+            out.pop(0)
+    return out
+
+
+def reference_amalgam_count(genus, h, word):
+    """i([a1,b1]...[ah,bh], word) by moving every syllable that is a power of
+    the edge word to the other factor and merging, until none is left."""
+    joined = {
+        True: _commutators(range(1, h + 1)),
+        False: inverse_word(_commutators(range(h + 1, genus + 1))),
+    }
+    syllables = []
+    for l in cyclic_free_reduce(word):
+        side = abs(l) <= 2 * h
+        if syllables and syllables[-1][0] == side:
+            syllables[-1] = (side, syllables[-1][1] + (l,))
+        else:
+            syllables.append((side, (l,)))
+    syllables = _merge_syllables(syllables)
+    while len(syllables) > 1:
+        for i, (side, part) in enumerate(syllables):
+            n = _power(part, joined[side])
+            if n is not None:
+                syllables[i] = (not side, _repeat(joined[not side], n))
+                syllables = _merge_syllables(syllables)
+                break
+        else:
+            return len(syllables)
+    return 0

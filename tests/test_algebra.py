@@ -26,7 +26,7 @@ from curvetrace.algebra import (
     zero_expression,
 )
 from curvetrace.curves import enumerate_classes
-from curvetrace.errors import ModelInconsistency, NotSimple
+from curvetrace.errors import GenusMismatch, ModelInconsistency, NotSimple
 from curvetrace.mapping import apply_to_multicurve, twist_generator
 from curvetrace.representations import evaluate_trace, random_representation
 from curvetrace.words import (
@@ -342,3 +342,13 @@ def test_rank_check_flags_dependent_family():
 def test_rank_check_requires_enough_trials():
     with pytest.raises(ValueError):
         basis_rank_check(S2, [empty_multicurve(2)], trials=0, seed=0)
+
+
+def test_multiply_expressions_checks_genus():
+    s3 = make_surface(3)
+    a1, a2 = (expand_trace(S2, parse_word(S2, t)) for t in ("a1", "a2"))
+    with pytest.raises(GenusMismatch):
+        multiply_expressions(S2, expand_trace(s3, parse_word(s3, "a3")), a1)
+    # both factors at genus 2 on a genus-3 surface
+    with pytest.raises(GenusMismatch):
+        multiply_expressions(s3, a2, a1)

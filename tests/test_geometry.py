@@ -12,7 +12,7 @@ from oracles import (
 )
 from curvetrace import curves
 from curvetrace.algebra import enumerate_multicurves
-from curvetrace.diagrams import Budget, build_with_slots
+from curvetrace.diagrams import Budget, _ray_verdict, build_with_slots
 from curvetrace.errors import (
     GenusMismatch,
     ModelInconsistency,
@@ -165,12 +165,49 @@ def test_genus_three_pair_counts():
     assert intersection_number(S3, C("a1B2", S3), C("a1A3", S3)) == 2
 
 
-# Known defect, pinned so that the change which fixes it must drop its marker.
-@pytest.mark.xfail(
-    strict=True, raises=ModelInconsistency, reason="bigon arcs cross different edges"
-)
 def test_self_intersection_of_long_twist_image():
-    assert self_intersection(S2, C("a1b1A1b2b1B2a1B1A1b2b1b2B1B2")) >= 0
+    # its bigon arcs cross as many edges but not the same ones, so the move
+    # is a retract, not a slot swap
+    assert self_intersection(S2, C("a1b1A1b2b1B2a1B1A1b2b1b2B1B2")) == 0
+
+
+def test_bigon_arcs_across_different_edges_retract():
+    # each witness arc crosses 2g edges, not the same ones; the pair diagram
+    # now tautens and agrees with the splitting count
+    report = complement_report(S3, C("a1B1B1a2", S3), C("a1B1a2B2", S3))
+    assert report.crossing_count == 0
+    # two self-crossing classes: the retract lets the seed pairs tauten, and
+    # the slot search behind them then meets its cap, loudly
+    with pytest.raises(ReductionBudgetExceeded):
+        intersection_number(S2, C("a1b2a1b2"), C("a1b2b1B2"))
+
+
+def test_comparator_ties_on_s_plus_never_part_on_s_minus():
+    # a tie on the s_plus development is a tie on the s_minus one (Fine and
+    # Wilf), which is why the comparator develops the rays only once
+    model = polygon_model(2)
+    simple = [c.word for c in enumerate_simple_classes(S2, 2)]
+    strands = [(w,) for w in simple] + [(w, w) for w in simple]
+    strands += [(x, y) for x in simple for y in simple if x < y]
+    strands += [(c.word,) for c in enumerate_classes(S2, 3)]
+    ties = 0
+    for words in strands:
+        routes = tuple(_taut_single(2, w)[0] for w in words)
+        events = {}
+        for i, route in enumerate(routes):
+            for p, side in enumerate(route):
+                events.setdefault(abs(model.sides[side]), []).append((i, p))
+        for k, evs in events.items():
+            s_plus, s_minus = model.side_of[k], model.side_of[-k]
+            for n, ev_x in enumerate(evs):
+                for ev_y in evs[n + 1 :]:
+                    if _ray_verdict(model, routes, ev_x, ev_y, s_plus, Budget()):
+                        continue
+                    ties += 1
+                    assert not _ray_verdict(
+                        model, routes, ev_x, ev_y, s_minus, Budget()
+                    ), (words, ev_x, ev_y)
+    assert ties > 0
 
 
 def test_two_letter_classes_match_vertex_germ_oracle():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import reference_amalgam_count, reference_hnn_count
 from curvetrace import mapping, splitting
 from curvetrace.algebra import expand_trace
 from curvetrace.curves import (
@@ -13,6 +14,7 @@ from curvetrace.curves import (
 )
 from curvetrace.errors import ReductionBudgetExceeded, TrivialClass
 from curvetrace.splitting import (
+    _commutators,
     amalgam_count,
     count_through,
     hnn_count,
@@ -100,6 +102,34 @@ def test_standard_counts():
     assert amalgam_count(2, 1, C("a1a2").word) == 2
     assert amalgam_count(2, 1, S2.relator) == 0
     assert amalgam_count(3, 1, S3.relator) == 0
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_tree_reduction_matches_reference_loops(genus):
+    # seeded words with relator shifts and commutator products spliced in,
+    # so that both kinds of backtrack, on either side, come up often
+    relator = make_surface(genus).relator
+    splices = [
+        r[i:] + r[:i] for r in (relator, inverse_word(relator)) for i in range(len(r))
+    ]
+    for lo in range(1, genus + 1):
+        for hi in range(lo, genus + 1):
+            block = _commutators(range(lo, hi + 1))
+            splices += [block, inverse_word(block)]
+    alphabet = [l for k in range(1, 2 * genus + 1) for l in (k, -k)]
+    rng = random.Random(40 + genus)
+    for _ in range(300):
+        word = [rng.choice(alphabet) for _ in range(rng.randint(1, 24))]
+        for _ in range(rng.randint(0, 3)):
+            at = rng.randint(0, len(word))
+            word[at:at] = rng.choice(splices) * rng.randint(1, 2)
+        word = free_reduce(word)
+        for d in range(1, 2 * genus + 1):
+            want = reference_hnn_count(genus, d, word)
+            assert hnn_count(genus, d, word) == want, (d, word)
+        for h in range(1, genus // 2 + 1):
+            want = reference_amalgam_count(genus, h, word)
+            assert amalgam_count(genus, h, word) == want, (h, word)
 
 
 @pytest.mark.parametrize("genus", [2, 3])

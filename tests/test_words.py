@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_spellings
+from oracles import reference_dehn_tables, reference_spellings
 
 from curvetrace import words
 from curvetrace.errors import BadLetter, GenusTooSmall, ModelInconsistency, TrivialClass
@@ -13,6 +13,7 @@ from curvetrace.words import (
     _cyclic_dehn_reduce,
     _min_rotation,
     _Shortened,
+    _tables,
     canonical_class,
     cyclic_spellings,
     dehn_reduce,
@@ -344,3 +345,16 @@ def test_genus_three_words():
     assert cls.word == (5, 6, -5, -6)
     assert normalize_word(S3, S3.relator) == ()
     assert homology_class(S3, w).coords == (0,) * 6
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5, 6])
+def test_cell_moves_hold_the_dehn_tables(genus):
+    # the Dehn replacements and the half swaps are cell_moves restricted to
+    # factors longer than 2g and of exactly 2g letters, one replacement each
+    moves = _tables(genus).cell_moves
+    long_repl, half_repl = reference_dehn_tables(genus)
+    for table in (long_repl, half_repl):
+        for factor, repl in table.items():
+            assert moves[factor] == (repl,), factor
+    assert {f for f in moves if len(f) > 2 * genus} == set(long_repl)
+    assert {f for f in moves if len(f) == 2 * genus} == set(half_repl)
