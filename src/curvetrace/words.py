@@ -28,9 +28,11 @@ The ladder closure (cyclic_spellings) is the costly step, so each oriented
 class is closed at most once per process: its closure is stored as one
 frozenset under every member, and the closure of the inverse class is stored
 with it as the mirror image, which is exact because the one move table,
-_Tables.cell_moves, commutes with inversion.  canonical_class therefore
-closes one orientation, and later spellings of the class in either
-orientation are lookups.
+_Tables.cell_moves, commutes with inversion.  The entry also holds the
+canonical word, the least member of closure and mirror together, so
+canonical_class closes one orientation and later spellings of the class in
+either orientation are one table read.  Spellings of equal length are ordered
+by their letter codes 2|l| + (l < 0), so a1 < A1 < b1 < B1 < a2 < ...
 
 The alphabet (letters, reduced_words) and the homology pairings live here too:
 intersection_form is the symplectic form on H_1 (mod 2, the pairing behind the
@@ -49,8 +51,9 @@ GroupWord = tuple  # tuple of nonzero ints
 
 _TOKEN_RE = re.compile(r"([abAB])(\d+)")
 _CLOSURE_CAP = 200_000
-# (genus, rotation-minimal cyclic geodesic) -> frozenset closure of its
-# oriented class, filled by cyclic_spellings
+# (genus, rotation-minimal cyclic geodesic) -> (frozenset closure of its
+# oriented class, canonical word of its unoriented class), filled by
+# _closure_entry
 _CLOSURES: dict = {}
 
 
@@ -182,9 +185,9 @@ def rotations(word: GroupWord) -> Iterator[GroupWord]:
         yield word[i:] + word[:i]
 
 
-def word_key(word: GroupWord):
-    """Deterministic order: a1 < A1 < b1 < B1 < a2 < ..., shorter first."""
-    return (len(word), tuple((abs(l), l < 0) for l in word))
+def _letter_codes(word: GroupWord) -> tuple:
+    """Codes 2|l| + (l < 0): equal-length words compare as their code tuples."""
+    return tuple([2 * abs(l) + (l < 0) for l in word])
 
 
 class _Tables:
@@ -303,7 +306,7 @@ def geodesic_spellings(genus: int, word: Iterable):
 
 def normalize_word(surface: Surface, word: Iterable) -> GroupWord:
     """Canonical geodesic form of the group element (lex-min spelling)."""
-    return min(geodesic_spellings(surface.genus, word), key=word_key)
+    return min(geodesic_spellings(surface.genus, word), key=_letter_codes)
 
 
 def _cyclic_dehn_reduce(genus: int, word: Iterable) -> GroupWord:
@@ -341,7 +344,16 @@ def half_swap_closure(genus: int, word: GroupWord) -> set:
 
 
 def _min_rotation(word: GroupWord) -> GroupWord:
-    return min(rotations(word), key=word_key)
+    """The least rotation of the word in letter-code order."""
+    codes = _letter_codes(word)
+    n = len(codes)
+    doubled = codes + codes
+    least, start = codes, 0
+    for i in range(1, n):
+        rotation = doubled[i : i + n]
+        if rotation < least:
+            least, start = rotation, i
+    return word[start:] + word[:start]
 
 
 class _Shortened(Exception):
@@ -393,30 +405,37 @@ def _ladders(t: _Tables, word: GroupWord) -> Iterator[GroupWord]:
 
 
 def cyclic_spellings(genus: int, word: GroupWord) -> frozenset:
-    """All cyclic geodesic spellings of the oriented class, up to rotation.
+    """All cyclic geodesic spellings of the oriented class, up to rotation."""
+    return _closure_entry(genus, word)[0]
 
-    Input must be cyclically Dehn-reduced; returns rotation-minimal
-    representatives as one shared frozenset.  Each closure is built once per
+
+def _closure_entry(genus: int, word: GroupWord) -> tuple:
+    """(closure, canonical word) of the class of the cyclic geodesic word.
+
+    Input must be cyclically Dehn-reduced; the closure is one shared frozenset
+    of rotation-minimal representatives.  Each closure is built once per
     process and stored in _CLOSURES under every member, together with its
     mirror, the closure of the inverse class: the move tables commute with
     inversion (checked in _Tables), so inverting every ladder from w gives a
-    ladder from w^-1 and the mirror is exact.  A stored member is found as
-    it stands; only a miss pays for the rotation-minimal key.  Raises
-    _Shortened if a ladder exposes a shorter conjugate (cannot happen for a
-    true conjugacy geodesic, but callers restart on it); such a closure is
-    not stored.
+    ladder from w^-1 and the mirror is exact.  A stored member is found as it
+    stands; only a miss pays for the rotation-minimal key.  Raises _Shortened
+    if a ladder exposes a shorter conjugate (cannot happen for a true
+    conjugacy geodesic, but callers restart on it); such a closure is not
+    stored.
     """
-    closure = _CLOSURES.get((genus, word))
-    if closure is None:
+    entry = _CLOSURES.get((genus, word))
+    if entry is None:
         w = _min_rotation(word)
-        closure = _CLOSURES.get((genus, w))
-        if closure is None:
+        entry = _CLOSURES.get((genus, w))
+        if entry is None:
             closure = frozenset(_chase_spellings(genus, w))
             mirror = frozenset(_min_rotation(inverse_word(m)) for m in closure)
-            for members in (closure, mirror):
-                for m in members:
-                    _CLOSURES[genus, m] = members
-    return closure
+            least = min(closure | mirror, key=_letter_codes)
+            entry = (closure, least)
+            for shared in (entry, (mirror, least)):
+                for m in shared[0]:
+                    _CLOSURES[genus, m] = shared
+    return entry
 
 
 def _chase_spellings(genus: int, w: GroupWord) -> set:
@@ -427,31 +446,31 @@ def _chase_spellings(genus: int, w: GroupWord) -> set:
 
 def canonical_class(surface: Surface, word: Iterable) -> CurveClass:
     """Canonical representative of the unoriented free homotopy class."""
-    return _canonical_class(surface.genus, free_reduce(word))
+    try:
+        word = free_reduce(word)
+        cls = _canonical_class(surface.genus, word)
+    except TypeError:  # a letter that is no int; checked off the cache-hit path
+        if isinstance(word, tuple) and all(isinstance(l, int) for l in word):
+            raise
+        raise BadLetter(f"a word is a sequence of int letters, not {word!r}") from None
+    if cls is None:
+        raise TrivialClass("word is null-homotopic")
+    return cls
 
 
 @lru_cache(maxsize=None)
-def _canonical_class(genus: int, word: GroupWord) -> CurveClass:
+def _canonical_class(genus: int, word: GroupWord) -> CurveClass | None:
     # checked on cache misses only: a word that was ever cached is valid
     for l in word:
-        if abs(l) > 2 * genus:
+        if not isinstance(l, int) or abs(l) > 2 * genus:
             raise BadLetter(f"letter {l!r} outside genus-{genus} alphabet")
     w = _cyclic_dehn_reduce(genus, word)
-    if not w:
-        raise TrivialClass("word is null-homotopic")
-    while True:
+    while w:
         try:
-            # the inverse of a cyclic Dehn geodesic is one; its closure is the
-            # mirror stored by the first call, so only one orientation is closed
-            members = cyclic_spellings(genus, w) | cyclic_spellings(
-                genus, inverse_word(w)
-            )
-            break
+            return CurveClass(genus=genus, word=_closure_entry(genus, w)[1])
         except _Shortened as s:
             w = _cyclic_dehn_reduce(genus, s.word)
-            if not w:
-                raise TrivialClass("word is null-homotopic") from None
-    return CurveClass(genus=genus, word=min(members, key=word_key))
+    return None  # null-homotopic, and cached so that repeats are not reduced
 
 
 def oriented_spellings(surface: Surface, cls: CurveClass):

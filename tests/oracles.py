@@ -41,6 +41,10 @@ reference_dehn_tables rebuilds the Dehn replacements and exactly-half swaps
 from the relator, as the two tables curvetrace.words read before it read
 everything off its one cell-move table.
 
+word_key and reference_min_rotation keep the spelling order that the letter
+codes in curvetrace.words must reproduce: a tuple of (|l|, l < 0) pairs per
+word, shorter words first, and the least rotation by that key.
+
 reference_valuate and reference_lamination_intersection keep the Fraction
 arithmetic that the integer pairing table in curvetrace.valuations must
 reproduce: every weight times every pair count, summed term by term, with no
@@ -473,6 +477,18 @@ def reference_dehn_tables(genus):
                 table = half_repl if length == 2 * genus else long_repl
                 table[shift[:length]] = inverse_word(shift[length:])
     return long_repl, half_repl
+
+
+# -- spelling order -------------------------------------------------------------
+
+
+def word_key(word):
+    """Deterministic order: a1 < A1 < b1 < B1 < a2 < ..., shorter first."""
+    return (len(word), tuple((abs(l), l < 0) for l in word))
+
+
+def reference_min_rotation(word):
+    return min(rotations(word), key=word_key)
 
 
 # -- spelling closures, cell move by cell move ---------------------------------

@@ -4,12 +4,18 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reference_dehn_tables, reference_spellings
+from oracles import (
+    reference_dehn_tables,
+    reference_min_rotation,
+    reference_spellings,
+    word_key,
+)
 
 from curvetrace import words
 from curvetrace.errors import BadLetter, GenusTooSmall, ModelInconsistency, TrivialClass
 from curvetrace.words import (
     _chase_spellings,
+    _closure_entry,
     _cyclic_dehn_reduce,
     _min_rotation,
     _Shortened,
@@ -72,7 +78,10 @@ def test_parse_rejects_bad_letters():
 
 
 def test_canonical_class_rejects_letters_outside_alphabet():
-    for word in ((99,), (5,), (1, -6), (2, 5, -2)):
+    # letters that are not ints fail in free_reduce, as a cache key or in
+    # the miss path's check, and each raises BadLetter
+    not_ints = ("a1B2", "a", (1.5,), ([1],), (None,), (1, "b"), iter("a1"), 5)
+    for word in ((99,), (5,), (1, -6), (2, 5, -2)) + not_ints:
         with pytest.raises(BadLetter):
             canonical_class(S2, word)
     assert canonical_class(S3, (5,)).word == (5,)
@@ -229,6 +238,7 @@ def test_spelling_closure_is_shared_and_mirrored(genus, lo, hi):
         assert isinstance(mirror, frozenset)
         assert mirror == _chase_spellings(genus, inverse)
         assert mirror == {_min_rotation(inverse_word(m)) for m in closure}
+        assert _closure_entry(genus, word)[1] == min(closure | mirror, key=word_key)
 
 
 def _closure_or_shortened(chase, genus, word):
@@ -266,9 +276,9 @@ def test_two_cell_ring_reaches_the_class():
 _G2_WORDS = st.lists(st.sampled_from(letters(2)), max_size=7).map(tuple)
 
 
-def _class_or_trivial(word):
+def _class_or_trivial(word, surface=S2):
     try:
-        return canonical_class(S2, word)
+        return canonical_class(surface, word)
     except TrivialClass:
         return None
 
@@ -298,6 +308,58 @@ def test_canonical_class_rejects_trivial():
         canonical_class(S2, S2.relator)
     with pytest.raises(TrivialClass):
         canonical_class(S2, (1, 2, -2, -1))
+
+
+def test_trivial_words_are_cached_and_raise_every_time():
+    word = S2.relator[3:] + S2.relator[:3]
+    with pytest.raises(TrivialClass):
+        canonical_class(S2, word)
+    before = words._canonical_class.cache_info()
+    for _ in range(3):
+        with pytest.raises(TrivialClass):
+            canonical_class(S2, word)
+    after = words._canonical_class.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 3)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_letter_code_order_matches_word_key(genus):
+    rng = random.Random(1980 + genus)
+    surface = make_surface(genus)
+    # letters past 127 have codes past one byte
+    for alphabet in (letters(genus), letters(genus) + (128, -128, 300, -300)):
+        for _ in range(300):
+            word = tuple(rng.choice(alphabet) for _ in range(rng.randrange(13)))
+            assert _min_rotation(word) == reference_min_rotation(word)
+    for _ in range(200):
+        word = tuple(rng.choice(letters(genus)) for _ in range(rng.randrange(14)))
+        spellings = geodesic_spellings(genus, word)
+        assert normalize_word(surface, word) == min(spellings, key=word_key)
+        w = _cyclic_dehn_reduce(genus, word)
+        if not w:
+            continue
+        try:
+            closure, least = _closure_entry(genus, w)
+        except _Shortened:
+            continue
+        mirror = cyclic_spellings(genus, reference_min_rotation(inverse_word(w)))
+        assert least == min(closure | mirror, key=word_key)
+
+
+@pytest.mark.parametrize("genus,max_length,count", [(2, 5, 2046), (3, 4, 2119)])
+def test_canonical_words_are_word_key_least(genus, max_length, count):
+    # every class of the short words, against the order its words had
+    # before letter codes: the word_key-least spelling in either orientation
+    surface = make_surface(genus)
+    classes = {
+        _class_or_trivial(word, surface) for word in reduced_words(genus, max_length)
+    }
+    classes.discard(None)
+    assert len(classes) == count
+    for cls in classes:
+        closure = cyclic_spellings(genus, cls.word)
+        mirror = cyclic_spellings(genus, reference_min_rotation(inverse_word(cls.word)))
+        assert cls.word == min(closure | mirror, key=word_key)
 
 
 def test_homology_frozen_values():
