@@ -38,6 +38,7 @@ from .representations import Representation, evaluate_trace, random_representati
 from .words import (
     CurveClass,
     Surface,
+    _bad_word,
     canonical_class,
     dehn_reduce,
     format_word,
@@ -241,7 +242,10 @@ def expand_trace(s: Surface, word) -> TraceExpression:
     The state sum runs over a taut diagram of the word's primitive root
     traversed as many times as the power, so powers need no separate rule.
     """
-    reduced = dehn_reduce(s.genus, word)
+    try:
+        reduced = dehn_reduce(s.genus, word)
+    except TypeError:
+        raise _bad_word(word) from None
     if not reduced:
         return scalar_expression(s.genus, 2)
     return _expand_class(s, canonical_class(s, reduced))
@@ -252,8 +256,10 @@ def _expand_class(s: Surface, cls: CurveClass) -> TraceExpression:
     hit = _EXPAND_CACHE.get(key)
     if hit is None:
         root, power = primitive_root(s, cls)
-        route, _ = _taut_single(s.genus, root.word)
-        hit = _EXPAND_CACHE[key] = _state_sum(s, (cls,), (route * power,))
+        diagram = _taut_single(s.genus, root.word)
+        if power > 1:
+            diagram = tauten_routes(s.genus, (cls,), (diagram.routes[0] * power,))
+        hit = _EXPAND_CACHE[key] = _state_sum(s, diagram)
     return hit
 
 
@@ -281,8 +287,9 @@ def _merge_basis(s: Surface, mc1: Multicurve, mc2: Multicurve) -> TraceExpressio
         classes = tuple(
             c for mc in (mc1, mc2) for c, m in mc.components for _ in range(m)
         )
-        routes = tuple(_taut_single(s.genus, c.word)[0] for c in classes)
-        hit = _MERGE_CACHE[key] = _state_sum(s, classes, routes)
+        routes = tuple(_taut_single(s.genus, c.word).routes[0] for c in classes)
+        diagram = tauten_routes(s.genus, classes, routes)
+        hit = _MERGE_CACHE[key] = _state_sum(s, diagram)
     return hit
 
 
@@ -294,9 +301,9 @@ def _read_class(s: Surface, word):
         return None
 
 
-def _state_sum(s: Surface, classes, routes) -> TraceExpression:
-    """Product of the strands' traces, summed over the states of their
-    tautened diagram (see the module docstring); a strand of class c is -t_c.
+def _state_sum(s: Surface, diagram) -> TraceExpression:
+    """Product of the strands' traces, summed over the states of a certified
+    taut diagram (see the module docstring); a strand of class c is -t_c.
 
     Arc k has ends 2k (start) and 2k + 1 (finish), and a state links the four
     ends met at each crossing in two pairs.  A strand without crossings is
@@ -304,10 +311,9 @@ def _state_sum(s: Surface, classes, routes) -> TraceExpression:
     """
     budget = Budget()
     model = polygon_model(s.genus)
-    diagram = tauten_routes(s.genus, classes, routes, budget)
     arcs = list(strand_arcs(model, diagram))
     words = [word for word, _ in arcs]
-    for i, cls in enumerate(classes):
+    for i, cls in enumerate(diagram.classes):
         own = [word for word, arc in arcs if arc.strand == i]
         if not own:
             own = [model.route_word(diagram.routes[i])]
@@ -336,7 +342,7 @@ def _state_sum(s: Surface, classes, routes) -> TraceExpression:
                 link[in0], link[in1], link[out0], link[out1] = in1, in0, out1, out0
             else:
                 link[in0], link[out1], link[in1], link[out0] = out1, in0, out0, in1
-        coeff = (-1) ** (len(classes) + len(quads))
+        coeff = (-1) ** (len(diagram.classes) + len(quads))
         counts = {}
         seen = [False] * len(words)
         for k in range(len(words)):
@@ -359,7 +365,7 @@ def _state_sum(s: Surface, classes, routes) -> TraceExpression:
         acc[key] = acc.get(key, 0) + coeff
     # at the trivial representation every trace is 2
     at_one = sum(c * 2 ** sum(m for _, m in key) for key, c in acc.items())
-    if at_one != 2 ** len(classes):
+    if at_one != 2 ** len(diagram.classes):
         raise ModelInconsistency("state sum is wrong at the trivial representation")
     return _from_terms(
         s.genus, {Multicurve(s.genus, key): c for key, c in acc.items()}
@@ -401,6 +407,7 @@ class RankReport:
 def basis_rank_check(s: Surface, curves, trials: int, seed: int) -> RankReport:
     """Numerical rank of the evaluation matrix of the given multicurves."""
     curves = list(curves)
+    _check_genus(s, *curves)
     if trials < len(curves):
         raise ValueError(f"need trials >= {len(curves)}, got {trials}")
     rows = []

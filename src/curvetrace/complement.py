@@ -67,6 +67,7 @@ class Geometry:
         for retry in range(_MAX_JITTER_RETRIES):
             if self._place(retry):
                 self.retry = retry
+                del self.coord  # big integers that only placement reads
                 return
         raise ModelInconsistency("could not reach generic position")
 

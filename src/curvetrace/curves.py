@@ -15,7 +15,9 @@ with double points can need immersed monogons or bigons to witness its excess
 1985).  So each question runs one search:
 
 - A class tautens its route seeds, shortest first, until one comes out
-  embedded; a self-crossing class takes the best of them all.
+  embedded; a self-crossing class takes the best of them all.  That
+  certified diagram is kept: realize returns it, self_intersection counts
+  it, and the state sum of the class runs on it.
 - A pair tests its members shortest first and is counted on the splitting of
   pi1 along the first simple one (see splitting).  On a splitting miss, two
   simple members read their pair diagram, one tautened pair of taut routes
@@ -36,6 +38,7 @@ import numpy as np
 from .complement import ComplementReport, certify_taut, complement_census
 from .diagrams import Budget, CurveDiagram, build_diagram, build_with_slots
 from .errors import (
+    BadArgument,
     GenusMismatch,
     ModelInconsistency,
     NotSimple,
@@ -167,44 +170,44 @@ def tauten_routes(genus: int, classes, routes, budget=None):
 
 
 @lru_cache(maxsize=None)
-def _taut_single(genus: int, class_word) -> tuple:
-    """Tautened route and self-crossing count for one class: the first seed
-    that tautens to an embedded strand, else the fewest crossings over all
-    seeds."""
+def _taut_single(genus: int, class_word) -> CurveDiagram:
+    """Certified taut diagram of one class, kept for every later reader: the
+    first seed that tautens to an embedded strand, else the fewest crossings
+    over all seeds (then the shorter, then the smaller route)."""
     best = None
     budget = Budget()
     for seed in _route_seeds(genus, class_word):
-        d = tauten_routes(genus, (class_word,), (seed,), budget)
+        d = tauten_routes(genus, (CurveClass(genus, class_word),), (seed,), budget)
         if d.crossing_count == 0:
-            return d.routes[0], 0
+            return d
         key = (d.crossing_count, len(d.routes[0]), d.routes[0])
-        if best is None or key < best:
-            best = key
-    count, _, route = best
-    return route, count
+        if best is None or key < best[0]:
+            best = key, d
+    return best[1]
 
 
 def _check_genus(s: Surface, *items) -> None:
-    """Raise GenusMismatch unless every item (anything with .genus) is on s."""
+    """Raise GenusMismatch unless every item is on s, BadArgument if it has no
+    .genus."""
     for x in items:
-        if x.genus != s.genus:
+        try:
+            genus = x.genus
+        except AttributeError:  # checked off the cache-hit path
+            raise BadArgument(f"expected a curvetrace object, not {x!r}") from None
+        if genus != s.genus:
             name = type(x).__name__
             if isinstance(x, CurveClass):
                 name = format_word(x.word)
             raise GenusMismatch(
-                f"{name} has genus {x.genus}; the surface has genus {s.genus}"
+                f"{name} has genus {genus}; the surface has genus {s.genus}"
             )
 
 
 def realize(s: Surface, c: CurveClass) -> CurveDiagram:
-    """Taut single-strand diagram of the class.
-
-    The taut route alone does not fix the slots: the comparator's order can
-    miss swap moves, so the route is tautened again.
-    """
+    """Certified taut single-strand diagram of the class, built once and
+    shared: self_intersection counts it and expand_trace sums over it."""
     _check_genus(s, c)
-    route, _ = _taut_single(s.genus, c.word)
-    return tauten_routes(s.genus, (c,), (route,))
+    return _taut_single(s.genus, c.word)
 
 
 def tauten(d: CurveDiagram) -> CurveDiagram:
@@ -215,8 +218,7 @@ def tauten(d: CurveDiagram) -> CurveDiagram:
 def self_intersection(s: Surface, c: CurveClass) -> int:
     """Minimal double-point count of a single representative."""
     _check_genus(s, c)
-    _, count = _taut_single(s.genus, c.word)
-    return count
+    return _taut_single(s.genus, c.word).crossing_count
 
 
 def is_simple(s: Surface, c: CurveClass) -> bool:
@@ -230,7 +232,7 @@ def _pair_diagram(s: Surface, x: CurveClass, y: CurveClass) -> CurveDiagram:
     """Taut diagram of two simple classes.  The embedded-bigon certificate is
     conclusive for simple curves, so one tauten of their taut routes is
     minimal."""
-    routes = tuple(_taut_single(s.genus, c.word)[0] for c in (x, y))
+    routes = tuple(_taut_single(s.genus, c.word).routes[0] for c in (x, y))
     return tauten_routes(s.genus, (x, y), routes)
 
 
@@ -394,14 +396,14 @@ def _pair_count(genus: int, wx, wy) -> int:
 
     short, long_ = sorted((wx, wy), key=lambda w: (len(w), w))
     for delta, other in ((short, long_), (long_, short)):
-        if _taut_single(genus, delta)[1] == 0:
+        if _taut_single(genus, delta).crossing_count == 0:
             break
     else:
         return _pair_cross_refined(genus, wx, wy)
     count = splitting_count(genus, delta, other)
     if count is not None:
         return count
-    if _taut_single(genus, other)[1] == 0:
+    if _taut_single(genus, other).crossing_count == 0:
         return _pair_taut(genus, wx, wy).cross_strand_crossings()
     raise ReductionBudgetExceeded(
         f"no product of short twists carries a standard curve to"

@@ -13,6 +13,11 @@ class BadLetter(CurvetraceError):
     """Raised when word text references a generator outside the surface alphabet."""
 
 
+class BadArgument(CurvetraceError, TypeError):
+    """Raised when a public call gets an argument of the wrong kind, such as a
+    tuple where a class is expected."""
+
+
 class GenusMismatch(CurvetraceError):
     """Raised when a class of one genus is used on a surface of another."""
 

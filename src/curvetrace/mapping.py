@@ -41,7 +41,6 @@ from .curves import (
     intersection_number,
     is_simple,
 )
-from .diagrams import build_diagram
 from .errors import (
     BadIndex,
     ModelInconsistency,
@@ -54,6 +53,7 @@ from .words import (
     CurveClass,
     GroupWord,
     Surface,
+    _bad_word,
     canonical_class,
     dehn_reduce,
     format_word,
@@ -176,10 +176,10 @@ def _twist_words(s: Surface, cls: CurveClass, turns: int) -> tuple:
     """Raw generator images of the twist along cls, with the given number of
     turns (sign = handedness)."""
     model = polygon_model(s.genus)
-    route, crossings = _taut_single(s.genus, cls.word)
-    if crossings:
+    diagram = _taut_single(s.genus, cls.word)
+    if diagram.crossing_count:
         raise NotSimple(f"cannot twist along {format_word(cls.word)}")
-    diagram = build_diagram(model, (cls,), (route,))
+    route = diagram.routes[0]
     # prefixes[j]: word read rotating from the base corner sector past the
     # first j side germs of the vertex walk
     prefixes = [model.exits_word(model.orbit[:j]) for j in range(model.n_sides + 1)]
@@ -210,7 +210,7 @@ def _twist_words(s: Surface, cls: CurveClass, turns: int) -> tuple:
 
 def _twist_homology_check(s: Surface, cls: CurveClass, turns: int, images):
     model = polygon_model(s.genus)
-    route, _ = _taut_single(s.genus, cls.word)
+    route = _taut_single(s.genus, cls.word).routes[0]
     curve = homology_class(s, model.route_word(route, 0)).coords
     for k in range(1, s.rank + 1):
         before = homology_class(s, (k,)).coords
@@ -325,7 +325,11 @@ def twist_generator(s: Surface, index: int) -> MappingClass:
 
 def apply_to_word(s: Surface, f: MappingClass, word) -> GroupWord:
     _check_genus(s, f)
-    return normalize_word(s, _substitute(f.images, tuple(word)))
+    try:
+        image = _substitute(f.images, tuple(word))
+    except TypeError:
+        raise _bad_word(word) from None
+    return normalize_word(s, image)
 
 
 def apply_to_class(s: Surface, f: MappingClass, cls: CurveClass) -> CurveClass:

@@ -304,9 +304,21 @@ def geodesic_spellings(genus: int, word: Iterable):
             w = dehn_reduce(genus, s.word)
 
 
+def _bad_word(word) -> BadLetter:
+    """BadLetter for the TypeError being handled while reading word (the
+    handlers keep type checks off the cache-hit paths).  Int letters cannot
+    raise one, so for them the TypeError is a fault and propagates."""
+    if isinstance(word, tuple) and all(isinstance(l, int) for l in word):
+        raise  # the TypeError being handled
+    return BadLetter(f"a word is a sequence of int letters, not {word!r}")
+
+
 def normalize_word(surface: Surface, word: Iterable) -> GroupWord:
     """Canonical geodesic form of the group element (lex-min spelling)."""
-    return min(geodesic_spellings(surface.genus, word), key=_letter_codes)
+    try:
+        return min(geodesic_spellings(surface.genus, word), key=_letter_codes)
+    except TypeError:
+        raise _bad_word(word) from None
 
 
 def _cyclic_dehn_reduce(genus: int, word: Iterable) -> GroupWord:
@@ -449,10 +461,8 @@ def canonical_class(surface: Surface, word: Iterable) -> CurveClass:
     try:
         word = free_reduce(word)
         cls = _canonical_class(surface.genus, word)
-    except TypeError:  # a letter that is no int; checked off the cache-hit path
-        if isinstance(word, tuple) and all(isinstance(l, int) for l in word):
-            raise
-        raise BadLetter(f"a word is a sequence of int letters, not {word!r}") from None
+    except TypeError:
+        raise _bad_word(word) from None
     if cls is None:
         raise TrivialClass("word is null-homotopic")
     return cls

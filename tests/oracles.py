@@ -642,10 +642,9 @@ def _reference_class(s, cls):
 
 
 def _reference_primitive(s, cls):
-    route, count = _taut_single(s.genus, cls.word)
-    if count == 0:
+    diagram = _taut_single(s.genus, cls.word)
+    if diagram.crossing_count == 0:
         return basis_expression(_multicurve(s.genus, {cls: 1}))
-    diagram = tauten_routes(s.genus, (cls,), (route,))
     (_, p), (_, q) = min(diagram.crossings)
     taut_route = diagram.routes[0]
     model = polygon_model(s.genus)

@@ -25,8 +25,15 @@ from curvetrace.algebra import (
     unit_expression,
     zero_expression,
 )
-from curvetrace.curves import enumerate_classes
-from curvetrace.errors import GenusMismatch, ModelInconsistency, NotSimple
+from curvetrace import curves
+from curvetrace.curves import _taut_single, enumerate_classes, tauten_routes
+from curvetrace.errors import (
+    BadArgument,
+    BadLetter,
+    GenusMismatch,
+    ModelInconsistency,
+    NotSimple,
+)
 from curvetrace.mapping import apply_to_multicurve, twist_generator
 from curvetrace.representations import evaluate_trace, random_representation
 from curvetrace.words import (
@@ -337,6 +344,38 @@ def test_rank_check_flags_dependent_family():
     report = basis_rank_check(S2, [a1, a1], trials=5, seed=1)
     assert report.rank == 1
     assert not report.full_rank
+
+
+def test_rank_check_rejects_multicurves_of_another_genus():
+    with pytest.raises(GenusMismatch):
+        basis_rank_check(make_surface(3), [empty_multicurve(2)], 2, 0)
+    with pytest.raises(BadArgument):
+        basis_rank_check(S2, [(1, 2)], 1, 0)
+
+
+def test_expand_trace_rejects_words_that_are_not_int_letters():
+    for word in ("a1B2", "a", (1, "b")):
+        with pytest.raises(BadLetter):
+            expand_trace(S2, word)
+
+
+def test_expansion_reuses_the_cached_taut_diagram(monkeypatch):
+    # a primitive class sums over the diagram _taut_single certified, so
+    # expanding it tautens nothing once that diagram is cached
+    cls = C("a1B2B1")
+    assert _taut_single(2, cls.word).crossing_count == 2
+    want = reference_expand(S2, cls.word)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return tauten_routes(*args, **kwargs)
+
+    for module in (algebra, curves):
+        monkeypatch.setattr(module, "tauten_routes", recording)
+    monkeypatch.setattr(algebra, "_EXPAND_CACHE", {})
+    assert expand_trace(S2, cls.word) == want
+    assert calls == []
 
 
 def test_rank_check_requires_enough_trials():

@@ -148,5 +148,6 @@ def test_chord_orders_match_rational_reference(genus):
         retry, on_chord = reference_placement(model, d)
         assert geo.retry == retry
         assert geo.on_chord == on_chord
+        assert not hasattr(geo, "coord")
         retried += retry > 0
     assert retried >= 1

@@ -12,8 +12,11 @@ from oracles import (
 )
 from curvetrace import curves
 from curvetrace.algebra import enumerate_multicurves
+from curvetrace.complement import certify_taut
 from curvetrace.diagrams import Budget, _ray_verdict, build_with_slots
 from curvetrace.errors import (
+    BadArgument,
+    CurvetraceError,
     GenusMismatch,
     ModelInconsistency,
     NotSimple,
@@ -67,9 +70,10 @@ def test_realize_dump_frozen():
 def test_realize_is_taut():
     assert realize(S2, C("a1B2B1")).crossing_count == 2
     for cls in all_classes_up_to(2, 4):
-        route, count = _taut_single(2, cls.word)
+        route, count = reference_taut_single(2, cls.word)
         d = realize(S2, cls)
         assert (d.routes, d.crossing_count) == ((route,), count), cls.word
+        assert certify_taut(polygon_model(2), d) is None, cls.word
 
 
 def test_self_intersection_frozen_values():
@@ -192,7 +196,7 @@ def test_comparator_ties_on_s_plus_never_part_on_s_minus():
     strands += [(c.word,) for c in enumerate_classes(S2, 3)]
     ties = 0
     for words in strands:
-        routes = tuple(_taut_single(2, w)[0] for w in words)
+        routes = tuple(_taut_single(2, w).routes[0] for w in words)
         events = {}
         for i, route in enumerate(routes):
             for p, side in enumerate(route):
@@ -241,15 +245,17 @@ def test_taut_single_matches_every_seed_reference():
     # route of the whole seed search
     for surface, bound in ((S2, 4), (S3, 3)):
         for cls in enumerate_classes(surface, bound):
-            got = _taut_single(surface.genus, cls.word)
+            d = _taut_single(surface.genus, cls.word)
+            got = (d.routes[0], d.crossing_count)
             assert got == reference_taut_single(surface.genus, cls.word), cls.word
+            assert d.classes == (cls,), cls.word
 
 
 def test_short_simple_member_decides_without_the_long_member(monkeypatch):
     # a1 is simple, so its splitting counts the pair, and the long
     # self-crossing member is never tautened
     long_word = C("a1B2b1b1b2").word
-    assert len(long_word) >= 5 and _taut_single(2, long_word)[1] > 0
+    assert len(long_word) >= 5 and _taut_single(2, long_word).crossing_count > 0
     seen = []
 
     def recording(genus, class_word):
@@ -336,7 +342,7 @@ def test_tauten_union_of_two_multicurves():
             for c, m in mc.components:
                 classes += [c] * m
                 sides += [side] * m
-        routes = [_taut_single(2, c.word)[0] for c in classes]
+        routes = [_taut_single(2, c.word).routes[0] for c in classes]
         d = tauten_routes(2, classes, routes)
         want = sum(
             m * n * intersection_number(S2, a, b)
@@ -442,6 +448,30 @@ def test_genus_mismatch_is_typed():
     ):
         with pytest.raises(GenusMismatch):
             call()
+
+
+def test_non_class_arguments_are_typed():
+    # a tuple where a class belongs fails the genus check with a typed error
+    # that is still a TypeError
+    a1 = C("a1")
+    for call in (
+        lambda: realize(S2, (1, 2)),
+        lambda: self_intersection(S2, (1, 2)),
+        lambda: is_simple(S2, (1, 2)),
+        lambda: intersection_number(S2, a1, (1, 2)),
+        lambda: intersection_number(S2, (1, 2), a1),
+    ):
+        with pytest.raises(BadArgument, match=r"not \(1, 2\)$") as info:
+            call()
+        assert isinstance(info.value, CurvetraceError)
+        assert isinstance(info.value, TypeError)
+
+
+def test_realize_returns_the_one_cached_diagram():
+    for text in ("a1", "a1b1", "a1B2B1", "a1a1"):
+        d = realize(S2, C(text))
+        assert d is realize(S2, C(text))
+        assert d.classes == (C(text),)
 
 
 def test_complement_report_names_nonsimple_class():

@@ -16,6 +16,7 @@ from curvetrace.algebra import (
 from curvetrace.curves import enumerate_simple_classes, intersection_number
 from curvetrace.errors import (
     BadIndex,
+    BadLetter,
     GenusMismatch,
     ModelInconsistency,
     NotSimple,
@@ -330,6 +331,13 @@ def test_apply_rejects_other_genus():
         apply_to_class(S3, t, C("a1b1", S3))
     with pytest.raises(GenusMismatch):
         apply_to_multicurve(S2, t, make_multicurve(S3, {C("a3", S3): 1}))
+
+
+def test_apply_to_word_rejects_words_that_are_not_int_letters():
+    t = twist_generator(S2, 1)
+    for word in ("a1", "a", (1, "b"), 5):
+        with pytest.raises(BadLetter):
+            apply_to_word(S2, t, word)
 
 
 def test_verify_algebra_automorphism_reports():

@@ -87,6 +87,13 @@ def test_canonical_class_rejects_letters_outside_alphabet():
     assert canonical_class(S3, (5,)).word == (5,)
 
 
+def test_normalize_word_rejects_words_that_are_not_int_letters():
+    for word in ("a1B2", "a", (1, "b"), 5):
+        with pytest.raises(BadLetter):
+            normalize_word(S2, word)
+    assert normalize_word(S2, [1, -1, 2]) == (2,)
+
+
 def test_alphabet_and_reduced_words():
     assert letters(2) == (1, -1, 2, -2, 3, -3, 4, -4)
     words = list(reduced_words(2, 3))
