@@ -1,10 +1,10 @@
 """Named acceptance suites: one deterministic verdict line per criterion.
 
-Every suite fixes genus 2, its own seeds, and its stated tolerance; exact
-checks use rational arithmetic throughout.  `run_suite` executes one suite
-by name, `run_all` the whole battery in order.
+Every suite fixes genus 2 and its own seeds, and every check is exact:
+rational arithmetic, or residues mod P at representations in SL2(F_P).
+`run_suite` executes one suite by name, `run_all` the whole battery in order.
 Words come from words.letters and reduced_words, mod-2 classes from
-mod2_class, and SL2 products from representations._word_matrix and _inv.
+mod2_class, and matrices of words from representations._word_matrix.
 """
 from __future__ import annotations
 
@@ -39,7 +39,13 @@ from .mapping import (
     twist_generator,
     verify_algebra_automorphism,
 )
-from .representations import _inv, _word_matrix, evaluate_trace, random_representation
+from .representations import (
+    P,
+    _inv,
+    _word_matrix,
+    evaluate_trace,
+    random_representation,
+)
 from .valuations import (
     classify_discrete,
     curv_normalize,
@@ -51,6 +57,7 @@ from .valuations import (
 from .words import (
     canonical_class,
     homology_class,
+    inverse_word,
     letters,
     make_surface,
     mod2_class,
@@ -93,38 +100,38 @@ def _random_word(rng, s, length):
 
 def _run_presentation():
     s = make_surface(2)
+    # a representation is built only if every generator has det 1 and the
+    # relator is exactly I.  That is the check that can fail: with inverses
+    # taken as adjugates, Tr X Tr Y = Tr XY + Tr XY^-1 holds for any 2x2
+    # matrices, so the pair sweep checks the word arithmetic.
     reps = [random_representation(s, seed) for seed in range(REPRESENTATION_COUNT)]
-    t1_dev = max(abs(evaluate_trace(rep, ()) - 2) for rep in reps)
-    # extended precision: the identity under test cancels exactly, so the
-    # measured deviation is pure roundoff and must sit well under tolerance
-    extended = [np.asarray(rep.matrices, dtype=np.clongdouble) for rep in reps]
     words = list(reduced_words(s.genus, 3))
-    worst = 0.0
-    for gens in extended:
-        mats = np.stack([_word_matrix(gens, w) for w in words])
-        invs = np.stack([_inv(m) for m in mats])
-        traces = np.einsum("aii->a", mats)
-        direct = np.einsum("aij,bji->ab", mats, mats)
-        inverted = np.einsum("aij,bji->ab", mats, invs)
-        dev = np.abs(np.outer(traces, traces) - direct - inverted).max()
-        worst = max(worst, float(dev))
+    mismatches = 0
+    for rep in reps:
+        mats = [_word_matrix(rep.matrices, w) for w in words]
+        x = np.array(mats, dtype=np.int64)
+        # with rows (a, b, c, d), Tr XY is X . (a, c, b, d) of Y.  Entries are
+        # residues mod P < 2^30, so each four-term int64 sum stays below 2^62.
+        ys = np.array(mats + [_inv(m) for m in mats], dtype=np.int64)
+        pairs = x @ ys[:, [0, 2, 1, 3]].T % P
+        traces = (x[:, 0] + x[:, 3]) % P
+        direct, inverted = pairs[:, : len(words)], pairs[:, len(words) :]
+        residue = (np.outer(traces, traces) - direct - inverted) % P
+        mismatches += int(np.count_nonzero(residue))
     rng = random.Random(101)
     sampled = 400
     for _ in range(sampled):
         wa = _random_word(rng, s, rng.randint(1, 6))
         wb = _random_word(rng, s, rng.randint(1, 6))
-        for gens in extended:
-            ma, mb = _word_matrix(gens, wa), _word_matrix(gens, wb)
-            dev = abs(
-                np.trace(ma) * np.trace(mb)
-                - np.trace(ma @ mb)
-                - np.trace(ma @ _inv(mb))
-            )
-            worst = max(worst, float(dev))
-    passed = worst <= 1e-8 and t1_dev <= 1e-12
+        wb_inverse = inverse_word(wb)
+        for rep in reps:
+            lhs = evaluate_trace(rep, wa) * evaluate_trace(rep, wb)
+            rhs = evaluate_trace(rep, wa + wb) + evaluate_trace(rep, wa + wb_inverse)
+            mismatches += (lhs - rhs) % P != 0
+    passed = mismatches == 0
     detail = (
         f"{len(words)}^2 exhaustive(len<=3) + {sampled} sampled(len<=6) pairs"
-        f" x{len(reps)} reps: max dev {worst:.1e}, |t_1-2| {t1_dev:.1e}"
+        f" x{len(reps)} reps, det 1 and relator exactly I: mismatches {mismatches}"
     )
     return passed, detail
 
@@ -132,15 +139,15 @@ def _run_presentation():
 def _run_basis():
     s = make_surface(2)
     reps = [random_representation(s, seed) for seed in range(REPRESENTATION_COUNT)]
-    worst = 0.0
+    mismatches = 0
     checked = 0
 
     def check(word):
-        nonlocal worst, checked
+        nonlocal mismatches, checked
         f = expand_trace(s, word)
         for rep in reps:
-            dev = abs(evaluate_expression(rep, f) - evaluate_trace(rep, word))
-            worst = max(worst, float(dev))
+            if evaluate_expression(rep, f) != evaluate_trace(rep, word):
+                mismatches += 1
         checked += 1
 
     for c in enumerate_classes(s, 4):
@@ -160,10 +167,10 @@ def _run_basis():
         make_multicurve(s, {a1: 2}),
     ]
     report = basis_rank_check(s, six, trials=30, seed=7)
-    passed = worst <= 1e-8 and report.full_rank and report.gap >= 1e-6
+    passed = mismatches == 0 and report.full_rank
     detail = (
-        f"{checked} expansions x{len(reps)} reps: max dev {worst:.1e};"
-        f" rank {report.rank}/{report.size} gap {report.gap:.1e}"
+        f"{checked} expansions x{len(reps)} reps: mismatches {mismatches};"
+        f" exact rank {report.rank}/{report.size}"
     )
     return passed, detail
 
@@ -357,20 +364,20 @@ def _run_actions():
                 failures += 1
     rep = random_representation(s, 5)
     words = [c.word for c in enumerate_classes(s, 3)]
-    worst = 0.0
+    mismatches = 0
     for a in characters:
         twisted = central_twist(s, rep, a)
         for word in words:
             coords = homology_class(s, word, "Z2").coords
-            expected = (-1) ** a.evaluate(coords) * evaluate_trace(rep, word)
-            dev = abs(evaluate_trace(twisted, word) - expected)
-            worst = max(worst, float(dev))
-    if worst > 1e-8:
+            expected = (-1) ** a.evaluate(coords) * evaluate_trace(rep, word) % P
+            if evaluate_trace(twisted, word) != expected:
+                mismatches += 1
+    if mismatches:
         failures += 1
     passed = failures == 0
     detail = (
         f"16 characters + 5 twists on 50 pairs; {combos} semidirect combos"
-        f" bound 2; central-twist max dev {worst:.1e}; failures {failures}"
+        f" bound 2; central-twist mismatches {mismatches}; failures {failures}"
     )
     return passed, detail
 

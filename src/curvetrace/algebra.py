@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-import numpy as np
-
 from .complement import strand_arcs
 from .curves import (
     _check_genus,
@@ -32,9 +30,9 @@ from .curves import (
     tauten_routes,
 )
 from .diagrams import Budget
-from .errors import ModelInconsistency, TrivialClass
+from .errors import GenusMismatch, ModelInconsistency, TrivialClass
 from .polygon import polygon_model
-from .representations import Representation, evaluate_trace, random_representation
+from .representations import P, Representation, evaluate_trace, random_representation
 from .words import (
     CurveClass,
     Surface,
@@ -46,8 +44,6 @@ from .words import (
     parse_word,
     primitive_root,
 )
-
-RANK_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -372,17 +368,22 @@ def _state_sum(s: Surface, diagram) -> TraceExpression:
     )
 
 
-# -- numerical evaluation -----------------------------------------------------
+# -- evaluation at representations --------------------------------------------
 
 
-def evaluate_expression(rep: Representation, f: TraceExpression) -> complex:
-    total = 0j
+def evaluate_expression(rep: Representation, f: TraceExpression) -> int:
+    """Value of the expression at the representation, as a residue mod P."""
+    if f.genus != rep.genus:
+        raise GenusMismatch(
+            f"expression has genus {f.genus}; the representation has genus {rep.genus}"
+        )
+    total = 0
     for mc, coeff in f.terms:
-        value = complex(1.0)
+        value = coeff.numerator * pow(coeff.denominator, -1, P)
         for cls, mult in mc.components:
-            value *= evaluate_trace(rep, cls.word) ** mult
-        total += float(coeff) * value
-    return total
+            value = value * pow(evaluate_trace(rep, cls.word), mult, P) % P
+        total += value
+    return total % P
 
 
 @dataclass(frozen=True)
@@ -391,21 +392,31 @@ class RankReport:
     trials: int
     seed: int
     rank: int
-    gap: float
 
     @property
     def full_rank(self) -> bool:
         return self.rank == self.size
 
     def __str__(self) -> str:
-        return (
-            f"rank={self.rank}/{self.size} gap={self.gap:.3e}"
-            f" trials={self.trials} seed={self.seed}"
-        )
+        return f"rank={self.rank}/{self.size} trials={self.trials} seed={self.seed}"
+
+
+def _rank_mod_p(rows) -> int:
+    """Rank of a matrix of residues by elimination mod P."""
+    pivots = {}  # column -> row reduced by the earlier pivots, 1 in that column
+    for row in rows:
+        for col, pivot in pivots.items():
+            row = [(x - row[col] * y) % P for x, y in zip(row, pivot)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is not None:
+            inv = pow(row[col], -1, P)
+            pivots[col] = [x * inv % P for x in row]
+    return len(pivots)
 
 
 def basis_rank_check(s: Surface, curves, trials: int, seed: int) -> RankReport:
-    """Numerical rank of the evaluation matrix of the given multicurves."""
+    """Exact rank mod P of the evaluation matrix of the given multicurves; full
+    rank proves them linearly independent over Q."""
     curves = list(curves)
     _check_genus(s, *curves)
     if trials < len(curves):
@@ -416,11 +427,6 @@ def basis_rank_check(s: Surface, curves, trials: int, seed: int) -> RankReport:
         rows.append(
             [evaluate_expression(rep, basis_expression(mc)) for mc in curves]
         )
-    matrix = np.array(rows, dtype=complex)
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    top = float(singular[0]) if len(singular) else 0.0
-    kept = [float(v) for v in singular if top > 0 and v > RANK_TOLERANCE * top]
-    gap = (kept[-1] / top) if kept else 0.0
     return RankReport(
-        size=len(curves), trials=trials, seed=seed, rank=len(kept), gap=gap
+        size=len(curves), trials=trials, seed=seed, rank=_rank_mod_p(rows)
     )

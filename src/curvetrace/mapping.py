@@ -48,7 +48,7 @@ from .errors import (
     NotSimpleImage,
 )
 from .polygon import polygon_model
-from .representations import Representation, relator_residual
+from .representations import P, Representation
 from .words import (
     CurveClass,
     GroupWord,
@@ -482,13 +482,10 @@ def central_twist(s: Surface, rep: Representation, a: SignCharacter) -> Represen
     """Representation with each generator matrix flipped by the character."""
     _check_genus(s, rep, a)
     matrices = tuple(
-        -m if bit else m for m, bit in zip(rep.matrices, a.bits)
+        tuple(-x % P for x in m) if bit else m
+        for m, bit in zip(rep.matrices, a.bits)
     )
-    return Representation(
-        genus=rep.genus,
-        matrices=matrices,
-        relator_residual=relator_residual(s, matrices),
-    )
+    return Representation(genus=rep.genus, matrices=matrices)
 
 
 # -- automorphism and semidirect checks ---------------------------------------

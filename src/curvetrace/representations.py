@@ -1,143 +1,126 @@
-"""Numerical SL2(C) representations of the surface group.
+"""Representations of the surface group in SL2(F_P), computed exactly.
 
-These are identity-testing oracles: double precision with residual gates, never
-ground truth for exact outputs.  Sampling solves the last commutator equation
-[a_g, b_g] = C by adjusting a_g with one unipotent parameter until the
-conjugation obstruction Tr(a_g^-1 C) = Tr(a_g^-1) vanishes, then aligning
-eigenvector frames to produce b_g.
+Every identity the character algebra is checked against has integer
+coefficients, so it holds word for word in SL2(F_P) as in SL2(C).  A matrix
+[[a, b], [c, d]] is the residue tuple (a, b, c, d), and traces are residues.
+An identity that fails over Q survives reduction mod P except on a root, a
+chance of at most degree/P per random representation (Schwartz-Zippel), and
+a full rank mod P proves linear independence over Q.
+
+Sampling solves the last commutator equation [a_g, b_g] = C.  It puts
+a_g = base U(s) with s solving Tr(a_g^-1 C) = Tr(a_g^-1), which is linear in
+s, then b_g = y M - M a_g for a random M, with y = a_g^-1 C.  By
+Cayley-Hamilton, y b_g - b_g a_g^-1 = (y^2 - Tr(y) y + I) M = 0.  Scaling b_g
+by a square root of its determinant, x^((P+1)/4) as P = 3 mod 4, puts it in
+SL2.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
-import numpy as np
+from .errors import BadLetter, ModelInconsistency, SolveFailed
+from .words import Surface, make_surface
 
-from .errors import BadLetter, SolveFailed
-from .words import GroupWord, Surface
+P = 1073741783  # prime, P = 3 mod 4, below 2^30
+_I = (1, 0, 0, 1)
 
-_DET_TOL = 1e-12
-_RESIDUAL_TOL = 1e-9
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        (a * e + b * g) % P,
+        (a * f + b * h) % P,
+        (c * e + d * g) % P,
+        (c * f + d * h) % P,
+    )
+
+
+def _inv(m: tuple) -> tuple:
+    # the adjugate, which is the inverse in SL2
+    a, b, c, d = m
+    return (d, -b % P, -c % P, a)
+
+
+def _det(m: tuple) -> int:
+    a, b, c, d = m
+    return (a * d - b * c) % P
+
+
+def _word_matrix(matrices, word) -> tuple:
+    m = _I
+    for l in word:
+        if not isinstance(l, int) or not 0 < abs(l) <= len(matrices):
+            raise BadLetter(f"letter {l!r} outside {len(matrices)} generators")
+        g = matrices[abs(l) - 1]
+        m = _mul(m, g if l > 0 else _inv(g))
+    return m
 
 
 @dataclass(frozen=True)
 class Representation:
-    """2g determinant-1 matrices satisfying the surface relator numerically."""
+    """2g matrices of SL2(F_P) that satisfy the surface relator exactly."""
 
     genus: int
-    matrices: tuple  # tuple of 2x2 complex ndarrays, index k-1 holds generator k
-    relator_residual: float
+    matrices: tuple  # residue tuples (a, b, c, d); index k-1 holds generator k
+
+    def __post_init__(self):
+        relator = make_surface(self.genus).relator
+        if (
+            len(self.matrices) != 2 * self.genus
+            or any(_det(m) != 1 for m in self.matrices)
+            or _word_matrix(self.matrices, relator) != _I
+        ):
+            raise ModelInconsistency("matrices are not a representation in SL2(F_P)")
 
 
-def _inv(m: np.ndarray) -> np.ndarray:
-    # adjugate: exact inverse for det-1 matrices, no linear solve noise; keeps
-    # the input dtype so extended-precision callers stay extended
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=m.dtype)
-
-
-def _unipotent_product(rng: np.random.Generator, factors: int = 4) -> np.ndarray:
-    m = np.eye(2, dtype=complex)
+def _unipotent_product(rng: random.Random, factors: int = 4) -> tuple:
+    m = _I
     for i in range(factors):
-        x = 1.5 * rng.uniform(-1.0, 1.0)
-        f = np.array([[1.0, x], [0.0, 1.0]]) if i % 2 == 0 else np.array(
-            [[1.0, 0.0], [x, 1.0]]
-        )
-        m = m @ f
+        x = rng.randrange(P)
+        m = _mul(m, (1, x, 0, 1) if i % 2 == 0 else (1, 0, x, 1))
     return m
-
-
-def _word_matrix(matrices, word) -> np.ndarray:
-    m = np.eye(2, dtype=complex)
-    for l in word:
-        if l == 0 or abs(l) > len(matrices):
-            raise BadLetter(f"letter {l} outside alphabet")
-        g = matrices[abs(l) - 1]
-        m = m @ (g if l > 0 else _inv(g))
-    return m
-
-
-def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b @ _inv(a) @ _inv(b)
-
-
-def _eigenframe(m: np.ndarray, lam1: complex, lam2: complex) -> np.ndarray:
-    """Columns: eigenvectors of m for lam1, lam2 (picked for numerical size)."""
-    cols = []
-    for lam in (lam1, lam2):
-        v1 = np.array([m[0, 1], lam - m[0, 0]], dtype=complex)
-        v2 = np.array([lam - m[1, 1], m[1, 0]], dtype=complex)
-        v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-        n = np.linalg.norm(v)
-        if n < 1e-12:
-            raise ArithmeticError("degenerate eigenvector")
-        cols.append(v / n)
-    return np.column_stack(cols)
-
-
-def _det_normalize(m: np.ndarray) -> np.ndarray:
-    d = np.linalg.det(m)
-    if abs(d) < 1e-10:
-        raise ArithmeticError("eigenframe nearly singular")
-    return m / np.sqrt(d)
-
-
-def relator_residual(surface: Surface, matrices) -> float:
-    r = _word_matrix(matrices, surface.relator)
-    return float(np.linalg.norm(r - np.eye(2), 2))
 
 
 def trivial_representation(surface: Surface) -> Representation:
-    mats = tuple(np.eye(2, dtype=complex) for _ in range(surface.rank))
-    return Representation(genus=surface.genus, matrices=mats, relator_residual=0.0)
+    return Representation(genus=surface.genus, matrices=(_I,) * surface.rank)
 
 
 def random_representation(surface: Surface, seed: int) -> Representation:
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     g = surface.genus
-    budget = 100
-    while budget > 0:
+    for _ in range(100):
         fixed = [_unipotent_product(rng) for _ in range(2 * g - 2)]
-        prefix = np.eye(2, dtype=complex)
+        prefix = _I
         for i in range(g - 1):
-            prefix = prefix @ _commutator(fixed[2 * i], fixed[2 * i + 1])
+            a, b = fixed[2 * i], fixed[2 * i + 1]
+            prefix = _mul(prefix, _mul(_mul(a, b), _mul(_inv(a), _inv(b))))
         c = _inv(prefix)
-        for _ in range(10):
-            budget -= 1
-            if budget < 0:
-                break
-            base = _unipotent_product(rng)
-            m = _inv(base)
-            mc = m @ c
-            denom = mc[1, 0] - m[1, 0]
-            if abs(denom) < 1e-6:
-                continue
-            s = (np.trace(mc) - np.trace(m)) / denom
-            if abs(s) > 1e6:
-                continue
-            a_last = base @ np.array([[1.0, s], [0.0, 1.0]], dtype=complex)
-            x = _inv(a_last)
-            y = x @ c
-            t = np.trace(x)
-            disc = np.sqrt(t * t - 4.0 + 0j)
-            if abs(disc) < 1e-3:  # near-parabolic: alignment ill-conditioned
-                continue
-            lam1, lam2 = (t + disc) / 2.0, (t - disc) / 2.0
-            try:
-                p = _det_normalize(_eigenframe(x, lam1, lam2))
-                q = _det_normalize(_eigenframe(y, lam1, lam2))
-            except ArithmeticError:
-                continue
-            b_last = q @ _inv(p)
-            mats = tuple(fixed + [a_last, b_last])
-            if any(abs(np.linalg.det(mm) - 1.0) > _DET_TOL for mm in mats):
-                continue
-            res = relator_residual(surface, mats)
-            if res <= _RESIDUAL_TOL:
-                return Representation(
-                    genus=g, matrices=mats, relator_residual=res
-                )
-    raise SolveFailed(f"no well-conditioned representation within 100 resamples (seed {seed})")
+        base = _unipotent_product(rng)
+        m = _inv(base)
+        mc = _mul(m, c)
+        denom = (mc[2] - m[2]) % P
+        if denom == 0:
+            continue
+        s = (mc[0] + mc[3] - m[0] - m[3]) * pow(denom, -1, P) % P
+        a_last = _mul(base, (1, s, 0, 1))
+        y = _mul(_inv(a_last), c)
+        free = tuple(rng.randrange(P) for _ in range(4))
+        b_last = tuple(
+            (u - v) % P for u, v in zip(_mul(y, free), _mul(free, a_last))
+        )
+        det = _det(b_last)
+        root = pow(det, (P + 1) // 4, P)
+        if det == 0 or root * root % P != det:
+            continue
+        scale = pow(root, -1, P)
+        b_last = tuple(x * scale % P for x in b_last)
+        return Representation(genus=g, matrices=tuple(fixed + [a_last, b_last]))
+    raise SolveFailed(f"no representation within 100 resamples (seed {seed})")
 
 
-def evaluate_trace(rep: Representation, word) -> complex:
-    """Trace of the word under the representation."""
-    return complex(np.trace(_word_matrix(rep.matrices, tuple(word))))
+def evaluate_trace(rep: Representation, word) -> int:
+    """Trace of the word under the representation, as a residue mod P."""
+    m = _word_matrix(rep.matrices, tuple(word))
+    return (m[0] + m[3]) % P

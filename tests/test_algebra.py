@@ -35,7 +35,7 @@ from curvetrace.errors import (
     NotSimple,
 )
 from curvetrace.mapping import apply_to_multicurve, twist_generator
-from curvetrace.representations import evaluate_trace, random_representation
+from curvetrace.representations import P, evaluate_trace, random_representation
 from curvetrace.words import (
     canonical_class,
     inverse_word,
@@ -156,7 +156,7 @@ def test_expand_invariant_under_conjugation_and_inversion():
         assert expand_trace(S2, w) == expand_trace(S2, inverse_word(w))
 
 
-# -- numerical agreement with representations ----------------------------------
+# -- exact agreement with representations --------------------------------------
 
 
 def test_expansion_matches_traces_on_class_sample():
@@ -165,9 +165,7 @@ def test_expansion_matches_traces_on_class_sample():
     for c in classes[::19]:
         f = expand_trace(S2, c.word)
         for rep in reps:
-            got = evaluate_expression(rep, f)
-            want = evaluate_trace(rep, c.word)
-            assert abs(got - want) < 1e-9, c.word
+            assert evaluate_expression(rep, f) == evaluate_trace(rep, c.word), c.word
 
 
 def test_expansion_matches_traces_on_long_words():
@@ -178,13 +176,27 @@ def test_expansion_matches_traces_on_long_words():
         w = tuple(rng.choice(letters) for _ in range(rng.choice((5, 6))))
         f = expand_trace(S2, w)
         for rep in reps:
-            assert abs(evaluate_expression(rep, f) - evaluate_trace(rep, w)) < 1e-9
+            assert evaluate_expression(rep, f) == evaluate_trace(rep, w)
+
+
+def test_one_wrong_term_is_caught_at_every_representation():
+    f = expand("a1b1A2B2")
+    wrong = f + basis_expression(make_multicurve(S2, {C("a2"): 1}))
+    for seed in range(20):
+        rep = random_representation(S2, seed)
+        assert evaluate_expression(rep, wrong) != evaluate_trace(rep, W("a1b1A2B2"))
+
+
+def test_evaluate_expression_rejects_another_genus():
+    with pytest.raises(GenusMismatch):
+        evaluate_expression(random_representation(S3, 0), expand("a1b1"))
 
 
 def test_evaluate_expression_on_zero_and_scalar():
     rep = random_representation(S2, 0)
     assert evaluate_expression(rep, zero_expression(2)) == 0
-    assert evaluate_expression(rep, scalar_expression(2, Fraction(-7, 2))) == -3.5
+    f = scalar_expression(2, Fraction(-7, 2))
+    assert evaluate_expression(rep, f) == -7 * pow(2, -1, P) % P
 
 
 # -- products -------------------------------------------------------------------
@@ -217,8 +229,8 @@ def test_product_matches_numerics():
     prod = multiply_expressions(S2, f, g)
     for seed in range(3):
         rep = random_representation(S2, seed)
-        want = evaluate_expression(rep, f) * evaluate_expression(rep, g)
-        assert abs(evaluate_expression(rep, prod) - want) < 1e-9
+        want = evaluate_expression(rep, f) * evaluate_expression(rep, g) % P
+        assert evaluate_expression(rep, prod) == want
 
 
 def test_disjoint_product_is_union():
@@ -236,7 +248,7 @@ def test_genus_three_expansion():
     assert prod == expand("a3b3", S3) + expand("a3B3", S3)
     rep = random_representation(S3, 4)
     w = W("a1b3", S3)
-    assert abs(evaluate_expression(rep, f) - evaluate_trace(rep, w)) < 1e-9
+    assert evaluate_expression(rep, f) == evaluate_trace(rep, w)
 
 
 # -- agreement with the crossing-resolution recursion ----------------------------
@@ -286,7 +298,7 @@ _G3_REPS = [random_representation(S3, seed) for seed in range(2)]
 def test_expansion_agrees_with_numerical_trace_genus_three(word):
     f = expand_trace(S3, word)
     for rep in _G3_REPS:
-        assert abs(evaluate_expression(rep, f) - evaluate_trace(rep, word)) < 1e-8
+        assert evaluate_expression(rep, f) == evaluate_trace(rep, word)
 
 
 # -- loud checks ----------------------------------------------------------------
@@ -336,7 +348,9 @@ def test_rank_check_six_multicurves():
     report = basis_rank_check(S2, family, trials=10, seed=2026)
     assert report.full_rank
     assert report.rank == 6
-    assert str(report).startswith("rank=6/6 gap=")
+    assert str(report) == "rank=6/6 trials=10 seed=2026"
+    report = basis_rank_check(S2, family[:5] + [family[3]], trials=10, seed=2026)
+    assert report.rank == 5 and not report.full_rank
 
 
 def test_rank_check_flags_dependent_family():

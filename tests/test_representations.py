@@ -1,12 +1,16 @@
-"""Numerical representation sampling and the defining trace identities."""
+"""Exact representation sampling in SL2(F_P) and the defining trace identities."""
 import random
 
-import numpy as np
+import pytest
 
+from curvetrace.errors import BadLetter, ModelInconsistency
 from curvetrace.representations import (
+    P,
+    Representation,
+    _det,
+    _word_matrix,
     evaluate_trace,
     random_representation,
-    relator_residual,
     trivial_representation,
 )
 from curvetrace.words import inverse_word, make_surface
@@ -16,37 +20,54 @@ S3 = make_surface(3)
 
 
 def test_residual_and_determinants():
-    for seed in range(5):
-        rep = random_representation(S2, seed)
-        assert rep.relator_residual <= 1e-9
-        assert relator_residual(S2, rep.matrices) <= 1e-9
-        for m in rep.matrices:
-            assert abs(np.linalg.det(m) - 1.0) <= 1e-11
+    # the relator is exactly I and every generator has det 1
+    for genus in (2, 3, 4):
+        s = make_surface(genus)
+        for seed in range(50):
+            rep = random_representation(s, seed)
+            assert _word_matrix(rep.matrices, s.relator) == (1, 0, 0, 1)
+            assert all(_det(m) == 1 for m in rep.matrices)
 
 
 def test_genus_three_sampling():
     rep = random_representation(S3, 11)
     assert len(rep.matrices) == 6
-    assert rep.relator_residual <= 1e-9
+    assert evaluate_trace(rep, S3.relator) == 2
 
 
 def test_determinism():
-    a = random_representation(S2, 42)
-    b = random_representation(S2, 42)
-    for ma, mb in zip(a.matrices, b.matrices):
-        assert np.array_equal(ma, mb)
+    assert random_representation(S2, 42) == random_representation(S2, 42)
+    assert random_representation(S2, 42) != random_representation(S2, 43)
 
 
 def test_identity_trace_is_exactly_two():
     rep = random_representation(S2, 0)
-    assert evaluate_trace(rep, ()) == 2.0
-    assert abs(evaluate_trace(rep, S2.relator) - 2.0) <= 1e-9
+    assert evaluate_trace(rep, ()) == 2
+    assert evaluate_trace(rep, S2.relator) == 2
 
 
 def test_trivial_representation():
     rep = trivial_representation(S2)
-    assert rep.relator_residual == 0.0
-    assert evaluate_trace(rep, (1, 2, -1)) == 2.0
+    assert evaluate_trace(rep, (1, 2, -1)) == 2
+
+
+def test_tampered_matrix_raises():
+    rep = random_representation(S2, 3)
+    a, b, c, d = rep.matrices[0]
+    tampered = ((a, (b + 1) % P, c, d),) + rep.matrices[1:]
+    with pytest.raises(ModelInconsistency):
+        Representation(genus=2, matrices=tampered)
+    # det 1 on every generator, but the relator is not I
+    swapped = (rep.matrices[1], rep.matrices[0]) + rep.matrices[2:]
+    with pytest.raises(ModelInconsistency):
+        Representation(genus=2, matrices=swapped)
+
+
+def test_evaluate_trace_rejects_letters_that_are_not_ints():
+    rep = random_representation(S2, 0)
+    for word in ("a1", (1, "b"), (1.0,), (5,), (0,)):
+        with pytest.raises(BadLetter):
+            evaluate_trace(rep, word)
 
 
 def test_fundamental_trace_identity():
@@ -58,11 +79,11 @@ def test_fundamental_trace_identity():
         u = tuple(rng.choice(letters) for _ in range(rng.randrange(0, 6)))
         v = tuple(rng.choice(letters) for _ in range(rng.randrange(0, 6)))
         for rep in reps:
-            lhs = evaluate_trace(rep, u) * evaluate_trace(rep, v)
+            lhs = evaluate_trace(rep, u) * evaluate_trace(rep, v) % P
             rhs = evaluate_trace(rep, u + v) + evaluate_trace(
                 rep, u + inverse_word(v)
             )
-            assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
+            assert lhs == rhs % P
 
 
 def test_trace_is_a_class_function():
@@ -72,9 +93,6 @@ def test_trace_is_a_class_function():
     for _ in range(20):
         w = tuple(rng.choice(letters) for _ in range(rng.randrange(1, 6)))
         c = tuple(rng.choice(letters) for _ in range(rng.randrange(1, 5)))
-        lhs = evaluate_trace(rep, w)
-        rhs = evaluate_trace(rep, c + w + inverse_word(c))
-        assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
-        assert abs(lhs - evaluate_trace(rep, inverse_word(w))) <= 1e-8 * max(
-            1.0, abs(lhs)
-        )
+        t = evaluate_trace(rep, w)
+        assert evaluate_trace(rep, c + w + inverse_word(c)) == t
+        assert evaluate_trace(rep, inverse_word(w)) == t
