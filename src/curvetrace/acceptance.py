@@ -5,6 +5,10 @@ rational arithmetic, or residues mod P at representations in SL2(F_P).
 `run_suite` executes one suite by name, `run_all` the whole battery in order.
 Words come from words.letters and reduced_words, mod-2 classes from
 mod2_class, and matrices of words from representations._word_matrix.
+
+This module needs numpy, for the int64 pair sweep of `presentation`.  It is
+the only one that does, and `import curvetrace` does not load it; numpy
+comes with the package's `test` extra.
 """
 from __future__ import annotations
 

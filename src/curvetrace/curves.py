@@ -24,16 +24,22 @@ with double points can need immersed monogons or bigons to witness its excess
   (complement_report checks that diagram against the count); one raises.
 - Two self-crossing classes tauten seed pair by seed pair until the cross
   count meets the algebraic intersection, a lower bound; failing that, the
-  exact minimum over every slot assignment of every seed pair (per-edge
-  crossing tables; capped, loud on overflow) decides.
+  exact minimum over every slot assignment of every seed pair (capped, loud
+  on overflow) decides.
+
+That minimum needs no enumeration.  The cross count of a slot assignment is
+a constant, plus one term per edge read off that edge's slot order, plus
+products of parities from two edges.  A subset DP per edge, over the order
+in which its events take their slots, gives the edge's least term for each
+value of the parities other edges read; the edges are then folded in one at
+a time over those values.  Both steps are exact, and the module needs
+nothing beyond the standard library.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import product
 from math import factorial
-
-import numpy as np
 
 from .complement import ComplementReport, certify_taut, complement_census
 from .diagrams import Budget, CurveDiagram, build_diagram, build_with_slots
@@ -253,12 +259,20 @@ def _cross_min_exhaustive(model, routes):
     endpoints: points on different sides compare by side, and two points on
     one side compare by the slot ranks of their events on that side's edge.
     At most two edges carry such a comparison for one chord pair, so the
-    cross count is exactly a constant plus one table per edge plus one table
-    per edge pair, each indexed by the rank vectors of its edges.  Their sum
-    is one array over every assignment (an edge no comparison reads gets a
-    single cell), so its minimum is the minimum over all assignments.  The
-    array is never larger than the search space, which the cap bounds as
-    before.
+    cross count is exactly a constant, plus a sum over each edge's columns
+    (the parity of a set of its comparisons) times a coefficient, plus
+    links: products of one column's parity on one edge and one on another.
+
+    Fix the parities of the linked columns, and what is left is a sum of one
+    term per edge, each depending on that edge's order alone.  So the
+    minimum over all assignments is the minimum, over every value of the
+    linked parities, of the sum of each edge's least term given its values
+    plus the links.  _edge_minima finds each edge's least terms exactly, by
+    a subset DP over the order of its events; the fold below takes the
+    minimum over the linked values edge by edge, dropping an edge's values
+    once no later link reads them.  The DP visits at most 2^m sets of an
+    edge's m events, and the cap bounds m at 8 as it bounds the search
+    space.
     """
     n_edges = 2 * model.genus
     edge_events = [[] for _ in range(n_edges)]
@@ -328,35 +342,94 @@ def _cross_min_exhaustive(model, routes):
                 (k1, j1), (k2, j2) = cols
                 link = links.setdefault((k1, k2), {})
                 link[j1, j2] = link.get((j1, j2), 0) - 2 * sign
-    # One table per edge (and per linked edge pair) over the rank vectors
-    # of that edge's events, broadcast into one array over all assignments.
-    shape = [
-        factorial(len(evs)) if columns[k] else 1 for k, evs in enumerate(edge_events)
-    ]
-    total = np.full(shape, const, dtype=np.int32)
-    parity = []
-    for k, evs in enumerate(edge_events):
-        x = np.zeros((shape[k], len(linear[k])), dtype=np.int32)
-        if columns[k]:
-            m = len(evs)
-            ranks = np.fromiter(
-                chain.from_iterable(permutations(range(m))), np.int8, shape[k] * m
-            ).reshape(shape[k], m)
-            for comparisons, j in columns[k].items():
-                for lo, hi in comparisons:
-                    x[:, j] ^= ranks[:, lo] < ranks[:, hi]
-            view = [1] * n_edges
-            view[k] = shape[k]
-            total += (x @ np.array(linear[k], dtype=np.int32)).reshape(view)
-        parity.append(x)
+    # A link runs from a lower edge to a higher one, so an edge's linked
+    # parities are dropped once the last edge they link to is folded in.
+    linked = [0] * n_edges  # mask of the linked columns of each edge
+    last = [-1] * n_edges  # highest edge a link from this edge reaches
     for (k1, k2), link in links.items():
-        coefficients = np.zeros((len(linear[k1]), len(linear[k2])), dtype=np.int32)
-        for (j1, j2), value in link.items():
-            coefficients[j1, j2] = value
-        view = [1] * n_edges
-        view[k1], view[k2] = shape[k1], shape[k2]
-        total += (parity[k1] @ coefficients @ parity[k2].T).reshape(view)
-    return int(total.min())
+        last[k1] = max(last[k1], k2)
+        for j1, j2 in link:
+            linked[k1] |= 1 << j1
+            linked[k2] |= 1 << j2
+    held = []  # the edges whose parities key the partial counts
+    partial = {(): 0}
+    for k, evs in enumerate(edge_events):
+        minima = _edge_minima(len(evs), columns[k], linear[k], linked[k])
+        if not linked[k]:
+            const += minima[0]
+            continue
+        incoming = [
+            (held.index(k1), link) for (k1, k2), link in links.items() if k2 == k
+        ]
+        keep = [i for i, e in enumerate(held) if last[e] > k]
+        held = [held[i] for i in keep]
+        grown = {}
+        for masks, cost in partial.items():
+            rest = tuple(masks[i] for i in keep)
+            for y, c in minima.items():
+                for i, link in incoming:
+                    for (j1, j2), value in link.items():
+                        if masks[i] >> j1 & 1 and y >> j2 & 1:
+                            c += value
+                key = rest + (y,) if last[k] > k else rest
+                c += cost
+                if c < grown.get(key, c + 1):
+                    grown[key] = c
+        if last[k] > k:
+            held.append(k)
+        partial = grown
+    return const + min(partial.values())
+
+
+def _edge_minima(n_events, columns, linear, linked) -> dict:
+    """Minimum of one edge's column terms over the orders of its events, for
+    each value of its linked columns' parities (a mask, bit j for column j).
+
+    The events are placed in rank order, one at a time.  Placing an event
+    decides each comparison (lo, hi) it takes part in whose other event is
+    not yet placed: it holds iff the event is lo.  A column of one
+    comparison that no link reads is scored then; every other column keeps
+    its parity in the state.  What the unplaced events add depends only on
+    the set placed, so the least cost per (set placed, parities) is exact.
+    """
+    if not columns:
+        return {0: 0}
+    # lo -> [(hi bit, coefficient scored now, column bit flipped)]
+    moves = [[] for _ in range(n_events)]
+    kept = []  # columns scored on their final parity
+    for comparisons, j in columns.items():
+        if len(comparisons) == 1 and not linked >> j & 1:
+            ((lo, hi),) = comparisons
+            moves[lo].append((1 << hi, linear[j], 0))
+            continue
+        kept.append(j)
+        for lo, hi in comparisons:
+            moves[lo].append((1 << hi, 0, 1 << j))
+    layers = [{} for _ in range(1 << n_events)]
+    layers[0][0] = 0
+    for placed, states in enumerate(layers):
+        for t, events in enumerate(moves):
+            bit = 1 << t
+            if placed & bit:
+                continue
+            cost = flip = 0
+            for hi, c, b in events:
+                if not placed & hi:
+                    cost += c
+                    flip ^= b
+            following = layers[placed | bit]
+            for parity, c in states.items():
+                key = parity ^ flip
+                c += cost
+                if c < following.get(key, c + 1):
+                    following[key] = c
+    minima = {}
+    for parity, c in layers[-1].items():
+        c += sum(linear[j] for j in kept if parity >> j & 1)
+        key = parity & linked
+        if c < minima.get(key, c + 1):
+            minima[key] = c
+    return minima
 
 
 def _pair_cross_refined(genus: int, wx, wy) -> int:

@@ -45,7 +45,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import BadLetter, GenusTooSmall, ModelInconsistency, TrivialClass
+from .errors import (
+    BadArgument,
+    BadLetter,
+    GenusTooSmall,
+    ModelInconsistency,
+    TrivialClass,
+)
 
 GroupWord = tuple  # tuple of nonzero ints
 
@@ -99,7 +105,11 @@ def generator_name(letter: int) -> str:
 
 def make_surface(genus: int) -> Surface:
     relator = []
-    for i in range(genus):
+    try:
+        handles = range(genus)
+    except TypeError:
+        raise BadArgument(f"a genus is an int, not {genus!r}") from None
+    for i in handles:
         a, b = 2 * i + 1, 2 * i + 2
         relator.extend((a, b, -a, -b))
     names = tuple(generator_name(k) for k in range(1, 2 * genus + 1))
@@ -129,6 +139,8 @@ def parse_word(surface: Surface, text: str) -> GroupWord:
     Uppercase means inverse.  Tokens may concatenate; an index is the maximal
     digit run after its letter, so single-digit indices never need spaces.
     """
+    if not isinstance(text, str):
+        raise BadArgument(f"word text is a str, not {text!r}")
     letters = []
     for token in text.split():
         consumed = 0
@@ -459,7 +471,8 @@ def _chase_spellings(genus: int, w: GroupWord) -> set:
 def canonical_class(surface: Surface, word: Iterable) -> CurveClass:
     """Canonical representative of the unoriented free homotopy class."""
     try:
-        word = free_reduce(word)
+        if type(word) is not tuple:  # a cache key must be a tuple
+            word = free_reduce(word)
         cls = _canonical_class(surface.genus, word)
     except TypeError:
         raise _bad_word(word) from None
@@ -470,7 +483,12 @@ def canonical_class(surface: Surface, word: Iterable) -> CurveClass:
 
 @lru_cache(maxsize=None)
 def _canonical_class(genus: int, word: GroupWord) -> CurveClass | None:
-    # checked on cache misses only: a word that was ever cached is valid
+    # reduced and checked on cache misses only: a word that was ever cached
+    # is valid, and a word that is not freely reduced is looked up again as
+    # its reduction, so the classes of both spellings are built once
+    reduced = free_reduce(word)
+    if reduced != word:
+        return _canonical_class(genus, reduced)
     for l in word:
         if not isinstance(l, int) or abs(l) > 2 * genus:
             raise BadLetter(f"letter {l!r} outside genus-{genus} alphabet")
@@ -504,7 +522,10 @@ def primitive_root(surface: Surface, cls: CurveClass):
     one period and powers of cyclic geodesics stay cyclically geodesic; the
     periodic spelling of a power therefore appears in the swap closure.
     """
-    n = len(cls.word)
+    try:
+        n = len(cls.word)
+    except AttributeError:
+        raise BadArgument(f"expected a CurveClass, not {cls!r}") from None
     best = None  # (period, spelling)
     for member in oriented_spellings(surface, cls):
         for p in range(1, n):

@@ -1,0 +1,37 @@
+"""Run the core library once and fail if numpy was imported.
+
+Only curvetrace.acceptance needs numpy.  From the repository root:
+
+    PYTHONPATH=src python tests/core_without_numpy.py
+
+It counts i(A1B2, A1a2) at genus 2, a pair of self-crossing classes that
+reaches the exhaustive slot search, checks one Thurston pair, and multiplies
+two disjoint curves into their multicurve.
+"""
+import sys
+
+import curvetrace as ct
+
+s = ct.make_surface(2)
+
+
+def cls(text):
+    return ct.canonical_class(s, ct.parse_word(s, text))
+
+
+def basis(text):
+    return ct.basis_expression(ct.parse_multicurve(s, text))
+
+
+failures = []
+if ct.intersection_number(s, cls("A1B2"), cls("A1a2")) != 3:
+    failures.append("i(A1B2, A1a2) is not 3")
+if not ct.thurston_max_check(s, cls("b1"), ct.parse_word(s, "a1b2A1a2")).ok:
+    failures.append("thurston_max_check(b1, a1b2A1a2) does not match")
+if ct.multiply_expressions(s, basis("a1"), basis("a2")) != basis("a1,a2"):
+    failures.append("t(a1) t(a2) is not the multicurve a1,a2")
+if "numpy" in sys.modules:
+    failures.append("numpy was imported")
+if failures:
+    sys.exit("; ".join(failures))
+print("core ran without numpy")

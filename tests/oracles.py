@@ -49,9 +49,17 @@ reference_valuate and reference_lamination_intersection keep the Fraction
 arithmetic that the integer pairing table in curvetrace.valuations must
 reproduce: every weight times every pair count, summed term by term, with no
 table, and the maximum over the terms taken in Fraction.
+
+reference_cross_min keeps the table sum that the per-edge subset DP in
+curvetrace.curves._cross_min_exhaustive must reproduce: the same constant,
+per-edge columns and edge-pair links, summed by numpy into one array over
+every slot assignment, whose minimum it returns.
 """
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from math import factorial
+
+import numpy as np
 
 from curvetrace.algebra import (
     _from_terms,
@@ -61,6 +69,7 @@ from curvetrace.algebra import (
 )
 from curvetrace.complement import _MAX_JITTER_RETRIES
 from curvetrace.curves import (
+    PAIR_SEARCH_CAP,
     _pair_taut,
     _route_seeds,
     _taut_single,
@@ -178,6 +187,121 @@ def _min_for_routes(model, routes, cap):
         if best_cross is None or cross < best_cross:
             best_cross = cross
     return best_total, best_cross
+
+
+def reference_cross_min(model, routes):
+    """Minimum cross-strand count over every slot assignment of the routes,
+    or None when there are more than PAIR_SEARCH_CAP assignments.
+
+    A slot assignment orders the events of each edge.  Whether two chords of
+    different strands cross depends only on the order of their four
+    endpoints: points on different sides compare by side, and two points on
+    one side compare by the slot ranks of their events on that side's edge.
+    At most two edges carry such a comparison for one chord pair, so the
+    cross count is exactly a constant plus one table per edge plus one table
+    per edge pair, each indexed by the rank vectors of its edges.  Their sum
+    is one array over every assignment (an edge no comparison reads gets a
+    single cell), so its minimum is the minimum over all assignments.  The
+    array is never larger than the search space, which the cap bounds as
+    before.
+    """
+    n_edges = 2 * model.genus
+    edge_events = [[] for _ in range(n_edges)]
+    for i, route in enumerate(routes):
+        for p, side in enumerate(route):
+            edge_events[abs(model.sides[side]) - 1].append((i, p))
+    space = 1
+    for evs in edge_events:
+        space *= factorial(len(evs))
+    if space > PAIR_SEARCH_CAP:
+        return None
+    # A boundary point is (side, edge, index of its event on the edge); on
+    # the edge's plus side it sits at the event's slot rank, on the minus
+    # side at the reversed rank.
+    where = {
+        ev: (k, t) for k, evs in enumerate(edge_events) for t, ev in enumerate(evs)
+    }
+    plus = [model.side_of[k] for k in range(1, n_edges + 1)]
+    chords = []
+    for i, route in enumerate(routes):
+        n = len(route)
+        for p in range(n):
+            q = (p + 1) % n
+            entry = (model.partner[route[p]],) + where[(i, p)]
+            exit_ = (route[q],) + where[(i, q)]
+            chords.append((i, entry, exit_))
+    # Chords {a, b} and {c, d} cross iff (a<c)^(a<d)^(b<c)^(b<d).  A term
+    # with the two points on different sides is a constant; one on a shared
+    # side is a constant ^ (rank lo < rank hi) for two events lo < hi of that
+    # side's edge.  A chord pair's terms touch at most two edges; with x and
+    # y the parities of its comparisons on each, its indicator is
+    # flip ^ x ^ y = flip + sign * (x + y - 2xy), sign = 1 - 2 * flip.
+    const = 0
+    columns = [{} for _ in range(n_edges)]  # comparison set -> column
+    linear = [[] for _ in range(n_edges)]  # coefficient of each column
+    links = {}  # (k1, k2) -> {(column in k1, column in k2): coefficient}
+    for w, (i1, a, b) in enumerate(chords):
+        for i2, c, d in chords[w + 1 :]:
+            if i1 == i2:
+                continue
+            flip = 0
+            by_edge = {}
+            for u in (a, b):
+                for v in (c, d):
+                    if u[0] != v[0]:
+                        flip ^= u[0] < v[0]
+                        continue
+                    lo, hi = (u[2], v[2]) if u[0] == plus[u[1]] else (v[2], u[2])
+                    if lo > hi:
+                        lo, hi = hi, lo
+                        flip ^= 1
+                    by_edge.setdefault(u[1], set()).symmetric_difference_update(
+                        {(lo, hi)}
+                    )
+            const += flip
+            sign = 1 - 2 * flip
+            cols = []
+            for k, comparisons in sorted(by_edge.items()):
+                if comparisons:
+                    key = tuple(sorted(comparisons))
+                    j = columns[k].setdefault(key, len(linear[k]))
+                    if j == len(linear[k]):
+                        linear[k].append(0)
+                    linear[k][j] += sign
+                    cols.append((k, j))
+            if len(cols) == 2:
+                (k1, j1), (k2, j2) = cols
+                link = links.setdefault((k1, k2), {})
+                link[j1, j2] = link.get((j1, j2), 0) - 2 * sign
+    # One table per edge (and per linked edge pair) over the rank vectors
+    # of that edge's events, broadcast into one array over all assignments.
+    shape = [
+        factorial(len(evs)) if columns[k] else 1 for k, evs in enumerate(edge_events)
+    ]
+    total = np.full(shape, const, dtype=np.int32)
+    parity = []
+    for k, evs in enumerate(edge_events):
+        x = np.zeros((shape[k], len(linear[k])), dtype=np.int32)
+        if columns[k]:
+            m = len(evs)
+            ranks = np.fromiter(
+                chain.from_iterable(permutations(range(m))), np.int8, shape[k] * m
+            ).reshape(shape[k], m)
+            for comparisons, j in columns[k].items():
+                for lo, hi in comparisons:
+                    x[:, j] ^= ranks[:, lo] < ranks[:, hi]
+            view = [1] * n_edges
+            view[k] = shape[k]
+            total += (x @ np.array(linear[k], dtype=np.int32)).reshape(view)
+        parity.append(x)
+    for (k1, k2), link in links.items():
+        coefficients = np.zeros((len(linear[k1]), len(linear[k2])), dtype=np.int32)
+        for (j1, j2), value in link.items():
+            coefficients[j1, j2] = value
+        view = [1] * n_edges
+        view[k1], view[k2] = shape[k1], shape[k2]
+        total += (parity[k1] @ coefficients @ parity[k2].T).reshape(view)
+    return int(total.min())
 
 
 def _count(model, routes, slot_orders):

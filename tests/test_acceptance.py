@@ -5,9 +5,12 @@ thurston and discreteness take several seconds each and are run through
 curvetrace.acceptance.run_suite instead; CI runs each as its own step.
 
 The package's own invariants raise typed errors rather than assert, so they
-hold under python -O as well.
+hold under python -O as well, and only curvetrace.acceptance imports numpy.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,17 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_core_runs_without_numpy():
+    # a fresh interpreter, so no other test's import of numpy counts
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "tests" / "core_without_numpy.py")],
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

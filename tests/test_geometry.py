@@ -1,5 +1,7 @@
 """Taut diagrams and exact intersection numbers on the closed surface."""
 import random
+from itertools import product
+from math import factorial, prod
 
 import pytest
 
@@ -8,6 +10,7 @@ from oracles import (
     all_classes_up_to,
     germ_simple,
     min_crossings,
+    reference_cross_min,
     reference_taut_single,
 )
 from curvetrace import curves
@@ -43,6 +46,7 @@ from curvetrace.splitting import splitting_count
 from curvetrace.words import (
     canonical_class,
     format_word,
+    letters,
     make_surface,
     parse_word,
     reduced_words,
@@ -417,6 +421,56 @@ def test_cross_min_exhaustive_matches_oracle(genus):
         assert _cross_min_exhaustive(model, routes) == _min_for_routes(
             model, routes, 2
         )[1]
+
+
+# class pairs some of whose seed pairs put 8 events on one edge, within the cap
+EIGHT_EVENT_PAIRS = {
+    2: (("a1B1B1b2", "b1b1b1b1"), ("a1a1a1a1", "a1B1B2A1B1")),
+    3: (("a1a1B1A2", "a1a1a1a1"), ("a1b3A3A3", "a3a3a3a3")),
+}
+
+
+def _events_per_edge(model, routes):
+    events = [0] * (2 * model.genus)
+    for route in routes:
+        for side in route:
+            events[abs(model.sides[side]) - 1] += 1
+    return events
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_cross_min_exhaustive_matches_reference(genus):
+    # 150 seeded pairs of production routes of words of length 2-5, at every
+    # search space up to the cap, then every seed pair of the pairs above
+    model = polygon_model(genus)
+    surface = make_surface(genus)
+    alphabet = letters(genus)
+    rng = random.Random(10 + genus)
+    route_pairs = []
+    while len(route_pairs) < 150:
+        classes = []
+        for _ in range(2):
+            word = [rng.choice(alphabet)]
+            while len(word) < rng.randint(2, 5):
+                word.append(rng.choice([l for l in alphabet if l != -word[-1]]))
+            classes.append(canonical_class(surface, word))
+        routes = tuple(rng.choice(_route_seeds(genus, c.word)) for c in classes)
+        if prod(map(factorial, _events_per_edge(model, routes))) <= PAIR_SEARCH_CAP:
+            route_pairs.append(routes)
+    for texts in EIGHT_EVENT_PAIRS[genus]:
+        seeds = [_route_seeds(genus, C(text, surface).word) for text in texts]
+        route_pairs.extend(product(*seeds))
+    empty = eight = 0
+    for routes in route_pairs:
+        events = _events_per_edge(model, routes)
+        if prod(map(factorial, events)) > PAIR_SEARCH_CAP:
+            continue
+        assert _cross_min_exhaustive(model, routes) == reference_cross_min(
+            model, routes
+        ), routes
+        empty += 0 in events
+        eight += max(events) == 8
+    assert empty > 0 and eight > 0
 
 
 def test_cross_min_exhaustive_above_cap_is_none():

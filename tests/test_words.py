@@ -12,7 +12,13 @@ from oracles import (
 )
 
 from curvetrace import words
-from curvetrace.errors import BadLetter, GenusTooSmall, ModelInconsistency, TrivialClass
+from curvetrace.errors import (
+    BadArgument,
+    BadLetter,
+    GenusTooSmall,
+    ModelInconsistency,
+    TrivialClass,
+)
 from curvetrace.words import (
     _chase_spellings,
     _closure_entry,
@@ -85,6 +91,22 @@ def test_canonical_class_rejects_letters_outside_alphabet():
         with pytest.raises(BadLetter):
             canonical_class(S2, word)
     assert canonical_class(S3, (5,)).word == (5,)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: primitive_root(S2, (1,)),
+        lambda: parse_word(S2, 5),
+        lambda: make_surface("2"),
+    ],
+    ids=["primitive_root", "parse_word", "make_surface"],
+)
+def test_arguments_of_the_wrong_type_are_typed(call):
+    # BadArgument is a CurvetraceError that is still a TypeError
+    with pytest.raises(BadArgument) as info:
+        call()
+    assert isinstance(info.value, TypeError)
 
 
 def test_normalize_word_rejects_words_that_are_not_int_letters():
