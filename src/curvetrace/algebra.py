@@ -10,9 +10,9 @@ closed curve is -t_D (Bullock, Comment. Math. Helv. 72, 1997; Przytycki &
 Sikora, Topology 39, 2000).  Every crossing is smoothed both ways with
 coefficient -1, a trivial circle counts -2 and an essential component c
 counts -t_c.  Crossing changes do nothing at A = -1, so any diagram gives
-the same sum, and a taut one has few states.  The components of a smoothed
-state are embedded, hence trivial or simple; parallel ones add up as
-multiplicity.
+the same sum; a class, power or not, sums over its certified taut diagram.
+The components of a smoothed state are embedded, hence trivial or simple;
+parallel ones add up as multiplicity.
 """
 from __future__ import annotations
 
@@ -37,12 +37,13 @@ from .words import (
     CurveClass,
     Surface,
     _bad_word,
+    _text,
     canonical_class,
     dehn_reduce,
     format_word,
+    free_reduce,
     inverse_word,
     parse_word,
-    primitive_root,
 )
 
 
@@ -104,7 +105,7 @@ def format_multicurve(mc: Multicurve) -> str:
 
 
 def parse_multicurve(s: Surface, text: str) -> Multicurve:
-    text = text.strip()
+    text = _text(text).strip()
     if text in ("", "-"):
         return empty_multicurve(s.genus)
     counts = {}
@@ -184,7 +185,7 @@ def format_expression(f: TraceExpression) -> str:
 
 def parse_expression(s: Surface, text: str) -> TraceExpression:
     acc = {}
-    for line in text.splitlines():
+    for line in _text(text).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -233,10 +234,10 @@ _MERGE_CACHE: dict = {}
 
 
 def expand_trace(s: Surface, word) -> TraceExpression:
-    """The trace of the word written in the multicurve basis.
+    """The trace of the word in the multicurve basis.
 
-    The state sum runs over a taut diagram of the word's primitive root
-    traversed as many times as the power, so powers need no separate rule.
+    The state sum runs over the certified taut diagram of the word's class,
+    a proper power included, so powers need no separate rule.
     """
     try:
         reduced = dehn_reduce(s.genus, word)
@@ -251,11 +252,7 @@ def _expand_class(s: Surface, cls: CurveClass) -> TraceExpression:
     key = (s.genus, cls.word)
     hit = _EXPAND_CACHE.get(key)
     if hit is None:
-        root, power = primitive_root(s, cls)
-        diagram = _taut_single(s.genus, root.word)
-        if power > 1:
-            diagram = tauten_routes(s.genus, (cls,), (diagram.routes[0] * power,))
-        hit = _EXPAND_CACHE[key] = _state_sum(s, diagram)
+        hit = _EXPAND_CACHE[key] = _state_sum(s, _taut_single(s.genus, cls.word))
     return hit
 
 
@@ -290,9 +287,10 @@ def _merge_basis(s: Surface, mc1: Multicurve, mc2: Multicurve) -> TraceExpressio
 
 
 def _read_class(s: Surface, word):
-    """The class a closed word reads, or None when it is null-homotopic."""
+    """The class a closed word reads, or None when it is null-homotopic;
+    reduced first, so that the class cache keeps one key per class."""
     try:
-        return canonical_class(s, word)
+        return canonical_class(s, free_reduce(word))
     except TrivialClass:
         return None
 

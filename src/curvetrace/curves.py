@@ -22,10 +22,10 @@ with double points can need immersed monogons or bigons to witness its excess
   pi1 along the first simple one (see splitting).  On a splitting miss, two
   simple members read their pair diagram, one tautened pair of taut routes
   (complement_report checks that diagram against the count); one raises.
-- Two self-crossing classes tauten seed pair by seed pair until the cross
-  count meets the algebraic intersection, a lower bound; failing that, the
-  exact minimum over every slot assignment of every seed pair (capped, loud
-  on overflow) decides.
+- Two self-crossing classes take the exact minimum over every slot
+  assignment of every seed pair, and stop at a count that meets the
+  algebraic intersection, a lower bound.  A seed pair past the search cap is
+  tautened instead; unless some count meets that bound, the pair raises.
 
 That minimum needs no enumeration.  The cross count of a slot assignment is
 a constant, plus one term per edge read off that edge's slot order, plus
@@ -38,7 +38,7 @@ nothing beyond the standard library.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 from .complement import ComplementReport, certify_taut, complement_census
@@ -291,14 +291,14 @@ def _cross_min_exhaustive(model, routes):
         ev: (k, t) for k, evs in enumerate(edge_events) for t, ev in enumerate(evs)
     }
     plus = [model.side_of[k] for k in range(1, n_edges + 1)]
-    chords = []
+    chords = [[] for _ in routes]  # per strand: (entry, exit) per chord
     for i, route in enumerate(routes):
         n = len(route)
         for p in range(n):
             q = (p + 1) % n
             entry = (model.partner[route[p]],) + where[(i, p)]
             exit_ = (route[q],) + where[(i, q)]
-            chords.append((i, entry, exit_))
+            chords[i].append((entry, exit_))
     # Chords {a, b} and {c, d} cross iff (a<c)^(a<d)^(b<c)^(b<d).  A term
     # with the two points on different sides is a constant; one on a shared
     # side is a constant ^ (rank lo < rank hi) for two events lo < hi of that
@@ -309,10 +309,8 @@ def _cross_min_exhaustive(model, routes):
     columns = [{} for _ in range(n_edges)]  # comparison set -> column
     linear = [[] for _ in range(n_edges)]  # coefficient of each column
     links = {}  # (k1, k2) -> {(column in k1, column in k2): coefficient}
-    for w, (i1, a, b) in enumerate(chords):
-        for i2, c, d in chords[w + 1 :]:
-            if i1 == i2:
-                continue
+    for strand1, strand2 in combinations(chords, 2):
+        for (a, b), (c, d) in product(strand1, strand2):
             flip = 0
             by_edge = {}
             for u in (a, b):
@@ -324,15 +322,14 @@ def _cross_min_exhaustive(model, routes):
                     if lo > hi:
                         lo, hi = hi, lo
                         flip ^= 1
-                    by_edge.setdefault(u[1], set()).symmetric_difference_update(
-                        {(lo, hi)}
-                    )
+                    by_edge[u[1]] = by_edge.get(u[1], ()) + ((lo, hi),)
             const += flip
             sign = 1 - 2 * flip
             cols = []
-            for k, comparisons in sorted(by_edge.items()):
-                if comparisons:
-                    key = tuple(sorted(comparisons))
+            for k, met in sorted(by_edge.items()):
+                # two terms comparing the same two events cancel
+                key = tuple(sorted(c for c in met if met.count(c) == 1))
+                if key:
                     j = columns[k].setdefault(key, len(linear[k]))
                     if j == len(linear[k]):
                         linear[k].append(0)
@@ -433,33 +430,32 @@ def _edge_minima(n_events, columns, linear, linked) -> dict:
 
 
 def _pair_cross_refined(genus: int, wx, wy) -> int:
-    """Certified minimum for two self-crossing classes.  Each seed pair is
-    tautened, and a cross count equal to the algebraic intersection, a lower
-    bound, is the answer.  Otherwise the best count is confirmed or improved
-    by the exact minimum over every slot assignment of every seed pair."""
+    """Certified minimum for two self-crossing classes: the exact minimum
+    over every slot assignment of every seed pair.  A seed pair whose search
+    space is over PAIR_SEARCH_CAP is tautened instead.  A count equal to the
+    algebraic intersection, a lower bound, is the answer at once; failing
+    that, a pair over the cap leaves the minimum unproven and raises."""
     s = make_surface(genus)
-    u = homology_class(s, wx).coords
-    v = homology_class(s, wy).coords
-    floor = abs(intersection_form(u, v))
+    floor = abs(intersection_form(*(homology_class(s, w).coords for w in (wx, wy))))
     classes = (CurveClass(genus, wx), CurveClass(genus, wy))
+    model = polygon_model(genus)
     seed_pairs = list(product(_route_seeds(genus, wx), _route_seeds(genus, wy)))
     budget = Budget()
-    counts = []
-    for routes in seed_pairs:
-        got = tauten_routes(genus, classes, routes, budget).cross_strand_crossings()
-        if got == floor:
-            return got
-        counts.append(got)
-    model = polygon_model(genus)
+    exact = []
     for routes in seed_pairs:
         got = _cross_min_exhaustive(model, routes)
         if got is None:
-            raise ReductionBudgetExceeded(
-                "pair position search space exceeds"
-                f" {PAIR_SEARCH_CAP} slot assignments"
-            )
-        counts.append(got)
-    return min(counts)
+            got = tauten_routes(genus, classes, routes, budget).cross_strand_crossings()
+        else:
+            exact.append(got)
+        if got == floor:
+            return got
+    if len(exact) < len(seed_pairs):
+        raise ReductionBudgetExceeded(
+            "pair position search space exceeds"
+            f" {PAIR_SEARCH_CAP} slot assignments"
+        )
+    return min(exact)
 
 
 @lru_cache(maxsize=None)

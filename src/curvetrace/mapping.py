@@ -54,6 +54,7 @@ from .words import (
     GroupWord,
     Surface,
     _bad_word,
+    _text,
     canonical_class,
     dehn_reduce,
     format_word,
@@ -399,7 +400,7 @@ def _parse_block(s: Surface, lines) -> tuple:
 def parse_mapping_class(s: Surface, text: str) -> MappingClass:
     """Parse and re-certify the two-block format of format_mapping_class."""
     blocks, current = [], []
-    for line in text.splitlines():
+    for line in _text(text).splitlines():
         line = line.strip()
         if line.startswith("#"):
             continue

@@ -41,6 +41,7 @@ from .errors import NotSimple
 from .words import (
     CurveClass,
     Surface,
+    _text,
     canonical_class,
     dehn_reduce,
     format_word,
@@ -99,7 +100,7 @@ def parse_lamination(s: Surface, text: str) -> Lamination:
     """One component per line as RATIONAL<TAB>word; inline strings may
     separate components with commas or semicolons instead of newlines."""
     acc = {}
-    for chunk in text.replace(";", "\n").replace(",", "\n").splitlines():
+    for chunk in _text(text).replace(";", "\n").replace(",", "\n").splitlines():
         line = chunk.strip()
         if not line or line.startswith("#"):
             continue

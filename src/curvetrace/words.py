@@ -56,6 +56,7 @@ from .errors import (
 GroupWord = tuple  # tuple of nonzero ints
 
 _TOKEN_RE = re.compile(r"([abAB])(\d+)")
+_TOKENS_RE = re.compile(r"(?:[abAB]\d+)+")
 _CLOSURE_CAP = 200_000
 # (genus, rotation-minimal cyclic geodesic) -> (frozenset closure of its
 # oriented class, canonical word of its unoriented class), filled by
@@ -133,21 +134,24 @@ def reduced_words(genus: int, max_length: int) -> Iterator[GroupWord]:
             stack.extend(w + (l,) for l in alphabet if not w or l != -w[-1])
 
 
+def _text(text) -> str:
+    """The text to parse; BadArgument unless it is a str."""
+    if not isinstance(text, str):
+        raise BadArgument(f"expected text (a str), not {text!r}")
+    return text
+
+
 def parse_word(surface: Surface, text: str) -> GroupWord:
     """Parse text like 'a1 b2 A1' or 'a1b2A1' into letters.
 
     Uppercase means inverse.  Tokens may concatenate; an index is the maximal
     digit run after its letter, so single-digit indices never need spaces.
     """
-    if not isinstance(text, str):
-        raise BadArgument(f"word text is a str, not {text!r}")
     letters = []
-    for token in text.split():
-        consumed = 0
+    for token in _text(text).split():
+        if not _TOKENS_RE.fullmatch(token):
+            raise BadLetter(f"cannot parse {token!r}")
         for match in _TOKEN_RE.finditer(token):
-            if match.start() != consumed:
-                raise BadLetter(f"cannot parse {token!r}")
-            consumed = match.end()
             base, idx = match.group(1), int(match.group(2))
             if idx < 1 or idx > surface.genus:
                 raise BadLetter(
@@ -155,8 +159,6 @@ def parse_word(surface: Surface, text: str) -> GroupWord:
                 )
             k = 2 * (idx - 1) + (1 if base in "aA" else 2)
             letters.append(k if base.islower() else -k)
-        if consumed != len(token):
-            raise BadLetter(f"cannot parse {token!r}")
     return tuple(letters)
 
 

@@ -26,6 +26,13 @@ curvetrace.curves replaced by one tauten per question: the fewest self
 crossings over every route seed of a class, and the fewest total crossings over
 every seed pair of two classes, stopping at self + self + |algebraic|.
 
+reference_pair_cross_refined keeps the two passes over the seed pairs of two
+self-crossing classes that curvetrace.curves._pair_cross_refined replaced by
+one: tauten every seed pair and stop at a cross count equal to the algebraic
+intersection, then run the exact slot search on every seed pair, raising if
+any is over the cap, and take the least count of both passes.
+nonsimple_pairs draws the seeded pair sweeps it is checked on.
+
 reference_expand and reference_multiply keep the crossing-resolution
 recursion the state sum in curvetrace.algebra must reproduce: resolve one
 crossing of a taut diagram through t_u t_v = t_{uv} + t_{uv^-1}, re-expand
@@ -55,6 +62,7 @@ curvetrace.curves._cross_min_exhaustive must reproduce: the same constant,
 per-edge columns and edge-pair links, summed by numpy into one array over
 every slot assignment, whose minimum it returns.
 """
+import random
 from fractions import Fraction
 from itertools import chain, permutations, product
 from math import factorial
@@ -70,14 +78,17 @@ from curvetrace.algebra import (
 from curvetrace.complement import _MAX_JITTER_RETRIES
 from curvetrace.curves import (
     PAIR_SEARCH_CAP,
+    _cross_min_exhaustive,
     _pair_taut,
     _route_seeds,
     _taut_single,
+    enumerate_classes,
     intersection_number,
+    is_simple,
     tauten_routes,
 )
 from curvetrace.diagrams import Budget
-from curvetrace.errors import ModelInconsistency
+from curvetrace.errors import ModelInconsistency, ReductionBudgetExceeded
 from curvetrace.polygon import polygon_model
 from curvetrace.splitting import _commutators, _power, _repeat
 from curvetrace.valuations import ValuationValue
@@ -139,6 +150,57 @@ def reference_pair_diagram(s, x, y):
             if best[0][0] == floor:
                 return best[1]
     return best[1]
+
+
+def reference_pair_cross_refined(genus, wx, wy):
+    """Certified minimum for two self-crossing classes.  Each seed pair is
+    tautened, and a cross count equal to the algebraic intersection, a lower
+    bound, is the answer.  Otherwise the best count is confirmed or improved
+    by the exact minimum over every slot assignment of every seed pair."""
+    s = make_surface(genus)
+    u = homology_class(s, wx).coords
+    v = homology_class(s, wy).coords
+    floor = abs(intersection_form(u, v))
+    classes = (CurveClass(genus, wx), CurveClass(genus, wy))
+    seed_pairs = list(product(_route_seeds(genus, wx), _route_seeds(genus, wy)))
+    budget = Budget()
+    counts = []
+    for routes in seed_pairs:
+        got = tauten_routes(genus, classes, routes, budget).cross_strand_crossings()
+        if got == floor:
+            return got
+        counts.append(got)
+    model = polygon_model(genus)
+    for routes in seed_pairs:
+        got = _cross_min_exhaustive(model, routes)
+        if got is None:
+            raise ReductionBudgetExceeded(
+                "pair position search space exceeds"
+                f" {PAIR_SEARCH_CAP} slot assignments"
+            )
+        counts.append(got)
+    return min(counts)
+
+
+def nonsimple_pairs(genus, max_len, count, seed=11):
+    """The first count distinct pairs (wx, wy), wx < wy, of non-simple
+    classes of length <= max_len drawn with Random(seed); a longer sweep
+    extends a shorter one."""
+    s = make_surface(genus)
+    words = [c.word for c in enumerate_classes(s, max_len) if not is_simple(s, c)]
+    rng = random.Random(seed)
+    pairs = {}
+    while len(pairs) < count:
+        pairs[tuple(sorted(rng.sample(words, 2)))] = None
+    return list(pairs)
+
+
+def pair_outcome(count, genus, wx, wy):
+    """count(genus, wx, wy), or the type and message of what it raised."""
+    try:
+        return count(genus, wx, wy)
+    except ReductionBudgetExceeded as e:
+        return type(e).__name__, str(e)
 
 
 def _route_candidates(genus, word):

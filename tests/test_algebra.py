@@ -25,7 +25,7 @@ from curvetrace.algebra import (
     unit_expression,
     zero_expression,
 )
-from curvetrace import curves
+from curvetrace import curves, words
 from curvetrace.curves import _taut_single, enumerate_classes, tauten_routes
 from curvetrace.errors import (
     BadArgument,
@@ -38,6 +38,7 @@ from curvetrace.mapping import apply_to_multicurve, twist_generator
 from curvetrace.representations import P, evaluate_trace, random_representation
 from curvetrace.words import (
     canonical_class,
+    free_reduce,
     inverse_word,
     letters,
     make_surface,
@@ -374,11 +375,13 @@ def test_expand_trace_rejects_words_that_are_not_int_letters():
 
 
 def test_expansion_reuses_the_cached_taut_diagram(monkeypatch):
-    # a primitive class sums over the diagram _taut_single certified, so
-    # expanding it tautens nothing once that diagram is cached
-    cls = C("a1B2B1")
-    assert _taut_single(2, cls.word).crossing_count == 2
-    want = reference_expand(S2, cls.word)
+    # a class, a proper power included, sums over the diagram _taut_single
+    # certified, so expanding it tautens nothing once that diagram is cached
+    classes = {C("a1B2B1"): 2, C("a1b1a1b1"): 1}
+    want = {}
+    for cls, crossings in classes.items():
+        assert _taut_single(2, cls.word).crossing_count == crossings
+        want[cls] = reference_expand(S2, cls.word)
     calls = []
 
     def recording(*args, **kwargs):
@@ -388,8 +391,28 @@ def test_expansion_reuses_the_cached_taut_diagram(monkeypatch):
     for module in (algebra, curves):
         monkeypatch.setattr(module, "tauten_routes", recording)
     monkeypatch.setattr(algebra, "_EXPAND_CACHE", {})
-    assert expand_trace(S2, cls.word) == want
+    for cls in classes:
+        assert expand_trace(S2, cls.word) == want[cls]
     assert calls == []
+
+
+def test_state_sums_look_classes_up_by_reduced_words(monkeypatch):
+    # arc words read off a smoothing are reduced before the class lookup, so
+    # no key the class cache is left with after a state sum is unreduced
+    keys = []
+    lookup = words._canonical_class
+
+    def recording(genus, word):
+        keys.append(word)
+        return lookup(genus, word)
+
+    monkeypatch.setattr(words, "_canonical_class", recording)
+    monkeypatch.setattr(algebra, "_EXPAND_CACHE", {})
+    monkeypatch.setattr(algebra, "_MERGE_CACHE", {})
+    for text in ("a1B2B1", "a1b1a1b1", "a1a2B1B2"):
+        expand(text)
+    multiply_expressions(S2, expand("a1b1"), expand("a1B2"))
+    assert keys and all(free_reduce(word) == word for word in keys)
 
 
 def test_rank_check_requires_enough_trials():

@@ -10,7 +10,10 @@ from oracles import (
     all_classes_up_to,
     germ_simple,
     min_crossings,
+    nonsimple_pairs,
+    pair_outcome,
     reference_cross_min,
+    reference_pair_cross_refined,
     reference_taut_single,
 )
 from curvetrace import curves
@@ -28,6 +31,7 @@ from curvetrace.errors import (
 from curvetrace.curves import (
     PAIR_SEARCH_CAP,
     _cross_min_exhaustive,
+    _pair_cross_refined,
     _route_seeds,
     _taut_single,
     complement_report,
@@ -483,6 +487,41 @@ def test_cross_min_exhaustive_above_cap_is_none():
 def test_intersection_number_of_two_nonsimple_classes_matches_oracle():
     x, y = C("A1B2"), C("A1a2")
     assert intersection_number(S2, x, y) == min_crossings(2, (x.word, y.word))[1] == 3
+
+
+@pytest.mark.parametrize("genus, max_len, count", [(2, 4, 150), (3, 3, 100)])
+def test_pair_search_matches_the_two_pass_reference(genus, max_len, count):
+    # same count or same raise on a seeded sweep of non-simple pairs
+    raised = 0
+    for wx, wy in nonsimple_pairs(genus, max_len, count):
+        got = pair_outcome(_pair_cross_refined, genus, wx, wy)
+        assert got == pair_outcome(reference_pair_cross_refined, genus, wx, wy)
+        raised += isinstance(got, tuple)
+    assert 0 < raised < count
+
+
+@pytest.mark.parametrize(
+    "texts, over_cap", [(("A1B2", "A1a2"), 0), (("b1B2A1", "a1a1b2"), 3)]
+)
+def test_pair_search_tautens_only_seed_pairs_over_the_cap(
+    monkeypatch, texts, over_cap
+):
+    model = polygon_model(2)
+    wx, wy = sorted(C(text).word for text in texts)
+    seed_pairs = product(_route_seeds(2, wx), _route_seeds(2, wy))
+    over = [r for r in seed_pairs if _cross_min_exhaustive(model, r) is None]
+    tautened = []
+
+    def recording(genus, classes, routes, budget=None):
+        tautened.append(routes)
+        return tauten_routes(genus, classes, routes, budget)
+
+    monkeypatch.setattr(curves, "tauten_routes", recording)
+    try:
+        _pair_cross_refined(2, wx, wy)
+    except ReductionBudgetExceeded:
+        pass
+    assert tautened == over and len(over) == over_cap
 
 
 def test_pair_search_cap_is_loud():

@@ -12,6 +12,7 @@ from oracles import (
 )
 
 from curvetrace import words
+from curvetrace.algebra import parse_expression, parse_multicurve
 from curvetrace.errors import (
     BadArgument,
     BadLetter,
@@ -19,6 +20,8 @@ from curvetrace.errors import (
     ModelInconsistency,
     TrivialClass,
 )
+from curvetrace.mapping import parse_mapping_class
+from curvetrace.valuations import parse_lamination
 from curvetrace.words import (
     _chase_spellings,
     _closure_entry,
@@ -99,8 +102,20 @@ def test_canonical_class_rejects_letters_outside_alphabet():
         lambda: primitive_root(S2, (1,)),
         lambda: parse_word(S2, 5),
         lambda: make_surface("2"),
+        lambda: parse_multicurve(S2, 5),
+        lambda: parse_expression(S2, ["1\ta1^1"]),
+        lambda: parse_lamination(S2, b"1 a1"),
+        lambda: parse_mapping_class(S2, None),
     ],
-    ids=["primitive_root", "parse_word", "make_surface"],
+    ids=[
+        "primitive_root",
+        "parse_word",
+        "make_surface",
+        "parse_multicurve",
+        "parse_expression",
+        "parse_lamination",
+        "parse_mapping_class",
+    ],
 )
 def test_arguments_of_the_wrong_type_are_typed(call):
     # BadArgument is a CurvetraceError that is still a TypeError
