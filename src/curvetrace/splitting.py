@@ -39,12 +39,21 @@ first, that stops at a class whose phi is known; the table of known classes
 is kept per genus.  Searching from delta rather than breadth-first from the
 standard curves keeps the table to the classes asked about: on the benchmark's
 twist workload, the breadth-first table took 371 classes to reach one simple
-class of length 6.  The count is a conjugacy invariant, so phi^-1(alpha) is
-only substituted and freely reduced, never normalized.
+class of length 6.
+
+The table stores phi^-1 itself for each class, as the images of the
+generators, composed once when the class's chain is recorded, and each
+standard curve's stable letter (or handle bound) and edge words.  A count
+is then one substitution and one tree reduction whatever the chain's
+length, and only the tree reduction for a standard curve.  Substitutions are homomorphisms of the free group and compose as
+such, so substituting the composed images into alpha gives the same freely
+reduced word as substituting the chain's inverse twists one at a time.  The
+count is a conjugacy invariant, so phi^-1(alpha) is only substituted and
+freely reduced, never normalized.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heappop, heappush
 
 from . import mapping
@@ -122,49 +131,62 @@ def _segments(w, cuts, skip: int) -> list:
     ]
 
 
-def hnn_count(genus: int, d: int, word) -> int:
-    """i(d, word) for a generator d, as the translation length on the tree
-    of the HNN splitting along d."""
+def _hnn_edge(genus: int, d: int):
+    """(stable letter, edge words) of the HNN splitting along a generator d."""
     k = (d + 1) // 2
     t = d + 1 if d % 2 else d - 1
     r_k = _commutators(list(range(k + 1, genus + 1)) + list(range(1, k)))
-    ends = {1: (d,), -1: (inverse_word(r_k) if d % 2 == 0 else r_k) + (d,)}
+    return t, {1: (d,), -1: (inverse_word(r_k) if d % 2 == 0 else r_k) + (d,)}
+
+
+def _hnn_length(t: int, ends, word) -> int:
     w = cyclic_free_reduce(word)
     cuts = [i for i, l in enumerate(w) if abs(l) == t]
     signs = [1 if w[i] == t else -1 for i in cuts]
     return _tree_length(signs, _segments(w, cuts, 1), ends)
 
 
-def amalgam_count(genus: int, h: int, word) -> int:
-    """i([a1,b1]...[ah,bh], word), as the translation length on the tree of
-    the amalgam splitting along that separating curve."""
-    ends = {
+def hnn_count(genus: int, d: int, word) -> int:
+    """i(d, word) for a generator d, as the translation length on the tree
+    of the HNN splitting along d."""
+    return _hnn_length(*_hnn_edge(genus, d), word)
+
+
+def _amalgam_edge(genus: int, h: int):
+    """(last letter of the first h handles, edge words) of the amalgam
+    splitting along [a1,b1]...[ah,bh]."""
+    return 2 * h, {
         1: inverse_word(_commutators(range(h + 1, genus + 1))),
         -1: _commutators(range(1, h + 1)),
     }
+
+
+def _amalgam_length(top: int, ends, word) -> int:
     w = cyclic_free_reduce(word)
-    inner = [abs(l) <= 2 * h for l in w]
+    inner = [abs(l) <= top for l in w]
     cuts = [i for i in range(len(w)) if inner[i] != inner[i - 1]]
     signs = [-1 if inner[i] else 1 for i in cuts]
     return _tree_length(signs, _segments(w, cuts, 0), ends)
 
 
+def amalgam_count(genus: int, h: int, word) -> int:
+    """i([a1,b1]...[ah,bh], word), as the translation length on the tree of
+    the amalgam splitting along that separating curve."""
+    return _amalgam_length(*_amalgam_edge(genus, h), word)
+
+
+def _counter(genus: int, standard):
+    """The count against a standard curve, as a function of the word, with
+    its splitting's cut letter and edge words bound."""
+    if len(standard) == 1:
+        return partial(_hnn_length, *_hnn_edge(genus, standard[0]))
+    return partial(_amalgam_length, *_amalgam_edge(genus, len(standard) // 4))
+
+
 def standard_count(genus: int, standard, word) -> int:
     """i(standard, word) for a standard curve: a generator or a separating
     [a1,b1]...[ah,bh]."""
-    if len(standard) == 1:
-        return hnn_count(genus, standard[0], word)
-    return amalgam_count(genus, len(standard) // 4, word)
-
-
-def count_through(genus: int, standard, chain, word) -> int:
-    """i(phi(standard), word), where phi applies the twists of chain, each
-    (class word, turns), first to last."""
-    for twist in reversed(chain):
-        word = mapping._substitute(
-            mapping._twist_cached(genus, *twist).inverse_images, word
-        )
-    return standard_count(genus, standard, word)
+    return _counter(genus, standard)(word)
 
 
 class _TwistSearch:
@@ -174,10 +196,17 @@ class _TwistSearch:
 
     reached maps each canonical class word found so far to (standard curve,
     twist chain) with phi(standard) = the class; it starts with the standard
-    curves.  find searches from the class best-first, shortest image first,
-    until an image is in reached, and records the chain of every class on
-    the way.  A search that visits _SPLIT_SEARCH_CAP classes without
-    meeting reached is a miss, remembered in missed.
+    curves.  pullback maps the same words to phi^-1, the images of the
+    generators under it, and counters maps each standard curve to its count
+    with the splitting's cut letter and edge words bound.  find searches
+    from the class best-first, shortest image first, until an image is in
+    reached, and records the chain and phi^-1 of every class on the way:
+    a class one twist T further along has phi' = T phi, so its phi'^-1 sends
+    generator k to phi^-1(T^-1(k)): phi^-1's images substituted into T's
+    inverse images, one substitution per generator.  phi'^-1(w) is then the
+    same freely reduced word as T^-1 substituted first and phi^-1 after.
+    A search that visits _SPLIT_SEARCH_CAP classes without meeting reached
+    is a miss, remembered in missed.
     """
 
     def __init__(self, genus: int):
@@ -192,10 +221,15 @@ class _TwistSearch:
         )
         standards = [(k,) for k in range(1, 2 * genus + 1)]
         standards += [_commutators(range(1, h + 1)) for h in range(1, genus // 2 + 1)]
+        self.counters = {standard: _counter(genus, standard) for standard in standards}
+        identity = tuple((k,) for k in range(1, 2 * genus + 1))
         self.reached = {}
+        self.pullback = {}
         self.missed = set()
         for standard in standards:
-            self.reached.setdefault(canonical_class(s, standard).word, (standard, ()))
+            word = canonical_class(s, standard).word
+            self.reached.setdefault(word, (standard, ()))
+            self.pullback.setdefault(word, identity)
 
     def find(self, word):
         """(standard, chain) for the canonical class word, or None."""
@@ -217,10 +251,16 @@ class _TwistSearch:
                 if image in self.reached:
                     # image = twist(here), so here = twist^-1(image)
                     standard, chain = self.reached[image]
+                    images = self.pullback[image]
                     while came_from[image] is not None:
                         image, (c, turns) = came_from[image]
                         chain = chain + ((c, -turns),)
+                        f = mapping._twist_cached(self.genus, c, -turns)
+                        images = tuple(
+                            mapping._substitute(images, w) for w in f.inverse_images
+                        )
                         self.reached[image] = (standard, chain)
+                        self.pullback[image] = images
                     return self.reached[word]
                 heappush(heap, (len(image), image))
         self.missed.add(word)
@@ -235,8 +275,11 @@ def twist_search(genus: int) -> _TwistSearch:
 def splitting_count(genus: int, delta, word):
     """i(delta, word) for a simple class delta (canonical word), or None
     when the search finds no phi for delta."""
-    hit = twist_search(genus).find(delta)
+    search = twist_search(genus)
+    hit = search.find(delta)
     if hit is None:
         return None
     standard, chain = hit
-    return count_through(genus, standard, chain, word)
+    if chain:
+        word = mapping._substitute(search.pullback[delta], word)
+    return search.counters[standard](word)

@@ -17,6 +17,7 @@ component class with the lamination once; the table lives for that call only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
 from math import lcm
@@ -37,7 +38,7 @@ from .curves import (
     intersection_number,
     is_simple,
 )
-from .errors import NotSimple
+from .errors import BadArgument, NotSimple
 from .words import (
     CurveClass,
     Surface,
@@ -70,11 +71,24 @@ class Lamination:
         return format_lamination(self)
 
 
+def _rational(value, what: str) -> Fraction:
+    """value as a Fraction; BadArgument for a float, whose binary rounding
+    (0.1 is 3602879701896397/2^55) would become the weight, and for NaN and
+    the infinities, as floats or Decimals."""
+    if isinstance(value, float):
+        raise BadArgument(
+            f"{what} {value!r} is a float; give an int, a Fraction or text such as '1/10'"
+        )
+    if isinstance(value, Decimal) and not value.is_finite():
+        raise BadArgument(f"{what} {value!r} is not finite")
+    return Fraction(value)
+
+
 def make_lamination(s: Surface, weights) -> Lamination:
     """Validated constructor: positive weights, simple disjoint components."""
     acc = {}
     for cls, w in dict(weights).items():
-        w = Fraction(w)
+        w = _rational(w, "weight")
         if w <= 0:
             raise ValueError(f"weight {w} of {format_word(cls.word)} not positive")
         acc[cls] = acc.get(cls, Fraction(0)) + w
@@ -84,7 +98,7 @@ def make_lamination(s: Surface, weights) -> Lamination:
 
 
 def scale_lamination(lam: Lamination, factor) -> Lamination:
-    factor = Fraction(factor)
+    factor = _rational(factor, "scale factor")
     if factor <= 0:
         raise ValueError(f"scale factor {factor} not positive")
     return Lamination(

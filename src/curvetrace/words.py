@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -55,8 +55,7 @@ from .errors import (
 
 GroupWord = tuple  # tuple of nonzero ints
 
-_TOKEN_RE = re.compile(r"([abAB])(\d+)")
-_TOKENS_RE = re.compile(r"(?:[abAB]\d+)+")
+_LETTER_RE = re.compile(r"[abAB]\d+")
 _CLOSURE_CAP = 200_000
 # (genus, rotation-minimal cyclic geodesic) -> (frozenset closure of its
 # oriented class, canonical word of its unoriented class), filled by
@@ -79,6 +78,14 @@ class Surface:
     @property
     def rank(self) -> int:
         return 2 * self.genus
+
+    @cached_property
+    def _letter_of(self) -> dict:
+        """Each generator's name and its inverse's, 'a1' and 'A1', to the letter."""
+        table = {}
+        for k, name in enumerate(self.generators, 1):
+            table[name], table[name.upper()] = k, -k
+        return table
 
 
 @dataclass(frozen=True, order=True)
@@ -141,24 +148,31 @@ def _text(text) -> str:
     return text
 
 
+def _spelled_letter(genus: int, piece: str, token: str) -> int:
+    """The letter of a piece like 'a01' that is not a generator's own name."""
+    base, idx = piece[0], int(piece[1:])
+    if idx < 1 or idx > genus:
+        raise BadLetter(f"index {idx} outside genus-{genus} alphabet in {token!r}")
+    k = 2 * (idx - 1) + (1 if base in "aA" else 2)
+    return k if base.islower() else -k
+
+
 def parse_word(surface: Surface, text: str) -> GroupWord:
     """Parse text like 'a1 b2 A1' or 'a1b2A1' into letters.
 
     Uppercase means inverse.  Tokens may concatenate; an index is the maximal
     digit run after its letter, so single-digit indices never need spaces.
     """
+    table = surface._letter_of
     letters = []
     for token in _text(text).split():
-        if not _TOKENS_RE.fullmatch(token):
+        pieces = _LETTER_RE.findall(token)
+        if sum(map(len, pieces)) != len(token):
             raise BadLetter(f"cannot parse {token!r}")
-        for match in _TOKEN_RE.finditer(token):
-            base, idx = match.group(1), int(match.group(2))
-            if idx < 1 or idx > surface.genus:
-                raise BadLetter(
-                    f"index {idx} outside genus-{surface.genus} alphabet in {token!r}"
-                )
-            k = 2 * (idx - 1) + (1 if base in "aA" else 2)
-            letters.append(k if base.islower() else -k)
+        try:
+            letters.extend([table[piece] for piece in pieces])
+        except KeyError:
+            letters.extend(_spelled_letter(surface.genus, p, token) for p in pieces)
     return tuple(letters)
 
 

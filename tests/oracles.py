@@ -44,6 +44,11 @@ curvetrace.splitting replaced by one tree reduction with two cutters: Britton
 pinches of t u t^-1 for the HNN splitting, and syllables moved across the
 edge and merged for the amalgam.
 
+reference_count_through keeps the chain walk that the composed inverse
+images of curvetrace.splitting._TwistSearch replaced: the inverse of each
+twist of the chain substituted into the word, last twist first, before one
+standard count.
+
 reference_dehn_tables rebuilds the Dehn replacements and exactly-half swaps
 from the relator, as the two tables curvetrace.words read before it read
 everything off its one cell-move table.
@@ -69,6 +74,7 @@ from math import factorial
 
 import numpy as np
 
+from curvetrace import mapping
 from curvetrace.algebra import (
     _from_terms,
     _multicurve,
@@ -90,7 +96,7 @@ from curvetrace.curves import (
 from curvetrace.diagrams import Budget
 from curvetrace.errors import ModelInconsistency, ReductionBudgetExceeded
 from curvetrace.polygon import polygon_model
-from curvetrace.splitting import _commutators, _power, _repeat
+from curvetrace.splitting import _commutators, _power, _repeat, standard_count
 from curvetrace.valuations import ValuationValue
 from curvetrace.words import (
     _CLOSURE_CAP,
@@ -1009,3 +1015,13 @@ def reference_amalgam_count(genus, h, word):
         else:
             return len(syllables)
     return 0
+
+
+def reference_count_through(genus: int, standard, chain, word) -> int:
+    """i(phi(standard), word), where phi applies the twists of chain, each
+    (class word, turns), first to last."""
+    for twist in reversed(chain):
+        word = mapping._substitute(
+            mapping._twist_cached(genus, *twist).inverse_images, word
+        )
+    return standard_count(genus, standard, word)

@@ -3,7 +3,11 @@ import random
 
 import pytest
 
-from oracles import reference_amalgam_count, reference_hnn_count
+from oracles import (
+    reference_amalgam_count,
+    reference_count_through,
+    reference_hnn_count,
+)
 from curvetrace import mapping, splitting
 from curvetrace.algebra import expand_trace
 from curvetrace.curves import (
@@ -16,7 +20,6 @@ from curvetrace.errors import ReductionBudgetExceeded, TrivialClass
 from curvetrace.splitting import (
     _commutators,
     amalgam_count,
-    count_through,
     hnn_count,
     splitting_count,
     standard_count,
@@ -172,9 +175,12 @@ def test_two_twist_chains_give_equal_counts():
         standard, chain = twist_search(2).find(delta)
         longer = chain + ((delta, 1),)
         for alpha in alphas:
-            assert count_through(2, standard, chain, alpha.word) == count_through(
-                2, standard, longer, alpha.word
-            ), (text, alpha.word)
+            assert reference_count_through(
+                2, standard, chain, alpha.word
+            ) == reference_count_through(2, standard, longer, alpha.word), (
+                text,
+                alpha.word,
+            )
 
 
 def test_search_reaches_short_simple_classes():
@@ -188,6 +194,36 @@ def test_search_reaches_short_simple_classes():
                 f = mapping._twist_cached(surface.genus, *twist)
                 image = mapping.apply_to_class(surface, f, image)
             assert image == c, c.word
+
+
+@pytest.mark.parametrize("genus, bound, alpha_bound", [(2, 4, 5), (3, 3, 4)])
+def test_composed_count_matches_the_chain_walk(genus, bound, alpha_bound):
+    # one substitution of the stored phi^-1 against the twist-by-twist walk
+    surface = make_surface(genus)
+    search = twist_search(genus)
+    deltas = enumerate_simple_classes(surface, bound)
+    alphas = random.Random(50 + genus).sample(enumerate_classes(surface, alpha_bound), 30)
+    for delta in deltas:
+        standard, chain = search.find(delta.word)
+        for alpha in alphas:
+            want = reference_count_through(genus, standard, chain, alpha.word)
+            assert splitting_count(genus, delta.word, alpha.word) == want, (
+                delta.word,
+                alpha.word,
+            )
+
+
+def test_composed_images_carry_each_class_to_its_standard_curve():
+    # phi^-1 sends each reached class to the standard curve that phi carries
+    # to it, and its images are those of an orientation-preserving automorphism
+    for surface, bound in ((S2, 4), (S3, 3)):
+        search = twist_search(surface.genus)
+        for c in enumerate_simple_classes(surface, bound):
+            standard, _ = search.find(c.word)
+            images = search.pullback[c.word]
+            assert mapping.relator_certificate(surface, images).sign == 1
+            back = canonical_class(surface, mapping._substitute(images, c.word))
+            assert back == canonical_class(surface, standard), c.word
 
 
 @pytest.fixture

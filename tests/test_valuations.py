@@ -1,5 +1,6 @@
 """Valuations from weighted multicurves: the max formula and its taxonomy."""
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from curvetrace.algebra import (
     zero_expression,
 )
 from curvetrace.curves import enumerate_classes
-from curvetrace.errors import GenusMismatch, NotSimple
+from curvetrace.errors import BadArgument, GenusMismatch, NotSimple
 from curvetrace.valuations import (
     ValuationValue,
     check_positive_up_to,
@@ -89,6 +90,26 @@ def test_scale_lamination():
     assert scale_lamination(lam, 3).weight(C("a1")) == Fraction(3, 2)
     with pytest.raises(ValueError):
         scale_lamination(lam, 0)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [0.1, 0.5, 2.0, float("nan"), float("inf"), Decimal("NaN"), Decimal("-Infinity")],
+)
+def test_float_and_non_finite_weights_are_typed_errors(weight):
+    # 0.1 would be stored as its binary rounding, 3602879701896397/2^55
+    with pytest.raises(BadArgument):
+        L({C("a1"): weight})
+    with pytest.raises(BadArgument):
+        scale_lamination(L({C("a1"): 1}), weight)
+
+
+def test_exact_weights_are_kept():
+    assert L({C("a1"): "1/2"}).weight(C("a1")) == Fraction(1, 2)
+    assert L({C("a1"): "0.1"}).weight(C("a1")) == Fraction(1, 10)
+    assert L({C("a1"): Fraction(1, 3)}).weight(C("a1")) == Fraction(1, 3)
+    assert L({C("a1"): Decimal("0.25")}).weight(C("a1")) == Fraction(1, 4)
+    assert scale_lamination(L({C("a1"): 2}), "1/4").weight(C("a1")) == Fraction(1, 2)
 
 
 # -- the pairing and the max formula ---------------------------------------------

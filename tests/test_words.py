@@ -86,6 +86,23 @@ def test_parse_rejects_bad_letters():
     assert parse_word(S3, "a3") == (5,)
 
 
+def test_parse_reads_indices_that_are_not_generator_names():
+    # a generator's own name is looked up; other digit runs are read as ints
+    assert parse_word(S2, "a01 B02a1") == (1, -4, 1)
+    assert parse_word(make_surface(12), "b12A10a1") == (24, -19, 1)
+    messages = {
+        "c1": "cannot parse 'c1'",
+        "a1x": "cannot parse 'a1x'",
+        "a1 xb1": "cannot parse 'xb1'",
+        "a0": "index 0 outside genus-2 alphabet in 'a0'",
+        "b1A03": "index 3 outside genus-2 alphabet in 'b1A03'",
+    }
+    for text, message in messages.items():
+        with pytest.raises(BadLetter) as info:
+            parse_word(S2, text)
+        assert str(info.value) == message
+
+
 def test_canonical_class_rejects_letters_outside_alphabet():
     # letters that are not ints fail in free_reduce, as a cache key or in
     # the miss path's check, and each raises BadLetter
