@@ -1,14 +1,9 @@
 """Named acceptance suites: one deterministic verdict line per criterion.
 
-Every suite fixes genus 2 and its own seeds, and every check is exact:
-rational arithmetic, or residues mod P at representations in SL2(F_P).
-`run_suite` executes one suite by name, `run_all` the whole battery in order.
-Words come from words.letters and reduced_words, mod-2 classes from
-mod2_class, and matrices of words from representations._word_matrix.
-
-This module needs numpy, for the int64 pair sweep of `presentation`.  It is
-the only one that does, and `import curvetrace` does not load it; numpy
-comes with the package's `test` extra.
+Every suite fixes its genus (2; presentation also 3) and its own seeds, and
+every check is exact: rational arithmetic, or residues mod P at
+representations in SL2(F_P).  `run_suite` executes one suite by name,
+`run_all` the whole battery in order.
 """
 from __future__ import annotations
 
@@ -16,8 +11,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import product
 
 from .algebra import (
     basis_expression,
@@ -35,6 +29,7 @@ from .curves import (
     enumerate_simple_classes,
     intersection_number,
 )
+from .errors import TrivialClass
 from .mapping import (
     apply_to_class,
     central_twist,
@@ -43,13 +38,7 @@ from .mapping import (
     twist_generator,
     verify_algebra_automorphism,
 )
-from .representations import (
-    P,
-    _inv,
-    _word_matrix,
-    evaluate_trace,
-    random_representation,
-)
+from .representations import P, evaluate_trace, random_representation
 from .valuations import (
     classify_discrete,
     curv_normalize,
@@ -65,12 +54,11 @@ from .words import (
     letters,
     make_surface,
     mod2_class,
+    oriented_spellings,
     parse_word,
     reduced_words,
+    rotations,
 )
-
-REPRESENTATION_COUNT = 20
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -92,9 +80,10 @@ class CriterionResult:
         )
 
 
-def _random_word(rng, s, length):
+def _random_word(rng, s, length, start=()):
+    """A freely reduced word of the length: start, then random letters."""
     alphabet = letters(s.genus)
-    word = [rng.choice(alphabet)]
+    word = list(start) or [rng.choice(alphabet)]
     while len(word) < length:
         nxt = rng.choice(alphabet)
         if nxt != -word[-1]:
@@ -102,47 +91,54 @@ def _random_word(rng, s, length):
     return tuple(word)
 
 
+def _presentation_words(s, max_length, rng):
+    """Every freely reduced word of length <= max_length; each factor of
+    2g-2..4g-1 letters of a relator shift or of its inverse (the factors cell
+    moves rewrite) with random tails of 1 to 4 letters; and each freely
+    reduced product of two factors of 2g-2..2g letters, as two-cell ladders."""
+    yield from reduced_words(s.genus, max_length)
+    g = s.genus
+    shifts = [*rotations(s.relator), *rotations(inverse_word(s.relator))]
+    for shift in shifts:
+        for length in range(2 * g - 2, 4 * g):
+            for tail in range(1, 5):
+                yield _random_word(rng, s, length + tail, shift[:length])
+    cells = [shift[:n] for shift in shifts for n in range(2 * g - 2, 2 * g + 1)]
+    yield from (f + h for f, h in product(cells, cells) if f[-1] != -h[0])
+
+
 def _run_presentation():
-    s = make_surface(2)
-    # a representation is built only if every generator has det 1 and the
-    # relator is exactly I.  That is the check that can fail: with inverses
-    # taken as adjugates, Tr X Tr Y = Tr XY + Tr XY^-1 holds for any 2x2
-    # matrices, so the pair sweep checks the word arithmetic.
-    reps = [random_representation(s, seed) for seed in range(REPRESENTATION_COUNT)]
-    words = list(reduced_words(s.genus, 3))
-    mismatches = 0
-    for rep in reps:
-        mats = [_word_matrix(rep.matrices, w) for w in words]
-        x = np.array(mats, dtype=np.int64)
-        # with rows (a, b, c, d), Tr XY is X . (a, c, b, d) of Y.  Entries are
-        # residues mod P < 2^30, so each four-term int64 sum stays below 2^62.
-        ys = np.array(mats + [_inv(m) for m in mats], dtype=np.int64)
-        pairs = x @ ys[:, [0, 2, 1, 3]].T % P
-        traces = (x[:, 0] + x[:, 3]) % P
-        direct, inverted = pairs[:, : len(words)], pairs[:, len(words) :]
-        residue = (np.outer(traces, traces) - direct - inverted) % P
-        mismatches += int(np.count_nonzero(residue))
-    rng = random.Random(101)
-    sampled = 400
-    for _ in range(sampled):
-        wa = _random_word(rng, s, rng.randint(1, 6))
-        wb = _random_word(rng, s, rng.randint(1, 6))
-        wb_inverse = inverse_word(wb)
-        for rep in reps:
-            lhs = evaluate_trace(rep, wa) * evaluate_trace(rep, wb)
-            rhs = evaluate_trace(rep, wa + wb) + evaluate_trace(rep, wa + wb_inverse)
-            mismatches += (lhs - rhs) % P != 0
+    # traces are class functions: tr w must be tr of w's canonical word and of
+    # each spelling of its class (2 if w is trivial), or a cell move is wrong
+    words = spellings = trivial = mismatches = 0
+    for genus, max_length in ((2, 5), (3, 4)):
+        s = make_surface(genus)
+        reps = [random_representation(s, seed) for seed in range(3)]
+        want = {}  # canonical word -> its traces
+        for word in _presentation_words(s, max_length, random.Random(101)):
+            try:
+                cls = canonical_class(s, word)
+            except TrivialClass:
+                cls, trivial = None, trivial + 1
+            target, checked = (cls.word if cls else ()), [word]
+            if target not in want:
+                want[target] = [evaluate_trace(rep, target) for rep in reps]
+                checked += oriented_spellings(s, cls) if cls else ()
+            for w in checked:
+                mismatches += [evaluate_trace(rep, w) for rep in reps] != want[target]
+            words, spellings = words + 1, spellings + len(checked) - 1
     passed = mismatches == 0
     detail = (
-        f"{len(words)}^2 exhaustive(len<=3) + {sampled} sampled(len<=6) pairs"
-        f" x{len(reps)} reps, det 1 and relator exactly I: mismatches {mismatches}"
+        f"{words} words (reduced len<=5 genus 2, len<=4 genus 3, relator factors"
+        f" + tails, two-cell ladders; {trivial} trivial) and {spellings} class"
+        f" spellings x3 reps: tr = tr canonical: mismatches {mismatches}"
     )
     return passed, detail
 
 
 def _run_basis():
     s = make_surface(2)
-    reps = [random_representation(s, seed) for seed in range(REPRESENTATION_COUNT)]
+    reps = [random_representation(s, seed) for seed in range(20)]
     mismatches = 0
     checked = 0
 

@@ -30,7 +30,7 @@ from .curves import (
     tauten_routes,
 )
 from .diagrams import Budget
-from .errors import GenusMismatch, ModelInconsistency, TrivialClass
+from .errors import BadArgument, GenusMismatch, ModelInconsistency, TrivialClass
 from .polygon import polygon_model
 from .representations import P, Representation, evaluate_trace, random_representation
 from .words import (
@@ -91,7 +91,9 @@ def make_multicurve(s: Surface, weights) -> Multicurve:
     """Validated constructor: simple components, pairwise disjoint."""
     counts = {}
     for cls, mult in dict(weights).items():
-        if mult <= 0 or mult != int(mult):
+        if not isinstance(mult, int):
+            raise BadArgument(f"a multiplicity is an int, not {mult!r}")
+        if mult <= 0:
             raise ValueError(f"multiplicity {mult!r} must be a positive integer")
         counts[cls] = counts.get(cls, 0) + int(mult)
     check_disjoint_simple(s, counts)

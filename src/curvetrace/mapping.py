@@ -42,6 +42,7 @@ from .curves import (
     is_simple,
 )
 from .errors import (
+    BadArgument,
     BadIndex,
     ModelInconsistency,
     NotSimple,
@@ -446,6 +447,9 @@ def make_sign_character(s: Surface, bits) -> SignCharacter:
             raise ValueError(f"sign character {bits!r} must be 0/1 only")
         values = tuple(int(ch) for ch in bits)
     else:
+        bits = tuple(bits)
+        if not all(isinstance(b, int) for b in bits):
+            raise BadArgument(f"sign character bits are ints, not {bits!r}")
         values = tuple(int(b) for b in bits)
         if not all(b in (0, 1) for b in values):
             raise ValueError("sign character bits must be 0 or 1")
@@ -461,7 +465,7 @@ def format_sign_character(a: SignCharacter) -> str:
 
 
 def parse_sign_character(s: Surface, text: str) -> SignCharacter:
-    return make_sign_character(s, text.strip())
+    return make_sign_character(s, _text(text).strip())
 
 
 def sign_pairing(s: Surface, a: SignCharacter, mc: Multicurve) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import BadLetter, ModelInconsistency, SolveFailed
+from .errors import BadArgument, BadLetter, ModelInconsistency, SolveFailed
 from .words import Surface, make_surface
 
 P = 1073741783  # prime, P = 3 mod 4, below 2^30
@@ -88,6 +88,8 @@ def trivial_representation(surface: Surface) -> Representation:
 
 
 def random_representation(surface: Surface, seed: int) -> Representation:
+    if not isinstance(seed, int):  # Random(None) would seed from the OS
+        raise BadArgument(f"a seed is an int, not {seed!r}")
     rng = random.Random(seed)
     g = surface.genus
     for _ in range(100):

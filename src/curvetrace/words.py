@@ -33,10 +33,6 @@ canonical word, the least member of closure and mirror together, so
 canonical_class closes one orientation and later spellings of the class in
 either orientation are one table read.  Spellings of equal length are ordered
 by their letter codes 2|l| + (l < 0), so a1 < A1 < b1 < B1 < a2 < ...
-
-The alphabet (letters, reduced_words) and the homology pairings live here too:
-intersection_form is the symplectic form on H_1 (mod 2, the pairing behind the
-sign characters) and mod2_class the mod-2 class of a weighted multicurve.
 """
 from __future__ import annotations
 

@@ -1,6 +1,8 @@
-"""Run the core library once and fail if numpy was imported.
+"""Import every module of the package, run the core library once, and fail
+if numpy was imported.
 
-Only curvetrace.acceptance needs numpy.  From the repository root:
+No module of the package needs numpy; only the test oracles use it.  From
+the repository root:
 
     PYTHONPATH=src python tests/core_without_numpy.py
 
@@ -8,9 +10,14 @@ It counts i(A1B2, A1a2) at genus 2, a pair of self-crossing classes that
 reaches the exhaustive slot search, checks one Thurston pair, and multiplies
 two disjoint curves into their multicurve.
 """
+import importlib
+import pkgutil
 import sys
 
 import curvetrace as ct
+
+for module in pkgutil.iter_modules(ct.__path__, "curvetrace."):
+    importlib.import_module(module.name)
 
 s = ct.make_surface(2)
 

@@ -4,8 +4,10 @@ verdict breaks the build.
 thurston and discreteness take several seconds each and are run through
 curvetrace.acceptance.run_suite instead; CI runs each as its own step.
 
-The package's own invariants raise typed errors rather than assert, so they
-hold under python -O as well, and only curvetrace.acceptance imports numpy.
+presentation must also be able to fail: with one cell move of the genus-2
+words tables rotated, it gives FAIL.  The package's own invariants raise
+typed errors rather than assert, so they hold under python -O as well, and
+no module of the package imports numpy.
 """
 import ast
 import os
@@ -48,15 +50,43 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_core_runs_without_numpy():
-    # a fresh interpreter, so no other test's import of numpy counts
+# rotate the genus-2 cell move of the relator's first LENGTH letters by one
+# letter, after the tables' own checks have run, then run presentation
+_MUTATED_PRESENTATION = """
+import sys
+from curvetrace.acceptance import run_suite
+from curvetrace.words import _tables, make_surface
+table = _tables(2).cell_moves
+factor = make_surface(2).relator[: int(sys.argv[1])]
+(move,) = table[factor]
+table[factor] = (move[1:] + move[:1],)
+print(run_suite("presentation").line())
+"""
+
+
+def _run_python(*args):
+    # a fresh interpreter, so no other test's imports or tables count
     root = Path(__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, str(root / "tests" / "core_without_numpy.py")],
+    return subprocess.run(
+        [sys.executable, *args],
         cwd=root,
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_core_runs_without_numpy():
+    done = _run_python("tests/core_without_numpy.py")
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("length", [4, 5], ids=["half-swap", "dehn"])
+def test_presentation_fails_with_a_rotated_cell_move(length):
+    # a1b1A1B1 -> b2a2B2A2 is a half swap, a1b1A1B1a2 -> b2a2B2 a Dehn
+    # replacement; each rotated puts some words in a wrong class
+    done = _run_python("-c", _MUTATED_PRESENTATION, str(length))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("FAIL presentation"), done.stdout
+    assert not done.stdout.rstrip().endswith("mismatches 0"), done.stdout

@@ -79,6 +79,17 @@ def test_make_multicurve_rejects_bad_multiplicity():
         make_multicurve(S2, {C("a1"): -2})
 
 
+@pytest.mark.parametrize(
+    "mult",
+    [float("nan"), float("inf"), 2.0, Fraction(2), "2"],
+    ids=["nan", "inf", "float", "fraction", "str"],
+)
+def test_multiplicities_that_are_not_ints_are_typed_errors(mult):
+    # NaN raised a bare ValueError, inf an OverflowError, and 2.0 was accepted
+    with pytest.raises(BadArgument):
+        make_multicurve(S2, {C("a1"): mult})
+
+
 def test_make_multicurve_rejects_nonsimple_component():
     with pytest.raises(NotSimple):
         make_multicurve(S2, {C("a1b2"): 1})

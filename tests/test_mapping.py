@@ -15,6 +15,7 @@ from curvetrace.algebra import (
 )
 from curvetrace.curves import enumerate_simple_classes, intersection_number
 from curvetrace.errors import (
+    BadArgument,
     BadIndex,
     BadLetter,
     GenusMismatch,
@@ -391,6 +392,23 @@ def test_sign_character_parse_format():
     for bad in ("011", "01102", "01x0"):
         with pytest.raises(ValueError):
             parse_sign_character(S2, bad)
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [(0.5, 1, 0, 0), (1.0, 0, 0, 0), ("1", 0, 0, 0)],
+    ids=["half", "float", "str"],
+)
+def test_sign_character_bits_that_are_not_ints_are_typed_errors(bits):
+    # int(0.5) would truncate to 0 and give the character 0100
+    with pytest.raises(BadArgument):
+        make_sign_character(S2, bits)
+
+
+@pytest.mark.parametrize("text", [None, 110, b"0110"], ids=["None", "int", "bytes"])
+def test_sign_character_text_that_is_not_a_str_is_a_typed_error(text):
+    with pytest.raises(BadArgument):
+        parse_sign_character(S2, text)
 
 
 def test_sign_pairing_values():

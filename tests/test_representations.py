@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from curvetrace.errors import BadLetter, ModelInconsistency
+from curvetrace.errors import BadArgument, BadLetter, ModelInconsistency
 from curvetrace.representations import (
     P,
     Representation,
@@ -38,6 +38,13 @@ def test_genus_three_sampling():
 def test_determinism():
     assert random_representation(S2, 42) == random_representation(S2, 42)
     assert random_representation(S2, 42) != random_representation(S2, 43)
+
+
+@pytest.mark.parametrize("seed", [None, 1.0, "1"], ids=["None", "float", "str"])
+def test_a_seed_that_is_not_an_int_is_a_typed_error(seed):
+    # Random(None) seeds from the OS, so the representation could not be redrawn
+    with pytest.raises(BadArgument):
+        random_representation(S2, seed)
 
 
 def test_identity_trace_is_exactly_two():
