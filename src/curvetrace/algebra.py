@@ -30,7 +30,13 @@ from .curves import (
     tauten_routes,
 )
 from .diagrams import Budget
-from .errors import BadArgument, GenusMismatch, ModelInconsistency, TrivialClass
+from .errors import (
+    BadArgument,
+    BadLetter,
+    GenusMismatch,
+    ModelInconsistency,
+    TrivialClass,
+)
 from .polygon import polygon_model
 from .representations import P, Representation, evaluate_trace, random_representation
 from .words import (
@@ -114,7 +120,10 @@ def parse_multicurve(s: Surface, text: str) -> Multicurve:
     for token in text.split(","):
         token = token.strip()
         word_text, _, mult_text = token.partition("^")
-        mult = int(mult_text) if mult_text else 1
+        try:
+            mult = int(mult_text) if mult_text else 1
+        except ValueError:
+            raise BadLetter(f"cannot parse the multiplicity of {token!r}") from None
         cls = canonical_class(s, parse_word(s, word_text))
         counts[cls] = counts.get(cls, 0) + mult
     return make_multicurve(s, counts)
@@ -305,7 +314,6 @@ def _state_sum(s: Surface, diagram) -> TraceExpression:
     ends met at each crossing in two pairs.  A strand without crossings is
     one arc whose two ends stay linked.
     """
-    budget = Budget()
     model = polygon_model(s.genus)
     arcs = list(strand_arcs(model, diagram))
     words = [word for word, _ in arcs]
@@ -331,8 +339,8 @@ def _state_sum(s: Surface, diagram) -> TraceExpression:
     link = [e ^ 1 for e in range(len(reads))]
     components = {}  # entered ends, from the least arc -> class or None
     acc = {}
+    Budget().spend(1 << len(quads))
     for state in range(1 << len(quads)):
-        budget.spend()
         for j, (in0, out0, in1, out1) in enumerate(quads):
             if state >> j & 1:
                 link[in0], link[in1], link[out0], link[out1] = in1, in0, out1, out0

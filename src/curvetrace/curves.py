@@ -24,22 +24,21 @@ with double points can need immersed monogons or bigons to witness its excess
   (complement_report checks that diagram against the count); one raises.
 - Two self-crossing classes take the exact minimum over every slot
   assignment of every seed pair, and stop at a count that meets the
-  algebraic intersection, a lower bound.  A seed pair past the search cap is
-  tautened instead; unless some count meets that bound, the pair raises.
+  algebraic intersection, a lower bound.  The searches of one pair spend one
+  Budget, so a pair whose search outgrows it raises.
 
 That minimum needs no enumeration.  The cross count of a slot assignment is
 a constant, plus one term per edge read off that edge's slot order, plus
 products of parities from two edges.  A subset DP per edge, over the order
 in which its events take their slots, gives the edge's least term for each
 value of the parities other edges read; the edges are then folded in one at
-a time over those values.  Both steps are exact, and the module needs
-nothing beyond the standard library.
+a time over those values.  Both steps are exact, spend the states they
+visit, and need nothing beyond the standard library.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from math import factorial
 
 from .complement import ComplementReport, certify_taut, complement_census
 from .diagrams import Budget, CurveDiagram, build_diagram, build_with_slots
@@ -247,12 +246,8 @@ def _pair_taut(genus: int, wx, wy) -> CurveDiagram:
     return _pair_diagram(s, CurveClass(genus, wx), CurveClass(genus, wy))
 
 
-PAIR_SEARCH_CAP = 200_000
-
-
-def _cross_min_exhaustive(model, routes):
-    """Minimum cross-strand count over every slot assignment of the routes,
-    or None when there are more than PAIR_SEARCH_CAP assignments.
+def _cross_min_exhaustive(model, routes, budget):
+    """Minimum cross-strand count over every slot assignment of the routes.
 
     A slot assignment orders the events of each edge.  Whether two chords of
     different strands cross depends only on the order of their four
@@ -270,20 +265,15 @@ def _cross_min_exhaustive(model, routes):
     plus the links.  _edge_minima finds each edge's least terms exactly, by
     a subset DP over the order of its events; the fold below takes the
     minimum over the linked values edge by edge, dropping an edge's values
-    once no later link reads them.  The DP visits at most 2^m sets of an
-    edge's m events, and the cap bounds m at 8 as it bounds the search
-    space.
+    once no later link reads them.  The DP visits the 2^m sets of an edge's
+    m events, and both it and the fold spend the states they visit from the
+    budget, which raises ReductionBudgetExceeded once they outgrow it.
     """
     n_edges = 2 * model.genus
     edge_events = [[] for _ in range(n_edges)]
     for i, route in enumerate(routes):
         for p, side in enumerate(route):
             edge_events[abs(model.sides[side]) - 1].append((i, p))
-    space = 1
-    for evs in edge_events:
-        space *= factorial(len(evs))
-    if space > PAIR_SEARCH_CAP:
-        return None
     # A boundary point is (side, edge, index of its event on the edge); on
     # the edge's plus side it sits at the event's slot rank, on the minus
     # side at the reversed rank.
@@ -351,7 +341,7 @@ def _cross_min_exhaustive(model, routes):
     held = []  # the edges whose parities key the partial counts
     partial = {(): 0}
     for k, evs in enumerate(edge_events):
-        minima = _edge_minima(len(evs), columns[k], linear[k], linked[k])
+        minima = _edge_minima(len(evs), columns[k], linear[k], linked[k], budget)
         if not linked[k]:
             const += minima[0]
             continue
@@ -360,6 +350,7 @@ def _cross_min_exhaustive(model, routes):
         ]
         keep = [i for i, e in enumerate(held) if last[e] > k]
         held = [held[i] for i in keep]
+        budget.spend(len(partial) * len(minima))
         grown = {}
         for masks, cost in partial.items():
             rest = tuple(masks[i] for i in keep)
@@ -378,7 +369,7 @@ def _cross_min_exhaustive(model, routes):
     return const + min(partial.values())
 
 
-def _edge_minima(n_events, columns, linear, linked) -> dict:
+def _edge_minima(n_events, columns, linear, linked, budget) -> dict:
     """Minimum of one edge's column terms over the orders of its events, for
     each value of its linked columns' parities (a mask, bit j for column j).
 
@@ -388,6 +379,8 @@ def _edge_minima(n_events, columns, linear, linked) -> dict:
     comparison that no link reads is scored then; every other column keeps
     its parity in the state.  What the unplaced events add depends only on
     the set placed, so the least cost per (set placed, parities) is exact.
+    The 2^m sets are spent before they are allocated, and each transition
+    spends the states it carries.
     """
     if not columns:
         return {0: 0}
@@ -402,6 +395,7 @@ def _edge_minima(n_events, columns, linear, linked) -> dict:
         kept.append(j)
         for lo, hi in comparisons:
             moves[lo].append((1 << hi, 0, 1 << j))
+    budget.spend(1 << n_events)
     layers = [{} for _ in range(1 << n_events)]
     layers[0][0] = 0
     for placed, states in enumerate(layers):
@@ -409,6 +403,7 @@ def _edge_minima(n_events, columns, linear, linked) -> dict:
             bit = 1 << t
             if placed & bit:
                 continue
+            budget.spend(len(states))
             cost = flip = 0
             for hi, c, b in events:
                 if not placed & hi:
@@ -430,32 +425,20 @@ def _edge_minima(n_events, columns, linear, linked) -> dict:
 
 
 def _pair_cross_refined(genus: int, wx, wy) -> int:
-    """Certified minimum for two self-crossing classes: the exact minimum
-    over every slot assignment of every seed pair.  A seed pair whose search
-    space is over PAIR_SEARCH_CAP is tautened instead.  A count equal to the
-    algebraic intersection, a lower bound, is the answer at once; failing
-    that, a pair over the cap leaves the minimum unproven and raises."""
+    """Certified minimum for two self-crossing classes: the least exact
+    minimum over every slot assignment of every seed pair, all searched on
+    one Budget.  A count equal to the algebraic intersection, a lower bound,
+    is the answer at once."""
     s = make_surface(genus)
     floor = abs(intersection_form(*(homology_class(s, w).coords for w in (wx, wy))))
-    classes = (CurveClass(genus, wx), CurveClass(genus, wy))
     model = polygon_model(genus)
-    seed_pairs = list(product(_route_seeds(genus, wx), _route_seeds(genus, wy)))
     budget = Budget()
-    exact = []
-    for routes in seed_pairs:
-        got = _cross_min_exhaustive(model, routes)
-        if got is None:
-            got = tauten_routes(genus, classes, routes, budget).cross_strand_crossings()
-        else:
-            exact.append(got)
-        if got == floor:
-            return got
-    if len(exact) < len(seed_pairs):
-        raise ReductionBudgetExceeded(
-            "pair position search space exceeds"
-            f" {PAIR_SEARCH_CAP} slot assignments"
-        )
-    return min(exact)
+    counts = []
+    for routes in product(_route_seeds(genus, wx), _route_seeds(genus, wy)):
+        counts.append(_cross_min_exhaustive(model, routes, budget))
+        if counts[-1] == floor:
+            return floor
+    return min(counts)
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,8 @@ class GenusTooSmall(CurvetraceError):
 
 
 class BadLetter(CurvetraceError):
-    """Raised when word text references a generator outside the surface alphabet."""
+    """Raised when text cannot be parsed, or when word text references a
+    generator outside the surface alphabet."""
 
 
 class BadArgument(CurvetraceError, TypeError):

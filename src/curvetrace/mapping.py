@@ -447,7 +447,10 @@ def make_sign_character(s: Surface, bits) -> SignCharacter:
             raise ValueError(f"sign character {bits!r} must be 0/1 only")
         values = tuple(int(ch) for ch in bits)
     else:
-        bits = tuple(bits)
+        try:
+            bits = tuple(bits)
+        except TypeError:
+            raise BadArgument(f"sign character bits are ints, not {bits!r}") from None
         if not all(isinstance(b, int) for b in bits):
             raise BadArgument(f"sign character bits are ints, not {bits!r}")
         values = tuple(int(b) for b in bits)

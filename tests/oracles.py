@@ -29,8 +29,8 @@ every seed pair of two classes, stopping at self + self + |algebraic|.
 reference_pair_cross_refined keeps the two passes over the seed pairs of two
 self-crossing classes that curvetrace.curves._pair_cross_refined replaced by
 one: tauten every seed pair and stop at a cross count equal to the algebraic
-intersection, then run the exact slot search on every seed pair, raising if
-any is over the cap, and take the least count of both passes.
+intersection, then take reference_cross_min of every seed pair, raising if
+any is over ASSIGNMENT_CAP, and take the least count of both passes.
 nonsimple_pairs draws the seeded pair sweeps it is checked on.
 
 reference_expand and reference_multiply keep the crossing-resolution
@@ -65,7 +65,8 @@ table, and the maximum over the terms taken in Fraction.
 reference_cross_min keeps the table sum that the per-edge subset DP in
 curvetrace.curves._cross_min_exhaustive must reproduce: the same constant,
 per-edge columns and edge-pair links, summed by numpy into one array over
-every slot assignment, whose minimum it returns.
+every slot assignment, whose minimum it returns.  Its cap, ASSIGNMENT_CAP by
+default, bounds the number of assignments it takes on.
 """
 import random
 from fractions import Fraction
@@ -83,8 +84,6 @@ from curvetrace.algebra import (
 )
 from curvetrace.complement import _MAX_JITTER_RETRIES
 from curvetrace.curves import (
-    PAIR_SEARCH_CAP,
-    _cross_min_exhaustive,
     _pair_taut,
     _route_seeds,
     _taut_single,
@@ -119,6 +118,7 @@ from curvetrace.words import (
 )
 
 PERM_CAP = 200_000
+ASSIGNMENT_CAP = 200_000
 
 
 def reference_taut_single(genus, class_word):
@@ -162,7 +162,8 @@ def reference_pair_cross_refined(genus, wx, wy):
     """Certified minimum for two self-crossing classes.  Each seed pair is
     tautened, and a cross count equal to the algebraic intersection, a lower
     bound, is the answer.  Otherwise the best count is confirmed or improved
-    by the exact minimum over every slot assignment of every seed pair."""
+    by the exact minimum over every slot assignment of every seed pair,
+    which raises if a seed pair has more than ASSIGNMENT_CAP assignments."""
     s = make_surface(genus)
     u = homology_class(s, wx).coords
     v = homology_class(s, wy).coords
@@ -178,11 +179,10 @@ def reference_pair_cross_refined(genus, wx, wy):
         counts.append(got)
     model = polygon_model(genus)
     for routes in seed_pairs:
-        got = _cross_min_exhaustive(model, routes)
+        got = reference_cross_min(model, routes)
         if got is None:
             raise ReductionBudgetExceeded(
-                "pair position search space exceeds"
-                f" {PAIR_SEARCH_CAP} slot assignments"
+                f"pair position search space exceeds {ASSIGNMENT_CAP} slot assignments"
             )
         counts.append(got)
     return min(counts)
@@ -257,9 +257,9 @@ def _min_for_routes(model, routes, cap):
     return best_total, best_cross
 
 
-def reference_cross_min(model, routes):
+def reference_cross_min(model, routes, cap=ASSIGNMENT_CAP):
     """Minimum cross-strand count over every slot assignment of the routes,
-    or None when there are more than PAIR_SEARCH_CAP assignments.
+    or None when there are more than cap assignments.
 
     A slot assignment orders the events of each edge.  Whether two chords of
     different strands cross depends only on the order of their four
@@ -270,8 +270,7 @@ def reference_cross_min(model, routes):
     per edge pair, each indexed by the rank vectors of its edges.  Their sum
     is one array over every assignment (an edge no comparison reads gets a
     single cell), so its minimum is the minimum over all assignments.  The
-    array is never larger than the search space, which the cap bounds as
-    before.
+    array is never larger than the search space, which the cap bounds.
     """
     n_edges = 2 * model.genus
     edge_events = [[] for _ in range(n_edges)]
@@ -281,7 +280,7 @@ def reference_cross_min(model, routes):
     space = 1
     for evs in edge_events:
         space *= factorial(len(evs))
-    if space > PAIR_SEARCH_CAP:
+    if space > cap:
         return None
     # A boundary point is (side, edge, index of its event on the edge); on
     # the edge's plus side it sits at the event's slot rank, on the minus

@@ -33,6 +33,7 @@ from curvetrace.errors import (
     GenusMismatch,
     ModelInconsistency,
     NotSimple,
+    ReductionBudgetExceeded,
 )
 from curvetrace.mapping import apply_to_multicurve, twist_generator
 from curvetrace.representations import P, evaluate_trace, random_representation
@@ -107,6 +108,11 @@ def test_multicurve_format_and_parse():
     assert parse_multicurve(S2, "a1,a1,b2") == mc
     assert format_multicurve(empty_multicurve(2)) == "-"
     assert parse_multicurve(S2, "-") == empty_multicurve(2)
+
+
+def test_multicurve_multiplicity_that_is_not_an_int_is_typed():
+    with pytest.raises(BadLetter, match=r"'a1\^x'"):
+        parse_multicurve(S2, "b2, a1^x")
 
 
 # -- expressions as a vector space ---------------------------------------------
@@ -405,6 +411,25 @@ def test_expansion_reuses_the_cached_taut_diagram(monkeypatch):
     for cls in classes:
         assert expand_trace(S2, cls.word) == want[cls]
     assert calls == []
+
+
+def test_state_sum_past_the_budget_raises_before_any_state(monkeypatch):
+    # 22 crossings make 2^22 states; the sum spends them all before the
+    # first, so the only class read is the strand check's, none a state's
+    word = W("a1a1A2A2b1a1a2B1A2A1a2b2")
+    assert _taut_single(2, canonical_class(S2, word).word).crossing_count == 22
+    reads = []
+    read_class = algebra._read_class
+
+    def recording(s, w):
+        reads.append(w)
+        return read_class(s, w)
+
+    monkeypatch.setattr(algebra, "_read_class", recording)
+    monkeypatch.setattr(algebra, "_EXPAND_CACHE", {})
+    with pytest.raises(ReductionBudgetExceeded, match="budget of 1000000"):
+        expand_trace(S2, word)
+    assert len(reads) == 1
 
 
 def test_state_sums_look_classes_up_by_reduced_words(monkeypatch):

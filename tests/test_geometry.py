@@ -6,6 +6,7 @@ from math import factorial, prod
 import pytest
 
 from oracles import (
+    ASSIGNMENT_CAP,
     _min_for_routes,
     all_classes_up_to,
     germ_simple,
@@ -19,7 +20,7 @@ from oracles import (
 from curvetrace import curves
 from curvetrace.algebra import enumerate_multicurves
 from curvetrace.complement import certify_taut
-from curvetrace.diagrams import Budget, _ray_verdict, build_with_slots
+from curvetrace.diagrams import Budget, _ray_verdict, build_diagram, build_with_slots
 from curvetrace.errors import (
     BadArgument,
     CurvetraceError,
@@ -29,7 +30,6 @@ from curvetrace.errors import (
     ReductionBudgetExceeded,
 )
 from curvetrace.curves import (
-    PAIR_SEARCH_CAP,
     _cross_min_exhaustive,
     _pair_cross_refined,
     _route_seeds,
@@ -50,6 +50,8 @@ from curvetrace.splitting import splitting_count
 from curvetrace.words import (
     canonical_class,
     format_word,
+    homology_class,
+    intersection_form,
     letters,
     make_surface,
     parse_word,
@@ -418,16 +420,17 @@ def test_cross_min_exhaustive_matches_oracle(genus):
             continue
         edges = {abs(model.sides[side]) for route in routes for side in route}
         empty += len(edges) < 2 * genus
-        assert _cross_min_exhaustive(model, routes) == want[1], routes
+        assert _cross_min_exhaustive(model, routes, Budget()) == want[1], routes
         checked += 1
     assert empty > 0
     for routes in (((0,), (0,)), ((0,), (1,))):  # most edges empty
-        assert _cross_min_exhaustive(model, routes) == _min_for_routes(
+        assert _cross_min_exhaustive(model, routes, Budget()) == _min_for_routes(
             model, routes, 2
         )[1]
 
 
-# class pairs some of whose seed pairs put 8 events on one edge, within the cap
+# class pairs some of whose seed pairs put 8 events on one edge, within the
+# reference's cap
 EIGHT_EVENT_PAIRS = {
     2: (("a1B1B1b2", "b1b1b1b1"), ("a1a1a1a1", "a1B1B2A1B1")),
     3: (("a1a1B1A2", "a1a1a1a1"), ("a1b3A3A3", "a3a3a3a3")),
@@ -445,7 +448,8 @@ def _events_per_edge(model, routes):
 @pytest.mark.parametrize("genus", [2, 3])
 def test_cross_min_exhaustive_matches_reference(genus):
     # 150 seeded pairs of production routes of words of length 2-5, at every
-    # search space up to the cap, then every seed pair of the pairs above
+    # search space up to the reference's cap, then every seed pair of the
+    # pairs above
     model = polygon_model(genus)
     surface = make_surface(genus)
     alphabet = letters(genus)
@@ -459,7 +463,7 @@ def test_cross_min_exhaustive_matches_reference(genus):
                 word.append(rng.choice([l for l in alphabet if l != -word[-1]]))
             classes.append(canonical_class(surface, word))
         routes = tuple(rng.choice(_route_seeds(genus, c.word)) for c in classes)
-        if prod(map(factorial, _events_per_edge(model, routes))) <= PAIR_SEARCH_CAP:
+        if prod(map(factorial, _events_per_edge(model, routes))) <= ASSIGNMENT_CAP:
             route_pairs.append(routes)
     for texts in EIGHT_EVENT_PAIRS[genus]:
         seeds = [_route_seeds(genus, C(text, surface).word) for text in texts]
@@ -467,9 +471,9 @@ def test_cross_min_exhaustive_matches_reference(genus):
     empty = eight = 0
     for routes in route_pairs:
         events = _events_per_edge(model, routes)
-        if prod(map(factorial, events)) > PAIR_SEARCH_CAP:
+        if prod(map(factorial, events)) > ASSIGNMENT_CAP:
             continue
-        assert _cross_min_exhaustive(model, routes) == reference_cross_min(
+        assert _cross_min_exhaustive(model, routes, Budget()) == reference_cross_min(
             model, routes
         ), routes
         empty += 0 in events
@@ -477,11 +481,16 @@ def test_cross_min_exhaustive_matches_reference(genus):
     assert empty > 0 and eight > 0
 
 
-def test_cross_min_exhaustive_above_cap_is_none():
+def test_cross_min_exhaustive_spends_its_budget():
+    # nine events on one edge: 9! assignments, past the reference's default
+    # cap; the subset DP visits 2^9 sets and answers within the default budget
     model = polygon_model(2)
-    routes = ((0,) * 5, (2,) * 4)  # nine events on one edge: 9! assignments
-    assert _min_for_routes(model, routes, PAIR_SEARCH_CAP) is None
-    assert _cross_min_exhaustive(model, routes) is None
+    routes = ((0,) * 5, (2,) * 4)
+    want = reference_cross_min(model, routes, 10**6)
+    assert want is not None
+    assert _cross_min_exhaustive(model, routes, Budget()) == want
+    with pytest.raises(ReductionBudgetExceeded):
+        _cross_min_exhaustive(model, routes, Budget(limit=1000))
 
 
 def test_intersection_number_of_two_nonsimple_classes_matches_oracle():
@@ -489,27 +498,40 @@ def test_intersection_number_of_two_nonsimple_classes_matches_oracle():
     assert intersection_number(S2, x, y) == min_crossings(2, (x.word, y.word))[1] == 3
 
 
+# the most pairs of each sweep below that may exhaust the default budget
+MOST_RAISED = {2: 2, 3: 0}
+
+
 @pytest.mark.parametrize("genus, max_len, count", [(2, 4, 150), (3, 3, 100)])
 def test_pair_search_matches_the_two_pass_reference(genus, max_len, count):
-    # same count or same raise on a seeded sweep of non-simple pairs
-    raised = 0
+    # on a seeded sweep of non-simple pairs: the reference's outcome wherever
+    # it answers; every count at least the algebraic intersection and of its
+    # parity, and at most the comparator's count of every seed pair
+    model = polygon_model(genus)
+    surface = make_surface(genus)
+    beyond = raised = 0
     for wx, wy in nonsimple_pairs(genus, max_len, count):
         got = pair_outcome(_pair_cross_refined, genus, wx, wy)
-        assert got == pair_outcome(reference_pair_cross_refined, genus, wx, wy)
-        raised += isinstance(got, tuple)
-    assert 0 < raised < count
+        want = pair_outcome(reference_pair_cross_refined, genus, wx, wy)
+        if not isinstance(want, tuple):
+            assert got == want, (wx, wy)
+        else:
+            beyond += 1
+        if isinstance(got, tuple):
+            raised += 1
+            continue
+        floor = abs(
+            intersection_form(*(homology_class(surface, w).coords for w in (wx, wy)))
+        )
+        assert got >= floor and (got - floor) % 2 == 0, (wx, wy)
+        for routes in product(_route_seeds(genus, wx), _route_seeds(genus, wy)):
+            assert got <= build_diagram(model, (), routes).cross_strand_crossings()
+    assert raised <= MOST_RAISED[genus] < beyond
 
 
-@pytest.mark.parametrize(
-    "texts, over_cap", [(("A1B2", "A1a2"), 0), (("b1B2A1", "a1a1b2"), 3)]
-)
-def test_pair_search_tautens_only_seed_pairs_over_the_cap(
-    monkeypatch, texts, over_cap
-):
-    model = polygon_model(2)
+@pytest.mark.parametrize("texts", [("A1B2", "A1a2"), ("b1B2A1", "a1a1b2")])
+def test_pair_search_never_tautens(monkeypatch, texts):
     wx, wy = sorted(C(text).word for text in texts)
-    seed_pairs = product(_route_seeds(2, wx), _route_seeds(2, wy))
-    over = [r for r in seed_pairs if _cross_min_exhaustive(model, r) is None]
     tautened = []
 
     def recording(genus, classes, routes, budget=None):
@@ -517,16 +539,21 @@ def test_pair_search_tautens_only_seed_pairs_over_the_cap(
         return tauten_routes(genus, classes, routes, budget)
 
     monkeypatch.setattr(curves, "tauten_routes", recording)
-    try:
+    _pair_cross_refined(2, wx, wy)
+    assert tautened == []
+
+
+def test_pair_search_answers_past_the_old_cap():
+    # the numpy table sum of the test oracles, with its cap raised to
+    # 3 * 10^7 assignments, gives 6 on every seed pair of this pair
+    assert intersection_number(S2, C("A1a2"), C("b2B1B1b2")) == 6
+
+
+def test_pair_search_past_its_budget_raises(monkeypatch):
+    wx, wy = sorted((C("A1a2").word, C("b2B1B1b2").word))
+    monkeypatch.setattr(curves, "Budget", lambda: Budget(limit=1000))
+    with pytest.raises(ReductionBudgetExceeded, match="budget of 1000 "):
         _pair_cross_refined(2, wx, wy)
-    except ReductionBudgetExceeded:
-        pass
-    assert tautened == over and len(over) == over_cap
-
-
-def test_pair_search_cap_is_loud():
-    with pytest.raises(ReductionBudgetExceeded):
-        intersection_number(S2, C("A1a2"), C("b2B1B1b2"))
 
 
 def test_genus_mismatch_is_typed():

@@ -11,7 +11,8 @@ from oracles import (
     word_key,
 )
 
-from curvetrace import words
+import curvetrace
+from curvetrace import errors, words
 from curvetrace.algebra import parse_expression, parse_multicurve
 from curvetrace.errors import (
     BadArgument,
@@ -139,6 +140,13 @@ def test_arguments_of_the_wrong_type_are_typed(call):
     with pytest.raises(BadArgument) as info:
         call()
     assert isinstance(info.value, TypeError)
+
+
+def test_package_exports_every_error():
+    for name, value in vars(errors).items():
+        if isinstance(value, type) and issubclass(value, errors.CurvetraceError):
+            assert getattr(curvetrace, name) is value
+            assert name in curvetrace.__all__
 
 
 def test_normalize_word_rejects_words_that_are_not_int_letters():
