@@ -10,9 +10,11 @@ closed curve is -t_D (Bullock, Comment. Math. Helv. 72, 1997; Przytycki &
 Sikora, Topology 39, 2000).  Every crossing is smoothed both ways with
 coefficient -1, a trivial circle counts -2 and an essential component c
 counts -t_c.  Crossing changes do nothing at A = -1, so any diagram gives
-the same sum; a class, power or not, sums over its certified taut diagram.
-The components of a smoothed state are embedded, hence trivial or simple;
-parallel ones add up as multiplicity.
+the same sum.  A class, power or not, sums over its certified taut diagram;
+a product sums over the union of its components' taut routes as the slot
+comparator builds it, untautened, since fewer crossings would not change
+the answer.  The components of a smoothed state are embedded, hence trivial
+or simple; parallel ones add up as multiplicity.
 """
 from __future__ import annotations
 
@@ -27,9 +29,8 @@ from .curves import (
     check_disjoint_simple,
     enumerate_simple_classes,
     intersection_number,
-    tauten_routes,
 )
-from .diagrams import Budget
+from .diagrams import Budget, build_diagram
 from .errors import (
     BadArgument,
     BadLetter,
@@ -203,8 +204,12 @@ def parse_expression(s: Surface, text: str) -> TraceExpression:
         coeff_text, _, mc_text = line.partition("\t")
         if not mc_text:
             coeff_text, _, mc_text = line.partition(" ")
+        try:
+            coeff = Fraction(coeff_text.strip())
+        except (ValueError, ZeroDivisionError):
+            raise BadLetter(f"cannot parse the coefficient of {line!r}") from None
         mc = parse_multicurve(s, mc_text)
-        acc[mc] = acc.get(mc, Fraction(0)) + Fraction(coeff_text.strip())
+        acc[mc] = acc.get(mc, Fraction(0)) + coeff
     return _from_terms(s.genus, acc)
 
 
@@ -273,7 +278,8 @@ def multiply_expressions(
     """Product re-expressed in the basis.
 
     Each pair of basis elements is multiplied by one state sum over the
-    tautened union of their components, one strand per unit of multiplicity.
+    built union of their components' taut routes, one strand per unit of
+    multiplicity.
     """
     _check_genus(s, f, g)
     acc = {}
@@ -292,7 +298,7 @@ def _merge_basis(s: Surface, mc1: Multicurve, mc2: Multicurve) -> TraceExpressio
             c for mc in (mc1, mc2) for c, m in mc.components for _ in range(m)
         )
         routes = tuple(_taut_single(s.genus, c.word).routes[0] for c in classes)
-        diagram = tauten_routes(s.genus, classes, routes)
+        diagram = build_diagram(polygon_model(s.genus), classes, routes)
         hit = _MERGE_CACHE[key] = _state_sum(s, diagram)
     return hit
 
@@ -307,8 +313,9 @@ def _read_class(s: Surface, word):
 
 
 def _state_sum(s: Surface, diagram) -> TraceExpression:
-    """Product of the strands' traces, summed over the states of a certified
-    taut diagram (see the module docstring); a strand of class c is -t_c.
+    """Product of the strands' traces, summed over the states of a diagram of
+    the strands (see the module docstring): a class's certified taut one, or
+    the built union of a product's taut routes.  A strand of class c is -t_c.
 
     Arc k has ends 2k (start) and 2k + 1 (finish), and a state links the four
     ends met at each crossing in two pairs.  A strand without crossings is

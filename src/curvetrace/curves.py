@@ -221,16 +221,27 @@ def tauten(d: CurveDiagram) -> CurveDiagram:
 
 
 def self_intersection(s: Surface, c: CurveClass) -> int:
-    """Minimal double-point count of a single representative."""
+    """Minimal double-point count of a single representative.  Drawn as its
+    n chords in the 4g-gon, a class of canonical length n crosses itself at
+    most C(n, 2) times, so a count above that raises ModelInconsistency."""
     _check_genus(s, c)
-    return _taut_single(s.genus, c.word).crossing_count
+    count = _taut_single(s.genus, c.word).crossing_count
+    n = len(c.word)
+    bound = n * (n - 1) // 2
+    if count > bound:
+        raise ModelInconsistency(
+            f"{format_word(c.word)} crosses itself {count} times in its taut"
+            f" diagram, over the bound C({n}, 2) = {bound}"
+        )
+    return count
 
 
 def is_simple(s: Surface, c: CurveClass) -> bool:
     """True when the class has an embedded representative.  The count comes
     from an actual diagram, so 0 means one exists; an embedded essential
     curve is primitive, and a diagram of a proper power crosses itself."""
-    return self_intersection(s, c) == 0
+    _check_genus(s, c)
+    return _taut_single(s.genus, c.word).crossing_count == 0
 
 
 def _pair_diagram(s: Surface, x: CurveClass, y: CurveClass) -> CurveDiagram:
@@ -464,10 +475,19 @@ def _pair_count(genus: int, wx, wy) -> int:
 
 
 def intersection_number(s: Surface, x: CurveClass, y: CurveClass) -> int:
-    """Geometric intersection number of two classes."""
+    """Geometric intersection number of two classes.  Chords of canonical
+    lengths n and m cross at most n*m times, so a count above that raises
+    ModelInconsistency."""
     _check_genus(s, x, y)
     wx, wy = sorted((x.word, y.word))
-    return _pair_count(s.genus, wx, wy)
+    count = _pair_count(s.genus, wx, wy)
+    bound = len(wx) * len(wy)
+    if count > bound:
+        raise ModelInconsistency(
+            f"{format_word(wx)} and {format_word(wy)} cross {count} times,"
+            f" over the bound {len(wx)}*{len(wy)} = {bound}"
+        )
+    return count
 
 
 def check_disjoint_simple(s: Surface, classes) -> list:

@@ -38,7 +38,7 @@ from .curves import (
     intersection_number,
     is_simple,
 )
-from .errors import BadArgument, NotSimple
+from .errors import BadArgument, BadLetter, NotSimple
 from .words import (
     CurveClass,
     Surface,
@@ -123,8 +123,12 @@ def parse_lamination(s: Surface, text: str) -> Lamination:
             weight_text, _, word_text = line.partition(" ")
         if not word_text.strip():
             raise ValueError(f"lamination line {line!r} lacks a word")
+        try:
+            weight = Fraction(weight_text.strip())
+        except (ValueError, ZeroDivisionError):
+            raise BadLetter(f"cannot parse the weight of {line!r}") from None
         cls = canonical_class(s, parse_word(s, word_text.strip()))
-        acc[cls] = acc.get(cls, Fraction(0)) + Fraction(weight_text.strip())
+        acc[cls] = acc.get(cls, Fraction(0)) + weight
     return make_lamination(s, acc)
 
 

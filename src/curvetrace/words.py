@@ -6,11 +6,14 @@ commutators [a1,b1][a2,b2]...[ag,bg].
 
 The relator has all 4g letters pairwise distinct, so any two of its cyclic
 shifts (or shifts of its inverse) share factors of length at most 1.  Dehn's
-algorithm therefore applies: a word is geodesic iff it contains no factor
-longer than half the relator, and a word is trivial iff it Dehn-reduces to
-the empty word.  Two conjugate cyclic geodesics of equal length bound an
-annular diagram of relator cells (Lyndon & Schupp, Combinatorial Group
-Theory, ch. V), and each annulus is a ladder: a run of cells along the word,
+algorithm therefore applies: a word is trivial iff it Dehn-reduces to the
+empty word.  A geodesic has no factor longer than half the relator, but the
+converse fails: B2A2b1a1a1B1A1b2 has no such factor at 8 letters, yet it is
+the 6-letter A2B2a1a2b2A2, which swapping exactly-half factors for their
+complements exposes.  So geodesic_spellings restarts whenever a swap
+shortens.  Two conjugate cyclic geodesics of equal length bound an annular
+diagram of relator cells (Lyndon & Schupp, Combinatorial Group Theory,
+ch. V), and each annulus is a ladder: a run of cells along the word,
 each on a factor of 2g-2..2g letters and sharing one edge with the next, up
 to a ring around the whole word.  A lone cell on 2g letters is the
 exactly-half swap.  _ladders reads every ladder off the word directly, and

@@ -33,6 +33,10 @@ intersection, then take reference_cross_min of every seed pair, raising if
 any is over ASSIGNMENT_CAP, and take the least count of both passes.
 nonsimple_pairs draws the seeded pair sweeps it is checked on.
 
+reference_merge_basis keeps the product of two basis elements that
+curvetrace.algebra._merge_basis replaced by a state sum over the built
+union: the same union of the components' taut routes, tautened first.
+
 reference_expand and reference_multiply keep the crossing-resolution
 recursion the state sum in curvetrace.algebra must reproduce: resolve one
 crossing of a taut diagram through t_u t_v = t_{uv} + t_{uv^-1}, re-expand
@@ -79,6 +83,7 @@ from curvetrace import mapping
 from curvetrace.algebra import (
     _from_terms,
     _multicurve,
+    _state_sum,
     basis_expression,
     scalar_expression,
 )
@@ -797,6 +802,20 @@ def _annulus_neighbors(t, word):
                     if m - flen + len(repl) <= maxlen:
                         push(_cell_splice(d2[i : i + m], flen, repl))
     return out
+
+
+# -- products on a tautened union ----------------------------------------------
+
+
+def reference_merge_basis(s, mc1, mc2):
+    """Product of two basis elements by one state sum over the tautened
+    union of their components, one strand per unit of multiplicity."""
+    classes = tuple(
+        c for mc in (mc1, mc2) for c, m in mc.components for _ in range(m)
+    )
+    routes = tuple(_taut_single(s.genus, c.word).routes[0] for c in classes)
+    diagram = tauten_routes(s.genus, classes, routes)
+    return _state_sum(s, diagram)
 
 
 # -- crossing-resolution recursion ---------------------------------------------

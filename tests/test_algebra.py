@@ -1,12 +1,13 @@
 """Trace expansion and products in the multicurve basis of the character algebra."""
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_expand, reference_multiply
+from oracles import reference_expand, reference_merge_basis, reference_multiply
 import curvetrace.algebra as algebra
 from curvetrace.algebra import (
     basis_expression,
@@ -27,6 +28,7 @@ from curvetrace.algebra import (
 )
 from curvetrace import curves, words
 from curvetrace.curves import _taut_single, enumerate_classes, tauten_routes
+from curvetrace.diagrams import build_diagram
 from curvetrace.errors import (
     BadArgument,
     BadLetter,
@@ -36,6 +38,7 @@ from curvetrace.errors import (
     ReductionBudgetExceeded,
 )
 from curvetrace.mapping import apply_to_multicurve, twist_generator
+from curvetrace.polygon import polygon_model
 from curvetrace.representations import P, evaluate_trace, random_representation
 from curvetrace.words import (
     canonical_class,
@@ -126,6 +129,17 @@ def test_expression_arithmetic():
     assert f - f == zero_expression(2)
     assert (f - f).is_zero()
     assert unit_expression(2).coefficient(empty_multicurve(2)) == 1
+    assert f.coefficient(empty_multicurve(2)) == 0
+    assert f.scale(0) == zero_expression(2)
+
+
+@pytest.mark.parametrize("text", ["x a1^1", "1/0 a1^1", "1\ta1^1\n1/2/3\tb1^1"])
+def test_coefficients_that_are_not_rationals_are_typed(text):
+    # Fraction rejects these with ValueError or ZeroDivisionError; the
+    # parser raises a typed error that names the line
+    bad = re.escape(repr(text.splitlines()[-1]))
+    with pytest.raises(BadLetter, match=f"^cannot parse the coefficient of {bad}$"):
+        parse_expression(S2, text)
 
 
 def test_expression_format_round_trip():
@@ -393,24 +407,50 @@ def test_expand_trace_rejects_words_that_are_not_int_letters():
 
 def test_expansion_reuses_the_cached_taut_diagram(monkeypatch):
     # a class, a proper power included, sums over the diagram _taut_single
-    # certified, so expanding it tautens nothing once that diagram is cached
+    # certified, and a product over the built union of its components' taut
+    # routes, so neither tautens once those diagrams are cached
     classes = {C("a1B2B1"): 2, C("a1b1a1b1"): 1}
     want = {}
     for cls, crossings in classes.items():
         assert _taut_single(2, cls.word).crossing_count == crossings
         want[cls] = reference_expand(S2, cls.word)
+    # the built union of a1b1 and a1a1b1 keeps a bigon: 3 crossings, not 1
+    pair = (C("a1b1"), C("a1a1b1"))
+    routes = tuple(_taut_single(2, c.word).routes[0] for c in pair)
+    assert build_diagram(polygon_model(2), pair, routes).crossing_count == 3
+    assert tauten_routes(2, pair, routes).crossing_count == 1
+    x, y = (basis_expression(make_multicurve(S2, {c: 1})) for c in pair)
+    product = reference_multiply(S2, x, y)
     calls = []
 
     def recording(*args, **kwargs):
         calls.append(args)
         return tauten_routes(*args, **kwargs)
 
-    for module in (algebra, curves):
-        monkeypatch.setattr(module, "tauten_routes", recording)
+    monkeypatch.setattr(curves, "tauten_routes", recording)
     monkeypatch.setattr(algebra, "_EXPAND_CACHE", {})
+    monkeypatch.setattr(algebra, "_MERGE_CACHE", {})
     for cls in classes:
         assert expand_trace(S2, cls.word) == want[cls]
+    assert multiply_expressions(S2, x, y) == product
     assert calls == []
+    assert not hasattr(algebra, "tauten_routes")
+
+
+def test_products_on_the_built_union_match_both_references(monkeypatch):
+    # CI compares every product of total length <= 4; this is a sample.  The
+    # tautened union is the sum the built one replaced, and the recursion
+    # shares no code with the state sum.
+    monkeypatch.setattr(algebra, "_MERGE_CACHE", {})
+    family = enumerate_multicurves(S2, 4)
+    rng = random.Random(24)
+    for _ in range(200):
+        x, y = rng.choice(family), rng.choice(family)
+        got = algebra._merge_basis(S2, x, y)
+        assert got == reference_merge_basis(S2, x, y), (str(x), str(y))
+        if x.total_length() <= 3 and y.total_length() <= 3:
+            f, g = basis_expression(x), basis_expression(y)
+            assert got == reference_multiply(S2, f, g), (str(x), str(y))
 
 
 def test_state_sum_past_the_budget_raises_before_any_state(monkeypatch):

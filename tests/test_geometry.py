@@ -105,6 +105,39 @@ def test_self_intersection_frozen_values():
         assert self_intersection(S2, C(text)) == want, text
 
 
+@pytest.mark.parametrize(
+    "genus,text,count,n",
+    [
+        (3, "a1A3B1B2", 9, 4),
+        (3, "a1A2b3b2", 9, 4),
+        (3, "a2b3B2A3", 7, 4),
+        (2, "a1A2b2b1A2A2", 16, 6),
+    ],
+)
+def test_self_counts_over_the_chord_bound_raise(genus, text, count, n):
+    # n chords in the 4g-gon cross at most C(n, 2) times; tauten removes
+    # embedded bigons only, so these taut diagrams overcount
+    surface = make_surface(genus)
+    cls = C(text, surface)
+    assert _taut_single(genus, cls.word).crossing_count == count
+    bound = n * (n - 1) // 2
+    message = rf"^{text} crosses itself {count} times .* C\({n}, 2\) = {bound}$"
+    with pytest.raises(ModelInconsistency, match=message):
+        self_intersection(surface, cls)
+    # the diagram still has crossings, so the class is not simple
+    assert not is_simple(surface, cls)
+
+
+def test_pair_counts_over_the_chord_bound_raise(monkeypatch):
+    # no pair is known to overcount, so the count is patched past 2 * 1
+    monkeypatch.setattr(curves, "_pair_count", lambda genus, wx, wy: 3)
+    message = r"^a1b2 and b1 cross 3 times, over the bound 2\*1 = 2$"
+    with pytest.raises(ModelInconsistency, match=message):
+        intersection_number(S2, C("a1b2"), C("b1"))
+    monkeypatch.setattr(curves, "_pair_count", lambda genus, wx, wy: 2)
+    assert intersection_number(S2, C("a1b2"), C("b1")) == 2
+
+
 # the 12 simple classes of length <= 2 at genus 2
 SHORT_SIMPLE = (
     "a1", "b1", "a2", "b2", "a1B2", "a1B1", "a1b1", "a1a2", "b1A2", "b1b2",

@@ -1,4 +1,6 @@
 """Dehn twists, sign characters, and their action on the trace algebra."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -367,15 +369,26 @@ def test_mapping_class_round_trip():
         S2, twist_generator(S2, 2), compose_mapping_classes(S2, twist_generator(S2, 3), t)
     )
     assert parse_mapping_class(S2, format_mapping_class(composed)) == composed
+    # lines may separate a generator from its image by spaces, and comments
+    # and extra blank lines are skipped
+    text = "# T_3\na1 a1\nb1   b1a1\na2 a2\n  # images done\nb2 b2\n\n\n"
+    text += "a1 a1\nb1 b1A1\na2 a2\nb2 b2\n# end\n"
+    assert parse_mapping_class(S2, text) == twist_generator(S2, 3)
 
 
 def test_parse_mapping_class_errors():
     t = twist_generator(S2, 3)
     text = format_mapping_class(t)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs an image block and an inverse block"):
         parse_mapping_class(S2, text.split("\n\n")[0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate image for b1"):
         parse_mapping_class(S2, text + "\nb1\tb1")
+    for line in ("a1b1\tb1", "B1\tb1a1"):
+        message = f"^line {re.escape(repr(line))} does not start with a generator$"
+        with pytest.raises(ValueError, match=message):
+            parse_mapping_class(S2, text.replace("b1\tb1a1", line))
+    with pytest.raises(ValueError, match="missing image lines for a2, b2"):
+        parse_mapping_class(S2, text.replace("a2\ta2\nb2\tb2\n\n", "\n"))
     broken = text.replace("b1\tb1a1", "b1\tb1a1a1")
     with pytest.raises(ModelInconsistency):
         parse_mapping_class(S2, broken)

@@ -1,5 +1,6 @@
 """Valuations from weighted multicurves: the max formula and its taxonomy."""
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from curvetrace.algebra import (
     zero_expression,
 )
 from curvetrace.curves import enumerate_classes
-from curvetrace.errors import BadArgument, GenusMismatch, NotSimple
+from curvetrace import valuations
+from curvetrace.errors import BadArgument, BadLetter, GenusMismatch, NotSimple
 from curvetrace.valuations import (
     ValuationValue,
     check_positive_up_to,
@@ -85,6 +87,15 @@ def test_lamination_inline_separators_and_weight_merge():
         parse_lamination(S2, "1/2")
 
 
+@pytest.mark.parametrize("line", ["x a1", "1/0 a1", "1/2 b2\n0.5.1\ta1"])
+def test_weights_that_are_not_rationals_are_typed(line):
+    # Fraction rejects these with ValueError or ZeroDivisionError; the
+    # parser raises a typed error that names the line
+    bad = re.escape(repr(line.splitlines()[-1]))
+    with pytest.raises(BadLetter, match=f"^cannot parse the weight of {bad}$"):
+        parse_lamination(S2, line)
+
+
 def test_scale_lamination():
     lam = L({C("a1"): Fraction(1, 2)})
     assert scale_lamination(lam, 3).weight(C("a1")) == Fraction(3, 2)
@@ -120,6 +131,11 @@ def test_lamination_intersection_fixtures():
     assert lamination_intersection(S2, L({C("a1"): Fraction(1, 2)}), C("a1")) == 0
     two = L({C("b1"): 1, C("b2"): 1})
     assert lamination_intersection(S2, two, C("a2")) == 1
+    # a multicurve pairs as the sum over its components
+    lam = L({C("b1"): Fraction(1, 2), C("b2"): Fraction(1, 3)})
+    mc = make_multicurve(S2, {C("a1"): 2, C("a2"): 1})
+    assert multicurve_intersection(S2, lam, mc) == Fraction(4, 3)
+    assert multicurve_intersection(S2, lam, make_multicurve(S2, {})) == 0
 
 
 def test_valuation_value_ordering_and_strings():
@@ -319,6 +335,15 @@ def test_classify_discrete_fixtures():
     assert classify_discrete(S2, half_commutator).discrete
     r = classify_discrete(S2, L({C("a1"): Fraction(1, 3)}))
     assert not r.discrete and r.value == Fraction(1, 3)
+
+
+def test_classify_discrete_without_a_short_witness(monkeypatch):
+    # a third of the separating curve a1b1A1B1 pairs fractionally only with
+    # curves that cross it, and no generator does
+    monkeypatch.setattr(valuations, "WITNESS_LENGTH_BOUND", 1)
+    report = classify_discrete(S2, L({C("a1b1A1B1"): Fraction(1, 3)}))
+    assert (report.discrete, report.witness, report.value) == (False, None, None)
+    assert str(report) == "NotDiscrete witness=none-within-bound"
 
 
 def test_classify_discrete_parity_mix():

@@ -176,11 +176,41 @@ def test_intersection_form_and_mod2_class():
     assert mod2_class(S2, ((a1, 2),)) == (0, 0, 0, 0)
 
 
+def test_homology_class_rejects_bad_rings_and_letters():
+    assert homology_class(S2, W("a1a1B2"), "Z2").coords == (0, 0, 0, 1)
+    with pytest.raises(ValueError, match="ring must be 'Z' or 'Z2', got 'Q'"):
+        homology_class(S2, W("a1"), "Q")
+    for word in ((5,), (0,), (1, "b")):
+        with pytest.raises(BadLetter, match="outside alphabet"):
+            homology_class(S2, word)
+
+
 def test_free_reduce():
     assert free_reduce((1, -1)) == ()
     assert free_reduce((1, 2, -2, -1, 3)) == (3,)
     assert free_reduce((1, 2, 3)) == (1, 2, 3)
     assert free_reduce(()) == ()
+    with pytest.raises(BadLetter, match="letter 0 is not allowed"):
+        free_reduce((1, 0, 2))
+
+
+@pytest.mark.parametrize(
+    "genus,text,geodesic",
+    [
+        (2, "B2A2b1a1a1B1A1b2", "A2B2a1a2b2A2"),
+        (3, "B3a1b1A1B1a2a3b3A3B3a1b1", "a3B3A3b2a2a2B2A2b1a1"),
+    ],
+)
+def test_dehn_reduced_words_can_still_shorten(genus, text, geodesic):
+    # no factor is longer than half the relator, so Dehn's algorithm leaves
+    # the word alone; a half swap then exposes a shorter spelling, and
+    # geodesic_spellings restarts from it
+    surface = make_surface(genus)
+    word, want = W(text, surface), W(geodesic, surface)
+    assert dehn_reduce(genus, word) == word
+    assert len(want) == len(word) - 2
+    assert normalize_word(surface, word) == want
+    assert all(len(w) == len(want) for w in geodesic_spellings(genus, word))
 
 
 def test_inverse_word():
