@@ -32,7 +32,9 @@ class SolveFailed(CurvetraceError):
 
 
 class ReductionBudgetExceeded(CurvetraceError):
-    """Raised when diagram tautening exceeds its operation budget."""
+    """Raised when a computation outgrows its operation budget or a cap:
+    diagram tautening, the exact pair search and the trace state sum, each on
+    a Budget; the split search's class cap; the spelling closure's state cap."""
 
 
 class NotSimple(CurvetraceError):

@@ -49,6 +49,7 @@ from .errors import (
     BadLetter,
     GenusTooSmall,
     ModelInconsistency,
+    ReductionBudgetExceeded,
     TrivialClass,
 )
 
@@ -282,7 +283,8 @@ def _first_long_match(t: _Tables, word: GroupWord, span: int | None = None):
 
 def _closure(start, neighbours) -> set:
     """Breadth-first closure of start under neighbours(state), an iterable of
-    states.  Raises ModelInconsistency once it holds more than _CLOSURE_CAP."""
+    states.  Raises ReductionBudgetExceeded, naming start and the cap, once
+    it holds more than _CLOSURE_CAP states."""
     seen = {start}
     frontier = [start]
     while frontier:
@@ -293,7 +295,10 @@ def _closure(start, neighbours) -> set:
                     seen.add(new)
                     nxt.append(new)
             if len(seen) > _CLOSURE_CAP:
-                raise ModelInconsistency(f"spelling closure of {start} exploded")
+                raise ReductionBudgetExceeded(
+                    f"spelling closure of {format_word(start)} holds more than"
+                    f" {_CLOSURE_CAP} states"
+                )
         frontier = nxt
     return seen
 

@@ -1,0 +1,215 @@
+"""The exhaustive sweeps that gate the library in CI, one test each.
+
+Tier-1 does not collect this file, whose name does not match test_*.py. CI
+runs each sweep in a fresh process, so its caches start cold; locally, from
+the repository root: python -m pytest -q -s tests/sweeps.py::test_product_sweep
+Each check is a helper that returns a line per mismatch. A sweep prints them
+and its counts and fails once; its tier-1 twin calls the helper on fewer
+inputs: test_algebra.py's test_expansion_matches_reference_on_genus_two_classes,
+test_expansion_matches_reference_on_genus_three_sample and
+test_products_on_the_built_union_match_both_references, test_geometry.py's
+test_pair_search_matches_the_two_pass_reference and test_splitting.py's
+test_composed_count_matches_the_chain_walk. The genus-3 pair sweep has none.
+"""
+import random
+import time
+from itertools import combinations, combinations_with_replacement, product
+
+import oracles
+from curvetrace import algebra, curves
+from curvetrace.diagrams import build_diagram
+from curvetrace.polygon import polygon_model
+from curvetrace.representations import evaluate_trace, random_representation
+from curvetrace.splitting import splitting_count, twist_search
+from curvetrace.words import (
+    canonical_class,
+    format_word,
+    homology_class,
+    intersection_form,
+    make_surface,
+)
+
+
+def expansion_mismatches(surface, words):
+    """Each word's expansion against the crossing-resolution recursion of the
+    test oracles, and, mod P, against its trace at three representations."""
+    reps = [random_representation(surface, seed) for seed in range(3)]
+    lines = []
+    for word in words:
+        name = f"genus {surface.genus}: {format_word(word)}"
+        f = algebra.expand_trace(surface, word)
+        if f != oracles.reference_expand(surface, word):
+            lines.append(f"{name} differs from the recursion")
+        values = [algebra.evaluate_expression(r, f) for r in reps]
+        if values != [evaluate_trace(r, word) for r in reps]:
+            lines.append(f"{name} differs from its F_p traces")
+    return lines
+
+
+def product_differences(surface, pairs):
+    """Each product on the built union against the tautened union and, where
+    both factors have total length <= 3, against the recursion, which shares
+    no code with the state sum; how many met it; the slowest on each union."""
+    slowest = {"built union": (0.0, None), "tautened union": (0.0, None)}
+    multiplies = (algebra._merge_basis, oracles.reference_merge_basis)
+    lines, recursed = [], 0
+    for x, y in pairs:
+        got = []
+        for side, multiply in zip(slowest, multiplies):
+            start = time.perf_counter()
+            got.append(multiply(surface, x, y))
+            seconds = time.perf_counter() - start
+            slowest[side] = max(slowest[side], (seconds, f"{x} * {y}"))
+        if got[0] != got[1]:
+            lines.append(f"{x} * {y}: the built union differs from the tautened union")
+        if x.total_length() <= 3 and y.total_length() <= 3:
+            recursed += 1
+            f, g = algebra.basis_expression(x), algebra.basis_expression(y)
+            if got[0] != oracles.reference_multiply(surface, f, g):
+                lines.append(f"{x} * {y}: the built union differs from the recursion")
+    return lines, recursed, slowest
+
+
+def pair_search_misses(genus, pairs):
+    """Each pair's count: the two-pass reference's wherever that answers; of
+    the algebraic intersection's parity, at least it and at most every seed
+    pair's comparator count; how many raise; (wx, wy, outcome) where the
+    reference raises."""
+    model, surface = polygon_model(genus), make_surface(genus)
+    misses, beyond, raised = [], [], 0
+    for wx, wy in pairs:
+        name = f"genus {genus}: {format_word(wx)} {format_word(wy)}"
+        got = oracles.pair_outcome(curves._pair_cross_refined, genus, wx, wy)
+        want = oracles.pair_outcome(oracles.reference_pair_cross_refined, genus, wx, wy)
+        if isinstance(want, tuple):
+            beyond.append((wx, wy, got))
+        elif got != want:
+            misses.append(f"{name} gives {got}, the reference {want}")
+        if isinstance(got, tuple):
+            raised += 1
+            continue
+        coords = [homology_class(surface, w).coords for w in (wx, wy)]
+        floor = abs(intersection_form(*coords))
+        upper = min(
+            build_diagram(model, (), routes).cross_strand_crossings()
+            for routes in product(*(curves._route_seeds(genus, w) for w in (wx, wy)))
+        )
+        if not floor <= got <= upper or (got - floor) % 2:
+            misses.append(
+                f"{name} gives {got}, outside [{floor}, {upper}] or of the wrong parity"
+            )
+    return misses, raised, beyond
+
+
+def splitting_differences(genus, deltas, alphas):
+    """splitting_count, one substitution of the stored phi^-1, against the
+    walk down the twist chain; the seconds each took."""
+    search = twist_search(genus)
+    hits = {delta: search.find(delta) for delta in deltas}
+    lines = [f"the twist search missed {format_word(d)}" for d in hits if not hits[d]]
+    hits = {d: hit for d, hit in hits.items() if hit}
+    start = time.perf_counter()
+    got = [[splitting_count(genus, d, a) for a in alphas] for d in hits]
+    composed = time.perf_counter() - start
+    start = time.perf_counter()
+    walk = oracles.reference_count_through
+    want = [[walk(genus, *hit, a) for a in alphas] for hit in hits.values()]
+    walked = time.perf_counter() - start
+    for d, row, ref in zip(hits, got, want):
+        for a, x, y in zip(alphas, row, ref):
+            if x != y:
+                name = f"{format_word(d)} against {format_word(a)}"
+                lines.append(f"{name}: composed {x}, chain walk {y}")
+    return lines, composed, walked
+
+
+def _fail_on(lines, *summary):
+    print(*lines, *summary, sep="\n")
+    assert not lines
+
+
+def test_genus_three_pair_sweep():
+    # complement_report raises unless its pair diagram's count equals
+    # intersection_number, so this gates the bigon move at genus 3
+    s = make_surface(3)
+    pairs = list(combinations(curves.enumerate_simple_classes(s, 3), 2))
+    for x, y in pairs:
+        curves.complement_report(s, x, y)
+    assert len(curves.enumerate_simple_classes(s, 4)) == 302
+    print(f"{len(pairs)} genus-3 simple pairs of length <= 3: counts agree")
+
+
+def test_expansion_sweep():
+    lines, total = [], 0
+    for genus, bound, size in ((2, 5, 2046), (3, 4, 2119)):
+        s = make_surface(genus)
+        classes = curves.enumerate_classes(s, bound)
+        assert len(classes) == size
+        lines += expansion_mismatches(s, [c.word for c in classes])
+        total += size
+    _fail_on(lines, f"{total} expansions, {len(lines)} mismatches")
+
+
+def test_product_sweep():
+    s = make_surface(2)
+    pairs = list(combinations_with_replacement(algebra.enumerate_multicurves(s, 4), 2))
+    lines, recursed, slowest = product_differences(s, pairs)
+    _fail_on(
+        lines,
+        f"{len(pairs)} products of total length <= 4 against the tautened union",
+        *(
+            f"  slowest on the {side}: {pair}, {1000 * seconds:.1f} ms"
+            for side, (seconds, pair) in slowest.items()
+        ),
+        f"{recursed} products of total length <= 3 against the recursion",
+        f"{len(lines)} differences",
+    )
+
+
+def test_pair_search_sweep():
+    # where the reference raises and the search answers, the answer must be
+    # the least numpy table sum of the test oracles over the seed pairs,
+    # wherever each has at most 2*10^7 slot assignments
+    from perfbench.workloads import BUDGET_PAIRS, HEAVY_PAIRS, parse_text
+
+    s = make_surface(2)
+    fixed = [
+        tuple(sorted(canonical_class(s, parse_text(text)).word for text in pair))
+        for pair in HEAVY_PAIRS + BUDGET_PAIRS
+    ]
+    misses, counts = [], []
+    for genus, max_len, count, extra in ((2, 4, 600, fixed), (3, 3, 300, [])):
+        model = polygon_model(genus)
+        pairs = oracles.nonsimple_pairs(genus, max_len, count) + extra
+        found, raised, beyond = pair_search_misses(genus, pairs)
+        exact = 0
+        for wx, wy, got in beyond:
+            if isinstance(got, tuple):
+                continue
+            seeds = product(*(curves._route_seeds(genus, w) for w in (wx, wy)))
+            minima = [oracles.reference_cross_min(model, r, 2 * 10**7) for r in seeds]
+            if None not in minima:
+                exact += 1
+                if got != min(minima):
+                    name = f"genus {genus}: {format_word(wx)} {format_word(wy)}"
+                    found.append(f"{name} gives {got}, the table sum {min(minima)}")
+        misses += found
+        counts.append(
+            f"genus {genus}: {len(pairs)} pairs, {len(pairs) - len(beyond)} answered"
+            f" by the reference, {exact} more by the table sum, {raised} raise"
+        )
+    _fail_on(misses, *counts, f"{len(misses)} misses")
+
+
+def test_splitting_count_sweep():
+    s = make_surface(2)
+    deltas = [d.word for d in curves.enumerate_simple_classes(s, 6)]
+    assert len(deltas) == 405
+    alphas = random.Random(21).sample(curves.enumerate_classes(s, 5), 100)
+    lines, composed, walked = splitting_differences(2, deltas, [a.word for a in alphas])
+    _fail_on(
+        lines,
+        f"{len(deltas) * len(alphas)} counts: composed {composed:.2f} s,"
+        f" chain walk {walked:.2f} s",
+        f"{len(lines)} differences",
+    )

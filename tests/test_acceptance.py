@@ -17,20 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from curvetrace.acceptance import run_suite
+from curvetrace.acceptance import SUITES, run_suite
 
 
 @pytest.mark.parametrize(
-    "name",
-    [
-        "presentation",
-        "basis",
-        "valuation",
-        "complement",
-        "curv",
-        "actions",
-        "twist-invariance",
-    ],
+    "name", [name for name in SUITES if name not in ("thurston", "discreteness")]
 )
 def test_acceptance_suite_passes(name):
     line = run_suite(name).line()

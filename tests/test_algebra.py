@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_expand, reference_merge_basis, reference_multiply
+from oracles import reference_expand, reference_multiply
+from sweeps import expansion_mismatches, product_differences
 import curvetrace.algebra as algebra
 from curvetrace.algebra import (
     basis_expression,
@@ -192,23 +193,17 @@ def test_expand_invariant_under_conjugation_and_inversion():
 
 
 def test_expansion_matches_traces_on_class_sample():
-    reps = [random_representation(S2, seed) for seed in range(3)]
     classes = enumerate_classes(S2, 4)
-    for c in classes[::19]:
-        f = expand_trace(S2, c.word)
-        for rep in reps:
-            assert evaluate_expression(rep, f) == evaluate_trace(rep, c.word), c.word
+    assert expansion_mismatches(S2, [c.word for c in classes[::19]]) == []
 
 
 def test_expansion_matches_traces_on_long_words():
     rng = random.Random(99)
     letters = [1, -1, 2, -2, 3, -3, 4, -4]
-    reps = [random_representation(S2, seed) for seed in range(2)]
-    for _ in range(12):
-        w = tuple(rng.choice(letters) for _ in range(rng.choice((5, 6))))
-        f = expand_trace(S2, w)
-        for rep in reps:
-            assert evaluate_expression(rep, f) == evaluate_trace(rep, w)
+    words = [
+        tuple(rng.choice(letters) for _ in range(rng.choice((5, 6)))) for _ in range(12)
+    ]
+    assert expansion_mismatches(S2, words) == []
 
 
 def test_one_wrong_term_is_caught_at_every_representation():
@@ -287,15 +282,15 @@ def test_genus_three_expansion():
 
 
 def test_expansion_matches_reference_on_genus_two_classes():
-    for c in enumerate_classes(S2, 4):
-        assert expand_trace(S2, c.word) == reference_expand(S2, c.word), c.word
+    assert expansion_mismatches(S2, [c.word for c in enumerate_classes(S2, 4)]) == []
 
 
 def test_expansion_matches_reference_on_genus_three_sample():
     rng = random.Random(4)
-    for _ in range(100):
-        w = tuple(rng.choice(letters(3)) for _ in range(rng.randint(1, 5)))
-        assert expand_trace(S3, w) == reference_expand(S3, w), w
+    sample = [
+        tuple(rng.choice(letters(3)) for _ in range(rng.randint(1, 5))) for _ in range(100)
+    ]
+    assert expansion_mismatches(S3, sample) == []
 
 
 def test_product_matches_reference_on_basis_pairs():
@@ -438,19 +433,13 @@ def test_expansion_reuses_the_cached_taut_diagram(monkeypatch):
 
 
 def test_products_on_the_built_union_match_both_references(monkeypatch):
-    # CI compares every product of total length <= 4; this is a sample.  The
-    # tautened union is the sum the built one replaced, and the recursion
-    # shares no code with the state sum.
+    # tests/sweeps.py compares every product of total length <= 4; this is a
+    # sample
     monkeypatch.setattr(algebra, "_MERGE_CACHE", {})
     family = enumerate_multicurves(S2, 4)
     rng = random.Random(24)
-    for _ in range(200):
-        x, y = rng.choice(family), rng.choice(family)
-        got = algebra._merge_basis(S2, x, y)
-        assert got == reference_merge_basis(S2, x, y), (str(x), str(y))
-        if x.total_length() <= 3 and y.total_length() <= 3:
-            f, g = basis_expression(x), basis_expression(y)
-            assert got == reference_multiply(S2, f, g), (str(x), str(y))
+    pairs = [(rng.choice(family), rng.choice(family)) for _ in range(200)]
+    assert product_differences(S2, pairs)[0] == []
 
 
 def test_state_sum_past_the_budget_raises_before_any_state(monkeypatch):

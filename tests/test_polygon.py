@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import all_classes_up_to, reference_route_seeds
-from curvetrace.curves import _route_seeds
+from curvetrace.curves import _route_seeds, _taut_single
 from curvetrace.errors import TrivialClass
 from curvetrace.polygon import polygon_model
 from curvetrace.words import (
@@ -56,6 +56,13 @@ def test_route_seeds_match_spelling_by_spelling_reference():
     sample += [(3, c.word) for c in _relator_rich_classes(3, 7, 9, 40, seed=1912)]
     for genus, word in sample:
         assert _route_seeds(genus, word) == reference_route_seeds(genus, word), word
+
+
+def test_route_seeds_keep_longer_routes_that_tauten_lower():
+    # a1a1A2a1A2: its one 13-letter route seed tautens to 8 crossings, five of
+    # its six 15-letter seeds to 6; an upper bound, as a linked count may be lower
+    word = canonical_class(S2, (1, 1, -3, 1, -3)).word
+    assert _taut_single(2, word).crossing_count <= 6
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
