@@ -308,14 +308,15 @@ def _run_complement():
     pairs, failures, crossing_pairs = 50, 0, 0
     for _ in range(pairs):
         x, y = rng.sample(simple, 2)
-        # complement_census raises unless euler = -2 + i, and
+        # complement_census raises unless euler = 2 - 2g + i, and
         # complement_report unless F < i wherever i > 0
         report = complement_report(s, x, y)
         crossing_pairs += report.crossing_count > 0
         failures += not all(c >= 4 for c in report.corner_counts)
     passed = failures == 0
     detail = (
-        f"{pairs} taut simple pairs ({crossing_pairs} crossing): euler=-2+i,"
+        f"{pairs} taut simple pairs ({crossing_pairs} crossing):"
+        f" euler={2 - 2 * s.genus}+i,"
         f" corners>=4, F<i; failures {failures}"
     )
     return passed, detail
@@ -344,20 +345,24 @@ def _run_curv():
 def _run_actions():
     s = make_surface(2)
     characters = [
-        make_sign_character(s, format(bits, "04b")) for bits in range(16)
+        make_sign_character(s, format(bits, f"0{s.rank}b"))
+        for bits in range(2**s.rank)
     ]
-    twists = [twist_generator(s, index) for index in range(1, 6)]
+    twists = [twist_generator(s, index) for index in range(1, 2 * s.genus + 2)]
+    # the characters of a1 and of b1 + a2
+    semidirect = [
+        make_sign_character(s, [int(k in gens) for k in range(1, s.rank + 1)])
+        for gens in ((1,), (2, 3))
+    ]
     failures = 0
     for action in characters + twists:
         if not verify_algebra_automorphism(s, action, samples=50, seed=11).ok:
             failures += 1
     combos = 0
     for twist in twists:
-        for bits in ("1000", "0110"):
+        for character in semidirect:
             combos += 1
-            if not semidirect_check(
-                s, twist, make_sign_character(s, bits), bound=2
-            ).ok:
+            if not semidirect_check(s, twist, character, bound=2).ok:
                 failures += 1
     rep = random_representation(s, 5)
     words = [c.word for c in enumerate_classes(s, 3)]
@@ -373,7 +378,8 @@ def _run_actions():
         failures += 1
     passed = failures == 0
     detail = (
-        f"16 characters + 5 twists on 50 pairs; {combos} semidirect combos"
+        f"{len(characters)} characters + {len(twists)} twists on 50 pairs;"
+        f" {combos} semidirect combos"
         f" bound 2; central-twist mismatches {mismatches}; failures {failures}"
     )
     return passed, detail
@@ -382,7 +388,7 @@ def _run_actions():
 def _run_twist_invariance():
     s = make_surface(2)
     universe = enumerate_simple_classes(s, 3)
-    twists = [twist_generator(s, index) for index in range(1, 6)]
+    twists = [twist_generator(s, index) for index in range(1, 2 * s.genus + 2)]
     pairs = failures = 0
     for twist in twists:
         images = [apply_to_class(s, twist, c) for c in universe]
@@ -395,7 +401,7 @@ def _run_twist_invariance():
                     failures += 1
     passed = failures == 0
     detail = (
-        f"5 twists x {pairs // 5} simple pairs (len<=3), exact:"
+        f"{len(twists)} twists x {pairs // len(twists)} simple pairs (len<=3), exact:"
         f" failures {failures}"
     )
     return passed, detail

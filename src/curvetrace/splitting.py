@@ -41,15 +41,18 @@ standard curves keeps the table to the classes asked about: on the benchmark's
 twist workload, the breadth-first table took 371 classes to reach one simple
 class of length 6.
 
-The table stores phi^-1 itself for each class, as the images of the
-generators, composed once when the class's chain is recorded, and each
-standard curve's stable letter (or handle bound) and edge words.  A count
-is then one substitution and one tree reduction whatever the chain's
-length, and only the tree reduction for a standard curve.  Substitutions are homomorphisms of the free group and compose as
-such, so substituting the composed images into alpha gives the same freely
-reduced word as substituting the chain's inverse twists one at a time.  The
-count is a conjugacy invariant, so phi^-1(alpha) is only substituted and
-freely reduced, never normalized.
+The table holds one entry per class word: the standard curve, the chain,
+and phi^-1 itself as the images of the generators, composed once when the
+chain is recorded; a class the search missed is held as None.  Beside it,
+each standard curve's count is built once, with its stable letter (or
+handle bound) and edge words bound.  splitting_count is the one count
+against a simple class: one lookup, then one substitution and one tree
+reduction whatever the chain's length, and only the tree reduction for a
+standard curve.  Substitutions are homomorphisms of the free group and
+compose as such, so substituting the composed images into alpha gives the
+same freely reduced word as substituting the chain's inverse twists one at
+a time.  The count is a conjugacy invariant, so phi^-1(alpha) is only
+substituted and freely reduced, never normalized.
 """
 from __future__ import annotations
 
@@ -146,12 +149,6 @@ def _hnn_length(t: int, ends, word) -> int:
     return _tree_length(signs, _segments(w, cuts, 1), ends)
 
 
-def hnn_count(genus: int, d: int, word) -> int:
-    """i(d, word) for a generator d, as the translation length on the tree
-    of the HNN splitting along d."""
-    return _hnn_length(*_hnn_edge(genus, d), word)
-
-
 def _amalgam_edge(genus: int, h: int):
     """(last letter of the first h handles, edge words) of the amalgam
     splitting along [a1,b1]...[ah,bh]."""
@@ -169,44 +166,25 @@ def _amalgam_length(top: int, ends, word) -> int:
     return _tree_length(signs, _segments(w, cuts, 0), ends)
 
 
-def amalgam_count(genus: int, h: int, word) -> int:
-    """i([a1,b1]...[ah,bh], word), as the translation length on the tree of
-    the amalgam splitting along that separating curve."""
-    return _amalgam_length(*_amalgam_edge(genus, h), word)
-
-
-def _counter(genus: int, standard):
-    """The count against a standard curve, as a function of the word, with
-    its splitting's cut letter and edge words bound."""
-    if len(standard) == 1:
-        return partial(_hnn_length, *_hnn_edge(genus, standard[0]))
-    return partial(_amalgam_length, *_amalgam_edge(genus, len(standard) // 4))
-
-
-def standard_count(genus: int, standard, word) -> int:
-    """i(standard, word) for a standard curve: a generator or a separating
-    [a1,b1]...[ah,bh]."""
-    return _counter(genus, standard)(word)
-
-
 class _TwistSearch:
     """Products of short twists that carry a standard curve to a given
     simple class: +-1 twists along the non-separating simple classes of
     length <= 2.
 
-    reached maps each canonical class word found so far to (standard curve,
-    twist chain) with phi(standard) = the class; it starts with the standard
-    curves.  pullback maps the same words to phi^-1, the images of the
-    generators under it, and counters maps each standard curve to its count
-    with the splitting's cut letter and edge words bound.  find searches
-    from the class best-first, shortest image first, until an image is in
-    reached, and records the chain and phi^-1 of every class on the way:
-    a class one twist T further along has phi' = T phi, so its phi'^-1 sends
-    generator k to phi^-1(T^-1(k)): phi^-1's images substituted into T's
-    inverse images, one substitution per generator.  phi'^-1(w) is then the
-    same freely reduced word as T^-1 substituted first and phi^-1 after.
-    A search that visits _SPLIT_SEARCH_CAP classes without meeting reached
-    is a miss, remembered in missed.
+    counters maps each standard curve, a generator or a separating
+    [a1,b1]...[ah,bh], to its count as a function of the word, with its
+    splitting's cut letter and edge words bound.  classes maps each
+    canonical class word searched for or passed on the way to (standard
+    curve, twist chain, phi^-1) with phi(standard) = the class, phi^-1 given
+    by the images of the generators, or to None for a miss; it starts with
+    the standard curves.  find searches from the class best-first, shortest
+    image first, until an image has an entry, and records the entry of
+    every class on the way: a class one twist T further along has
+    phi' = T phi, so its phi'^-1 sends generator k to phi^-1(T^-1(k)):
+    phi^-1's images substituted into T's inverse images, one substitution
+    per generator.  phi'^-1(w) is then the same freely reduced word as T^-1
+    substituted first and phi^-1 after.  A search that visits
+    _SPLIT_SEARCH_CAP classes without meeting an entry is a miss.
     """
 
     def __init__(self, genus: int):
@@ -219,23 +197,24 @@ class _TwistSearch:
             if not homology_class(s, c.word).is_zero()
             for turns in (1, -1)
         )
-        standards = [(k,) for k in range(1, 2 * genus + 1)]
-        standards += [_commutators(range(1, h + 1)) for h in range(1, genus // 2 + 1)]
-        self.counters = {standard: _counter(genus, standard) for standard in standards}
+        self.counters = {
+            (d,): partial(_hnn_length, *_hnn_edge(genus, d))
+            for d in range(1, 2 * genus + 1)
+        }
+        for h in range(1, genus // 2 + 1):
+            count = partial(_amalgam_length, *_amalgam_edge(genus, h))
+            self.counters[_commutators(range(1, h + 1))] = count
         identity = tuple((k,) for k in range(1, 2 * genus + 1))
-        self.reached = {}
-        self.pullback = {}
-        self.missed = set()
-        for standard in standards:
-            word = canonical_class(s, standard).word
-            self.reached.setdefault(word, (standard, ()))
-            self.pullback.setdefault(word, identity)
+        self.classes = {
+            canonical_class(s, standard).word: (standard, (), identity)
+            for standard in self.counters
+        }
 
     def find(self, word):
-        """(standard, chain) for the canonical class word, or None."""
-        hit = self.reached.get(word)
-        if hit is not None or word in self.missed:
-            return hit
+        """(standard, chain, phi^-1 images) for the canonical class word, or
+        None."""
+        if word in self.classes:
+            return self.classes[word]
         came_from = {word: None}  # class -> (class it is a twist image of, twist)
         heap = [(len(word), word)]
         while heap and len(came_from) < _SPLIT_SEARCH_CAP:
@@ -248,10 +227,10 @@ class _TwistSearch:
                 if image in came_from:
                     continue
                 came_from[image] = (here, twist)
-                if image in self.reached:
+                hit = self.classes.get(image)
+                if hit is not None:
                     # image = twist(here), so here = twist^-1(image)
-                    standard, chain = self.reached[image]
-                    images = self.pullback[image]
+                    standard, chain, images = hit
                     while came_from[image] is not None:
                         image, (c, turns) = came_from[image]
                         chain = chain + ((c, -turns),)
@@ -259,11 +238,10 @@ class _TwistSearch:
                         images = tuple(
                             mapping._substitute(images, w) for w in f.inverse_images
                         )
-                        self.reached[image] = (standard, chain)
-                        self.pullback[image] = images
-                    return self.reached[word]
+                        self.classes[image] = (standard, chain, images)
+                    return self.classes[word]
                 heappush(heap, (len(image), image))
-        self.missed.add(word)
+        self.classes[word] = None
         return None
 
 
@@ -279,7 +257,7 @@ def splitting_count(genus: int, delta, word):
     hit = search.find(delta)
     if hit is None:
         return None
-    standard, chain = hit
+    standard, chain, images = hit
     if chain:
-        word = mapping._substitute(search.pullback[delta], word)
+        word = mapping._substitute(images, word)
     return search.counters[standard](word)

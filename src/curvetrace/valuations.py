@@ -27,7 +27,6 @@ from .algebra import (
     TraceExpression,
     enumerate_multicurves,
     expand_trace,
-    make_multicurve,
     multiply_expressions,
     format_multicurve,
 )

@@ -100,7 +100,7 @@ from curvetrace.curves import (
 from curvetrace.diagrams import Budget
 from curvetrace.errors import ModelInconsistency, ReductionBudgetExceeded
 from curvetrace.polygon import polygon_model
-from curvetrace.splitting import _commutators, _power, _repeat, standard_count
+from curvetrace.splitting import _commutators, _power, _repeat, twist_search
 from curvetrace.valuations import ValuationValue
 from curvetrace.words import (
     _CLOSURE_CAP,
@@ -1042,4 +1042,4 @@ def reference_count_through(genus: int, standard, chain, word) -> int:
         word = mapping._substitute(
             mapping._twist_cached(genus, *twist).inverse_images, word
         )
-    return standard_count(genus, standard, word)
+    return twist_search(genus).counters[standard](word)

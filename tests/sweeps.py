@@ -107,7 +107,7 @@ def splitting_differences(genus, deltas, alphas):
     search = twist_search(genus)
     hits = {delta: search.find(delta) for delta in deltas}
     lines = [f"the twist search missed {format_word(d)}" for d in hits if not hits[d]]
-    hits = {d: hit for d, hit in hits.items() if hit}
+    hits = {d: hit[:2] for d, hit in hits.items() if hit}  # (standard, chain)
     start = time.perf_counter()
     got = [[splitting_count(genus, d, a) for a in alphas] for d in hits]
     composed = time.perf_counter() - start

@@ -6,8 +6,8 @@ curvetrace.acceptance.run_suite instead; CI runs each as its own step.
 
 presentation must also be able to fail: with one cell move of the genus-2
 words tables rotated, it gives FAIL.  The package's own invariants raise
-typed errors rather than assert, so they hold under python -O as well, and
-no module of the package imports numpy.
+typed errors rather than assert, so they hold under python -O as well, no
+module of the package imports numpy, and none imports a name it never reads.
 """
 import ast
 import os
@@ -38,6 +38,34 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_modules_read_every_name_they_import():
+    # __init__.py imports to re-export, and __future__ imports bind flags
+    package = Path(__file__).resolve().parents[1] / "src" / "curvetrace"
+    sources = sorted(set(package.glob("*.py")) - {package / "__init__.py"})
+    assert sources
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in read
+        ]
     assert found == []
 
 

@@ -192,11 +192,6 @@ def test_expand_invariant_under_conjugation_and_inversion():
 # -- exact agreement with representations --------------------------------------
 
 
-def test_expansion_matches_traces_on_class_sample():
-    classes = enumerate_classes(S2, 4)
-    assert expansion_mismatches(S2, [c.word for c in classes[::19]]) == []
-
-
 def test_expansion_matches_traces_on_long_words():
     rng = random.Random(99)
     letters = [1, -1, 2, -2, 3, -3, 4, -4]

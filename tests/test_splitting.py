@@ -18,14 +18,7 @@ from curvetrace.curves import (
     enumerate_simple_classes,
 )
 from curvetrace.errors import ReductionBudgetExceeded, TrivialClass
-from curvetrace.splitting import (
-    _commutators,
-    amalgam_count,
-    hnn_count,
-    splitting_count,
-    standard_count,
-    twist_search,
-)
+from curvetrace.splitting import _commutators, splitting_count, twist_search
 from curvetrace.valuations import ValuationValue, make_lamination, valuate
 from curvetrace.words import (
     canonical_class,
@@ -93,19 +86,20 @@ def test_count_matches_valuation_genus3_sample():
 
 
 def test_standard_counts():
-    a1, b1, a2 = (C(t).word for t in ("a1", "b1", "a2"))
-    assert hnn_count(2, 1, b1) == 1
-    assert hnn_count(2, 1, a2) == 0
-    assert hnn_count(2, 2, a1) == 1
+    # each standard curve is its own class, with an empty twist chain
+    a1, b1, a2, sep = (C(t).word for t in ("a1", "b1", "a2", "a1b1A1B1"))
+    assert splitting_count(2, a1, b1) == 1
+    assert splitting_count(2, a1, a2) == 0
+    assert splitting_count(2, b1, a1) == 1
     # t d t^-1 = Y d: the relator itself pinches to nothing
-    assert hnn_count(2, 1, S2.relator) == 0
-    assert hnn_count(2, 2, S2.relator) == 0
-    assert hnn_count(3, 3, S3.relator) == 0
-    assert hnn_count(2, 1, C("b1b1a2").word) == 2
-    assert amalgam_count(2, 1, C("a1").word) == 0
-    assert amalgam_count(2, 1, C("a1a2").word) == 2
-    assert amalgam_count(2, 1, S2.relator) == 0
-    assert amalgam_count(3, 1, S3.relator) == 0
+    assert splitting_count(2, a1, S2.relator) == 0
+    assert splitting_count(2, b1, S2.relator) == 0
+    assert splitting_count(3, C("a2", S3).word, S3.relator) == 0
+    assert splitting_count(2, a1, C("b1b1a2").word) == 2
+    assert splitting_count(2, sep, a1) == 0
+    assert splitting_count(2, sep, C("a1a2").word) == 2
+    assert splitting_count(2, sep, S2.relator) == 0
+    assert splitting_count(3, C("a1b1A1B1", S3).word, S3.relator) == 0
 
 
 @pytest.mark.parametrize("genus", [2, 3, 4])
@@ -121,6 +115,7 @@ def test_tree_reduction_matches_reference_loops(genus):
             block = _commutators(range(lo, hi + 1))
             splices += [block, inverse_word(block)]
     alphabet = [l for k in range(1, 2 * genus + 1) for l in (k, -k)]
+    counters = twist_search(genus).counters
     rng = random.Random(40 + genus)
     for _ in range(300):
         word = [rng.choice(alphabet) for _ in range(rng.randint(1, 24))]
@@ -130,10 +125,10 @@ def test_tree_reduction_matches_reference_loops(genus):
         word = free_reduce(word)
         for d in range(1, 2 * genus + 1):
             want = reference_hnn_count(genus, d, word)
-            assert hnn_count(genus, d, word) == want, (d, word)
+            assert counters[(d,)](word) == want, (d, word)
         for h in range(1, genus // 2 + 1):
             want = reference_amalgam_count(genus, h, word)
-            assert amalgam_count(genus, h, word) == want, (h, word)
+            assert counters[_commutators(range(1, h + 1))](word) == want, (h, word)
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -149,6 +144,7 @@ def test_standard_counts_are_class_invariants(genus):
     rng = random.Random(genus)
     standards = [(d,) for d in range(1, 2 * genus + 1)]
     standards += [relator[: 4 * h] for h in range(1, genus // 2 + 1)]
+    deltas = [canonical_class(surface, standard).word for standard in standards]
     checked = 0
     while checked < 150:
         word = [rng.choice(alphabet) for _ in range(rng.randint(2, 8))]
@@ -160,10 +156,10 @@ def test_standard_counts_are_class_invariants(genus):
             cls = canonical_class(surface, word)
         except TrivialClass:
             continue
-        for standard in standards:
-            assert standard_count(genus, standard, word) == standard_count(
-                genus, standard, cls.word
-            ), (standard, word)
+        for delta in deltas:
+            assert splitting_count(genus, delta, word) == splitting_count(
+                genus, delta, cls.word
+            ), (delta, word)
         checked += 1
 
 
@@ -173,7 +169,7 @@ def test_two_twist_chains_give_equal_counts():
     alphas = random.Random(5).sample(enumerate_classes(S2, 4), 60)
     for text in ("a1B2", "b1b2", "a1b1", "a1B1B1", "a1b1A1B1", "a1B1B2a1B2"):
         delta = C(text).word
-        standard, chain = twist_search(2).find(delta)
+        standard, chain, _ = twist_search(2).find(delta)
         longer = chain + ((delta, 1),)
         for alpha in alphas:
             assert reference_count_through(
@@ -189,7 +185,7 @@ def test_search_reaches_short_simple_classes():
     for surface, bound in ((S2, 4), (S3, 3)):
         search = twist_search(surface.genus)
         for c in enumerate_simple_classes(surface, bound):
-            standard, chain = search.find(c.word)
+            standard, chain, _ = search.find(c.word)
             image = canonical_class(surface, standard)
             for twist in chain:
                 f = mapping._twist_cached(surface.genus, *twist)
@@ -212,8 +208,7 @@ def test_composed_images_carry_each_class_to_its_standard_curve():
     for surface, bound in ((S2, 4), (S3, 3)):
         search = twist_search(surface.genus)
         for c in enumerate_simple_classes(surface, bound):
-            standard, _ = search.find(c.word)
-            images = search.pullback[c.word]
+            standard, _, images = search.find(c.word)
             assert mapping.relator_certificate(surface, images).sign == 1
             back = canonical_class(surface, mapping._substitute(images, c.word))
             assert back == canonical_class(surface, standard), c.word
