@@ -22,10 +22,18 @@ with double points can need immersed monogons or bigons to witness its excess
   pi1 along the first simple one (see splitting).  On a splitting miss, two
   simple members read their pair diagram, one tautened pair of taut routes
   (complement_report checks that diagram against the count); one raises.
-- Two self-crossing classes take the exact minimum over every slot
-  assignment of every seed pair, and stop at a count that meets the
-  algebraic intersection, a lower bound.  The searches of one pair spend one
-  Budget, so a pair whose search outgrows it raises.
+- Two self-crossing classes are bounded below by the Goldman bracket
+  [x, y] = sum over crossings p of e_p <x ._p y> (Goldman, "Invariant
+  functions on Lie groups and Hamiltonian flows of surface group
+  representations", Invent. Math. 85, 1986).  It does not depend on the
+  diagram, and a diagram with k cross-strand crossings writes it as k
+  signed terms, so after cancellation it keeps at most i(x, y) of them
+  (Chas, "Minimal intersection of curves on surfaces", Geom. Dedicata 144,
+  2010).  Terms keyed by unoriented class can only merge further, so their
+  count stays a lower bound.  A built seed-pair diagram whose count meets
+  it is the answer; otherwise the exact minimum over every slot assignment
+  of every seed pair is, stopping at a count that meets it.  The builds and
+  searches of one pair spend one Budget, so a pair that outgrows it raises.
 
 That minimum needs no enumeration.  The cross count of a slot assignment is
 a constant, plus one term per edge read off that edge's slot order, plus
@@ -56,8 +64,7 @@ from .words import (
     Surface,
     canonical_class,
     format_word,
-    homology_class,
-    intersection_form,
+    free_reduce,
     make_surface,
     reduced_words,
 )
@@ -435,17 +442,63 @@ def _edge_minima(n_events, columns, linear, linked, budget) -> dict:
     return minima
 
 
+def _bracket_floor(model, diagram) -> int:
+    """Number of terms of the Goldman bracket of the diagram's two strands,
+    keyed by unoriented class: at most their intersection number.
+
+    A cross-strand crossing of chord (i, p) with chord (j, q) adds the term
+    e <u v>, where u and v are the loops of the two strands read from the
+    crossing.  Its sign e is the side from which strand j's chord enters
+    strand i's: with a -> b strand i's chord and c the entry of strand j's,
+    all on the boundary circle in the sorted order that crossing detection
+    uses, e is +1 when c lies on the arc from a on to b.  The count is the
+    sum of the absolute coefficients; merging the terms of two orientations
+    of a class cannot raise it.
+    """
+    s = make_surface(model.genus)
+    routes, points = diagram.routes, diagram.chord_points
+    coefficients = {}
+    for (i, p), (j, q) in diagram.crossings:
+        if i == j:
+            continue
+        u = model.route_word(routes[i], (p + 1) % len(routes[i]))
+        v = model.route_word(routes[j], (q + 1) % len(routes[j]))
+        try:
+            key = canonical_class(s, free_reduce(u + v)).word
+        except TrivialClass:
+            key = None
+        (a, b), (c, _) = points[i][p], points[j][q]
+        # c is on the arc from a to b iff two of the three steps go up
+        sign = 1 if (a < c) + (c < b) + (b < a) == 2 else -1
+        coefficients[key] = coefficients.get(key, 0) + sign
+    return sum(map(abs, coefficients.values()))
+
+
 def _pair_cross_refined(genus: int, wx, wy) -> int:
-    """Certified minimum for two self-crossing classes: the least exact
-    minimum over every slot assignment of every seed pair, all searched on
-    one Budget.  A count equal to the algebraic intersection, a lower bound,
-    is the answer at once."""
-    s = make_surface(genus)
-    floor = abs(intersection_form(*(homology_class(s, w).coords for w in (wx, wy))))
+    """Certified minimum for two self-crossing classes.
+
+    The floor is the Goldman bracket's term count on the first seed pair's
+    built diagram (_bracket_floor; Goldman, Invent. Math. 85, 1986).  The
+    bracket is a class invariant that a diagram writes as one signed term
+    per crossing, so after cancellation it has at most i(x, y) terms, and
+    keying terms by unoriented class only merges them.  The first seed pair
+    whose built count meets the floor is the answer, with no search.
+    Otherwise the answer is the least exact minimum over every slot
+    assignment of every seed pair, and a search that meets the floor stops
+    there.  All of it spends one Budget.
+    """
     model = polygon_model(genus)
     budget = Budget()
+    seed_pairs = list(product(_route_seeds(genus, wx), _route_seeds(genus, wy)))
+    floor = None
+    for routes in seed_pairs:
+        diagram = build_diagram(model, (), routes, budget)
+        if floor is None:
+            floor = _bracket_floor(model, diagram)
+        if diagram.cross_strand_crossings() == floor:
+            return floor
     counts = []
-    for routes in product(_route_seeds(genus, wx), _route_seeds(genus, wy)):
+    for routes in seed_pairs:
         counts.append(_cross_min_exhaustive(model, routes, budget))
         if counts[-1] == floor:
             return floor

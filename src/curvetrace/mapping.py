@@ -44,6 +44,7 @@ from .curves import (
 from .errors import (
     BadArgument,
     BadIndex,
+    GenusMismatch,
     ModelInconsistency,
     NotSimple,
     NotSimpleImage,
@@ -457,7 +458,7 @@ def make_sign_character(s: Surface, bits) -> SignCharacter:
         if not all(b in (0, 1) for b in values):
             raise ValueError("sign character bits must be 0 or 1")
     if len(values) != s.rank:
-        raise ValueError(
+        raise GenusMismatch(
             f"sign character needs {s.rank} bits, got {len(values)}"
         )
     return SignCharacter(genus=s.genus, bits=values)

@@ -8,7 +8,8 @@ and its counts and fails once; its tier-1 twin calls the helper on fewer
 inputs: test_algebra.py's test_expansion_matches_reference_on_genus_two_classes,
 test_expansion_matches_reference_on_genus_three_sample and
 test_products_on_the_built_union_match_both_references, test_geometry.py's
-test_pair_search_matches_the_two_pass_reference and test_splitting.py's
+test_pair_search_matches_the_two_pass_reference and
+test_bracket_floor_meets_the_counts, and test_splitting.py's
 test_composed_count_matches_the_chain_walk. The genus-3 pair sweep has none.
 """
 import random
@@ -101,6 +102,48 @@ def pair_search_misses(genus, pairs):
     return misses, raised, beyond
 
 
+def bracket_misses(genus, simple_pairs, pairs):
+    """The Goldman bracket floor of built diagrams against the counts.  With
+    a simple member (simple_pairs) the floor on the built diagram of the two
+    taut routes is the intersection number.  For two self-crossing classes
+    (pairs) it is the same on every seed pair's built diagram, at least the
+    algebraic intersection, and at most the count, which is at most every
+    built count.  Returns the lines and how many pairs were answered from a
+    built diagram, by a search that met the floor, and by the minimum."""
+    model, surface = polygon_model(genus), make_surface(genus)
+    lines, answered = [], {"built": 0, "search": 0, "minimum": 0}
+    for wx, wy in simple_pairs:
+        routes = tuple(curves._taut_single(genus, w).routes[0] for w in (wx, wy))
+        floor = curves._bracket_floor(model, build_diagram(model, (), routes))
+        count = curves.intersection_number(
+            surface, *(canonical_class(surface, w) for w in (wx, wy))
+        )
+        if floor != count:
+            name = f"genus {genus}: {format_word(wx)} {format_word(wy)}"
+            lines.append(f"{name} has bracket floor {floor}, count {count}")
+    for wx, wy in pairs:
+        name = f"genus {genus}: {format_word(wx)} {format_word(wy)}"
+        seeds = product(*(curves._route_seeds(genus, w) for w in (wx, wy)))
+        built = [build_diagram(model, (), routes) for routes in seeds]
+        floors = {curves._bracket_floor(model, d) for d in built}
+        counts = [d.cross_strand_crossings() for d in built]
+        coords = [homology_class(surface, w).coords for w in (wx, wy)]
+        algebraic = abs(intersection_form(*coords))
+        got = curves._pair_cross_refined(genus, wx, wy)
+        if len(floors) != 1:
+            lines.append(f"{name} has bracket floors {sorted(floors)}")
+        elif not algebraic <= min(floors) <= got <= min(counts):
+            lines.append(
+                f"{name} gives {got}, outside [{min(floors)}, {min(counts)}]"
+                f" or its floor below the algebraic {algebraic}"
+            )
+        elif got in counts and got == min(floors):
+            answered["built"] += 1
+        else:
+            answered["search" if got == min(floors) else "minimum"] += 1
+    return lines, answered
+
+
 def splitting_differences(genus, deltas, alphas):
     """splitting_count, one substitution of the stored phi^-1, against the
     walk down the twist chain; the seconds each took."""
@@ -166,21 +209,29 @@ def test_product_sweep():
     )
 
 
+def sweep_pairs(genus):
+    """The pair sweep's pairs of two self-crossing classes: at genus 2, 600
+    drawn of length <= 4 and the 27 fixed pairs of the benchmark's pairs
+    workload; at genus 3, 300 drawn of length <= 3."""
+    if genus == 3:
+        return oracles.nonsimple_pairs(3, 3, 300)
+    from perfbench.workloads import BUDGET_PAIRS, HEAVY_PAIRS, parse_text
+
+    s = make_surface(2)
+    return oracles.nonsimple_pairs(2, 4, 600) + [
+        tuple(sorted(canonical_class(s, parse_text(text)).word for text in pair))
+        for pair in HEAVY_PAIRS + BUDGET_PAIRS
+    ]
+
+
 def test_pair_search_sweep():
     # where the reference raises and the search answers, the answer must be
     # the least numpy table sum of the test oracles over the seed pairs,
     # wherever each has at most 2*10^7 slot assignments
-    from perfbench.workloads import BUDGET_PAIRS, HEAVY_PAIRS, parse_text
-
-    s = make_surface(2)
-    fixed = [
-        tuple(sorted(canonical_class(s, parse_text(text)).word for text in pair))
-        for pair in HEAVY_PAIRS + BUDGET_PAIRS
-    ]
     misses, counts = [], []
-    for genus, max_len, count, extra in ((2, 4, 600, fixed), (3, 3, 300, [])):
+    for genus in (2, 3):
         model = polygon_model(genus)
-        pairs = oracles.nonsimple_pairs(genus, max_len, count) + extra
+        pairs = sweep_pairs(genus)
         found, raised, beyond = pair_search_misses(genus, pairs)
         exact = 0
         for wx, wy, got in beyond:
@@ -213,3 +264,21 @@ def test_splitting_count_sweep():
         f" chain walk {walked:.2f} s",
         f"{len(lines)} differences",
     )
+
+
+def test_bracket_floor_sweep():
+    lines, counts = [], []
+    for genus, delta_len, alpha_len in ((2, 3, 4), (3, 2, 3)):
+        s = make_surface(genus)
+        deltas = [d.word for d in curves.enumerate_simple_classes(s, delta_len)]
+        alphas = [a.word for a in curves.enumerate_classes(s, alpha_len)]
+        pairs = sweep_pairs(genus)
+        found, answered = bracket_misses(genus, product(deltas, alphas), pairs)
+        lines += found
+        counts.append(
+            f"genus {genus}: {len(deltas) * len(alphas)} pairs with a simple member;"
+            f" {len(pairs)} self-crossing pairs, {answered['built']} answered from"
+            f" a built diagram, {answered['search']} by a search that met the"
+            f" floor, {answered['minimum']} by the minimum"
+        )
+    _fail_on(lines, *counts, f"{len(lines)} misses")

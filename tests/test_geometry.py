@@ -15,7 +15,7 @@ from oracles import (
     reference_cross_min,
     reference_taut_single,
 )
-from sweeps import pair_search_misses
+from sweeps import bracket_misses, pair_search_misses
 from curvetrace import curves
 from curvetrace.algebra import enumerate_multicurves, evaluate_expression, expand_trace
 from curvetrace.complement import certify_taut
@@ -240,10 +240,9 @@ def test_bigon_arcs_across_different_edges_retract():
     # now tautens and agrees with the splitting count
     report = complement_report(S3, C("a1B1B1a2", S3), C("a1B1a2B2", S3))
     assert report.crossing_count == 0
-    # two self-crossing classes: the retract lets the seed pairs tauten, and
-    # the slot search behind them then meets its cap, loudly
-    with pytest.raises(ReductionBudgetExceeded):
-        intersection_number(S2, C("a1b2a1b2"), C("a1b2b1B2"))
+    # two self-crossing classes: a built seed-pair diagram meets the bracket
+    # floor, 6, three times the algebraic intersection 2
+    assert intersection_number(S2, C("a1b2a1b2"), C("a1b2b1B2")) == 6
 
 
 def test_comparator_ties_on_s_plus_never_part_on_s_minus():
@@ -549,7 +548,7 @@ def test_intersection_number_of_two_nonsimple_classes_matches_oracle():
 
 
 # the most pairs of each sweep below that may exhaust the default budget
-MOST_RAISED = {2: 2, 3: 0}
+MOST_RAISED = {2: 0, 3: 0}
 
 
 @pytest.mark.parametrize("genus, max_len, count", [(2, 4, 150), (3, 3, 100)])
@@ -560,6 +559,21 @@ def test_pair_search_matches_the_two_pass_reference(genus, max_len, count):
     )
     assert misses == []
     assert raised <= MOST_RAISED[genus] < len(beyond)
+
+
+@pytest.mark.parametrize(
+    "genus, delta_len, alpha_len, max_len, count",
+    [(2, 2, 3, 4, 150), (3, 1, 2, 3, 100)],
+)
+def test_bracket_floor_meets_the_counts(genus, delta_len, alpha_len, max_len, count):
+    # the sweep of tests/sweeps.py on shorter classes and fewer pairs
+    s = make_surface(genus)
+    deltas = [d.word for d in enumerate_simple_classes(s, delta_len)]
+    alphas = [a.word for a in enumerate_classes(s, alpha_len)]
+    pairs = nonsimple_pairs(genus, max_len, count)
+    lines, answered = bracket_misses(genus, product(deltas, alphas), pairs)
+    assert lines == []
+    assert answered["built"] and answered["search"]
 
 
 @pytest.mark.parametrize("texts", [("A1B2", "A1a2"), ("b1B2A1", "a1a1b2")])
@@ -583,7 +597,10 @@ def test_pair_search_answers_past_the_old_cap():
 
 
 def test_pair_search_past_its_budget_raises(monkeypatch):
-    wx, wy = sorted((C("A1a2").word, C("b2B1B1b2").word))
+    # no built diagram of this pair meets its bracket floor, 5, so it reaches
+    # the search: its builds spend 297 and the whole pair 1,198 operations
+    wx, wy = sorted((C("a2A1").word, C("B2a2A1A1").word))
+    assert _pair_cross_refined(2, wx, wy) == 5
     monkeypatch.setattr(curves, "Budget", lambda: Budget(limit=1000))
     with pytest.raises(ReductionBudgetExceeded, match="budget of 1000 "):
         _pair_cross_refined(2, wx, wy)

@@ -402,7 +402,10 @@ def test_sign_character_parse_format():
     assert a.bits == (0, 1, 1, 0)
     assert format_sign_character(a) == "0110"
     assert make_sign_character(S2, (1, 0, 0, 1)).bits == (1, 0, 0, 1)
-    for bad in ("011", "01102", "01x0"):
+    # a character of another genus's bit count is a genus mismatch
+    with pytest.raises(GenusMismatch, match="needs 4 bits, got 3"):
+        parse_sign_character(S2, "011")
+    for bad in ("01102", "01x0"):
         with pytest.raises(ValueError):
             parse_sign_character(S2, bad)
 
