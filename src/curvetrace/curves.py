@@ -14,10 +14,17 @@ with double points can need immersed monogons or bigons to witness its excess
 (Hass & Scott, "Intersections of curves on surfaces", Israel J. Math. 51,
 1985).  So each question runs one search:
 
-- A class tautens its route seeds, shortest first, until one comes out
-  embedded; a self-crossing class takes the best of them all.  That
-  certified diagram is kept: realize returns it, self_intersection counts
-  it, and the state sum of the class runs on it.
+- A class tries its route seeds, shortest first.  Its self count is bounded
+  below by the Turaev cobracket d(x) = sum over self-crossings p of
+  e_p (u_p (x) v_p - v_p (x) u_p), u_p and v_p the two loops at p (Turaev,
+  "Skein quantization of Poisson algebras of loops on surfaces", Ann. Sci.
+  ENS 24, 1991): a class invariant that a diagram with k crossings writes
+  as 2k terms, so half its term count is a floor.  A seed whose built
+  diagram is embedded or meets the floor is the answer as built; otherwise
+  the seed is tautened, and the first tautened count that meets the floor
+  is the answer.  A class that no seed brings down to its floor takes the
+  best of them all.  That diagram is kept: realize returns it,
+  self_intersection counts it, and the state sum of the class runs on it.
 - A pair tests its members shortest first and is counted on the splitting of
   pi1 along the first simple one (see splitting).  On a splitting miss, two
   simple members read their pair diagram, one tautened pair of taut routes
@@ -183,14 +190,35 @@ def tauten_routes(genus: int, classes, routes, budget=None):
 
 @lru_cache(maxsize=None)
 def _taut_single(genus: int, class_word) -> CurveDiagram:
-    """Certified taut diagram of one class, kept for every later reader: the
-    first seed that tautens to an embedded strand, else the fewest crossings
-    over all seeds (then the shorter, then the smaller route)."""
-    best = None
+    """Certified taut diagram of one class, kept for every later reader.
+
+    The route seeds are tried shortest first.  Each seed's built diagram is
+    the answer when it is embedded, or when its count meets the cobracket
+    floor (_cobracket_floor, taken once on the first built diagram with
+    crossings): that count is minimal, so no bigon is left to remove.
+    Otherwise the seed is tautened, and a tautened count that meets the
+    floor is the answer.  A count below the floor raises ModelInconsistency.
+    If no seed meets it, the fewest crossings over all seeds (then the
+    shorter, then the smaller route) stand.
+    """
+    model = polygon_model(genus)
+    classes = (CurveClass(genus, class_word),)
     budget = Budget()
+    floor = best = None
     for seed in _route_seeds(genus, class_word):
-        d = tauten_routes(genus, (CurveClass(genus, class_word),), (seed,), budget)
+        d = build_diagram(model, classes, (model.reduce_route(seed),), budget)
         if d.crossing_count == 0:
+            return d
+        if floor is None:
+            floor = _cobracket_floor(model, d)
+        if d.crossing_count > floor:
+            d = tauten_routes(genus, classes, d.routes, budget)
+        if d.crossing_count < floor:
+            raise ModelInconsistency(
+                f"{format_word(class_word)} crosses itself {d.crossing_count}"
+                f" times, below its cobracket floor {floor}"
+            )
+        if d.crossing_count == floor:
             return d
         key = (d.crossing_count, len(d.routes[0]), d.routes[0])
         if best is None or key < best[0]:
@@ -442,36 +470,75 @@ def _edge_minima(n_events, columns, linear, linked, budget) -> dict:
     return minima
 
 
+def _crossing_loops(model, diagram, crossing) -> tuple:
+    """(u, v, e) at a crossing of chord (i, p) with chord (j, q).
+
+    Across two strands u and v are their whole loops, each read on from the
+    crossing; on one strand (p < q) they are the two arcs it cuts the
+    strand into, u from chord p on to chord q and v from q back round to p.
+    The sign e is the side from which chord (j, q) enters chord (i, p): with
+    a -> b chord (i, p) and c the entry of chord (j, q), all on the boundary
+    circle in the sorted order that crossing detection uses, e is +1 when c
+    lies on the arc from a on to b.
+    """
+    (i, p), (j, q) = crossing
+    routes = diagram.routes
+    if i == j:
+        u = model.arc_word(routes[i], p + 1, q)
+        v = model.arc_word(routes[i], q + 1, p)
+    else:
+        u = model.route_word(routes[i], p + 1)
+        v = model.route_word(routes[j], q + 1)
+    (a, b), (c, _) = diagram.chord_points[i][p], diagram.chord_points[j][q]
+    # c is on the arc from a to b iff two of the three steps go up
+    return u, v, 1 if (a < c) + (c < b) + (b < a) == 2 else -1
+
+
 def _bracket_floor(model, diagram) -> int:
     """Number of terms of the Goldman bracket of the diagram's two strands,
     keyed by unoriented class: at most their intersection number.
 
-    A cross-strand crossing of chord (i, p) with chord (j, q) adds the term
-    e <u v>, where u and v are the loops of the two strands read from the
-    crossing.  Its sign e is the side from which strand j's chord enters
-    strand i's: with a -> b strand i's chord and c the entry of strand j's,
-    all on the boundary circle in the sorted order that crossing detection
-    uses, e is +1 when c lies on the arc from a on to b.  The count is the
-    sum of the absolute coefficients; merging the terms of two orientations
-    of a class cannot raise it.
+    A cross-strand crossing adds the term e <u v> (_crossing_loops).  The
+    count is the sum of the absolute coefficients; merging the terms of two
+    orientations of a class cannot raise it.
     """
     s = make_surface(model.genus)
-    routes, points = diagram.routes, diagram.chord_points
     coefficients = {}
-    for (i, p), (j, q) in diagram.crossings:
-        if i == j:
+    for crossing in diagram.crossings:
+        if crossing[0][0] == crossing[1][0]:
             continue
-        u = model.route_word(routes[i], (p + 1) % len(routes[i]))
-        v = model.route_word(routes[j], (q + 1) % len(routes[j]))
+        u, v, sign = _crossing_loops(model, diagram, crossing)
         try:
             key = canonical_class(s, free_reduce(u + v)).word
         except TrivialClass:
             key = None
-        (a, b), (c, _) = points[i][p], points[j][q]
-        # c is on the arc from a to b iff two of the three steps go up
-        sign = 1 if (a < c) + (c < b) + (b < a) == 2 else -1
         coefficients[key] = coefficients.get(key, 0) + sign
     return sum(map(abs, coefficients.values()))
+
+
+def _cobracket_floor(model, diagram) -> int:
+    """Half the number of terms of the Turaev cobracket of a one-strand
+    diagram, keyed by unoriented class: at most its self count.
+
+    A self-crossing adds e (u (x) v - v (x) u) (_crossing_loops), and one
+    with a trivial loop adds nothing (Turaev, "Skein quantization of Poisson
+    algebras of loops on surfaces", Ann. Sci. ENS 24, 1991).  The cobracket
+    is a class invariant that a diagram with k crossings writes as 2k signed
+    terms, so half the sum of the absolute coefficients is at most the self
+    count of every diagram of the class; merging orientations cannot raise
+    it.
+    """
+    s = make_surface(model.genus)
+    coefficients = {}
+    for crossing in diagram.crossings:
+        u, v, sign = _crossing_loops(model, diagram, crossing)
+        try:
+            u, v = canonical_class(s, u).word, canonical_class(s, v).word
+        except TrivialClass:
+            continue
+        coefficients[u, v] = coefficients.get((u, v), 0) + sign
+        coefficients[v, u] = coefficients.get((v, u), 0) - sign
+    return sum(map(abs, coefficients.values())) // 2
 
 
 def _pair_cross_refined(genus: int, wx, wy) -> int:

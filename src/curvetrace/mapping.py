@@ -44,6 +44,7 @@ from .curves import (
 from .errors import (
     BadArgument,
     BadIndex,
+    BadLetter,
     GenusMismatch,
     ModelInconsistency,
     NotSimple,
@@ -387,15 +388,15 @@ def _parse_block(s: Surface, lines) -> tuple:
             name, _, word_text = line.partition(" ")
         target = parse_word(s, name.strip())
         if len(target) != 1 or target[0] < 0:
-            raise ValueError(f"line {line!r} does not start with a generator")
+            raise BadLetter(f"line {line!r} does not start with a generator")
         word = parse_word(s, word_text.strip())
         k = target[0]
         if images[k - 1] is not None:
-            raise ValueError(f"duplicate image for {generator_name(k)}")
+            raise BadLetter(f"duplicate image for {generator_name(k)}")
         images[k - 1] = normalize_word(s, word)
     missing = [generator_name(k + 1) for k, w in enumerate(images) if w is None]
     if missing:
-        raise ValueError(f"missing image lines for {', '.join(missing)}")
+        raise BadLetter(f"missing image lines for {', '.join(missing)}")
     return tuple(images)
 
 
@@ -415,7 +416,7 @@ def parse_mapping_class(s: Surface, text: str) -> MappingClass:
     if current:
         blocks.append(current)
     if len(blocks) != 2:
-        raise ValueError(
+        raise BadLetter(
             "mapping class text needs an image block and an inverse block"
         )
     images = _parse_block(s, blocks[0])

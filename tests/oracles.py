@@ -22,9 +22,10 @@ of at least 2(2g-1) letters, one relator-cell move at a time from where the
 previous one left off, until the word is back to its length.
 
 reference_taut_single and reference_pair_diagram keep the seed searches that
-curvetrace.curves replaced by one tauten per question: the fewest self
-crossings over every route seed of a class, and the fewest total crossings over
-every seed pair of two classes, stopping at self + self + |algebraic|.
+curvetrace.curves cut short: the fewest self crossings over every tautened
+route seed of a class (curves._taut_single stops at the first seed whose count
+meets the cobracket floor), and the fewest total crossings over every seed
+pair of two classes, stopping at self + self + |algebraic|.
 
 reference_pair_cross_refined keeps the two passes over the seed pairs of two
 self-crossing classes that curvetrace.curves._pair_cross_refined replaced by

@@ -8,8 +8,9 @@ and its counts and fails once; its tier-1 twin calls the helper on fewer
 inputs: test_algebra.py's test_expansion_matches_reference_on_genus_two_classes,
 test_expansion_matches_reference_on_genus_three_sample and
 test_products_on_the_built_union_match_both_references, test_geometry.py's
-test_pair_search_matches_the_two_pass_reference and
-test_bracket_floor_meets_the_counts, and test_splitting.py's
+test_pair_search_matches_the_two_pass_reference,
+test_bracket_floor_meets_the_counts and
+test_taut_single_matches_every_seed_reference, and test_splitting.py's
 test_composed_count_matches_the_chain_walk. The genus-3 pair sweep has none.
 """
 import random
@@ -19,6 +20,7 @@ from itertools import combinations, combinations_with_replacement, product
 import oracles
 from curvetrace import algebra, curves
 from curvetrace.diagrams import build_diagram
+from curvetrace.errors import CurvetraceError
 from curvetrace.polygon import polygon_model
 from curvetrace.representations import evaluate_trace, random_representation
 from curvetrace.splitting import splitting_count, twist_search
@@ -142,6 +144,34 @@ def bracket_misses(genus, simple_pairs, pairs):
         else:
             answered["search" if got == min(floors) else "minimum"] += 1
     return lines, answered
+
+
+def cobracket_misses(genus, words, against_reference):
+    """Each class's taut diagram against its Turaev cobracket floor, taken
+    on that diagram: the floor must not exceed the count.  With
+    against_reference, the diagram's route and count must also be those of
+    the all-seeds reference.  Returns the lines, how many classes cross
+    themselves, and on how many of those the floor meets the count."""
+    model = polygon_model(genus)
+    lines, crossing, met = [], 0, 0
+    for word in words:
+        name = f"genus {genus}: {format_word(word)}"
+        try:
+            d = curves._taut_single(genus, word)
+        except CurvetraceError as exc:
+            lines.append(f"{name} raises {type(exc).__name__}: {exc}")
+            continue
+        count = d.crossing_count
+        floor = curves._cobracket_floor(model, d)
+        if floor > count:
+            lines.append(f"{name} has cobracket floor {floor}, count {count}")
+        crossing += count > 0
+        met += 0 < count == floor
+        if against_reference:
+            got, want = (d.routes[0], count), oracles.reference_taut_single(genus, word)
+            if got != want:
+                lines.append(f"{name} gives {got}, the reference {want}")
+    return lines, crossing, met
 
 
 def splitting_differences(genus, deltas, alphas):
@@ -280,5 +310,21 @@ def test_bracket_floor_sweep():
             f" {len(pairs)} self-crossing pairs, {answered['built']} answered from"
             f" a built diagram, {answered['search']} by a search that met the"
             f" floor, {answered['minimum']} by the minimum"
+        )
+    _fail_on(lines, *counts, f"{len(lines)} misses")
+
+
+def test_cobracket_floor_sweep():
+    lines, counts = [], []
+    # the all-seeds reference tautens every seed, so it runs at genus 2 only
+    for genus, bound, size in ((2, 6, 11720), (3, 5, 18229)):
+        s = make_surface(genus)
+        words = [c.word for c in curves.enumerate_classes(s, bound)]
+        assert len(words) == size
+        found, crossing, met = cobracket_misses(genus, words, genus == 2)
+        lines += found
+        counts.append(
+            f"genus {genus}: {size} classes of length <= {bound}, {crossing} cross"
+            f" themselves, the floor meets the count on {met}"
         )
     _fail_on(lines, *counts, f"{len(lines)} misses")

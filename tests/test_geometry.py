@@ -15,7 +15,7 @@ from oracles import (
     reference_cross_min,
     reference_taut_single,
 )
-from sweeps import bracket_misses, pair_search_misses
+from sweeps import bracket_misses, cobracket_misses, pair_search_misses
 from curvetrace import curves
 from curvetrace.algebra import enumerate_multicurves, evaluate_expression, expand_trace
 from curvetrace.complement import certify_taut
@@ -126,23 +126,43 @@ def test_self_counts_over_the_chord_bound_raise(genus, text, count, n):
     assert not is_simple(surface, cls)
 
 
-@pytest.mark.xfail(raises=ModelInconsistency, strict=True)
+def test_self_counts_below_the_cobracket_floor_raise(monkeypatch):
+    # the floor is a lower bound, so a count under it is a bug; patched here
+    monkeypatch.setattr(curves, "_cobracket_floor", lambda model, diagram: 2)
+    message = r"^a1b2 crosses itself 1 times, below its cobracket floor 2$"
+    with pytest.raises(ModelInconsistency, match=message):
+        _taut_single.__wrapped__(2, C("a1b2").word)
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        "a1b1a1B1A1A2a1b1A1B1",
-        "a1b1a1B1A1B2B2B2A2a1b1A1B1",
-        "a1B1b2a1A2A1b2b1B2A1B2a2",
-    ],
+    "text", ["a1b1a1B1A1A2a1b1A1B1", "a1b1a1B1A1B2B2B2A2a1b1A1B1"]
 )
 def test_classes_whose_tauten_fails_still_answer(text):
-    # tauten raises "bigon move failed to drop crossings" on these today;
-    # a tauten that stops at a certified count turns them into passes
+    # tauten raises "bigon move failed to drop crossings" on these; a built
+    # seed diagram meets the cobracket floor 1 first, so it is never run
     cls = C(text)
-    assert isinstance(is_simple(S2, cls), bool)
+    assert self_intersection(S2, cls) == 1
+    assert not is_simple(S2, cls)
     f = expand_trace(S2, cls.word)
     for rep in (random_representation(S2, seed) for seed in range(3)):
         assert evaluate_expression(rep, f) == evaluate_trace(rep, cls.word)
+
+
+LONG_CERTIFIED = "a1B1b2a1A2A1b2b1B2A1B2a2"
+
+
+def test_a_class_whose_tauten_fails_gets_a_certified_count():
+    # a built seed diagram meets the cobracket floor 24 before tauten runs
+    cls = C(LONG_CERTIFIED)
+    assert self_intersection(S2, cls) == 24
+    assert not is_simple(S2, cls)
+
+
+@pytest.mark.xfail(raises=ReductionBudgetExceeded, strict=True)
+def test_a_class_whose_tauten_fails_expands():
+    # the state sum over 24 crossings has 2^24 states, past the budget; an
+    # expansion whose cost is set by strands and crossings would answer
+    expand_trace(S2, C(LONG_CERTIFIED).word)
 
 
 def test_pair_counts_over_the_chord_bound_raise(monkeypatch):
@@ -300,14 +320,35 @@ def test_self_counts_match_brute_force_sample():
 
 
 def test_taut_single_matches_every_seed_reference():
-    # the first seed that tautens to an embedded strand is the fewest-crossing
-    # route of the whole seed search
-    for surface, bound in ((S2, 4), (S3, 3)):
-        for cls in enumerate_classes(surface, bound):
-            d = _taut_single(surface.genus, cls.word)
-            got = (d.routes[0], d.crossing_count)
-            assert got == reference_taut_single(surface.genus, cls.word), cls.word
-            assert d.classes == (cls,), cls.word
+    # the cobracket floor sweep of tests/sweeps.py on shorter classes: each
+    # taut diagram is the all-seeds reference's, its floor at most its count
+    for surface, bound, counts in ((S2, 4, (303, 267)), (S3, 3, (188, 176))):
+        classes = enumerate_classes(surface, bound)
+        words = [cls.word for cls in classes]
+        lines, *got = cobracket_misses(surface.genus, words, against_reference=True)
+        assert lines == [] and tuple(got) == counts
+        for cls in classes:
+            assert _taut_single(surface.genus, cls.word).classes == (cls,), cls.word
+
+
+# (genus, class, count, cobracket floor) of six classes known to overcount:
+# a diagram with as few crossings as the floor exists for each, but no seed
+# reaches it, so each keeps the fewest crossings over all seeds
+CERTIFIED_OVERCOUNTS = (
+    (3, "a1A3B1B2", 9, 3),
+    (3, "a1A2b3b2", 9, 3),
+    (3, "a2b3B2A3", 7, 5),
+    (2, "a1B2b1a2b1", 7, 5),
+    (2, "a1A2a1A2A2", 8, 6),
+    (2, "a1b1b2a1A2", 7, 5),
+)
+
+
+@pytest.mark.parametrize("genus,text,count,floor", CERTIFIED_OVERCOUNTS)
+def test_certified_overcounts_keep_their_counts(genus, text, count, floor):
+    d = _taut_single(genus, C(text, make_surface(genus)).word)
+    model = polygon_model(genus)
+    assert (d.crossing_count, curves._cobracket_floor(model, d)) == (count, floor)
 
 
 def test_short_simple_member_decides_without_the_long_member(monkeypatch):

@@ -379,15 +379,15 @@ def test_mapping_class_round_trip():
 def test_parse_mapping_class_errors():
     t = twist_generator(S2, 3)
     text = format_mapping_class(t)
-    with pytest.raises(ValueError, match="needs an image block and an inverse block"):
+    with pytest.raises(BadLetter, match="needs an image block and an inverse block"):
         parse_mapping_class(S2, text.split("\n\n")[0])
-    with pytest.raises(ValueError, match="duplicate image for b1"):
+    with pytest.raises(BadLetter, match="duplicate image for b1"):
         parse_mapping_class(S2, text + "\nb1\tb1")
     for line in ("a1b1\tb1", "B1\tb1a1"):
         message = f"^line {re.escape(repr(line))} does not start with a generator$"
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(BadLetter, match=message):
             parse_mapping_class(S2, text.replace("b1\tb1a1", line))
-    with pytest.raises(ValueError, match="missing image lines for a2, b2"):
+    with pytest.raises(BadLetter, match="missing image lines for a2, b2"):
         parse_mapping_class(S2, text.replace("a2\ta2\nb2\tb2\n\n", "\n"))
     broken = text.replace("b1\tb1a1", "b1\tb1a1a1")
     with pytest.raises(ModelInconsistency):
