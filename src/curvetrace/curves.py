@@ -192,23 +192,22 @@ def tauten_routes(genus: int, classes, routes, budget=None):
 def _taut_single(genus: int, class_word) -> CurveDiagram:
     """Certified taut diagram of one class, kept for every later reader.
 
-    The route seeds are tried shortest first.  Each seed's built diagram is
-    the answer when it is embedded, or when its count meets the cobracket
-    floor (_cobracket_floor, taken once on the first built diagram with
-    crossings): that count is minimal, so no bigon is left to remove.
-    Otherwise the seed is tautened, and a tautened count that meets the
-    floor is the answer.  A count below the floor raises ModelInconsistency.
-    If no seed meets it, the fewest crossings over all seeds (then the
-    shorter, then the smaller route) stand.
+    The route seeds are tried shortest first, each built as _route_seeds
+    gives it: the half-swap closure yields reduced routes.  A seed's built
+    diagram is the answer when its count meets the cobracket floor
+    (_cobracket_floor, taken once on the first built diagram; an embedded
+    diagram's floor is 0): that count is minimal, so no bigon is left to
+    remove.  Otherwise the seed is tautened, and a tautened count that meets
+    the floor is the answer.  A count below the floor raises
+    ModelInconsistency.  If no seed meets it, the fewest crossings over all
+    seeds (then the shorter, then the smaller route) stand.
     """
     model = polygon_model(genus)
     classes = (CurveClass(genus, class_word),)
     budget = Budget()
     floor = best = None
     for seed in _route_seeds(genus, class_word):
-        d = build_diagram(model, classes, (model.reduce_route(seed),), budget)
-        if d.crossing_count == 0:
-            return d
+        d = build_diagram(model, classes, (seed,), budget)
         if floor is None:
             floor = _cobracket_floor(model, d)
         if d.crossing_count > floor:
@@ -292,8 +291,9 @@ def _pair_taut(genus: int, wx, wy) -> CurveDiagram:
     return _pair_diagram(s, CurveClass(genus, wx), CurveClass(genus, wy))
 
 
-def _cross_min_exhaustive(model, routes, budget):
-    """Minimum cross-strand count over every slot assignment of the routes.
+def _cross_min_exhaustive(model, diagram, budget):
+    """Minimum cross-strand count over every slot assignment of the routes
+    of a built diagram.
 
     A slot assignment orders the events of each edge.  Whether two chords of
     different strands cross depends only on the order of their four
@@ -303,6 +303,8 @@ def _cross_min_exhaustive(model, routes, budget):
     cross count is exactly a constant, plus a sum over each edge's columns
     (the parity of a set of its comparisons) times a coefficient, plus
     links: products of one column's parity on one edge and one on another.
+    The diagram names each edge's events (slot_orders) and each chord's two
+    endpoints (chord_points); its own slot order is just one assignment.
 
     Fix the parities of the linked columns, and what is left is a sum of one
     term per edge, each depending on that edge's order alone.  So the
@@ -316,25 +318,20 @@ def _cross_min_exhaustive(model, routes, budget):
     budget, which raises ReductionBudgetExceeded once they outgrow it.
     """
     n_edges = 2 * model.genus
-    edge_events = [[] for _ in range(n_edges)]
-    for i, route in enumerate(routes):
-        for p, side in enumerate(route):
-            edge_events[abs(model.sides[side]) - 1].append((i, p))
-    # A boundary point is (side, edge, index of its event on the edge); on
-    # the edge's plus side it sits at the event's slot rank, on the minus
-    # side at the reversed rank.
-    where = {
-        ev: (k, t) for k, evs in enumerate(edge_events) for t, ev in enumerate(evs)
-    }
     plus = [model.side_of[k] for k in range(1, n_edges + 1)]
-    chords = [[] for _ in routes]  # per strand: (entry, exit) per chord
-    for i, route in enumerate(routes):
-        n = len(route)
-        for p in range(n):
-            q = (p + 1) % n
-            entry = (model.partner[route[p]],) + where[(i, p)]
-            exit_ = (route[q],) + where[(i, q)]
-            chords[i].append((entry, exit_))
+
+    def point(side, rank):
+        # (side, edge, index of its event on the edge): an event's index is
+        # its slot rank on the edge's plus side, reversed on the minus side
+        k = abs(model.sides[side]) - 1
+        if side != plus[k]:
+            rank = len(diagram.slot_orders[k]) - 1 - rank
+        return side, k, rank
+
+    chords = [
+        [(point(*entry), point(*exit_)) for entry, exit_ in strand]
+        for strand in diagram.chord_points
+    ]
     # Chords {a, b} and {c, d} cross iff (a<c)^(a<d)^(b<c)^(b<d).  A term
     # with the two points on different sides is a constant; one on a shared
     # side is a constant ^ (rank lo < rank hi) for two events lo < hi of that
@@ -386,8 +383,8 @@ def _cross_min_exhaustive(model, routes, budget):
             linked[k2] |= 1 << j2
     held = []  # the edges whose parities key the partial counts
     partial = {(): 0}
-    for k, evs in enumerate(edge_events):
-        minima = _edge_minima(len(evs), columns[k], linear[k], linked[k], budget)
+    for k, order in enumerate(diagram.slot_orders):
+        minima = _edge_minima(len(order), columns[k], linear[k], linked[k], budget)
         if not linked[k]:
             const += minima[0]
             continue
@@ -551,22 +548,22 @@ def _pair_cross_refined(genus: int, wx, wy) -> int:
     keying terms by unoriented class only merges them.  The first seed pair
     whose built count meets the floor is the answer, with no search.
     Otherwise the answer is the least exact minimum over every slot
-    assignment of every seed pair, and a search that meets the floor stops
-    there.  All of it spends one Budget.
+    assignment of every built seed pair, and a search that meets the floor
+    stops there.  All of it spends one Budget.
     """
     model = polygon_model(genus)
     budget = Budget()
-    seed_pairs = list(product(_route_seeds(genus, wx), _route_seeds(genus, wy)))
-    floor = None
-    for routes in seed_pairs:
+    built, floor = [], None
+    for routes in product(_route_seeds(genus, wx), _route_seeds(genus, wy)):
         diagram = build_diagram(model, (), routes, budget)
         if floor is None:
             floor = _bracket_floor(model, diagram)
         if diagram.cross_strand_crossings() == floor:
             return floor
+        built.append(diagram)
     counts = []
-    for routes in seed_pairs:
-        counts.append(_cross_min_exhaustive(model, routes, budget))
+    for diagram in built:
+        counts.append(_cross_min_exhaustive(model, diagram, budget))
         if counts[-1] == floor:
             return floor
     return min(counts)

@@ -64,15 +64,6 @@ class CurveDiagram:
     def crossing_count(self) -> int:
         return len(self.crossings)
 
-    def strand_self_crossings(self, i: int) -> int:
-        return sum(1 for (a, b) in self.crossings if a[0] == i and b[0] == i)
-
-    def pair_crossings(self, i: int, j: int) -> int:
-        if i == j:
-            return self.strand_self_crossings(i)
-        want = {i, j}
-        return sum(1 for (a, b) in self.crossings if {a[0], b[0]} == want)
-
     def cross_strand_crossings(self) -> int:
         return sum(1 for (a, b) in self.crossings if a[0] != b[0])
 

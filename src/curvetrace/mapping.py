@@ -249,7 +249,7 @@ def twist_along(s: Surface, cls: CurveClass, turns: int = 1) -> MappingClass:
     try:
         turns = operator.index(turns)
     except TypeError:
-        raise ValueError(f"turns {turns!r} must be an integer") from None
+        raise BadArgument(f"turns {turns!r} must be an integer") from None
     _check_genus(s, cls)
     if not is_simple(s, cls):
         raise NotSimple(f"cannot twist along {format_word(cls.word)}")
@@ -446,7 +446,7 @@ def make_sign_character(s: Surface, bits) -> SignCharacter:
     if isinstance(bits, str):
         bits = bits.strip()
         if not all(ch in "01" for ch in bits):
-            raise ValueError(f"sign character {bits!r} must be 0/1 only")
+            raise BadLetter(f"sign character {bits!r} must be 0/1 only")
         values = tuple(int(ch) for ch in bits)
     else:
         try:
@@ -526,7 +526,7 @@ def _action_on_expression(s: Surface, action):
         return "twist", lambda e: apply_to_expression(s, action, e)
     if isinstance(action, SignCharacter):
         return "sign", lambda e: h1_action(s, action, e)
-    raise TypeError(f"unsupported action {type(action).__name__}")
+    raise BadArgument(f"unsupported action {type(action).__name__}")
 
 
 def verify_algebra_automorphism(

@@ -121,7 +121,7 @@ def parse_lamination(s: Surface, text: str) -> Lamination:
         if not word_text:
             weight_text, _, word_text = line.partition(" ")
         if not word_text.strip():
-            raise ValueError(f"lamination line {line!r} lacks a word")
+            raise BadLetter(f"lamination line {line!r} lacks a word")
         try:
             weight = Fraction(weight_text.strip())
         except (ValueError, ZeroDivisionError):

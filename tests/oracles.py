@@ -71,7 +71,9 @@ reference_cross_min keeps the table sum that the per-edge subset DP in
 curvetrace.curves._cross_min_exhaustive must reproduce: the same constant,
 per-edge columns and edge-pair links, summed by numpy into one array over
 every slot assignment, whose minimum it returns.  Its cap, ASSIGNMENT_CAP by
-default, bounds the number of assignments it takes on.
+default, bounds the number of assignments it takes on.  It derives each
+chord's endpoints from the routes, where the search reads them off a built
+diagram, so agreement also checks that reading.
 """
 import random
 from fractions import Fraction

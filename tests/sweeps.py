@@ -1,17 +1,27 @@
 """The exhaustive sweeps that gate the library in CI, one test each.
 
 Tier-1 does not collect this file, whose name does not match test_*.py. CI
-runs each sweep in a fresh process, so its caches start cold; locally, from
-the repository root: python -m pytest -q -s tests/sweeps.py::test_product_sweep
+runs every sweep it collects, each in a fresh process, so its caches start
+cold; locally, from the repository root:
+python -m pytest -q -s tests/sweeps.py::test_product_sweep
 Each check is a helper that returns a line per mismatch. A sweep prints them
 and its counts and fails once; its tier-1 twin calls the helper on fewer
-inputs: test_algebra.py's test_expansion_matches_reference_on_genus_two_classes,
-test_expansion_matches_reference_on_genus_three_sample and
-test_products_on_the_built_union_match_both_references, test_geometry.py's
-test_pair_search_matches_the_two_pass_reference,
-test_bracket_floor_meets_the_counts and
-test_taut_single_matches_every_seed_reference, and test_splitting.py's
-test_composed_count_matches_the_chain_walk. The genus-3 pair sweep has none.
+inputs:
+- the expansion sweep: test_algebra.py's
+  test_expansion_matches_reference_on_genus_two_classes and
+  test_expansion_matches_reference_on_genus_three_sample;
+- the product sweep: test_algebra.py's
+  test_products_on_the_built_union_match_both_references;
+- the pair search sweep, which also checks the Goldman bracket floor of each
+  self-crossing pair: test_geometry.py's
+  test_pair_search_matches_the_two_pass_reference;
+- the bracket floor sweep, on pairs with a simple member: test_geometry.py's
+  test_bracket_floor_meets_the_counts;
+- the cobracket floor sweep: test_geometry.py's
+  test_taut_single_matches_every_seed_reference;
+- the splitting count sweep: test_splitting.py's
+  test_composed_count_matches_the_chain_walk.
+The genus-3 pair sweep has none.
 """
 import random
 import time
@@ -74,12 +84,16 @@ def product_differences(surface, pairs):
 
 
 def pair_search_misses(genus, pairs):
-    """Each pair's count: the two-pass reference's wherever that answers; of
-    the algebraic intersection's parity, at least it and at most every seed
-    pair's comparator count; how many raise; (wx, wy, outcome) where the
-    reference raises."""
+    """Each pair's count against the two-pass reference, wherever that
+    answers, and against the built diagrams of its seed pairs: every one
+    gives the same Goldman bracket floor, |algebraic| <= floor <= count <=
+    every built count, and the count has the algebraic intersection's
+    parity.  A pair that raises is a miss.  Returns the lines,
+    (wx, wy, outcome) where the reference raises, and how many pairs were
+    answered from a built diagram, by a search that met the floor, and by
+    the minimum."""
     model, surface = polygon_model(genus), make_surface(genus)
-    misses, beyond, raised = [], [], 0
+    lines, beyond, answered = [], [], {"built": 0, "search": 0, "minimum": 0}
     for wx, wy in pairs:
         name = f"genus {genus}: {format_word(wx)} {format_word(wy)}"
         got = oracles.pair_outcome(curves._pair_cross_refined, genus, wx, wy)
@@ -87,34 +101,39 @@ def pair_search_misses(genus, pairs):
         if isinstance(want, tuple):
             beyond.append((wx, wy, got))
         elif got != want:
-            misses.append(f"{name} gives {got}, the reference {want}")
+            lines.append(f"{name} gives {got}, the reference {want}")
         if isinstance(got, tuple):
-            raised += 1
+            lines.append(f"{name} raises {got[0]}: {got[1]}")
             continue
+        seeds = product(*(curves._route_seeds(genus, w) for w in (wx, wy)))
+        built = [build_diagram(model, (), routes) for routes in seeds]
+        floors = {curves._bracket_floor(model, d) for d in built}
+        counts = [d.cross_strand_crossings() for d in built]
         coords = [homology_class(surface, w).coords for w in (wx, wy)]
-        floor = abs(intersection_form(*coords))
-        upper = min(
-            build_diagram(model, (), routes).cross_strand_crossings()
-            for routes in product(*(curves._route_seeds(genus, w) for w in (wx, wy)))
-        )
-        if not floor <= got <= upper or (got - floor) % 2:
-            misses.append(
-                f"{name} gives {got}, outside [{floor}, {upper}] or of the wrong parity"
+        algebraic = abs(intersection_form(*coords))
+        if len(floors) != 1:
+            lines.append(f"{name} has bracket floors {sorted(floors)}")
+            continue
+        (floor,) = floors
+        if not algebraic <= floor <= got <= min(counts) or (got - algebraic) % 2:
+            lines.append(
+                f"{name} gives {got}, outside [{floor}, {min(counts)}], of the"
+                f" wrong parity or its floor below the algebraic {algebraic}"
             )
-    return misses, raised, beyond
+        elif got in counts and got == floor:
+            answered["built"] += 1
+        else:
+            answered["search" if got == floor else "minimum"] += 1
+    return lines, beyond, answered
 
 
-def bracket_misses(genus, simple_pairs, pairs):
-    """The Goldman bracket floor of built diagrams against the counts.  With
-    a simple member (simple_pairs) the floor on the built diagram of the two
-    taut routes is the intersection number.  For two self-crossing classes
-    (pairs) it is the same on every seed pair's built diagram, at least the
-    algebraic intersection, and at most the count, which is at most every
-    built count.  Returns the lines and how many pairs were answered from a
-    built diagram, by a search that met the floor, and by the minimum."""
+def bracket_misses(genus, pairs):
+    """The Goldman bracket floor on the built diagram of the two taut routes
+    of each pair with a simple member, against its intersection number: a
+    line wherever they differ."""
     model, surface = polygon_model(genus), make_surface(genus)
-    lines, answered = [], {"built": 0, "search": 0, "minimum": 0}
-    for wx, wy in simple_pairs:
+    lines = []
+    for wx, wy in pairs:
         routes = tuple(curves._taut_single(genus, w).routes[0] for w in (wx, wy))
         floor = curves._bracket_floor(model, build_diagram(model, (), routes))
         count = curves.intersection_number(
@@ -123,27 +142,7 @@ def bracket_misses(genus, simple_pairs, pairs):
         if floor != count:
             name = f"genus {genus}: {format_word(wx)} {format_word(wy)}"
             lines.append(f"{name} has bracket floor {floor}, count {count}")
-    for wx, wy in pairs:
-        name = f"genus {genus}: {format_word(wx)} {format_word(wy)}"
-        seeds = product(*(curves._route_seeds(genus, w) for w in (wx, wy)))
-        built = [build_diagram(model, (), routes) for routes in seeds]
-        floors = {curves._bracket_floor(model, d) for d in built}
-        counts = [d.cross_strand_crossings() for d in built]
-        coords = [homology_class(surface, w).coords for w in (wx, wy)]
-        algebraic = abs(intersection_form(*coords))
-        got = curves._pair_cross_refined(genus, wx, wy)
-        if len(floors) != 1:
-            lines.append(f"{name} has bracket floors {sorted(floors)}")
-        elif not algebraic <= min(floors) <= got <= min(counts):
-            lines.append(
-                f"{name} gives {got}, outside [{min(floors)}, {min(counts)}]"
-                f" or its floor below the algebraic {algebraic}"
-            )
-        elif got in counts and got == min(floors):
-            answered["built"] += 1
-        else:
-            answered["search" if got == min(floors) else "minimum"] += 1
-    return lines, answered
+    return lines
 
 
 def cobracket_misses(genus, words, against_reference):
@@ -262,7 +261,7 @@ def test_pair_search_sweep():
     for genus in (2, 3):
         model = polygon_model(genus)
         pairs = sweep_pairs(genus)
-        found, raised, beyond = pair_search_misses(genus, pairs)
+        found, beyond, answered = pair_search_misses(genus, pairs)
         exact = 0
         for wx, wy, got in beyond:
             if isinstance(got, tuple):
@@ -277,7 +276,9 @@ def test_pair_search_sweep():
         misses += found
         counts.append(
             f"genus {genus}: {len(pairs)} pairs, {len(pairs) - len(beyond)} answered"
-            f" by the reference, {exact} more by the table sum, {raised} raise"
+            f" by the reference, {exact} more by the table sum; {answered['built']}"
+            f" answered from a built diagram, {answered['search']} by a search that"
+            f" met the floor, {answered['minimum']} by the minimum"
         )
     _fail_on(misses, *counts, f"{len(misses)} misses")
 
@@ -302,15 +303,9 @@ def test_bracket_floor_sweep():
         s = make_surface(genus)
         deltas = [d.word for d in curves.enumerate_simple_classes(s, delta_len)]
         alphas = [a.word for a in curves.enumerate_classes(s, alpha_len)]
-        pairs = sweep_pairs(genus)
-        found, answered = bracket_misses(genus, product(deltas, alphas), pairs)
-        lines += found
-        counts.append(
-            f"genus {genus}: {len(deltas) * len(alphas)} pairs with a simple member;"
-            f" {len(pairs)} self-crossing pairs, {answered['built']} answered from"
-            f" a built diagram, {answered['search']} by a search that met the"
-            f" floor, {answered['minimum']} by the minimum"
-        )
+        lines += bracket_misses(genus, product(deltas, alphas))
+        n = len(deltas) * len(alphas)
+        counts.append(f"genus {genus}: {n} pairs with a simple member")
     _fail_on(lines, *counts, f"{len(lines)} misses")
 
 

@@ -19,7 +19,7 @@ from sweeps import bracket_misses, cobracket_misses, pair_search_misses
 from curvetrace import curves
 from curvetrace.algebra import enumerate_multicurves, evaluate_expression, expand_trace
 from curvetrace.complement import certify_taut
-from curvetrace.diagrams import Budget, _ray_verdict, build_with_slots
+from curvetrace.diagrams import Budget, _ray_verdict, build_diagram, build_with_slots
 from curvetrace.errors import (
     BadArgument,
     CurvetraceError,
@@ -163,6 +163,24 @@ def test_a_class_whose_tauten_fails_expands():
     # the state sum over 24 crossings has 2^24 states, past the budget; an
     # expansion whose cost is set by strands and crossings would answer
     expand_trace(S2, C(LONG_CERTIFIED).word)
+
+
+# (class, 0-based route seed, cobracket floor): tauten raises "bigon move
+# failed to drop crossings" on that seed; _taut_single never tautens it, as an
+# earlier seed meets the floor as built
+TAUTEN_FAILURES = (
+    ("a1b1a1B1A1A2a1b1A1B1", 2, 1),
+    ("a1b1a1B1A1B2B2B2A2a1b1A1B1", 2, 1),
+    (LONG_CERTIFIED, 17, 24),
+)
+
+
+@pytest.mark.xfail(raises=ModelInconsistency, strict=True)
+@pytest.mark.parametrize("text,seed,floor", TAUTEN_FAILURES)
+def test_tauten_of_a_skipped_seed_meets_the_floor(text, seed, floor):
+    cls = C(text)
+    route = _route_seeds(2, cls.word)[seed]
+    assert tauten_routes(2, (cls,), (route,)).crossing_count >= floor
 
 
 def test_pair_counts_over_the_chord_bound_raise(monkeypatch):
@@ -417,9 +435,8 @@ def test_tauten_removes_artificial_pushoff_crossings():
 
 def test_pair_diagram_strand_accounting():
     d = tauten_routes(2, (C("a1a1"), C("b1")), ((1, 1), (2,)))
-    assert d.strand_self_crossings(0) == 1
-    assert d.strand_self_crossings(1) == 0
-    assert d.pair_crossings(0, 1) == 2
+    strands = sorted((a[0], b[0]) for a, b in d.crossings)
+    assert strands == [(0, 0), (0, 1), (0, 1)]
     assert d.cross_strand_crossings() == 2
     assert d.crossing_count == 3
 
@@ -510,11 +527,13 @@ def test_cross_min_exhaustive_matches_oracle(genus):
             continue
         edges = {abs(model.sides[side]) for route in routes for side in route}
         empty += len(edges) < 2 * genus
-        assert _cross_min_exhaustive(model, routes, Budget()) == want[1], routes
+        diagram = build_diagram(model, (), routes)
+        assert _cross_min_exhaustive(model, diagram, Budget()) == want[1], routes
         checked += 1
     assert empty > 0
     for routes in (((0,), (0,)), ((0,), (1,))):  # most edges empty
-        assert _cross_min_exhaustive(model, routes, Budget()) == _min_for_routes(
+        diagram = _in_route_order(model, routes)
+        assert _cross_min_exhaustive(model, diagram, Budget()) == _min_for_routes(
             model, routes, 2
         )[1]
 
@@ -533,6 +552,16 @@ def _events_per_edge(model, routes):
         for side in route:
             events[abs(model.sides[side]) - 1] += 1
     return events
+
+
+def _in_route_order(model, routes):
+    """The diagram of synthetic routes with each edge's events in route
+    order; the comparator need not accept such routes."""
+    orders = [[] for _ in range(2 * model.genus)]
+    for i, route in enumerate(routes):
+        for p, side in enumerate(route):
+            orders[abs(model.sides[side]) - 1].append((i, p))
+    return build_with_slots(model, (), routes, map(tuple, orders))
 
 
 @pytest.mark.parametrize("genus", [2, 3])
@@ -563,7 +592,8 @@ def test_cross_min_exhaustive_matches_reference(genus):
         events = _events_per_edge(model, routes)
         if prod(map(factorial, events)) > ASSIGNMENT_CAP:
             continue
-        assert _cross_min_exhaustive(model, routes, Budget()) == reference_cross_min(
+        diagram = build_diagram(model, (), routes)
+        assert _cross_min_exhaustive(model, diagram, Budget()) == reference_cross_min(
             model, routes
         ), routes
         empty += 0 in events
@@ -576,11 +606,14 @@ def test_cross_min_exhaustive_spends_its_budget():
     # cap; the subset DP visits 2^9 sets and answers within the default budget
     model = polygon_model(2)
     routes = ((0,) * 5, (2,) * 4)
+    with pytest.raises(ModelInconsistency, match="opposite directions"):
+        build_diagram(model, (), routes)
+    diagram = _in_route_order(model, routes)
     want = reference_cross_min(model, routes, 10**6)
     assert want is not None
-    assert _cross_min_exhaustive(model, routes, Budget()) == want
+    assert _cross_min_exhaustive(model, diagram, Budget()) == want
     with pytest.raises(ReductionBudgetExceeded):
-        _cross_min_exhaustive(model, routes, Budget(limit=1000))
+        _cross_min_exhaustive(model, diagram, Budget(limit=1000))
 
 
 def test_intersection_number_of_two_nonsimple_classes_matches_oracle():
@@ -588,36 +621,30 @@ def test_intersection_number_of_two_nonsimple_classes_matches_oracle():
     assert intersection_number(S2, x, y) == min_crossings(2, (x.word, y.word))[1] == 3
 
 
-# the most pairs of each sweep below that may exhaust the default budget
-MOST_RAISED = {2: 0, 3: 0}
-
-
 @pytest.mark.parametrize("genus, max_len, count", [(2, 4, 150), (3, 3, 100)])
 def test_pair_search_matches_the_two_pass_reference(genus, max_len, count):
     # the first of the seeded pairs that tests/sweeps.py checks
-    misses, raised, beyond = pair_search_misses(
+    misses, beyond, answered = pair_search_misses(
         genus, nonsimple_pairs(genus, max_len, count)
     )
     assert misses == []
-    assert raised <= MOST_RAISED[genus] < len(beyond)
+    assert beyond and answered["built"] and answered["search"]
 
 
-@pytest.mark.parametrize(
-    "genus, delta_len, alpha_len, max_len, count",
-    [(2, 2, 3, 4, 150), (3, 1, 2, 3, 100)],
-)
-def test_bracket_floor_meets_the_counts(genus, delta_len, alpha_len, max_len, count):
-    # the sweep of tests/sweeps.py on shorter classes and fewer pairs
+@pytest.mark.parametrize("genus, delta_len, alpha_len", [(2, 2, 3), (3, 1, 2)])
+def test_bracket_floor_meets_the_counts(genus, delta_len, alpha_len):
+    # the sweep of tests/sweeps.py on shorter classes
     s = make_surface(genus)
     deltas = [d.word for d in enumerate_simple_classes(s, delta_len)]
     alphas = [a.word for a in enumerate_classes(s, alpha_len)]
-    pairs = nonsimple_pairs(genus, max_len, count)
-    lines, answered = bracket_misses(genus, product(deltas, alphas), pairs)
-    assert lines == []
-    assert answered["built"] and answered["search"]
+    assert bracket_misses(genus, product(deltas, alphas)) == []
 
 
-@pytest.mark.parametrize("texts", [("A1B2", "A1a2"), ("b1B2A1", "a1a1b2")])
+# the first two are answered from a built diagram; a2A1 x B2a2A1A1 reaches
+# the search
+@pytest.mark.parametrize(
+    "texts", [("A1B2", "A1a2"), ("b1B2A1", "a1a1b2"), ("a2A1", "B2a2A1A1")]
+)
 def test_pair_search_never_tautens(monkeypatch, texts):
     wx, wy = sorted(C(text).word for text in texts)
     tautened = []

@@ -109,7 +109,7 @@ def test_twist_rejects_bad_input():
 
 def test_twist_rejects_non_integer_turns():
     for bad in (1.5, "2", None, 2.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadArgument, match="must be an integer"):
             twist_along(S2, C("a1"), turns=bad)
 
 
@@ -352,6 +352,8 @@ def test_verify_algebra_automorphism_reports():
     report = verify_algebra_automorphism(S2, a, samples=8, seed=5)
     assert report.ok
     assert "sign multiplicativity" in str(report)
+    with pytest.raises(BadArgument, match="^unsupported action str$"):
+        verify_algebra_automorphism(S2, "1010")
 
 
 # -- serialization ---------------------------------------------------------------
@@ -406,7 +408,7 @@ def test_sign_character_parse_format():
     with pytest.raises(GenusMismatch, match="needs 4 bits, got 3"):
         parse_sign_character(S2, "011")
     for bad in ("01102", "01x0"):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadLetter, match="must be 0/1 only"):
             parse_sign_character(S2, bad)
 
 

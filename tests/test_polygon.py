@@ -55,7 +55,10 @@ def test_route_seeds_match_spelling_by_spelling_reference():
     sample += [(2, c.word) for c in _relator_rich_classes(2, 6, 8, 60, seed=1909)]
     sample += [(3, c.word) for c in _relator_rich_classes(3, 7, 9, 40, seed=1912)]
     for genus, word in sample:
-        assert _route_seeds(genus, word) == reference_route_seeds(genus, word), word
+        seeds = _route_seeds(genus, word)
+        assert seeds == reference_route_seeds(genus, word), word
+        # curves._taut_single builds each seed without reducing it again
+        assert all(polygon_model(genus).reduce_route(r) == r for r in seeds), word
 
 
 def test_route_seeds_keep_longer_routes_that_tauten_lower():

@@ -83,7 +83,7 @@ def test_lamination_parse_format_round_trip():
 def test_lamination_inline_separators_and_weight_merge():
     lam = parse_lamination(S2, "1/4 a1, 1/4 a1; 1/2 b2")
     assert lam == L({C("a1"): Fraction(1, 2), C("b2"): Fraction(1, 2)})
-    with pytest.raises(ValueError):
+    with pytest.raises(BadLetter, match="lacks a word"):
         parse_lamination(S2, "1/2")
 
 
