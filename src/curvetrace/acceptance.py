@@ -29,7 +29,7 @@ from .curves import (
     enumerate_simple_classes,
     intersection_number,
 )
-from .errors import TrivialClass
+from .errors import BadValue, TrivialClass
 from .mapping import (
     apply_to_class,
     central_twist,
@@ -423,7 +423,7 @@ SUITES = {
 def run_suite(name: str) -> CriterionResult:
     if name not in SUITES:
         known = ", ".join(SUITES)
-        raise ValueError(f"unknown suite {name!r}; expected one of: {known}")
+        raise BadValue(f"unknown suite {name!r}; expected one of: {known}")
     budget, runner = SUITES[name]
     start = time.perf_counter()
     passed, detail = runner()

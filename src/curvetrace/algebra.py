@@ -34,6 +34,7 @@ from .diagrams import Budget, build_diagram
 from .errors import (
     BadArgument,
     BadLetter,
+    BadValue,
     GenusMismatch,
     ModelInconsistency,
     TrivialClass,
@@ -101,7 +102,7 @@ def make_multicurve(s: Surface, weights) -> Multicurve:
         if not isinstance(mult, int):
             raise BadArgument(f"a multiplicity is an int, not {mult!r}")
         if mult <= 0:
-            raise ValueError(f"multiplicity {mult!r} must be a positive integer")
+            raise BadValue(f"multiplicity {mult!r} must be a positive integer")
         counts[cls] = counts.get(cls, 0) + int(mult)
     check_disjoint_simple(s, counts)
     return _multicurve(s.genus, counts)
@@ -220,7 +221,7 @@ def enumerate_multicurves(s: Surface, bound: int):
     (total length, component key) so reports stay deterministic.
     """
     if bound < 0:
-        raise ValueError("bound must be nonnegative")
+        raise BadValue("bound must be nonnegative")
     classes = enumerate_simple_classes(s, bound) if bound >= 1 else []
     out = []
 
@@ -435,7 +436,7 @@ def basis_rank_check(s: Surface, curves, trials: int, seed: int) -> RankReport:
     curves = list(curves)
     _check_genus(s, *curves)
     if trials < len(curves):
-        raise ValueError(f"need trials >= {len(curves)}, got {trials}")
+        raise BadValue(f"need trials >= {len(curves)}, got {trials}")
     rows = []
     for j in range(trials):
         rep = random_representation(s, seed + j)

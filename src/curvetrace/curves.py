@@ -37,10 +37,12 @@ with double points can need immersed monogons or bigons to witness its excess
   signed terms, so after cancellation it keeps at most i(x, y) of them
   (Chas, "Minimal intersection of curves on surfaces", Geom. Dedicata 144,
   2010).  Terms keyed by unoriented class can only merge further, so their
-  count stays a lower bound.  A built seed-pair diagram whose count meets
-  it is the answer; otherwise the exact minimum over every slot assignment
-  of every seed pair is, stopping at a count that meets it.  The builds and
-  searches of one pair spend one Budget, so a pair that outgrows it raises.
+  count stays a lower bound.  The built diagram of the two classes' taut
+  routes is tried first, then every seed pair's: one whose count meets the
+  floor is the answer.  Otherwise the exact minimum over every slot
+  assignment of every seed pair is, stopping at a count that meets it.  The
+  builds and searches of one pair spend one Budget, so a pair that
+  outgrows it raises.
 
 That minimum needs no enumeration.  The cross count of a slot assignment is
 a constant, plus one term per edge read off that edge's slot order, plus
@@ -49,6 +51,22 @@ in which its events take their slots, gives the edge's least term for each
 value of the parities other edges read; the edges are then folded in one at
 a time over those values.  Both steps are exact, spend the states they
 visit, and need nothing beyond the standard library.
+
+Both floors key terms by canonical class, a Dehn reduction and a spelling
+chase per term, so they first compare traces at one SL2(F_P)
+representation per genus (PolygonModel.trace_representation).  A trace in
+SL2 is invariant under conjugation and inversion, so equal unoriented
+classes have equal traces, and a trivial loop has trace 2.  Terms whose
+traces differ are different classes, and a bucket of equal traces whose
+terms carry one sign cannot cancel, so it is counted with no class reduced.
+Equal traces do not prove equal classes (Horowitz, "Characters of free
+groups represented in the two-dimensional special linear group", Comm. Pure
+Appl. Math. 25, 1972): a trace of a word in two generators is a polynomial
+in the traces of a, b and ab, so the word and its reverse share it at every
+representation, as a1a1a1B2a1b2A1b2 and a1a1a1b2A1b2a1B2 do.  So a bucket
+of both signs, and a cobracket crossing whose loops share a trace or have
+trace 2, keeps the keyed path, and each floor is the number the keys alone
+give.
 """
 from __future__ import annotations
 
@@ -59,6 +77,7 @@ from .complement import ComplementReport, certify_taut, complement_census
 from .diagrams import Budget, CurveDiagram, build_diagram, build_with_slots
 from .errors import (
     BadArgument,
+    BadValue,
     GenusMismatch,
     ModelInconsistency,
     NotSimple,
@@ -66,6 +85,7 @@ from .errors import (
     TrivialClass,
 )
 from .polygon import polygon_model
+from .representations import evaluate_trace
 from .words import (
     CurveClass,
     Surface,
@@ -491,26 +511,59 @@ def _crossing_loops(model, diagram, crossing) -> tuple:
     return u, v, 1 if (a < c) + (c < b) + (b < a) == 2 else -1
 
 
+def _split_by_trace(terms) -> tuple:
+    """(how many terms sit in one-sign buckets, the terms of the others).
+
+    terms are (trace key, sign, term).  Equal classes have equal trace keys,
+    so the terms of one class share a bucket, and a bucket whose terms all
+    carry one sign keeps every one of them after merging by class.
+    """
+    buckets = {}
+    for key, sign, term in terms:
+        buckets.setdefault(key, []).append((sign, term))
+    separated, mixed = 0, []
+    for bucket in buckets.values():
+        if len({sign for sign, _ in bucket}) == 1:
+            separated += len(bucket)
+        else:
+            mixed += [term for _, term in bucket]
+    return separated, mixed
+
+
 def _bracket_floor(model, diagram) -> int:
     """Number of terms of the Goldman bracket of the diagram's two strands,
     keyed by unoriented class: at most their intersection number.
 
     A cross-strand crossing adds the term e <u v> (_crossing_loops).  The
     count is the sum of the absolute coefficients; merging the terms of two
-    orientations of a class cannot raise it.
+    orientations of a class cannot raise it.  A trace in SL2 is invariant
+    under conjugation and inversion, so the terms are first bucketed by the
+    trace of u v at the model's trace_representation: terms in different
+    buckets are different classes, and a bucket of one sign adds its size
+    with no class reduced.  Equal traces do not prove equal classes
+    (Horowitz, Comm. Pure Appl. Math. 25, 1972), so a bucket holding both
+    signs keys its terms by canonical class, a trivial one by None.
     """
+    terms = [
+        _crossing_loops(model, diagram, crossing)
+        for crossing in diagram.crossings
+        if crossing[0][0] != crossing[1][0]
+    ]
+    if not terms:
+        return 0
+    rep = model.trace_representation
+    floor, mixed = _split_by_trace(
+        (evaluate_trace(rep, u + v), sign, (u, v, sign)) for u, v, sign in terms
+    )
     s = make_surface(model.genus)
     coefficients = {}
-    for crossing in diagram.crossings:
-        if crossing[0][0] == crossing[1][0]:
-            continue
-        u, v, sign = _crossing_loops(model, diagram, crossing)
+    for u, v, sign in mixed:
         try:
             key = canonical_class(s, free_reduce(u + v)).word
         except TrivialClass:
             key = None
         coefficients[key] = coefficients.get(key, 0) + sign
-    return sum(map(abs, coefficients.values()))
+    return floor + sum(map(abs, coefficients.values()))
 
 
 def _cobracket_floor(model, diagram) -> int:
@@ -524,42 +577,73 @@ def _cobracket_floor(model, diagram) -> int:
     terms, so half the sum of the absolute coefficients is at most the self
     count of every diagram of the class; merging orientations cannot raise
     it.
+
+    Traces at the model's trace_representation separate most crossings
+    first.  A trivial loop has trace 2, so two loops whose traces differ and
+    are not 2 are nontrivial classes that differ.  Oriented as (lower trace)
+    (x) (higher trace), such crossings are bucketed by their trace pair, and
+    a bucket of one oriented sign adds 2 terms per crossing with no class
+    reduced.  The rest, buckets of both signs and crossings with equal
+    traces or a trace of 2, key their loops by canonical class: equal
+    traces do not prove equal classes (Horowitz, Comm. Pure Appl. Math. 25,
+    1972).  Their keys meet no separated bucket's, so the two parts add.
     """
-    s = make_surface(model.genus)
-    coefficients = {}
+    if not diagram.crossings:
+        return 0
+    rep = model.trace_representation
+    keyed, separable = [], []
     for crossing in diagram.crossings:
         u, v, sign = _crossing_loops(model, diagram, crossing)
+        tu, tv = evaluate_trace(rep, u), evaluate_trace(rep, v)
+        if tu == tv or 2 in (tu, tv):
+            keyed.append((u, v, sign))
+        else:
+            oriented = sign if tu < tv else -sign
+            separable.append(((min(tu, tv), max(tu, tv)), oriented, (u, v, sign)))
+    separated, mixed = _split_by_trace(separable)
+    s = make_surface(model.genus)
+    coefficients = {}
+    for u, v, sign in keyed + mixed:
         try:
             u, v = canonical_class(s, u).word, canonical_class(s, v).word
         except TrivialClass:
             continue
         coefficients[u, v] = coefficients.get((u, v), 0) + sign
         coefficients[v, u] = coefficients.get((v, u), 0) - sign
-    return sum(map(abs, coefficients.values())) // 2
+    return separated + sum(map(abs, coefficients.values())) // 2
 
 
 def _pair_cross_refined(genus: int, wx, wy) -> int:
     """Certified minimum for two self-crossing classes.
 
-    The floor is the Goldman bracket's term count on the first seed pair's
-    built diagram (_bracket_floor; Goldman, Invent. Math. 85, 1986).  The
-    bracket is a class invariant that a diagram writes as one signed term
-    per crossing, so after cancellation it has at most i(x, y) terms, and
-    keying terms by unoriented class only merges them.  The first seed pair
-    whose built count meets the floor is the answer, with no search.
-    Otherwise the answer is the least exact minimum over every slot
-    assignment of every built seed pair, and a search that meets the floor
-    stops there.  All of it spends one Budget.
+    The floor is the Goldman bracket's term count (_bracket_floor; Goldman,
+    Invent. Math. 85, 1986).  The bracket is a class invariant that a
+    diagram writes as one signed term per crossing, so after cancellation it
+    has at most i(x, y) terms, and keying terms by unoriented class only
+    merges them; the trace buckets that spare most of that keying count the
+    same terms.  So the floor is the same on every diagram of the pair, and
+    it is taken once, on the built diagram of the two classes' own taut
+    routes (_taut_single), which is the answer when its count meets it.
+    Otherwise the first seed pair whose built count meets the floor is the
+    answer, with no search, and failing that the least exact minimum over
+    every slot assignment of every built seed pair, a search that meets the
+    floor stopping there.  All of it spends one Budget.
     """
     model = polygon_model(genus)
     budget = Budget()
-    built, floor = [], None
+    taut = tuple(_taut_single(genus, w).routes[0] for w in (wx, wy))
+    first = build_diagram(model, (), taut, budget)
+    floor = _bracket_floor(model, first)
+    if first.cross_strand_crossings() == floor:
+        return floor
+    built = []
     for routes in product(_route_seeds(genus, wx), _route_seeds(genus, wy)):
-        diagram = build_diagram(model, (), routes, budget)
-        if floor is None:
-            floor = _bracket_floor(model, diagram)
-        if diagram.cross_strand_crossings() == floor:
-            return floor
+        if routes == taut:
+            diagram = first
+        else:
+            diagram = build_diagram(model, (), routes, budget)
+            if diagram.cross_strand_crossings() == floor:
+                return floor
         built.append(diagram)
     counts = []
     for diagram in built:
@@ -667,5 +751,5 @@ def enumerate_classes(s: Surface, max_length: int):
 def enumerate_simple_classes(s: Surface, max_length: int):
     """All simple classes with canonical length <= max_length, sorted."""
     if max_length < 1:
-        raise ValueError("max_length must be at least 1")
+        raise BadValue("max_length must be at least 1")
     return [c for c in enumerate_classes(s, max_length) if is_simple(s, c)]

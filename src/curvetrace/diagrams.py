@@ -223,20 +223,24 @@ def _assemble(model, classes, routes, slot_orders, budget) -> CurveDiagram:
     index = {pt: n for n, pt in enumerate(circle)}
     if len(index) != len(circle):
         raise ModelInconsistency("duplicate boundary point in diagram")
-    spans = {
-        (i, p): tuple(sorted((index[a], index[b])))
-        for i, strand in enumerate(chord_points)
-        for p, (a, b) in enumerate(strand)
-    }
+    # One sweep round the circle: a chord closing crosses exactly the chords
+    # opened after it and still open.  The budget is charged one operation
+    # per chord pair, as a pairwise test would spend.
+    n_chords = len(circle) // 2
+    budget.spend(n_chords * (n_chords - 1) // 2)
+    chord_at = [None] * len(circle)
+    for i, strand in enumerate(chord_points):
+        for p, (a, b) in enumerate(strand):
+            chord_at[index[a]] = chord_at[index[b]] = (i, p)
     crossings = set()
-    ids = sorted(spans)
-    for n1, c1 in enumerate(ids):
-        a1, b1 = spans[c1]
-        for c2 in ids[n1 + 1:]:
-            a2, b2 = spans[c2]
-            budget.spend()
-            if (a1 < a2 < b1) != (a1 < b2 < b1):
-                crossings.add((c1, c2))
+    opened = []
+    for c in chord_at:
+        if c not in opened:
+            opened.append(c)
+            continue
+        at = opened.index(c)
+        crossings.update((min(c, d), max(c, d)) for d in opened[at + 1:])
+        del opened[at]
     return CurveDiagram(
         genus=genus,
         classes=tuple(classes),

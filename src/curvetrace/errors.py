@@ -19,6 +19,12 @@ class BadArgument(CurvetraceError, TypeError):
     tuple where a class is expected."""
 
 
+class BadValue(CurvetraceError, ValueError):
+    """Raised when a public call gets an argument of the right kind but a value
+    it does not take, such as a bound below 1 or a weight that is not
+    positive."""
+
+
 class GenusMismatch(CurvetraceError):
     """Raised when a class of one genus is used on a surface of another."""
 

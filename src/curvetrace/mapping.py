@@ -45,6 +45,7 @@ from .errors import (
     BadArgument,
     BadIndex,
     BadLetter,
+    BadValue,
     GenusMismatch,
     ModelInconsistency,
     NotSimple,
@@ -457,7 +458,7 @@ def make_sign_character(s: Surface, bits) -> SignCharacter:
             raise BadArgument(f"sign character bits are ints, not {bits!r}")
         values = tuple(int(b) for b in bits)
         if not all(b in (0, 1) for b in values):
-            raise ValueError("sign character bits must be 0 or 1")
+            raise BadValue("sign character bits must be 0 or 1")
     if len(values) != s.rank:
         raise GenusMismatch(
             f"sign character needs {s.rank} bits, got {len(values)}"

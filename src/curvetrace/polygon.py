@@ -32,10 +32,11 @@ others through the half-swap closure.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 from .errors import ModelInconsistency
+from .representations import Representation, random_representation
 from .words import (
     GroupWord,
     _cyclic_dehn_reduce,
@@ -89,6 +90,12 @@ class PolygonModel:
             self.end_pos[letter] = orbitpos[(s + 1) % self.n_sides]
         self.sigma = self._solve_sigma(surface)
         self._verify(surface)
+
+    @cached_property
+    def trace_representation(self) -> Representation:
+        """The one SL2(F_P) representation at which curves' floors compare
+        loop traces, drawn on first use and kept with the model."""
+        return random_representation(make_surface(self.genus), 0)
 
     # -- reading table ------------------------------------------------------
 

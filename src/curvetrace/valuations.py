@@ -37,7 +37,7 @@ from .curves import (
     intersection_number,
     is_simple,
 )
-from .errors import BadArgument, BadLetter, NotSimple
+from .errors import BadArgument, BadLetter, BadValue, NotSimple
 from .words import (
     CurveClass,
     Surface,
@@ -89,7 +89,7 @@ def make_lamination(s: Surface, weights) -> Lamination:
     for cls, w in dict(weights).items():
         w = _rational(w, "weight")
         if w <= 0:
-            raise ValueError(f"weight {w} of {format_word(cls.word)} not positive")
+            raise BadValue(f"weight {w} of {format_word(cls.word)} not positive")
         acc[cls] = acc.get(cls, Fraction(0)) + w
     classes = check_disjoint_simple(s, acc)
     items = tuple((c, acc[c]) for c in classes)
@@ -99,7 +99,7 @@ def make_lamination(s: Surface, weights) -> Lamination:
 def scale_lamination(lam: Lamination, factor) -> Lamination:
     factor = _rational(factor, "scale factor")
     if factor <= 0:
-        raise ValueError(f"scale factor {factor} not positive")
+        raise BadValue(f"scale factor {factor} not positive")
     return Lamination(
         genus=lam.genus, weights=tuple((c, w * factor) for c, w in lam.weights)
     )
@@ -361,7 +361,7 @@ class PositivityReport:
 def check_positive_up_to(s: Surface, lam: Lamination, bound: int) -> PositivityReport:
     """Positive pairing with every simple class of length <= bound."""
     if bound < 1:
-        raise ValueError("bound must be at least 1")
+        raise BadValue("bound must be at least 1")
     pairing = _Pairing(s, lam)
     for c in enumerate_simple_classes(s, bound):
         if pairing.of_class(c) == 0:
@@ -390,7 +390,7 @@ class StrictnessReport:
 def check_strict_up_to(s: Surface, lam: Lamination, bound: int) -> StrictnessReport:
     """Pairwise-distinct values on all multicurves of total length <= bound."""
     if bound < 1:
-        raise ValueError("bound must be at least 1")
+        raise BadValue("bound must be at least 1")
     pairing = _Pairing(s, lam)
     seen: dict = {}
     for mc in enumerate_multicurves(s, bound):

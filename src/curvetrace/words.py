@@ -47,6 +47,7 @@ from typing import Iterable, Iterator
 from .errors import (
     BadArgument,
     BadLetter,
+    BadValue,
     GenusTooSmall,
     ModelInconsistency,
     ReductionBudgetExceeded,
@@ -578,7 +579,7 @@ class HomologyVector:
 
 def homology_class(surface: Surface, word: Iterable, ring: str = "Z") -> HomologyVector:
     if ring not in ("Z", "Z2"):
-        raise ValueError(f"ring must be 'Z' or 'Z2', got {ring!r}")
+        raise BadValue(f"ring must be 'Z' or 'Z2', got {ring!r}")
     coords = [0] * surface.rank
     for l in word:
         if not isinstance(l, int) or l == 0 or abs(l) > surface.rank:

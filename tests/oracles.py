@@ -27,6 +27,12 @@ route seed of a class (curves._taut_single stops at the first seed whose count
 meets the cobracket floor), and the fewest total crossings over every seed
 pair of two classes, stopping at self + self + |algebraic|.
 
+reference_bracket_floor and reference_cobracket_floor keep the Goldman
+bracket and Turaev cobracket floors that curvetrace.curves._bracket_floor
+and _cobracket_floor must reproduce: every term keyed by the canonical class
+of its loops, where those first bucket the terms by their traces at one
+representation and key only the buckets that a trace cannot settle.
+
 reference_pair_cross_refined keeps the two passes over the seed pairs of two
 self-crossing classes that curvetrace.curves._pair_cross_refined replaced by
 one: tauten every seed pair and stop at a cross count equal to the algebraic
@@ -92,6 +98,7 @@ from curvetrace.algebra import (
 )
 from curvetrace.complement import _MAX_JITTER_RETRIES
 from curvetrace.curves import (
+    _crossing_loops,
     _pair_taut,
     _route_seeds,
     _taut_single,
@@ -101,7 +108,11 @@ from curvetrace.curves import (
     tauten_routes,
 )
 from curvetrace.diagrams import Budget
-from curvetrace.errors import ModelInconsistency, ReductionBudgetExceeded
+from curvetrace.errors import (
+    ModelInconsistency,
+    ReductionBudgetExceeded,
+    TrivialClass,
+)
 from curvetrace.polygon import polygon_model
 from curvetrace.splitting import _commutators, _power, _repeat, twist_search
 from curvetrace.valuations import ValuationValue
@@ -164,6 +175,42 @@ def reference_pair_diagram(s, x, y):
             if best[0][0] == floor:
                 return best[1]
     return best[1]
+
+
+def reference_bracket_floor(model, diagram):
+    """Sum of the absolute coefficients of the Goldman bracket of the
+    diagram's two strands, each cross-strand term keyed by the canonical
+    class of u v (None when trivial)."""
+    s = make_surface(model.genus)
+    coefficients = {}
+    for crossing in diagram.crossings:
+        if crossing[0][0] == crossing[1][0]:
+            continue
+        u, v, sign = _crossing_loops(model, diagram, crossing)
+        try:
+            key = canonical_class(s, free_reduce(u + v)).word
+        except TrivialClass:
+            key = None
+        coefficients[key] = coefficients.get(key, 0) + sign
+    return sum(map(abs, coefficients.values()))
+
+
+def reference_cobracket_floor(model, diagram):
+    """Half the sum of the absolute coefficients of the Turaev cobracket of
+    a one-strand diagram, each self-crossing's u (x) v and v (x) u keyed by
+    the canonical classes of its loops; a crossing with a trivial loop adds
+    nothing."""
+    s = make_surface(model.genus)
+    coefficients = {}
+    for crossing in diagram.crossings:
+        u, v, sign = _crossing_loops(model, diagram, crossing)
+        try:
+            u, v = canonical_class(s, u).word, canonical_class(s, v).word
+        except TrivialClass:
+            continue
+        coefficients[u, v] = coefficients.get((u, v), 0) + sign
+        coefficients[v, u] = coefficients.get((v, u), 0) - sign
+    return sum(map(abs, coefficients.values())) // 2
 
 
 def reference_pair_cross_refined(genus, wx, wy):

@@ -86,7 +86,8 @@ def product_differences(surface, pairs):
 def pair_search_misses(genus, pairs):
     """Each pair's count against the two-pass reference, wherever that
     answers, and against the built diagrams of its seed pairs: every one
-    gives the same Goldman bracket floor, |algebraic| <= floor <= count <=
+    gives the same Goldman bracket floor, equal to the keyed reference's,
+    |algebraic| <= floor <= count <=
     every built count, and the count has the algebraic intersection's
     parity.  A pair that raises is a miss.  Returns the lines,
     (wx, wy, outcome) where the reference raises, and how many pairs were
@@ -107,7 +108,7 @@ def pair_search_misses(genus, pairs):
             continue
         seeds = product(*(curves._route_seeds(genus, w) for w in (wx, wy)))
         built = [build_diagram(model, (), routes) for routes in seeds]
-        floors = {curves._bracket_floor(model, d) for d in built}
+        floors = {bracket_floor_checked(model, d, name, lines) for d in built}
         counts = [d.cross_strand_crossings() for d in built]
         coords = [homology_class(surface, w).coords for w in (wx, wy)]
         algebraic = abs(intersection_form(*coords))
@@ -127,27 +128,39 @@ def pair_search_misses(genus, pairs):
     return lines, beyond, answered
 
 
+def bracket_floor_checked(model, diagram, name, lines):
+    """curves._bracket_floor of the diagram, with a line in lines unless it
+    equals the keyed reference of the test oracles."""
+    floor = curves._bracket_floor(model, diagram)
+    want = oracles.reference_bracket_floor(model, diagram)
+    if floor != want:
+        lines.append(f"{name} has bracket floor {floor}, the reference {want}")
+    return floor
+
+
 def bracket_misses(genus, pairs):
     """The Goldman bracket floor on the built diagram of the two taut routes
-    of each pair with a simple member, against its intersection number: a
-    line wherever they differ."""
+    of each pair with a simple member, against its intersection number and
+    the keyed reference: a line wherever they differ."""
     model, surface = polygon_model(genus), make_surface(genus)
     lines = []
     for wx, wy in pairs:
+        name = f"genus {genus}: {format_word(wx)} {format_word(wy)}"
         routes = tuple(curves._taut_single(genus, w).routes[0] for w in (wx, wy))
-        floor = curves._bracket_floor(model, build_diagram(model, (), routes))
+        diagram = build_diagram(model, (), routes)
+        floor = bracket_floor_checked(model, diagram, name, lines)
         count = curves.intersection_number(
             surface, *(canonical_class(surface, w) for w in (wx, wy))
         )
         if floor != count:
-            name = f"genus {genus}: {format_word(wx)} {format_word(wy)}"
             lines.append(f"{name} has bracket floor {floor}, count {count}")
     return lines
 
 
 def cobracket_misses(genus, words, against_reference):
     """Each class's taut diagram against its Turaev cobracket floor, taken
-    on that diagram: the floor must not exceed the count.  With
+    on that diagram: the floor must equal the keyed reference of the test
+    oracles and must not exceed the count.  With
     against_reference, the diagram's route and count must also be those of
     the all-seeds reference.  Returns the lines, how many classes cross
     themselves, and on how many of those the floor meets the count."""
@@ -162,6 +175,9 @@ def cobracket_misses(genus, words, against_reference):
             continue
         count = d.crossing_count
         floor = curves._cobracket_floor(model, d)
+        want = oracles.reference_cobracket_floor(model, d)
+        if floor != want:
+            lines.append(f"{name} has cobracket floor {floor}, the reference {want}")
         if floor > count:
             lines.append(f"{name} has cobracket floor {floor}, count {count}")
         crossing += count > 0

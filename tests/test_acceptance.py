@@ -17,7 +17,10 @@ from pathlib import Path
 
 import pytest
 
+from curvetrace import algebra, curves, mapping, valuations
 from curvetrace.acceptance import SUITES, run_suite
+from curvetrace.errors import BadValue, CurvetraceError
+from curvetrace.words import canonical_class, homology_class, make_surface, parse_word
 
 
 @pytest.mark.parametrize(
@@ -67,6 +70,42 @@ def test_package_modules_read_every_name_they_import():
             if name not in read
         ]
     assert found == []
+
+
+def test_out_of_range_values_raise_a_typed_value_error():
+    # every raise of a bad value in the package, each still a ValueError
+    s = make_surface(2)
+    a1 = canonical_class(s, parse_word(s, "a1"))
+    lam = valuations.make_lamination(s, {a1: 1})
+    calls = (
+        lambda: homology_class(s, (1,), ring="Q"),
+        lambda: valuations.make_lamination(s, {a1: -1}),
+        lambda: valuations.scale_lamination(lam, 0),
+        lambda: valuations.check_positive_up_to(s, lam, 0),
+        lambda: valuations.check_strict_up_to(s, lam, 0),
+        lambda: algebra.make_multicurve(s, {a1: 0}),
+        lambda: algebra.enumerate_multicurves(s, -1),
+        lambda: algebra.basis_rank_check(s, [algebra.make_multicurve(s, {a1: 1})], 0, 1),
+        lambda: mapping.make_sign_character(s, (0, 2, 0, 0)),
+        lambda: curves.enumerate_simple_classes(s, 0),
+        lambda: run_suite("nonesuch"),
+    )
+    for call in calls:
+        with pytest.raises(BadValue) as info:
+            call()
+        assert isinstance(info.value, CurvetraceError)
+        assert isinstance(info.value, ValueError)
+    # and no module raises a builtin error by name
+    package = Path(__file__).resolve().parents[1] / "src" / "curvetrace"
+    raised = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) in ("ValueError", "TypeError")
+    ]
+    assert raised == []
 
 
 # rotate the genus-2 cell move of the relator's first LENGTH letters by one

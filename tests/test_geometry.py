@@ -12,6 +12,8 @@ from oracles import (
     germ_simple,
     min_crossings,
     nonsimple_pairs,
+    reference_bracket_floor,
+    reference_cobracket_floor,
     reference_cross_min,
     reference_taut_single,
 )
@@ -27,6 +29,7 @@ from curvetrace.errors import (
     ModelInconsistency,
     NotSimple,
     ReductionBudgetExceeded,
+    TrivialClass,
 )
 from curvetrace.curves import (
     _cross_min_exhaustive,
@@ -45,11 +48,16 @@ from curvetrace.curves import (
 )
 from curvetrace.mapping import apply_to_multicurve, twist_generator
 from curvetrace.polygon import polygon_model
-from curvetrace.representations import evaluate_trace, random_representation
+from curvetrace.representations import (
+    evaluate_trace,
+    random_representation,
+    trivial_representation,
+)
 from curvetrace.splitting import splitting_count
 from curvetrace.words import (
     canonical_class,
     format_word,
+    free_reduce,
     letters,
     make_surface,
     parse_word,
@@ -640,13 +648,108 @@ def test_bracket_floor_meets_the_counts(genus, delta_len, alpha_len):
     assert bracket_misses(genus, product(deltas, alphas)) == []
 
 
+def _counting_canonical_class(monkeypatch):
+    calls = []
+
+    def counting(surface, word):
+        calls.append(word)
+        return canonical_class(surface, word)
+
+    monkeypatch.setattr(curves, "canonical_class", counting)
+    return calls
+
+
+def _taut_pair_diagram(genus, wx, wy):
+    routes = tuple(_taut_single(genus, w).routes[0] for w in (wx, wy))
+    return build_diagram(polygon_model(genus), (), routes)
+
+
+def test_floors_key_every_term_when_every_trace_is_2(monkeypatch):
+    # at the trivial representation no trace separates anything, so every
+    # term takes the keyed path, and the floors are still the reference's
+    model = polygon_model(2)
+    monkeypatch.setattr(model, "trace_representation", trivial_representation(S2))
+    calls = _counting_canonical_class(monkeypatch)
+    for cls in enumerate_classes(S2, 4)[::7]:
+        for seed in _route_seeds(2, cls.word):
+            d = build_diagram(model, (), (seed,))
+            want = reference_cobracket_floor(model, d)
+            assert curves._cobracket_floor(model, d) == want, cls.word
+    for wx, wy in nonsimple_pairs(2, 3, 20):
+        for routes in product(_route_seeds(2, wx), _route_seeds(2, wy)):
+            d = build_diagram(model, (), routes)
+            assert curves._bracket_floor(model, d) == reference_bracket_floor(model, d)
+    assert calls
+
+
+def test_bracket_floor_keys_a_bucket_of_both_signs():
+    # a1a1a1B2a1b2A1b2 and its reverse a1a1a1b2A1b2a1B2 are different classes
+    # with one trace (Horowitz), and their terms carry opposite signs, so
+    # only their keys tell that they do not cancel; the floor, 2, stays
+    # below the count, 4, which the search certifies
+    wx, wy = sorted((C("a1b2A1b2").word, C("a1a1a1B2").word))
+    model = polygon_model(2)
+    d = _taut_pair_diagram(2, wx, wy)
+    buckets = {}
+    for crossing in d.crossings:
+        if crossing[0][0] != crossing[1][0]:
+            u, v, sign = curves._crossing_loops(model, d, crossing)
+            trace = evaluate_trace(model.trace_representation, u + v)
+            key = canonical_class(S2, free_reduce(u + v)).word
+            buckets.setdefault(trace, set()).add((key, sign))
+    assert any(len({sign for _, sign in b}) == 2 for b in buckets.values())
+    assert any(len({key for key, _ in b}) == 2 for b in buckets.values())
+    assert curves._bracket_floor(model, d) == reference_bracket_floor(model, d) == 2
+    assert _pair_cross_refined(2, wx, wy) == 4
+
+
+def test_cobracket_floor_skips_a_trivial_loop():
+    # an unreduced route of a1a1B1A1A2b1 whose strand has a kink: one
+    # crossing cuts off a trivial loop, trace 2, and adds nothing
+    model = polygon_model(2)
+    route = (7, 3, 1, 5, 7, 1)
+    assert canonical_class(S2, model.route_word(route)) == C("a1a1B1A1A2b1")
+    d = build_diagram(model, (), (route,))
+    trivial = []
+    for crossing in d.crossings:
+        for loop in curves._crossing_loops(model, d, crossing)[:2]:
+            try:
+                canonical_class(S2, loop)
+            except TrivialClass:
+                trivial.append(evaluate_trace(model.trace_representation, loop))
+    assert (d.crossing_count, trivial) == (4, [2])
+    assert curves._cobracket_floor(model, d) == reference_cobracket_floor(model, d) == 1
+
+
+def test_bracket_floor_reduces_no_class_when_the_traces_differ(monkeypatch):
+    # A1B2 x A1a2 crosses 3 times in its taut routes, with 3 distinct traces
+    model = polygon_model(2)
+    d = _taut_pair_diagram(2, *sorted((C("A1B2").word, C("A1a2").word)))
+    traces = {
+        evaluate_trace(model.trace_representation, u + v)
+        for u, v, _ in (
+            curves._crossing_loops(model, d, crossing)
+            for crossing in d.crossings
+            if crossing[0][0] != crossing[1][0]
+        )
+    }
+    assert d.cross_strand_crossings() == len(traces) == 3
+    calls = _counting_canonical_class(monkeypatch)
+    assert curves._bracket_floor(model, d) == 3
+    assert calls == []
+
+
 # the first two are answered from a built diagram; a2A1 x B2a2A1A1 reaches
 # the search
 @pytest.mark.parametrize(
     "texts", [("A1B2", "A1a2"), ("b1B2A1", "a1a1b2"), ("a2A1", "B2a2A1A1")]
 )
 def test_pair_search_never_tautens(monkeypatch, texts):
+    # the search starts from each class's taut diagram, which _pair_count
+    # has made before it calls the search; made here too, before recording
     wx, wy = sorted(C(text).word for text in texts)
+    for w in (wx, wy):
+        _taut_single(2, w)
     tautened = []
 
     def recording(genus, classes, routes, budget=None):
