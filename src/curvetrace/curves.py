@@ -19,12 +19,13 @@ with double points can need immersed monogons or bigons to witness its excess
   e_p (u_p (x) v_p - v_p (x) u_p), u_p and v_p the two loops at p (Turaev,
   "Skein quantization of Poisson algebras of loops on surfaces", Ann. Sci.
   ENS 24, 1991): a class invariant that a diagram with k crossings writes
-  as 2k terms, so half its term count is a floor.  A seed whose built
-  diagram is embedded or meets the floor is the answer as built; otherwise
-  the seed is tautened, and the first tautened count that meets the floor
-  is the answer.  A class that no seed brings down to its floor takes the
-  best of them all.  That diagram is kept: realize returns it,
-  self_intersection counts it, and the state sum of the class runs on it.
+  as k antisymmetric terms, so its term count is a floor.  A seed whose
+  built diagram is embedded or meets the floor is the answer as built;
+  otherwise the seed is tautened, and the first tautened count that meets
+  the floor is the answer; a count below it raises.  A class that no seed
+  brings down to its floor takes the best of them all.  That diagram is
+  kept: realize returns it, self_intersection counts it, and the state sum
+  of the class runs on it.
 - A pair tests its members shortest first and is counted on the splitting of
   pi1 along the first simple one (see splitting).  On a splitting miss, two
   simple members read their pair diagram, one tautened pair of taut routes
@@ -42,7 +43,7 @@ with double points can need immersed monogons or bigons to witness its excess
   floor is the answer.  Otherwise the exact minimum over every slot
   assignment of every seed pair is, stopping at a count that meets it.  The
   builds and searches of one pair spend one Budget, so a pair that
-  outgrows it raises.
+  outgrows it raises, and so does a count below the floor.
 
 That minimum needs no enumeration.  The cross count of a slot assignment is
 a constant, plus one term per edge read off that edge's slot order, plus
@@ -52,21 +53,8 @@ value of the parities other edges read; the edges are then folded in one at
 a time over those values.  Both steps are exact, spend the states they
 visit, and need nothing beyond the standard library.
 
-Both floors key terms by canonical class, a Dehn reduction and a spelling
-chase per term, so they first compare traces at one SL2(F_P)
-representation per genus (PolygonModel.trace_representation).  A trace in
-SL2 is invariant under conjugation and inversion, so equal unoriented
-classes have equal traces, and a trivial loop has trace 2.  Terms whose
-traces differ are different classes, and a bucket of equal traces whose
-terms carry one sign cannot cancel, so it is counted with no class reduced.
-Equal traces do not prove equal classes (Horowitz, "Characters of free
-groups represented in the two-dimensional special linear group", Comm. Pure
-Appl. Math. 25, 1972): a trace of a word in two generators is a polynomial
-in the traces of a, b and ab, so the word and its reverse share it at every
-representation, as a1a1a1B2a1b2A1b2 and a1a1a1b2A1b2a1B2 do.  So a bucket
-of both signs, and a cobracket crossing whose loops share a trace or have
-trace 2, keeps the keyed path, and each floor is the number the keys alone
-give.
+Both floors count their terms with _term_count, which compares traces at
+one representation before it reduces any class (see there).
 """
 from __future__ import annotations
 
@@ -208,6 +196,19 @@ def tauten_routes(genus: int, classes, routes, budget=None):
             raise ModelInconsistency("bigon move failed to drop crossings")
 
 
+def _meets_floor(count, floor, words, name) -> bool:
+    """True when the count of the classes' diagram meets their floor.  The
+    floor is a lower bound, so a count below it raises ModelInconsistency."""
+    if count < floor:
+        one = len(words) == 1
+        raise ModelInconsistency(
+            f"{' and '.join(map(format_word, words))}"
+            f" {'crosses itself' if one else 'cross'} {count} times,"
+            f" below {'its' if one else 'their'} {name} floor {floor}"
+        )
+    return count == floor
+
+
 @lru_cache(maxsize=None)
 def _taut_single(genus: int, class_word) -> CurveDiagram:
     """Certified taut diagram of one class, kept for every later reader.
@@ -218,9 +219,9 @@ def _taut_single(genus: int, class_word) -> CurveDiagram:
     (_cobracket_floor, taken once on the first built diagram; an embedded
     diagram's floor is 0): that count is minimal, so no bigon is left to
     remove.  Otherwise the seed is tautened, and a tautened count that meets
-    the floor is the answer.  A count below the floor raises
-    ModelInconsistency.  If no seed meets it, the fewest crossings over all
-    seeds (then the shorter, then the smaller route) stand.
+    the floor is the answer (_meets_floor).  If no seed meets it, the fewest
+    crossings over all seeds (then the shorter, then the smaller route)
+    stand.
     """
     model = polygon_model(genus)
     classes = (CurveClass(genus, class_word),)
@@ -232,12 +233,7 @@ def _taut_single(genus: int, class_word) -> CurveDiagram:
             floor = _cobracket_floor(model, d)
         if d.crossing_count > floor:
             d = tauten_routes(genus, classes, d.routes, budget)
-        if d.crossing_count < floor:
-            raise ModelInconsistency(
-                f"{format_word(class_word)} crosses itself {d.crossing_count}"
-                f" times, below its cobracket floor {floor}"
-            )
-        if d.crossing_count == floor:
+        if _meets_floor(d.crossing_count, floor, (class_word,), "cobracket"):
             return d
         key = (d.crossing_count, len(d.routes[0]), d.routes[0])
         if best is None or key < best[0]:
@@ -511,130 +507,123 @@ def _crossing_loops(model, diagram, crossing) -> tuple:
     return u, v, 1 if (a < c) + (c < b) + (b < a) == 2 else -1
 
 
-def _split_by_trace(terms) -> tuple:
-    """(how many terms sit in one-sign buckets, the terms of the others).
+def _term_count(terms, key) -> int:
+    """Sum of the absolute coefficients of a sum of signed terms, the terms
+    of one class merged.
 
-    terms are (trace key, sign, term).  Equal classes have equal trace keys,
-    so the terms of one class share a bucket, and a bucket whose terms all
-    carry one sign keeps every one of them after merging by class.
+    terms are (trace, sign, loops).  key(loops) is (class key, factor): the
+    term adds factor * sign to its class, and a factor of 0 drops it.  The
+    trace is a class invariant at one SL2(F_P) representation
+    (PolygonModel.trace_representation): a trace in SL2 is invariant under
+    conjugation and inversion, so equal unoriented classes have equal
+    traces, and a trivial loop has trace 2.  Terms whose traces differ are
+    different classes, so the terms are first bucketed by trace, and a
+    bucket whose terms all carry one sign cannot cancel: it adds its size
+    with no class reduced.  Equal traces do not prove equal classes
+    (Horowitz, "Characters of free groups represented in the two-dimensional
+    special linear group", Comm. Pure Appl. Math. 25, 1972): a trace of a
+    word in two generators is a polynomial in the traces of a, b and ab, so
+    the word and its reverse share it at every representation, as
+    a1a1a1B2a1b2A1b2 and a1a1a1b2A1b2a1B2 do.  So every term of a bucket of
+    both signs, and every term whose trace is None, is merged by key, and
+    the count is the number the keys alone give.  A term that key may drop
+    must have trace None.
     """
     buckets = {}
-    for key, sign, term in terms:
-        buckets.setdefault(key, []).append((sign, term))
-    separated, mixed = 0, []
-    for bucket in buckets.values():
-        if len({sign for sign, _ in bucket}) == 1:
-            separated += len(bucket)
-        else:
-            mixed += [term for _, term in bucket]
-    return separated, mixed
+    for term in terms:
+        buckets.setdefault(term[0], []).append(term)
+    count, coefficients = 0, {}
+    for trace, bucket in buckets.items():
+        if trace is not None and len({sign for _, sign, _ in bucket}) == 1:
+            count += len(bucket)
+            continue
+        for _, sign, loops in bucket:
+            k, factor = key(loops)
+            if factor:
+                coefficients[k] = coefficients.get(k, 0) + factor * sign
+    return count + sum(map(abs, coefficients.values()))
 
 
 def _bracket_floor(model, diagram) -> int:
     """Number of terms of the Goldman bracket of the diagram's two strands,
     keyed by unoriented class: at most their intersection number.
 
-    A cross-strand crossing adds the term e <u v> (_crossing_loops).  The
-    count is the sum of the absolute coefficients; merging the terms of two
-    orientations of a class cannot raise it.  A trace in SL2 is invariant
-    under conjugation and inversion, so the terms are first bucketed by the
-    trace of u v at the model's trace_representation: terms in different
-    buckets are different classes, and a bucket of one sign adds its size
-    with no class reduced.  Equal traces do not prove equal classes
-    (Horowitz, Comm. Pure Appl. Math. 25, 1972), so a bucket holding both
-    signs keys its terms by canonical class, a trivial one by None.
+    A cross-strand crossing adds the term e <u v> (_crossing_loops), with
+    trace that of u v and key its canonical class, a trivial one None
+    (_term_count); merging the terms of two orientations of a class cannot
+    raise the count.
     """
-    terms = [
-        _crossing_loops(model, diagram, crossing)
-        for crossing in diagram.crossings
-        if crossing[0][0] != crossing[1][0]
-    ]
-    if not terms:
-        return 0
     rep = model.trace_representation
-    floor, mixed = _split_by_trace(
-        (evaluate_trace(rep, u + v), sign, (u, v, sign)) for u, v, sign in terms
-    )
+    terms = []
+    for crossing in diagram.crossings:
+        if crossing[0][0] != crossing[1][0]:
+            u, v, sign = _crossing_loops(model, diagram, crossing)
+            terms.append((evaluate_trace(rep, u + v), sign, u + v))
     s = make_surface(model.genus)
-    coefficients = {}
-    for u, v, sign in mixed:
+
+    def key(word):
         try:
-            key = canonical_class(s, free_reduce(u + v)).word
+            return canonical_class(s, free_reduce(word)).word, 1
         except TrivialClass:
-            key = None
-        coefficients[key] = coefficients.get(key, 0) + sign
-    return floor + sum(map(abs, coefficients.values()))
+            return None, 1
+
+    return _term_count(terms, key)
 
 
 def _cobracket_floor(model, diagram) -> int:
-    """Half the number of terms of the Turaev cobracket of a one-strand
-    diagram, keyed by unoriented class: at most its self count.
+    """Number of terms of the Turaev cobracket of a one-strand diagram,
+    keyed by unoriented class: at most its self count.
 
-    A self-crossing adds e (u (x) v - v (x) u) (_crossing_loops), and one
-    with a trivial loop adds nothing (Turaev, "Skein quantization of Poisson
-    algebras of loops on surfaces", Ann. Sci. ENS 24, 1991).  The cobracket
-    is a class invariant that a diagram with k crossings writes as 2k signed
-    terms, so half the sum of the absolute coefficients is at most the self
-    count of every diagram of the class; merging orientations cannot raise
-    it.
-
-    Traces at the model's trace_representation separate most crossings
-    first.  A trivial loop has trace 2, so two loops whose traces differ and
-    are not 2 are nontrivial classes that differ.  Oriented as (lower trace)
-    (x) (higher trace), such crossings are bucketed by their trace pair, and
-    a bucket of one oriented sign adds 2 terms per crossing with no class
-    reduced.  The rest, buckets of both signs and crossings with equal
-    traces or a trace of 2, key their loops by canonical class: equal
-    traces do not prove equal classes (Horowitz, Comm. Pure Appl. Math. 25,
-    1972).  Their keys meet no separated bucket's, so the two parts add.
+    A self-crossing adds e (u (x) v - v (x) u) (_crossing_loops; Turaev,
+    "Skein quantization of Poisson algebras of loops on surfaces", Ann. Sci.
+    ENS 24, 1991): one term on the pair (u, v), its sign flipped when the
+    pair is reordered, and nothing when a loop is trivial or both are one
+    class.  A diagram with k crossings writes this class invariant as k such
+    terms, and merging orientations cannot raise their count.  The pair is
+    ordered by its loops' traces, and a crossing whose traces tie or are 2
+    has trace None (_term_count).
     """
-    if not diagram.crossings:
-        return 0
     rep = model.trace_representation
-    keyed, separable = [], []
+    terms = []
     for crossing in diagram.crossings:
         u, v, sign = _crossing_loops(model, diagram, crossing)
         tu, tv = evaluate_trace(rep, u), evaluate_trace(rep, v)
-        if tu == tv or 2 in (tu, tv):
-            keyed.append((u, v, sign))
-        else:
-            oriented = sign if tu < tv else -sign
-            separable.append(((min(tu, tv), max(tu, tv)), oriented, (u, v, sign)))
-    separated, mixed = _split_by_trace(separable)
+        if tu > tv:
+            tu, tv, u, v, sign = tv, tu, v, u, -sign
+        trace = None if tu == tv or tu == 2 or tv == 2 else (tu, tv)
+        terms.append((trace, sign, (u, v)))
     s = make_surface(model.genus)
-    coefficients = {}
-    for u, v, sign in keyed + mixed:
+
+    def key(loops):
         try:
-            u, v = canonical_class(s, u).word, canonical_class(s, v).word
+            u, v = (canonical_class(s, loop).word for loop in loops)
         except TrivialClass:
-            continue
-        coefficients[u, v] = coefficients.get((u, v), 0) + sign
-        coefficients[v, u] = coefficients.get((v, u), 0) - sign
-    return separated + sum(map(abs, coefficients.values())) // 2
+            return None, 0
+        return (min(u, v), max(u, v)), (u < v) - (u > v)
+
+    return _term_count(terms, key)
 
 
 def _pair_cross_refined(genus: int, wx, wy) -> int:
     """Certified minimum for two self-crossing classes.
 
-    The floor is the Goldman bracket's term count (_bracket_floor; Goldman,
-    Invent. Math. 85, 1986).  The bracket is a class invariant that a
-    diagram writes as one signed term per crossing, so after cancellation it
-    has at most i(x, y) terms, and keying terms by unoriented class only
-    merges them; the trace buckets that spare most of that keying count the
-    same terms.  So the floor is the same on every diagram of the pair, and
-    it is taken once, on the built diagram of the two classes' own taut
-    routes (_taut_single), which is the answer when its count meets it.
-    Otherwise the first seed pair whose built count meets the floor is the
-    answer, with no search, and failing that the least exact minimum over
-    every slot assignment of every built seed pair, a search that meets the
-    floor stopping there.  All of it spends one Budget.
+    The floor is the Goldman bracket's term count (_bracket_floor, counted
+    by _term_count), the same on every diagram of the pair, so it is taken
+    once, on the built diagram of the two classes' own taut routes
+    (_taut_single), which is the answer when its count meets it.  Otherwise
+    the first seed pair whose built count meets the floor is the answer,
+    with no search, and failing that the least exact minimum over every slot
+    assignment of every built seed pair, a search that meets the floor
+    stopping there.  A count below the floor raises (_meets_floor).  All of
+    it spends one Budget.
     """
     model = polygon_model(genus)
     budget = Budget()
     taut = tuple(_taut_single(genus, w).routes[0] for w in (wx, wy))
     first = build_diagram(model, (), taut, budget)
     floor = _bracket_floor(model, first)
-    if first.cross_strand_crossings() == floor:
+    words = (wx, wy)
+    if _meets_floor(first.cross_strand_crossings(), floor, words, "bracket"):
         return floor
     built = []
     for routes in product(_route_seeds(genus, wx), _route_seeds(genus, wy)):
@@ -642,13 +631,13 @@ def _pair_cross_refined(genus: int, wx, wy) -> int:
             diagram = first
         else:
             diagram = build_diagram(model, (), routes, budget)
-            if diagram.cross_strand_crossings() == floor:
+            if _meets_floor(diagram.cross_strand_crossings(), floor, words, "bracket"):
                 return floor
         built.append(diagram)
     counts = []
     for diagram in built:
         counts.append(_cross_min_exhaustive(model, diagram, budget))
-        if counts[-1] == floor:
+        if _meets_floor(counts[-1], floor, words, "bracket"):
             return floor
     return min(counts)
 

@@ -30,8 +30,9 @@ pair of two classes, stopping at self + self + |algebraic|.
 reference_bracket_floor and reference_cobracket_floor keep the Goldman
 bracket and Turaev cobracket floors that curvetrace.curves._bracket_floor
 and _cobracket_floor must reproduce: every term keyed by the canonical class
-of its loops, where those first bucket the terms by their traces at one
-representation and key only the buckets that a trace cannot settle.
+of its loops, where those count their terms with curvetrace.curves._term_count,
+which buckets them by their traces at one representation and keys only the
+terms that a trace cannot settle.
 
 reference_pair_cross_refined keeps the two passes over the seed pairs of two
 self-crossing classes that curvetrace.curves._pair_cross_refined replaced by

@@ -142,6 +142,21 @@ def test_self_counts_below_the_cobracket_floor_raise(monkeypatch):
         _taut_single.__wrapped__(2, C("a1b2").word)
 
 
+@pytest.mark.parametrize("floor, count", [(10, 9), (8, 7), (6, 5)])
+def test_pair_counts_below_the_bracket_floor_raise(monkeypatch, floor, count):
+    # a2A1 x B2a2A1A1 counts 9 on its taut routes, 7 on its other seed pair
+    # and 5 in the search; under each patched floor the first count below it
+    # raises, through the check that self counts use
+    wx, wy = sorted((C("a2A1").word, C("B2a2A1A1").word))
+    monkeypatch.setattr(curves, "_bracket_floor", lambda model, diagram: floor)
+    message = (
+        rf"^a1A2 and a1a1A2b2 cross {count} times,"
+        rf" below their bracket floor {floor}$"
+    )
+    with pytest.raises(ModelInconsistency, match=message):
+        _pair_cross_refined(2, wx, wy)
+
+
 @pytest.mark.parametrize(
     "text", ["a1b1a1B1A1A2a1b1A1B1", "a1b1a1B1A1B2B2B2A2a1b1A1B1"]
 )
@@ -719,6 +734,34 @@ def test_cobracket_floor_skips_a_trivial_loop():
                 trivial.append(evaluate_trace(model.trace_representation, loop))
     assert (d.crossing_count, trivial) == (4, [2])
     assert curves._cobracket_floor(model, d) == reference_cobracket_floor(model, d) == 1
+
+
+def test_term_count_keys_only_what_a_trace_cannot_settle():
+    # hand-built (trace, sign, loops) terms; loops is (class, factor) here,
+    # and the key records each term it is asked for
+    calls = []
+
+    def key(loops):
+        calls.append(loops)
+        return loops
+
+    # a bucket of one sign adds its size with no key called
+    assert curves._term_count([(7, 1, ("p", 1)), (7, 1, ("q", 1))], key) == 2
+    assert calls == []
+    # a bucket of both signs is keyed, and its two terms of class p cancel
+    terms = [(5, 1, ("p", 1)), (5, -1, ("p", 1)), (5, 1, ("q", 1))]
+    assert curves._term_count(terms, key) == 1
+    assert calls == [("p", 1), ("p", 1), ("q", 1)]
+    # a lone term whose trace is None is still keyed
+    calls.clear()
+    assert curves._term_count([(None, -1, ("r", 1))], key) == 1
+    assert calls == [("r", 1)]
+    # a factor of 0 drops a term, and a factor of -1 flips its sign
+    calls.clear()
+    terms = [(None, 1, ("r", 0)), (3, 1, ("s", 1)), (3, -1, ("s", -1))]
+    terms.append((3, -1, ("t", 0)))
+    assert curves._term_count(terms, key) == 2
+    assert len(calls) == 4
 
 
 def test_bracket_floor_reduces_no_class_when_the_traces_differ(monkeypatch):
