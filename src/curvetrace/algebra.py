@@ -2,7 +2,11 @@
 
 Basis elements are multicurves: disjoint unions of simple classes with
 positive multiplicities, the empty multicurve acting as the unit.  All
-coefficients are exact rationals.
+coefficients are exact rationals, held as an int when integral and as a
+Fraction only otherwise; _from_terms normalizes each one.  Expansions and
+products of basis elements have integer coefficients (see below), so their
+arithmetic never leaves int.  A quotient of coefficients needs a Fraction
+operand, since int / int is a float.
 
 Trace expansions and products are Kauffman-bracket state sums at A = -1,
 where the skein algebra is the SL2(C) character ring and a diagram D of a
@@ -19,6 +23,7 @@ or simple; parallel ones add up as multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 
@@ -136,28 +141,30 @@ class TraceExpression:
     """Finite rational combination of multicurve basis elements."""
 
     genus: int
-    terms: tuple  # ((Multicurve, Fraction), ...), no zero coefficients
+    # ((Multicurve, coefficient), ...), no zero coefficients; a coefficient
+    # is an int when integral and a Fraction otherwise
+    terms: tuple
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, mc: Multicurve) -> Fraction:
+    def coefficient(self, mc: Multicurve) -> int | Fraction:
         for basis, coeff in self.terms:
             if basis == mc:
                 return coeff
-        return Fraction(0)
+        return 0
 
     def __add__(self, other: "TraceExpression") -> "TraceExpression":
         acc = dict(self.terms)
         for mc, coeff in other.terms:
-            acc[mc] = acc.get(mc, Fraction(0)) + coeff
+            acc[mc] = acc.get(mc, 0) + coeff
         return _from_terms(self.genus, acc)
 
     def __sub__(self, other: "TraceExpression") -> "TraceExpression":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, factor) -> "TraceExpression":
-        factor = Fraction(factor)
+        factor = _rational(factor, "scale factor")
         if factor == 0:
             return zero_expression(self.genus)
         return _from_terms(
@@ -168,9 +175,26 @@ class TraceExpression:
         return format_expression(self)
 
 
+def _rational(value, what: str) -> Fraction:
+    """value as a Fraction; BadArgument for a float, whose binary rounding
+    (0.1 is 3602879701896397/2^55) would become the value, and for NaN and
+    the infinities, as floats or Decimals."""
+    if isinstance(value, float):
+        raise BadArgument(
+            f"{what} {value!r} is a float; give an int, a Fraction or text such as '1/10'"
+        )
+    if isinstance(value, Decimal) and not value.is_finite():
+        raise BadArgument(f"{what} {value!r} is not finite")
+    return Fraction(value)
+
+
 def _from_terms(genus: int, acc: dict) -> TraceExpression:
+    """The expression of the nonzero int or Fraction coefficients of acc,
+    each integral one as an int."""
     items = [
-        (mc, Fraction(coeff)) for mc, coeff in acc.items() if coeff != 0
+        (mc, coeff.numerator if coeff.denominator == 1 else coeff)
+        for mc, coeff in acc.items()
+        if coeff
     ]
     items.sort(key=lambda kv: (-kv[0].total_length(), kv[0].sort_key()))
     return TraceExpression(genus=genus, terms=tuple(items))
@@ -181,7 +205,7 @@ def zero_expression(genus: int) -> TraceExpression:
 
 
 def scalar_expression(genus: int, value) -> TraceExpression:
-    return _from_terms(genus, {empty_multicurve(genus): Fraction(value)})
+    return _from_terms(genus, {empty_multicurve(genus): _rational(value, "scalar")})
 
 
 def unit_expression(genus: int) -> TraceExpression:
@@ -189,7 +213,7 @@ def unit_expression(genus: int) -> TraceExpression:
 
 
 def basis_expression(mc: Multicurve) -> TraceExpression:
-    return _from_terms(mc.genus, {mc: Fraction(1)})
+    return _from_terms(mc.genus, {mc: 1})
 
 
 def format_expression(f: TraceExpression) -> str:
@@ -210,7 +234,7 @@ def parse_expression(s: Surface, text: str) -> TraceExpression:
         except (ValueError, ZeroDivisionError):
             raise BadLetter(f"cannot parse the coefficient of {line!r}") from None
         mc = parse_multicurve(s, mc_text)
-        acc[mc] = acc.get(mc, Fraction(0)) + coeff
+        acc[mc] = acc.get(mc, 0) + coeff
     return _from_terms(s.genus, acc)
 
 
@@ -287,7 +311,7 @@ def multiply_expressions(
     for mc1, c1 in f.terms:
         for mc2, c2 in g.terms:
             for mc, coeff in _merge_basis(s, mc1, mc2).terms:
-                acc[mc] = acc.get(mc, Fraction(0)) + coeff * c1 * c2
+                acc[mc] = acc.get(mc, 0) + coeff * c1 * c2
     return _from_terms(s.genus, acc)
 
 

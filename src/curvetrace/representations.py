@@ -17,7 +17,7 @@ SL2.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BadArgument, BadLetter, ModelInconsistency, SolveFailed
 from .words import Surface, make_surface
@@ -48,14 +48,30 @@ def _det(m: tuple) -> int:
     return (a * d - b * c) % P
 
 
-def _word_matrix(matrices, word) -> tuple:
-    m = _I
+def _letter_table(matrices) -> dict:
+    """Letter -> matrix: k -> generator k and -k -> its inverse."""
+    table = {}
+    for k, g in enumerate(matrices, 1):
+        table[k], table[-k] = g, _inv(g)
+    return table
+
+
+def _word_matrix(table: dict, word) -> tuple:
+    """The word's matrix from a _letter_table, _mul inlined."""
+    a, b, c, d = _I
     for l in word:
-        if not isinstance(l, int) or not 0 < abs(l) <= len(matrices):
-            raise BadLetter(f"letter {l!r} outside {len(matrices)} generators")
-        g = matrices[abs(l) - 1]
-        m = _mul(m, g if l > 0 else _inv(g))
-    return m
+        # the int test first: a dict keyed by ints also finds 1.0, as 1.0 == 1
+        m = table.get(l) if isinstance(l, int) else None
+        if m is None:
+            raise BadLetter(f"letter {l!r} outside {len(table) // 2} generators")
+        e, f, g, h = m
+        a, b, c, d = (
+            (a * e + b * g) % P,
+            (a * f + b * h) % P,
+            (c * e + d * g) % P,
+            (c * f + d * h) % P,
+        )
+    return a, b, c, d
 
 
 @dataclass(frozen=True)
@@ -64,15 +80,18 @@ class Representation:
 
     genus: int
     matrices: tuple  # residue tuples (a, b, c, d); index k-1 holds generator k
+    # letter -> matrix, built once here so that traces invert no matrix
+    letters: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         relator = make_surface(self.genus).relator
         if (
             len(self.matrices) != 2 * self.genus
             or any(_det(m) != 1 for m in self.matrices)
-            or _word_matrix(self.matrices, relator) != _I
+            or _word_matrix(letters := _letter_table(self.matrices), relator) != _I
         ):
             raise ModelInconsistency("matrices are not a representation in SL2(F_P)")
+        object.__setattr__(self, "letters", letters)
 
 
 def _unipotent_product(rng: random.Random, factors: int = 4) -> tuple:
@@ -124,5 +143,5 @@ def random_representation(surface: Surface, seed: int) -> Representation:
 
 def evaluate_trace(rep: Representation, word) -> int:
     """Trace of the word under the representation, as a residue mod P."""
-    m = _word_matrix(rep.matrices, tuple(word))
+    m = _word_matrix(rep.letters, word)
     return (m[0] + m[3]) % P

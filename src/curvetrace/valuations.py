@@ -11,13 +11,14 @@ Values are computed as integers over one common denominator: the lcm of the
 weight denominators.  Every weight is then an integer numerator over that
 positive denominator, so every pairing and every term sum is an integer over
 it too, and comparing, maximizing and testing equality of the numerators is
-exact.  Each public call builds one pairing table that pairs every distinct
-component class with the lamination once; the table lives for that call only.
+exact.  A value leaves as an int when den divides its numerator and as a
+Fraction only otherwise.  Each public call builds one pairing table that
+pairs every distinct component class with the lamination once; the table
+lives for that call only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from functools import total_ordering
 from math import lcm
@@ -25,6 +26,7 @@ from math import lcm
 from .algebra import (
     Multicurve,
     TraceExpression,
+    _rational,
     enumerate_multicurves,
     expand_trace,
     multiply_expressions,
@@ -37,7 +39,7 @@ from .curves import (
     intersection_number,
     is_simple,
 )
-from .errors import BadArgument, BadLetter, BadValue, NotSimple
+from .errors import BadLetter, BadValue, NotSimple
 from .words import (
     CurveClass,
     Surface,
@@ -58,7 +60,9 @@ class Lamination:
     """Disjoint simple classes with positive rational weights."""
 
     genus: int
-    weights: tuple  # ((CurveClass, Fraction), ...) in component order
+    # ((CurveClass, weight), ...) in component order; a weight is a Fraction,
+    # or an int when thurston_max_check builds a unit weight
+    weights: tuple
 
     def weight(self, cls: CurveClass) -> Fraction:
         for c, w in self.weights:
@@ -68,19 +72,6 @@ class Lamination:
 
     def __str__(self) -> str:
         return format_lamination(self)
-
-
-def _rational(value, what: str) -> Fraction:
-    """value as a Fraction; BadArgument for a float, whose binary rounding
-    (0.1 is 3602879701896397/2^55) would become the weight, and for NaN and
-    the infinities, as floats or Decimals."""
-    if isinstance(value, float):
-        raise BadArgument(
-            f"{what} {value!r} is a float; give an int, a Fraction or text such as '1/10'"
-        )
-    if isinstance(value, Decimal) and not value.is_finite():
-        raise BadArgument(f"{what} {value!r} is not finite")
-    return Fraction(value)
 
 
 def make_lamination(s: Surface, weights) -> Lamination:
@@ -137,18 +128,23 @@ def parse_lamination(s: Surface, text: str) -> Lamination:
 @total_ordering
 @dataclass(frozen=True)
 class ValuationValue:
-    """A rational, or the bottom element taken only by the zero expression."""
+    """A rational, or the bottom element taken only by the zero expression.
+    The value is an int when integral and a Fraction otherwise, as are
+    expression coefficients."""
 
     finite: bool
-    value: Fraction
+    value: int | Fraction
 
     @staticmethod
     def bottom() -> "ValuationValue":
-        return ValuationValue(finite=False, value=Fraction(0))
+        return ValuationValue(finite=False, value=0)
 
     @staticmethod
     def of(value) -> "ValuationValue":
-        return ValuationValue(finite=True, value=Fraction(value))
+        value = _rational(value, "valuation value")
+        return ValuationValue(
+            finite=True, value=value.numerator if value.denominator == 1 else value
+        )
 
     def is_bottom(self) -> bool:
         return not self.finite
@@ -167,6 +163,11 @@ class ValuationValue:
 
     def __str__(self) -> str:
         return str(self.value) if self.finite else "-inf"
+
+
+def _quotient(num: int, den: int) -> int | Fraction:
+    """num / den exactly: an int when den divides num, else a Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 class _Pairing:
@@ -207,25 +208,29 @@ class _Pairing:
         if f.is_zero():
             return ValuationValue.bottom()
         best = max([self.of_multicurve(mc) for mc, _ in f.terms])
-        return ValuationValue(finite=True, value=Fraction(best, self.den))
+        return ValuationValue(finite=True, value=_quotient(best, self.den))
 
 
-def lamination_intersection(s: Surface, lam: Lamination, c: CurveClass) -> Fraction:
+def lamination_intersection(
+    s: Surface, lam: Lamination, c: CurveClass
+) -> int | Fraction:
     pairing = _Pairing(s, lam, c)
-    return Fraction(pairing.of_class(c), pairing.den)
+    return _quotient(pairing.of_class(c), pairing.den)
 
 
-def multicurve_intersection(s: Surface, lam: Lamination, mc: Multicurve) -> Fraction:
+def multicurve_intersection(
+    s: Surface, lam: Lamination, mc: Multicurve
+) -> int | Fraction:
     pairing = _Pairing(s, lam, mc)
-    return Fraction(pairing.of_multicurve(mc), pairing.den)
+    return _quotient(pairing.of_multicurve(mc), pairing.den)
 
 
 def valuate(s: Surface, lam: Lamination, f: TraceExpression) -> ValuationValue:
     """The largest pairing of lam with a basis term of f, or the bottom value
     when f is zero.  The maximum is taken over integers on one common
-    denominator and turned into one Fraction at the end, and each distinct
-    component class of f is paired with lam once, in a table that lives for
-    this call only."""
+    denominator and turned into one int or Fraction at the end, and each
+    distinct component class of f is paired with lam once, in a table that
+    lives for this call only."""
     return _Pairing(s, lam, f).value(f)
 
 
@@ -265,7 +270,7 @@ def thurston_max_check(s: Surface, delta: CurveClass, word) -> ThurstonReport:
         raise NotSimple(f"{format_word(delta.word)} is not a simple class")
     word = tuple(word)
     # make_lamination would only test delta's simplicity again
-    lam = Lamination(genus=s.genus, weights=((delta, Fraction(1)),))
+    lam = Lamination(genus=s.genus, weights=((delta, 1),))
     value = valuate(s, lam, expand_trace(s, word))
     reduced = dehn_reduce(s.genus, word)
     if reduced:
@@ -375,7 +380,7 @@ class StrictnessReport:
     strict: bool
     first: Multicurve | None
     second: Multicurve | None
-    value: Fraction | None
+    value: int | Fraction | None
 
     def __str__(self) -> str:
         if self.strict:
@@ -401,7 +406,7 @@ def check_strict_up_to(s: Surface, lam: Lamination, bound: int) -> StrictnessRep
                 strict=False,
                 first=seen[value],
                 second=mc,
-                value=Fraction(value, pairing.den),
+                value=_quotient(value, pairing.den),
             )
         seen[value] = mc
     return StrictnessReport(

@@ -45,12 +45,14 @@ from curvetrace.words import (
 
 def expansion_mismatches(surface, words):
     """Each word's expansion against the crossing-resolution recursion of the
-    test oracles, and, mod P, against its trace at three representations."""
+    test oracles, and, mod P, against its trace at three representations;
+    its coefficients are ints, as an expansion's are integers."""
     reps = [random_representation(surface, seed) for seed in range(3)]
     lines = []
     for word in words:
         name = f"genus {surface.genus}: {format_word(word)}"
         f = algebra.expand_trace(surface, word)
+        lines += not_ints(name, f)
         if f != oracles.reference_expand(surface, word):
             lines.append(f"{name} differs from the recursion")
         values = [algebra.evaluate_expression(r, f) for r in reps]
@@ -59,10 +61,18 @@ def expansion_mismatches(surface, words):
     return lines
 
 
+def not_ints(name, f):
+    """A line if a coefficient of f is not an int: expansions and products of
+    basis elements have integer coefficients, held as ints."""
+    odd = sorted({type(c).__name__ for _, c in f.terms if type(c) is not int})
+    return [f"{name} has {', '.join(odd)} coefficients"] if odd else []
+
+
 def product_differences(surface, pairs):
     """Each product on the built union against the tautened union and, where
     both factors have total length <= 3, against the recursion, which shares
-    no code with the state sum; how many met it; the slowest on each union."""
+    no code with the state sum; how many met it; the slowest on each union.
+    The built union's coefficients must be ints."""
     slowest = {"built union": (0.0, None), "tautened union": (0.0, None)}
     multiplies = (algebra._merge_basis, oracles.reference_merge_basis)
     lines, recursed = [], 0
@@ -73,6 +83,7 @@ def product_differences(surface, pairs):
             got.append(multiply(surface, x, y))
             seconds = time.perf_counter() - start
             slowest[side] = max(slowest[side], (seconds, f"{x} * {y}"))
+        lines += not_ints(f"{x} * {y}", got[0])
         if got[0] != got[1]:
             lines.append(f"{x} * {y}: the built union differs from the tautened union")
         if x.total_length() <= 3 and y.total_length() <= 3:

@@ -1,6 +1,7 @@
 """Trace expansion and products in the multicurve basis of the character algebra."""
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,83 @@ def test_expression_format_round_trip():
     f = parse_expression(S2, src)
     assert parse_expression(S2, format_expression(f)) == f
     assert format_expression(f) == "5\ta1b1^2\n-2/3\ta1^1,b2^1\n1/2\t-"
+
+
+# -- int coefficients ------------------------------------------------------------
+
+
+def exact_types(f):
+    """Each coefficient is an int when integral and a Fraction otherwise."""
+    return all(type(c) is (int if c.denominator == 1 else Fraction) for _, c in f.terms)
+
+
+def test_expansions_and_products_hold_int_coefficients():
+    family = [expand(text) for text in ("a1a1a1", "a1b2", "a1b1A2B2", "a1b1a1b1")]
+    family.append(expand_trace(S2, ()))
+    for f in family:
+        assert f.terms and all(type(c) is int for _, c in f.terms)
+        for g in family:
+            prod = multiply_expressions(S2, f, g)
+            assert prod.terms and all(type(c) is int for _, c in prod.terms)
+
+
+def test_integral_coefficients_come_back_as_ints():
+    f = expand("a1b1a1b1")  # 1 a1b1^2, -2
+    half = f.scale(Fraction(1, 2))
+    assert [type(c) for _, c in half.terms] == [Fraction, int]
+    back = half.scale(2)
+    assert back == f and all(type(c) is int for _, c in back.terms)
+    third = basis_expression(make_multicurve(S2, {C("a1"): 1})).scale("1/3")
+    assert exact_types(third) and type(third.terms[0][1]) is Fraction
+    whole = third + third + third
+    assert exact_types(whole) and type(whole.terms[0][1]) is int
+    assert type(unit_expression(2).coefficient(empty_multicurve(2))) is int
+    assert type(f.coefficient(make_multicurve(S2, {C("b2"): 1}))) is int
+    parsed = parse_expression(S2, "4/2\ta1^1\n1/2\tb1^1\n-3\t-")
+    assert exact_types(parsed)
+    assert [type(c) for _, c in parsed.terms] == [int, Fraction, int]
+    assert exact_types(scalar_expression(2, Fraction(6, 3)))
+
+
+def test_format_and_parse_round_trip_byte_for_byte():
+    texts = [format_expression(expand(w)) for w in ("a1a1a1", "a1b1A2B2", "a1b2")]
+    texts.append("5\ta1b1^2\n-2/3\ta1^1,b2^1\n-1\ta1^2\n1/2\t-")
+    for text in texts:
+        f = parse_expression(S2, text)
+        assert format_expression(f) == text
+        assert parse_expression(S2, format_expression(f)) == f
+
+
+def test_evaluate_expression_agrees_on_int_and_fraction_forms():
+    f = expand("a1b1A2B2") + expand("a1b2").scale(Fraction(-5, 3))
+    assert exact_types(f) and {type(c) for _, c in f.terms} == {int, Fraction}
+    as_fractions = algebra.TraceExpression(
+        genus=2, terms=tuple((mc, Fraction(c)) for mc, c in f.terms)
+    )
+    assert as_fractions == f and hash(as_fractions) == hash(f)
+    assert format_expression(as_fractions) == format_expression(f)
+    for seed in range(3):
+        rep = random_representation(S2, seed)
+        assert evaluate_expression(rep, as_fractions) == evaluate_expression(rep, f)
+
+
+@pytest.mark.parametrize(
+    "factor", [0.1, 2.0, float("nan"), float("inf"), Decimal("NaN")]
+)
+def test_scale_rejects_floats_and_non_finite_factors(factor):
+    # 0.1 would scale by its binary rounding, 3602879701896397/2^55
+    with pytest.raises(BadArgument):
+        expand("a1b2").scale(factor)
+    with pytest.raises(BadArgument):
+        scalar_expression(2, factor)
+
+
+def test_scale_takes_ints_fractions_and_text():
+    f = expand("a1b2")
+    want = parse_expression(S2, "1/3\ta1^1,b2^1\n-1/3\ta1B2^1")
+    assert f.scale(Fraction(1, 3)) == f.scale("1/3") == want
+    assert f.scale(Decimal("0.5")) == f.scale(Fraction(1, 2))
+    assert f.scale(-1) == parse_expression(S2, "-1\ta1^1,b2^1\n1\ta1B2^1")
 
 
 # -- expansion fixtures ---------------------------------------------------------

@@ -314,6 +314,15 @@ def test_apply_to_expression_multiplicative():
         assert lhs == rhs
 
 
+def test_apply_to_expression_keeps_ints_and_fractions():
+    t = twist_generator(S2, 3)
+    f = multiply_expressions(S2, expand_trace(S2, W("a1b2")), expand_trace(S2, W("b1")))
+    image = apply_to_expression(S2, t, f)
+    assert image.terms and all(type(c) is int for _, c in image.terms)
+    half = apply_to_expression(S2, t, parse_expression(S2, "1/2\ta1^1\n2/2\tb1^1"))
+    assert sorted(type(c).__name__ for _, c in half.terms) == ["Fraction", "int"]
+
+
 def test_not_simple_image_error():
     # hand-built broken map: the b1 image is a non-simple class
     fake = MappingClass(
@@ -453,6 +462,15 @@ def test_h1_action_flips_coefficients():
     a = make_sign_character(S2, "1000")
     f = parse_expression(S2, "2\ta1^1\n5\tb1^1\n1\t-")
     assert h1_action(S2, a, f) == parse_expression(S2, "-2\ta1^1\n5\tb1^1\n1\t-")
+
+
+def test_h1_action_keeps_ints_and_fractions():
+    a = make_sign_character(S2, "1010")
+    f = multiply_expressions(S2, expand_trace(S2, W("a1b1")), expand_trace(S2, W("b1b2")))
+    flipped = h1_action(S2, a, f)
+    assert flipped != f and all(type(c) is int for _, c in flipped.terms)
+    half = h1_action(S2, a, parse_expression(S2, "-1/2\ta1^1\n4/2\tb1^1"))
+    assert [type(c).__name__ for _, c in half.terms] == ["Fraction", "int"]
 
 
 def test_h1_action_involution_and_multiplicative():

@@ -1,5 +1,6 @@
 """Exact representation sampling in SL2(F_P) and the defining trace identities."""
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from curvetrace.representations import (
     P,
     Representation,
     _det,
+    _mul,
     _word_matrix,
     evaluate_trace,
     random_representation,
@@ -25,7 +27,7 @@ def test_residual_and_determinants():
         s = make_surface(genus)
         for seed in range(50):
             rep = random_representation(s, seed)
-            assert _word_matrix(rep.matrices, s.relator) == (1, 0, 0, 1)
+            assert _word_matrix(rep.letters, s.relator) == (1, 0, 0, 1)
             assert all(_det(m) == 1 for m in rep.matrices)
 
 
@@ -72,9 +74,31 @@ def test_tampered_matrix_raises():
 
 def test_evaluate_trace_rejects_letters_that_are_not_ints():
     rep = random_representation(S2, 0)
-    for word in ("a1", (1, "b"), (1.0,), (5,), (0,)):
-        with pytest.raises(BadLetter):
+    # the letter table is a dict keyed by int, and 1.0 == 1 hashes alike, so
+    # the int test, not the lookup, must turn 1.0 away; a bad letter after
+    # good ones, and |letter| > 2g of either sign, raise too
+    for word, letter in [
+        ("a1", "a"), ((1, "b"), "b"), ((1.0,), 1.0), ((5,), 5), ((0,), 0),
+        ((1, 2, 1.0), 1.0), ((1, -1.0), -1.0), ((3, 0), 0), ((1, 5), 5),
+        ((-5,), -5), ((9,), 9), ((-9,), -9),
+    ]:
+        with pytest.raises(BadLetter, match=re.escape(f"letter {letter!r} outside 4")):
             evaluate_trace(rep, word)
+
+
+def test_the_letter_table_reads_each_generator_and_its_inverse():
+    rep = random_representation(S2, 0)
+    for k, m in enumerate(rep.matrices, 1):
+        a, b, c, d = m
+        assert rep.letters[k] == m
+        assert rep.letters[-k] == (d, -b % P, -c % P, a)
+    rng = random.Random(3)
+    for _ in range(20):
+        word = tuple(rng.choice((1, -1, 2, -2, 3, -3, 4, -4)) for _ in range(16))
+        m = (1, 0, 0, 1)
+        for l in word:
+            m = _mul(m, rep.letters[l])
+        assert evaluate_trace(rep, word) == (m[0] + m[3]) % P
 
 
 def test_fundamental_trace_identity():

@@ -149,6 +149,25 @@ def test_valuation_value_ordering_and_strings():
         ValuationValue.of(Fraction(5, 2))
 
 
+def test_valuation_values_are_ints_exactly_when_integral():
+    assert type(ValuationValue.of(Fraction(4, 2)).value) is int
+    assert type(ValuationValue.of("3").value) is int
+    assert type(ValuationValue.of(Fraction(1, 2)).value) is Fraction
+    half = ValuationValue.of(Fraction(1, 2))
+    assert type(half.add(half).value) is int
+    assert type(ValuationValue.bottom().value) is int
+    with pytest.raises(BadArgument):
+        ValuationValue.of(0.5)
+    f = expand("a1a1")  # a1^2 - 2: pairings 2 and 0 with b1
+    for weight, want in ((1, int), (Fraction(1, 2), int), (Fraction(1, 3), Fraction)):
+        lam = L({C("b1"): weight})
+        value = valuate(S2, lam, f).value
+        assert value == 2 * weight and type(value) is want
+        assert type(lamination_intersection(S2, lam, C("a1a1"))) is want
+    report = thurston_max_check(S2, C("b1"), parse_word(S2, "a1b2a1"))
+    assert report.ok and type(report.expansion_value.value) is int
+
+
 def test_valuate_fixtures():
     lam = L({C("b1"): 1})
     assert valuate(S2, lam, zero_expression(2)).is_bottom()
