@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
 
 from .complement import strand_arcs
 from .curves import (
     _check_genus,
+    _length_bound,
     _taut_single,
     check_disjoint_simple,
     enumerate_simple_classes,
@@ -50,11 +50,11 @@ from .words import (
     CurveClass,
     Surface,
     _bad_word,
+    _join,
     _text,
     canonical_class,
     dehn_reduce,
     format_word,
-    free_reduce,
     inverse_word,
     parse_word,
 )
@@ -244,8 +244,7 @@ def enumerate_multicurves(s: Surface, bound: int):
     Components range over enumerate_simple_classes(bound); sorted by
     (total length, component key) so reports stay deterministic.
     """
-    if bound < 0:
-        raise BadValue("bound must be nonnegative")
+    _length_bound(bound, 0)
     classes = enumerate_simple_classes(s, bound) if bound >= 1 else []
     out = []
 
@@ -319,20 +318,24 @@ def _merge_basis(s: Surface, mc1: Multicurve, mc2: Multicurve) -> TraceExpressio
     key = (s.genus, mc1.components, mc2.components)
     hit = _MERGE_CACHE.get(key)
     if hit is None:
-        classes = tuple(
-            c for mc in (mc1, mc2) for c, m in mc.components for _ in range(m)
-        )
-        routes = tuple(_taut_single(s.genus, c.word).routes[0] for c in classes)
-        diagram = build_diagram(polygon_model(s.genus), classes, routes)
-        hit = _MERGE_CACHE[key] = _state_sum(s, diagram)
+        hit = _MERGE_CACHE[key] = _state_sum(s, _built_union(s, mc1, mc2))
     return hit
 
 
+def _built_union(s: Surface, mc1: Multicurve, mc2: Multicurve):
+    """The diagram built from the taut routes of both multicurves'
+    components, one strand per unit of multiplicity."""
+    classes = tuple(c for mc in (mc1, mc2) for c, m in mc.components for _ in range(m))
+    routes = tuple(_taut_single(s.genus, c.word).routes[0] for c in classes)
+    return build_diagram(polygon_model(s.genus), classes, routes)
+
+
 def _read_class(s: Surface, word):
-    """The class a closed word reads, or None when it is null-homotopic;
-    reduced first, so that the class cache keeps one key per class."""
+    """The class a closed word reads, or None when it is null-homotopic.
+    The word is a freely reduced tuple by construction (joined from arc
+    words with words._join), so the class cache keeps one key per class."""
     try:
-        return canonical_class(s, free_reduce(word))
+        return canonical_class(s, word)
     except TrivialClass:
         return None
 
@@ -354,7 +357,7 @@ def _state_sum(s: Surface, diagram) -> TraceExpression:
         if not own:
             own = [model.route_word(diagram.routes[i])]
             words += own
-        if _read_class(s, sum(own, ())) != cls:
+        if _read_class(s, _join(own)) != cls:
             raise ModelInconsistency("strand arcs do not read the strand's class")
     ends = {}  # (crossing, chord, 0 arriving / 1 leaving) -> arc end
     for k, (_, arc) in enumerate(arcs):
@@ -391,8 +394,7 @@ def _state_sum(s: Surface, diagram) -> TraceExpression:
                 end = link[end ^ 1]
             path = tuple(path)
             if path not in components:
-                word = tuple(chain.from_iterable(reads[e] for e in path))
-                components[path] = _read_class(s, word)
+                components[path] = _read_class(s, _join(reads[e] for e in path))
             cls = components[path]
             coeff *= -2 if cls is None else -1
             if cls is not None:

@@ -1,4 +1,18 @@
-"""Exact arrangement of a diagram inside the polygon: certificates and faces.
+"""Arrangement of a diagram inside the polygon: certificates and faces.
+
+The order of crossings along each chord is all the complement census and the
+strand arcs take from an arrangement, and the census reads the rotation at
+each node off the boundary order.  Two chords of a circle meet inside it
+exactly when their endpoints interleave, and diagram.crossings holds exactly
+the interleaved pairs.  If chords CD and EF both cross chord AB but not each
+other, C and E lie on one arc that AB cuts off and D and F on the other, and
+CD, not crossing EF, separates A from E and F: the chord whose end lies
+nearer A along either arc meets AB nearer A.  That order is forced by the
+boundary, so every convex placement, the exact one below included, has it.
+Only where a chord is crossed by two chords that cross each other (a
+triangle of three pairwise crossing chords) does the order depend on where
+the triangle lies; a diagram with a triangle is placed exactly, and every
+other diagram reads its orders off the boundary with no coordinates.
 
 Placement is in integer homogeneous coordinates.  The boundary point with
 parameter t = p/q is (q^2-p^2, 2pq, q^2+p^2), the circle point
@@ -7,18 +21,16 @@ boundary.  A chord is the line through its endpoints.  Where chord CD meets
 chord AB, with nX = line_CD . X, the meet is |nB| A + |nA| B, at parameter
 nA W_B / (nA W_B - nB W_A) along AB (nA and nB have opposite signs, as
 crossings are interleaved chord pairs).  Parameters on a chord are compared
-by cross-multiplying; that order of crossings along each chord is all the
-complement census takes from the coordinates, and it reads the rotation at
-each node off the boundary order.
+by cross-multiplying.
 
-Two chords of a circle meet inside it exactly when their endpoints
-interleave, and diagram.crossings holds exactly the interleaved pairs.  So a
-point on three chords puts two crossings at one parameter on each, and two
+A point on three chords puts two crossings at one parameter on each, and two
 crossings at one parameter on a chord are one point: equal parameters on a
 chord are exactly the triple points.  Those cannot be told apart from
 transverse pictures combinatorially, so the boundary parameters are
 re-jittered deterministically until no chord has two equal parameters; a
-line meets the circle at most twice, so no other degeneracy can occur.
+line meets the circle at most twice, so no other degeneracy can occur.  The
+three chords through a triple point cross pairwise, so the jitter can only
+fire on a diagram with a triangle, the only diagrams placed.
 
 The taut certificate is word-level.  An arc of a strand between two
 consecutive crossings along it is crossing-free, so a candidate bigon (two
@@ -30,7 +42,7 @@ no monogons and no bigons realizes minimal position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 from .errors import ModelInconsistency
 from .polygon import PolygonModel
@@ -58,70 +70,125 @@ def _compare_parameters(u, v) -> int:
 _BY_PARAMETER = cmp_to_key(_compare_parameters)
 
 
+def _has_triangle(crossings) -> bool:
+    """Whether some chord is crossed by two chords that cross each other:
+    three pairwise interleaved chords, the only chords a point can share."""
+    partners = {}
+    for c, d in crossings:
+        partners.setdefault(c, set()).add(d)
+        partners.setdefault(d, set()).add(c)
+    return any(not partners[c].isdisjoint(partners[d]) for c, d in crossings)
+
+
 class Geometry:
-    """Exact placement of one diagram: points, chords, ordered crossings."""
+    """Crossings in order along each chord, read off the boundary where that
+    order is forced, else from an exact placement; the boundary points and
+    chords are built on first use, by the placement or the census."""
 
     def __init__(self, model: PolygonModel, diagram):
         self.model = model
         self.diagram = diagram
-        for retry in range(_MAX_JITTER_RETRIES):
-            if self._place(retry):
-                self.retry = retry
-                del self.coord  # big integers that only placement reads
-                return
-        raise ModelInconsistency("could not reach generic position")
-
-    def _place(self, retry: int) -> bool:
-        model, diagram = self.model, self.diagram
-        n4 = model.n_sides
-        counts = [0] * n4
+        counts = [0] * model.n_sides
         for k in range(1, 2 * model.genus + 1):
             m = len(diagram.slot_orders[k - 1])
             counts[model.side_of[k]] = m
             counts[model.side_of[-k]] = m
-        sequence = []  # cyclic ccw boundary order
-        for s in range(n4):
+        self.side_counts = counts
+        # exact when a triangle leaves some order to the coordinates
+        self.exact = _has_triangle(diagram.crossings)
+        if self.exact:
+            self.retry, self.on_chord = self.placed_orders()
+        else:
+            self.retry, self.on_chord = 0, self.boundary_orders()
+
+    @cached_property
+    def sequence(self) -> list:
+        """The boundary points in cyclic ccw order, each side's after its
+        start corner."""
+        sequence = []
+        for s, m in enumerate(self.side_counts):
             sequence.append(("corner", s))
-            for rank in range(counts[s]):
-                sequence.append((s, rank))
+            sequence += [(s, rank) for rank in range(m)]
+        return sequence
+
+    @cached_property
+    def chord_ends(self) -> dict:
+        return {
+            (i, p): ends for i, strand in enumerate(self.diagram.chord_points)
+            for p, ends in enumerate(strand)
+        }
+
+    @cached_property
+    def chord_ids(self) -> list:
+        return sorted(self.chord_ends)
+
+    def boundary_orders(self) -> dict:
+        """Crossings along each chord AB by the position, counted
+        counterclockwise from A, of the crossing chord's end on the arc
+        from A to B: the order of every convex placement when no two of
+        them cross each other."""
+        first, period = [], 0  # sequence position of each side's rank 0
+        for m in self.side_counts:
+            first.append(period + 1)
+            period += m + 1
+        chord_points = self.diagram.chord_points
+        ends = {}
+        for cid in set().union(*self.diagram.crossings):
+            (s, r), (t, q) = chord_points[cid[0]][cid[1]]
+            ends[cid] = (first[s] + r, first[t] + q)
+        keyed = {cid: [] for cid in ends}
+        for crossing in self.diagram.crossings:
+            for own, other in (crossing, crossing[::-1]):
+                a = ends[own][0]
+                # one end of the other chord lies on each arc of this one
+                key = min((e - a) % period for e in ends[other])
+                keyed[own].append((key, crossing))
+        return {
+            (i, p): [crossing for _, crossing in sorted(keyed.get((i, p), ()))]
+            for i, strand in enumerate(chord_points) for p in range(len(strand))
+        }
+
+    def placed_orders(self) -> tuple:
+        """(retry, crossings along each chord) of the exact placement, its
+        boundary parameters jittered until no chord has two equal ones."""
+        for retry in range(_MAX_JITTER_RETRIES):
+            on_chord = self._place(retry)
+            if on_chord is not None:
+                return retry, on_chord
+        raise ModelInconsistency("could not reach generic position")
+
+    def _place(self, retry: int):
+        sequence = self.sequence
         big = 1009 * len(sequence) * len(sequence)
         q = 2 * big
-        self.coord = {}
+        coord = {}
         for n, key in enumerate(sequence):
             # t = p/q = (2n - (len - 1))/2 + retry n^2/big
             p = (2 * n - (len(sequence) - 1)) * big + 2 * retry * n * n
-            self.coord[key] = (q * q - p * p, 2 * p * q, q * q + p * p)
-        self.sequence = sequence
-        self.side_counts = counts
+            coord[key] = (q * q - p * p, 2 * p * q, q * q + p * p)
 
-        self.chord_ends = {
-            (i, p): ends for i, strand in enumerate(diagram.chord_points)
-            for p, ends in enumerate(strand)
-        }
-        self.chord_ids = sorted(self.chord_ends)
-        lines = {
-            cid: _line(*self._ends(cid)) for cid in set().union(*diagram.crossings)
-        }
+        def ends(cid):
+            return tuple(coord[key] for key in self.chord_ends[cid])
+
+        crossings = self.diagram.crossings
+        lines = {cid: _line(*ends(cid)) for cid in set().union(*crossings)}
         params = {cid: [] for cid in self.chord_ids}
-        for crossing in diagram.crossings:
+        for crossing in crossings:
             for own, other in (crossing, crossing[::-1]):
-                a, b = self._ends(own)
+                a, b = ends(own)
                 na, nb = _dot(lines[other], a), _dot(lines[other], b)
                 if na * nb >= 0:
                     raise ModelInconsistency("crossing fell outside its chords")
                 num = abs(na) * b[2]
                 params[own].append((num, num + abs(nb) * a[2], crossing))
-        self.on_chord = {}
+        on_chord = {}
         for cid, entries in params.items():
             entries.sort(key=_BY_PARAMETER)
             for u, v in zip(entries, entries[1:]):
                 if _compare_parameters(u, v) == 0:
-                    return False  # triple point; jitter and retry
-            self.on_chord[cid] = [crossing for _, _, crossing in entries]
-        return True
-
-    def _ends(self, cid):
-        return tuple(self.coord[key] for key in self.chord_ends[cid])
+                    return None  # triple point; jitter and retry
+            on_chord[cid] = [crossing for _, _, crossing in entries]
+        return on_chord
 
 
 # -- taut certificate ---------------------------------------------------------

@@ -721,8 +721,17 @@ def complement_report(s: Surface, x: CurveClass, y: CurveClass) -> ComplementRep
     return report
 
 
+def _length_bound(bound, least: int) -> None:
+    """BadArgument unless the length bound is an int, BadValue below least."""
+    if not isinstance(bound, int):
+        raise BadArgument(f"a length bound is an int, not {bound!r}")
+    if bound < least:
+        raise BadValue(f"a length bound must be at least {least}, got {bound}")
+
+
 def enumerate_classes(s: Surface, max_length: int):
     """All canonical classes with representative length <= max_length."""
+    _length_bound(max_length, 0)
     seen = set()
     out = []
     for w in reduced_words(s.genus, max_length):
@@ -739,6 +748,5 @@ def enumerate_classes(s: Surface, max_length: int):
 
 def enumerate_simple_classes(s: Surface, max_length: int):
     """All simple classes with canonical length <= max_length, sorted."""
-    if max_length < 1:
-        raise BadValue("max_length must be at least 1")
+    _length_bound(max_length, 1)
     return [c for c in enumerate_classes(s, max_length) if is_simple(s, c)]

@@ -69,8 +69,9 @@ class CurveDiagram:
 
     @cached_property
     def geometry(self) -> Geometry:
-        """Exact placement of the strands, built on first use and kept with
-        the diagram, so certifying it and reading its arcs place it once."""
+        """The crossings in order along each chord (see complement), built
+        on first use and kept with the diagram, so certifying it and reading
+        its arcs order them once."""
         return Geometry(polygon_model(self.genus), self)
 
     def dump(self) -> str:

@@ -328,10 +328,23 @@ def twist_generator(s: Surface, index: int) -> MappingClass:
 # -- action on words, classes, expressions ------------------------------------
 
 
+def _image(s: Surface, f: MappingClass, word: GroupWord) -> GroupWord:
+    """_substitute of a word from a caller, BadLetter for a letter outside
+    the alphabet: _substitute would read 0 as images[-1], and a letter past
+    the alphabet raises IndexError there, so its loop stays unchecked."""
+    if 0 in word:
+        raise BadLetter(f"letter 0 outside genus-{s.genus} alphabet")
+    try:
+        return _substitute(f.images, word)
+    except IndexError:
+        bad = next(l for l in word if abs(l) > 2 * s.genus)
+        raise BadLetter(f"letter {bad!r} outside genus-{s.genus} alphabet") from None
+
+
 def apply_to_word(s: Surface, f: MappingClass, word) -> GroupWord:
     _check_genus(s, f)
     try:
-        image = _substitute(f.images, tuple(word))
+        image = _image(s, f, tuple(word))
     except TypeError:
         raise _bad_word(word) from None
     return normalize_word(s, image)
@@ -339,7 +352,7 @@ def apply_to_word(s: Surface, f: MappingClass, word) -> GroupWord:
 
 def apply_to_class(s: Surface, f: MappingClass, cls: CurveClass) -> CurveClass:
     _check_genus(s, f, cls)
-    return canonical_class(s, _substitute(f.images, cls.word))
+    return canonical_class(s, _image(s, f, cls.word))
 
 
 def apply_to_multicurve(s: Surface, f: MappingClass, mc: Multicurve) -> Multicurve:

@@ -12,8 +12,9 @@ sigma over its exits.  The table is solved once per genus from the corner walk:
 each generator loop, pushed off the vertex, crosses exactly the germs between
 its two ends in the vertex rotation, which pins every sigma up to the relator.
 
-Route words are all read through exits_word, one free reduction of the chained
-sigma words of a sequence of exits.
+Route words are all read through exits_word, which joins the sigma words of a
+sequence of exits; each is freely reduced, so letters cancel only where one
+meets the next (words._join).
 
 A route is also a word of the surface group itself, in the dual presentation:
 name side s by its relator letter with every b_i inverted (side_letter), and
@@ -33,13 +34,13 @@ others through the half-swap closure.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import chain
 
 from .errors import ModelInconsistency
 from .representations import Representation, random_representation
 from .words import (
     GroupWord,
     _cyclic_dehn_reduce,
+    _join,
     canonical_class,
     dehn_reduce,
     free_reduce,
@@ -197,8 +198,9 @@ class PolygonModel:
     spelling_routes = route_variants  # perfbench/tracer.py wraps this name too
 
     def exits_word(self, exits) -> GroupWord:
-        """Freely reduced word read by crossing out through the given sides."""
-        return free_reduce(chain.from_iterable(self.sigma[s] for s in exits))
+        """Freely reduced word read by crossing out through the given sides;
+        each sigma word is reduced, so only their seams can cancel."""
+        return _join(self.sigma[s] for s in exits)
 
     def route_word(self, route, start: int = 0) -> GroupWord:
         """Group word read by the closed route, starting after position start."""

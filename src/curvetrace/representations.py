@@ -60,8 +60,9 @@ def _word_matrix(table: dict, word) -> tuple:
     """The word's matrix from a _letter_table, _mul inlined."""
     a, b, c, d = _I
     for l in word:
-        # the int test first: a dict keyed by ints also finds 1.0, as 1.0 == 1
-        m = table.get(l) if isinstance(l, int) else None
+        # the int test first: a dict keyed by ints also finds 1.0 and True,
+        # as 1.0 == True == 1
+        m = table.get(l) if type(l) is int else None
         if m is None:
             raise BadLetter(f"letter {l!r} outside {len(table) // 2} generators")
         e, f, g, h = m

@@ -202,6 +202,20 @@ def free_reduce(word: Iterable) -> GroupWord:
     return tuple(out)
 
 
+def _join(pieces: Iterable) -> GroupWord:
+    """Free reduction of the concatenation of freely reduced pieces: the
+    letters of each piece cancel against the word so far only until one is
+    kept, and the rest of that piece cannot cancel."""
+    out = []
+    for piece in pieces:
+        i, n = 0, len(piece)
+        while i < n and out and out[-1] == -piece[i]:
+            out.pop()
+            i += 1
+        out += piece[i:]
+    return tuple(out)
+
+
 def cyclic_free_reduce(word: Iterable) -> GroupWord:
     w = list(free_reduce(word))
     while len(w) >= 2 and w[0] == -w[-1]:
@@ -313,7 +327,7 @@ def dehn_reduce(genus: int, word: Iterable) -> GroupWord:
         if hit is None:
             return w
         i, length, repl = hit
-        w = free_reduce(w[:i] + repl + w[i + length :])
+        w = _join((w[:i], repl, w[i + length :]))
 
 
 def geodesic_spellings(genus: int, word: Iterable):
@@ -346,12 +360,23 @@ def _bad_word(word) -> BadLetter:
     return BadLetter(f"a word is a sequence of int letters, not {word!r}")
 
 
+def _check_letters(genus: int, word: GroupWord) -> None:
+    """BadLetter naming the first letter that is not an int of the genus's
+    alphabet; a bool is no letter, though True == 1."""
+    top = 2 * genus
+    for l in word:
+        if type(l) is not int or not 0 < abs(l) <= top:
+            raise BadLetter(f"letter {l!r} outside genus-{genus} alphabet")
+
+
 def normalize_word(surface: Surface, word: Iterable) -> GroupWord:
     """Canonical geodesic form of the group element (lex-min spelling)."""
     try:
-        return min(geodesic_spellings(surface.genus, word), key=_letter_codes)
+        word = tuple(word)
     except TypeError:
         raise _bad_word(word) from None
+    _check_letters(surface.genus, word)
+    return min(geodesic_spellings(surface.genus, word), key=_letter_codes)
 
 
 def _cyclic_dehn_reduce(genus: int, word: Iterable) -> GroupWord:
@@ -504,15 +529,14 @@ def canonical_class(surface: Surface, word: Iterable) -> CurveClass:
 
 @lru_cache(maxsize=None)
 def _canonical_class(genus: int, word: GroupWord) -> CurveClass | None:
-    # reduced and checked on cache misses only: a word that was ever cached
-    # is valid, and a word that is not freely reduced is looked up again as
-    # its reduction, so the classes of both spellings are built once
+    # checked and reduced on cache misses only: a word that was ever cached
+    # is valid (so no bool letter becomes a key), and a word that is not
+    # freely reduced is looked up again as its reduction, so the classes of
+    # both spellings are built once
+    _check_letters(genus, word)
     reduced = free_reduce(word)
     if reduced != word:
         return _canonical_class(genus, reduced)
-    for l in word:
-        if not isinstance(l, int) or abs(l) > 2 * genus:
-            raise BadLetter(f"letter {l!r} outside genus-{genus} alphabet")
     w = _cyclic_dehn_reduce(genus, word)
     while w:
         try:
@@ -582,7 +606,7 @@ def homology_class(surface: Surface, word: Iterable, ring: str = "Z") -> Homolog
         raise BadValue(f"ring must be 'Z' or 'Z2', got {ring!r}")
     coords = [0] * surface.rank
     for l in word:
-        if not isinstance(l, int) or l == 0 or abs(l) > surface.rank:
+        if type(l) is not int or l == 0 or abs(l) > surface.rank:
             raise BadLetter(f"letter {l!r} outside alphabet")
         coords[abs(l) - 1] += 1 if l > 0 else -1
     if ring == "Z2":

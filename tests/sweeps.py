@@ -20,7 +20,9 @@ inputs:
 - the cobracket floor sweep: test_geometry.py's
   test_taut_single_matches_every_seed_reference;
 - the splitting count sweep: test_splitting.py's
-  test_composed_count_matches_the_chain_walk.
+  test_composed_count_matches_the_chain_walk;
+- the crossing order sweep: test_complement.py's
+  test_a_triangle_is_placed_and_other_orders_are_read_off_the_boundary.
 The genus-3 pair sweep has none.
 """
 import random
@@ -29,6 +31,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import oracles
 from curvetrace import algebra, curves
+from curvetrace.complement import Geometry
 from curvetrace.diagrams import build_diagram
 from curvetrace.errors import CurvetraceError
 from curvetrace.polygon import polygon_model
@@ -222,6 +225,26 @@ def splitting_differences(genus, deltas, alphas):
     return lines, composed, walked
 
 
+def placement_mismatches(model, diagrams):
+    """Each named diagram's crossings in order along its chords, read off the
+    boundary or, where three chords cross pairwise, placed exactly, against
+    the rational placement of the test oracles and against Geometry's exact
+    placement: a line wherever they differ.  Returns the lines and how many
+    diagrams were read, how many placed, and on how many of those the order
+    read off the boundary would have been wrong."""
+    lines, paths = [], {"read": 0, "placed": 0, "misread": 0}
+    for name, diagram in diagrams:
+        geo = Geometry(model, diagram)
+        want = oracles.reference_placement(model, diagram)
+        if (geo.retry, geo.on_chord) != want:
+            lines.append(f"{name}: the crossing order differs from the reference")
+        if geo.placed_orders() != want:
+            lines.append(f"{name}: the exact placement differs from the reference")
+        paths["placed" if geo.exact else "read"] += 1
+        paths["misread"] += geo.exact and geo.boundary_orders() != geo.on_chord
+    return lines, paths
+
+
 def _fail_on(lines, *summary):
     print(*lines, *summary, sep="\n")
     assert not lines
@@ -350,3 +373,40 @@ def test_cobracket_floor_sweep():
             f" themselves, the floor meets the count on {met}"
         )
     _fail_on(lines, *counts, f"{len(lines)} misses")
+
+
+def test_crossing_order_sweep():
+    def taut(genus, bound):
+        s = make_surface(genus)
+        for c in curves.enumerate_classes(s, bound):
+            yield f"genus {genus}: {format_word(c.word)}", curves._taut_single(genus, c.word)
+
+    def seed_pairs(genus):
+        model = polygon_model(genus)
+        for wx, wy in sweep_pairs(genus):
+            seeds = product(*(curves._route_seeds(genus, w) for w in (wx, wy)))
+            for k, routes in enumerate(seeds):
+                name = f"genus {genus}: {format_word(wx)} {format_word(wy)}, seed pair {k}"
+                yield name, build_diagram(model, (), routes)
+
+    def unions():
+        s = make_surface(2)
+        for x, y in combinations_with_replacement(algebra.enumerate_multicurves(s, 4), 2):
+            yield f"{x} * {y}", algebra._built_union(s, x, y)
+
+    families = (
+        ("genus-2 taut diagrams of length <= 6", 2, taut(2, 6)),
+        ("genus-3 taut diagrams of length <= 4", 3, taut(3, 4)),
+        ("genus-2 pair sweep seed pairs", 2, seed_pairs(2)),
+        ("genus-3 pair sweep seed pairs", 3, seed_pairs(3)),
+        ("product sweep unions", 2, unions()),
+    )
+    lines, counts = [], []
+    for family, genus, diagrams in families:
+        found, paths = placement_mismatches(polygon_model(genus), diagrams)
+        lines += found
+        counts.append(
+            f"{family}: {paths['read']} read off the boundary, {paths['placed']}"
+            f" placed, {paths['misread']} of them misread by the boundary"
+        )
+    _fail_on(lines, *counts, f"{len(lines)} mismatches")

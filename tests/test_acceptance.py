@@ -88,6 +88,7 @@ def test_out_of_range_values_raise_a_typed_value_error():
         lambda: algebra.basis_rank_check(s, [algebra.make_multicurve(s, {a1: 1})], 0, 1),
         lambda: mapping.make_sign_character(s, (0, 2, 0, 0)),
         lambda: curves.enumerate_simple_classes(s, 0),
+        lambda: curves.enumerate_classes(s, -1),
         lambda: run_suite("nonesuch"),
     )
     for call in calls:

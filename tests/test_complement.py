@@ -9,6 +9,7 @@ from curvetrace.curves import (
     _pair_diagram,
     _route_seeds,
     complement_report,
+    enumerate_classes,
     enumerate_simple_classes,
     intersection_number,
     realize,
@@ -17,8 +18,9 @@ from curvetrace.curves import (
 from curvetrace.diagrams import build_diagram
 from curvetrace.errors import ModelInconsistency, NotSimple
 from curvetrace.polygon import polygon_model
-from curvetrace.words import canonical_class, letters, make_surface, parse_word
+from curvetrace.words import canonical_class, format_word, letters, make_surface, parse_word
 from oracles import reference_pair_diagram, reference_placement
+from sweeps import placement_mismatches
 
 S2 = make_surface(2)
 
@@ -152,3 +154,25 @@ def test_chord_orders_match_rational_reference(genus):
         assert not hasattr(geo, "coord")
         retried += retry > 0
     assert retried >= 1
+
+
+def test_a_triangle_is_placed_and_other_orders_are_read_off_the_boundary():
+    # the crossing order sweep of tests/sweeps.py on fewer diagrams.  The
+    # taut a1a1b1b2 has three pairwise crossing chords, so the order along
+    # them depends on where the triangle lies, and the boundary order is
+    # wrong there; the taut a1a1a1 has two crossings on one chord and no
+    # triangle, so its order is read off the boundary
+    model = polygon_model(2)
+    triangle = curves._taut_single(2, C("a1a1b1b2").word)
+    geo = Geometry(model, triangle)
+    assert geo.exact
+    assert geo.on_chord == reference_placement(model, triangle)[1]
+    assert geo.boundary_orders() != geo.on_chord
+    forced = curves._taut_single(2, C("a1a1a1").word)
+    assert not Geometry(model, forced).exact
+    assert max(map(len, forced.geometry.on_chord.values())) == 2
+    classes = enumerate_classes(S2, 4)
+    diagrams = [(format_word(c.word), curves._taut_single(2, c.word)) for c in classes]
+    lines, paths = placement_mismatches(model, diagrams)
+    assert lines == []
+    assert paths == {"read": 361, "placed": 25, "misread": 24}

@@ -51,7 +51,7 @@ from curvetrace.mapping import (
     verify_algebra_automorphism,
 )
 from curvetrace.representations import evaluate_trace, random_representation
-from curvetrace.words import canonical_class, make_surface, parse_word
+from curvetrace.words import CurveClass, canonical_class, make_surface, parse_word
 
 S2 = make_surface(2)
 S3 = make_surface(3)
@@ -350,6 +350,18 @@ def test_apply_to_word_rejects_words_that_are_not_int_letters():
     for word in ("a1", "a", (1, "b"), 5):
         with pytest.raises(BadLetter):
             apply_to_word(S2, t, word)
+
+
+def test_the_action_names_a_letter_outside_the_alphabet():
+    # 0 was read as the last generator's inverse, images[-1] inverted, and a
+    # letter past the alphabet raised a bare IndexError
+    t = twist_generator(S2, 1)
+    for word, letter in (((0,), 0), ((1, 0), 0), ((-5,), -5), ((2, 9), 9)):
+        with pytest.raises(BadLetter, match=f"^letter {letter} outside genus-2 alphabet$"):
+            apply_to_word(S2, t, word)
+        with pytest.raises(BadLetter, match=f"^letter {letter} outside genus-2 alphabet$"):
+            apply_to_class(S2, t, CurveClass(2, word))
+    assert apply_to_word(S2, t, (4,)) == t.images[3]  # stored normalized
 
 
 def test_verify_algebra_automorphism_reports():

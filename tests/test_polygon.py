@@ -12,6 +12,7 @@ from curvetrace.polygon import polygon_model
 from curvetrace.words import (
     _cyclic_dehn_reduce,
     canonical_class,
+    free_reduce,
     inverse_word,
     letters,
     make_surface,
@@ -79,3 +80,29 @@ def test_route_variants_agree_across_spellings(word):
     want = model.route_variants(cls.word)
     for spelling in oriented_spellings(S2, cls):
         assert model.route_variants(spelling) == want, spelling
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_exits_word_is_the_reduced_chain_of_sigma_words(genus):
+    # exits_word joins the sigma words at their seams only; on random exit
+    # sequences and on arcs of the route seeds of random classes it must read
+    # what one free reduction of the chained sigma words reads
+    model = polygon_model(genus)
+    rng = random.Random(genus)
+    for _ in range(500):
+        exits = [rng.randrange(model.n_sides) for _ in range(rng.randint(0, 12))]
+        chained = free_reduce(l for s in exits for l in model.sigma[s])
+        assert model.exits_word(exits) == chained, exits
+        assert model.exits_word(iter(exits)) == chained
+    surface, alphabet = make_surface(genus), letters(genus)
+    for _ in range(60):
+        word = [rng.choice(alphabet) for _ in range(rng.randint(1, 8))]
+        try:
+            cls = canonical_class(surface, word)
+        except TrivialClass:
+            continue
+        for route in _route_seeds(genus, cls.word):
+            first, last = rng.randrange(len(route)), rng.randrange(len(route))
+            arc = [route[(first + t) % len(route)] for t in range((last - first) % len(route) + 1)]
+            chained = free_reduce(l for s in arc for l in model.sigma[s])
+            assert model.arc_word(route, first, last) == chained, (route, first, last)

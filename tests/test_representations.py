@@ -75,12 +75,12 @@ def test_tampered_matrix_raises():
 def test_evaluate_trace_rejects_letters_that_are_not_ints():
     rep = random_representation(S2, 0)
     # the letter table is a dict keyed by int, and 1.0 == 1 hashes alike, so
-    # the int test, not the lookup, must turn 1.0 away; a bad letter after
-    # good ones, and |letter| > 2g of either sign, raise too
+    # the int test, not the lookup, must turn 1.0 and True away; a bad letter
+    # after good ones, and |letter| > 2g of either sign, raise too
     for word, letter in [
         ("a1", "a"), ((1, "b"), "b"), ((1.0,), 1.0), ((5,), 5), ((0,), 0),
         ((1, 2, 1.0), 1.0), ((1, -1.0), -1.0), ((3, 0), 0), ((1, 5), 5),
-        ((-5,), -5), ((9,), 9), ((-9,), -9),
+        ((-5,), -5), ((9,), 9), ((-9,), -9), ((True,), True), ((2, False), False),
     ]:
         with pytest.raises(BadLetter, match=re.escape(f"letter {letter!r} outside 4")):
             evaluate_trace(rep, word)

@@ -13,7 +13,8 @@ from oracles import (
 
 import curvetrace
 from curvetrace import errors, words
-from curvetrace.algebra import parse_expression, parse_multicurve
+from curvetrace.algebra import enumerate_multicurves, parse_expression, parse_multicurve
+from curvetrace.curves import enumerate_classes
 from curvetrace.errors import (
     BadArgument,
     BadLetter,
@@ -25,6 +26,7 @@ from curvetrace.mapping import parse_mapping_class
 from curvetrace.valuations import parse_lamination
 from curvetrace.words import (
     _chase_spellings,
+    _join,
     _closure_entry,
     _cyclic_dehn_reduce,
     _min_rotation,
@@ -124,6 +126,8 @@ def test_canonical_class_rejects_letters_outside_alphabet():
         lambda: parse_expression(S2, ["1\ta1^1"]),
         lambda: parse_lamination(S2, b"1 a1"),
         lambda: parse_mapping_class(S2, None),
+        lambda: enumerate_multicurves(S2, "a"),
+        lambda: enumerate_classes(S2, 2.0),
     ],
     ids=[
         "primitive_root",
@@ -133,6 +137,8 @@ def test_canonical_class_rejects_letters_outside_alphabet():
         "parse_expression",
         "parse_lamination",
         "parse_mapping_class",
+        "enumerate_multicurves",
+        "enumerate_classes",
     ],
 )
 def test_arguments_of_the_wrong_type_are_typed(call):
@@ -154,6 +160,27 @@ def test_normalize_word_rejects_words_that_are_not_int_letters():
         with pytest.raises(BadLetter):
             normalize_word(S2, word)
     assert normalize_word(S2, [1, -1, 2]) == (2,)
+
+
+def test_normalize_word_names_a_letter_outside_the_alphabet():
+    # 9 was read as a letter of no generator, 0 and True as letters at all
+    for word, letter in (((9,), 9), ((1, -5, 2), -5), ((0,), 0), ((True, 2), True)):
+        with pytest.raises(BadLetter, match=f"^letter {letter!r} outside genus-2 alphabet$"):
+            normalize_word(S2, word)
+    assert normalize_word(S3, (5,)) == (5,)
+
+
+def test_a_bool_letter_neither_reads_as_a1_nor_enters_the_class_cache():
+    # True == 1 and hashes alike, so a class built from (True, 2) was cached
+    # under (1, 2) and handed its bool-holding word to later callers; only a
+    # miss is checked, so the cache starts cold
+    words._canonical_class.cache_clear()
+    for word in ((True, 4), (4, True, -4), (True, -1)):
+        with pytest.raises(BadLetter, match="^letter True outside genus-2 alphabet$"):
+            canonical_class(S2, word)
+    assert [type(l) for l in canonical_class(S2, (1, 4)).word] == [int, int]
+    with pytest.raises(BadLetter, match="outside alphabet"):
+        homology_class(S2, (True, 2))
 
 
 def test_alphabet_and_reduced_words():
@@ -183,6 +210,23 @@ def test_homology_class_rejects_bad_rings_and_letters():
     for word in ((5,), (0,), (1, "b")):
         with pytest.raises(BadLetter, match="outside alphabet"):
             homology_class(S2, word)
+
+
+_REDUCED = st.lists(st.sampled_from(letters(2)), max_size=6).map(free_reduce)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(drawn=st.lists(st.one_of(_REDUCED, st.none()), max_size=8))
+def test_join_is_the_free_reduction_of_the_concatenation(drawn):
+    # None draws the inverse of the piece before it, which cancels it
+    # completely; reduced pieces include empty ones
+    pieces = []
+    for piece in drawn:
+        if piece is None:
+            piece = inverse_word(pieces[-1]) if pieces else ()
+        pieces.append(piece)
+    assert _join(pieces) == free_reduce(l for p in pieces for l in p)
+    assert _join(iter(pieces)) == _join(pieces)
 
 
 def test_free_reduce():
