@@ -29,7 +29,7 @@ from .curves import (
     enumerate_simple_classes,
     intersection_number,
 )
-from .errors import BadValue, TrivialClass
+from .errors import BadValue
 from .mapping import (
     apply_to_class,
     central_twist,
@@ -48,6 +48,7 @@ from .valuations import (
     valuate,
 )
 from .words import (
+    _canonical_class,
     canonical_class,
     homology_class,
     inverse_word,
@@ -116,10 +117,8 @@ def _run_presentation():
         reps = [random_representation(s, seed) for seed in range(3)]
         want = {}  # canonical word -> its traces
         for word in _presentation_words(s, max_length, random.Random(101)):
-            try:
-                cls = canonical_class(s, word)
-            except TrivialClass:
-                cls, trivial = None, trivial + 1
+            cls = _canonical_class(genus, word)
+            trivial += cls is None
             target, checked = (cls.word if cls else ()), [word]
             if target not in want:
                 want[target] = [evaluate_trace(rep, target) for rep in reps]

@@ -42,18 +42,17 @@ from .errors import (
     BadValue,
     GenusMismatch,
     ModelInconsistency,
-    TrivialClass,
 )
 from .polygon import polygon_model
 from .representations import P, Representation, evaluate_trace, random_representation
 from .words import (
     CurveClass,
     Surface,
-    _bad_word,
+    _canonical_class,
     _join,
     _text,
+    _word,
     canonical_class,
-    dehn_reduce,
     format_word,
     inverse_word,
     parse_word,
@@ -279,13 +278,10 @@ def expand_trace(s: Surface, word) -> TraceExpression:
     The state sum runs over the certified taut diagram of the word's class,
     a proper power included, so powers need no separate rule.
     """
-    try:
-        reduced = dehn_reduce(s.genus, word)
-    except TypeError:
-        raise _bad_word(word) from None
-    if not reduced:
+    cls = _canonical_class(s.genus, _word(s.genus, word))
+    if cls is None:
         return scalar_expression(s.genus, 2)
-    return _expand_class(s, canonical_class(s, reduced))
+    return _expand_class(s, cls)
 
 
 def _expand_class(s: Surface, cls: CurveClass) -> TraceExpression:
@@ -330,16 +326,6 @@ def _built_union(s: Surface, mc1: Multicurve, mc2: Multicurve):
     return build_diagram(polygon_model(s.genus), classes, routes)
 
 
-def _read_class(s: Surface, word):
-    """The class a closed word reads, or None when it is null-homotopic.
-    The word is a freely reduced tuple by construction (joined from arc
-    words with words._join), so the class cache keeps one key per class."""
-    try:
-        return canonical_class(s, word)
-    except TrivialClass:
-        return None
-
-
 def _state_sum(s: Surface, diagram) -> TraceExpression:
     """Product of the strands' traces, summed over the states of a diagram of
     the strands (see the module docstring): a class's certified taut one, or
@@ -347,7 +333,8 @@ def _state_sum(s: Surface, diagram) -> TraceExpression:
 
     Arc k has ends 2k (start) and 2k + 1 (finish), and a state links the four
     ends met at each crossing in two pairs.  A strand without crossings is
-    one arc whose two ends stay linked.
+    one arc whose two ends stay linked.  Arc words joined by _join are
+    freely reduced, so the class cache keeps one key per class.
     """
     model = polygon_model(s.genus)
     arcs = list(strand_arcs(model, diagram))
@@ -357,7 +344,7 @@ def _state_sum(s: Surface, diagram) -> TraceExpression:
         if not own:
             own = [model.route_word(diagram.routes[i])]
             words += own
-        if _read_class(s, _join(own)) != cls:
+        if _canonical_class(s.genus, _join(own)) != cls:
             raise ModelInconsistency("strand arcs do not read the strand's class")
     ends = {}  # (crossing, chord, 0 arriving / 1 leaving) -> arc end
     for k, (_, arc) in enumerate(arcs):
@@ -394,7 +381,9 @@ def _state_sum(s: Surface, diagram) -> TraceExpression:
                 end = link[end ^ 1]
             path = tuple(path)
             if path not in components:
-                components[path] = _read_class(s, _join(reads[e] for e in path))
+                components[path] = _canonical_class(
+                    s.genus, _join(reads[e] for e in path)
+                )
             cls = components[path]
             coeff *= -2 if cls is None else -1
             if cls is not None:
@@ -461,8 +450,7 @@ def basis_rank_check(s: Surface, curves, trials: int, seed: int) -> RankReport:
     rank proves them linearly independent over Q."""
     curves = list(curves)
     _check_genus(s, *curves)
-    if trials < len(curves):
-        raise BadValue(f"need trials >= {len(curves)}, got {trials}")
+    _length_bound(trials, len(curves), "trials")
     rows = []
     for j in range(trials):
         rep = random_representation(s, seed + j)

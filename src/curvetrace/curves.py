@@ -70,14 +70,13 @@ from .errors import (
     ModelInconsistency,
     NotSimple,
     ReductionBudgetExceeded,
-    TrivialClass,
 )
 from .polygon import polygon_model
 from .representations import evaluate_trace
 from .words import (
     CurveClass,
     Surface,
-    canonical_class,
+    _canonical_class,
     format_word,
     free_reduce,
     make_surface,
@@ -559,13 +558,10 @@ def _bracket_floor(model, diagram) -> int:
         if crossing[0][0] != crossing[1][0]:
             u, v, sign = _crossing_loops(model, diagram, crossing)
             terms.append((evaluate_trace(rep, u + v), sign, u + v))
-    s = make_surface(model.genus)
 
     def key(word):
-        try:
-            return canonical_class(s, free_reduce(word)).word, 1
-        except TrivialClass:
-            return None, 1
+        cls = _canonical_class(model.genus, free_reduce(word))
+        return (None if cls is None else cls.word), 1
 
     return _term_count(terms, key)
 
@@ -592,13 +588,14 @@ def _cobracket_floor(model, diagram) -> int:
             tu, tv, u, v, sign = tv, tu, v, u, -sign
         trace = None if tu == tv or tu == 2 or tv == 2 else (tu, tv)
         terms.append((trace, sign, (u, v)))
-    s = make_surface(model.genus)
 
     def key(loops):
-        try:
-            u, v = (canonical_class(s, loop).word for loop in loops)
-        except TrivialClass:
+        # the second loop is looked up only when the first is essential
+        u = _canonical_class(model.genus, loops[0])
+        v = u and _canonical_class(model.genus, loops[1])
+        if v is None:
             return None, 0
+        u, v = u.word, v.word
         return (min(u, v), max(u, v)), (u < v) - (u > v)
 
     return _term_count(terms, key)
@@ -721,12 +718,12 @@ def complement_report(s: Surface, x: CurveClass, y: CurveClass) -> ComplementRep
     return report
 
 
-def _length_bound(bound, least: int) -> None:
-    """BadArgument unless the length bound is an int, BadValue below least."""
+def _length_bound(bound, least: int, what: str = "a length bound") -> None:
+    """BadArgument unless the bound named what is an int, BadValue below least."""
     if not isinstance(bound, int):
-        raise BadArgument(f"a length bound is an int, not {bound!r}")
+        raise BadArgument(f"{what} is an int, not {bound!r}")
     if bound < least:
-        raise BadValue(f"a length bound must be at least {least}, got {bound}")
+        raise BadValue(f"{what} must be at least {least}, got {bound}")
 
 
 def enumerate_classes(s: Surface, max_length: int):
@@ -735,11 +732,8 @@ def enumerate_classes(s: Surface, max_length: int):
     seen = set()
     out = []
     for w in reduced_words(s.genus, max_length):
-        try:
-            c = canonical_class(s, w)
-        except TrivialClass:
-            continue
-        if c.word not in seen:
+        c = _canonical_class(s.genus, w)
+        if c is not None and c.word not in seen:
             seen.add(c.word)
             out.append(c)
     out.sort(key=lambda c: (len(c.word), c.word))

@@ -36,6 +36,7 @@ from .algebra import (
 )
 from .curves import (
     _check_genus,
+    _length_bound,
     _taut_single,
     check_disjoint_simple,
     intersection_number,
@@ -50,6 +51,7 @@ from .errors import (
     ModelInconsistency,
     NotSimple,
     NotSimpleImage,
+    TrivialClass,
 )
 from .polygon import polygon_model
 from .representations import P, Representation
@@ -57,8 +59,9 @@ from .words import (
     CurveClass,
     GroupWord,
     Surface,
-    _bad_word,
+    _canonical_class,
     _text,
+    _word,
     canonical_class,
     dehn_reduce,
     format_word,
@@ -328,31 +331,17 @@ def twist_generator(s: Surface, index: int) -> MappingClass:
 # -- action on words, classes, expressions ------------------------------------
 
 
-def _image(s: Surface, f: MappingClass, word: GroupWord) -> GroupWord:
-    """_substitute of a word from a caller, BadLetter for a letter outside
-    the alphabet: _substitute would read 0 as images[-1], and a letter past
-    the alphabet raises IndexError there, so its loop stays unchecked."""
-    if 0 in word:
-        raise BadLetter(f"letter 0 outside genus-{s.genus} alphabet")
-    try:
-        return _substitute(f.images, word)
-    except IndexError:
-        bad = next(l for l in word if abs(l) > 2 * s.genus)
-        raise BadLetter(f"letter {bad!r} outside genus-{s.genus} alphabet") from None
-
-
 def apply_to_word(s: Surface, f: MappingClass, word) -> GroupWord:
     _check_genus(s, f)
-    try:
-        image = _image(s, f, tuple(word))
-    except TypeError:
-        raise _bad_word(word) from None
-    return normalize_word(s, image)
+    return normalize_word(s, _substitute(f.images, _word(s.genus, word)))
 
 
 def apply_to_class(s: Surface, f: MappingClass, cls: CurveClass) -> CurveClass:
     _check_genus(s, f, cls)
-    return canonical_class(s, _image(s, f, cls.word))
+    image = _canonical_class(s.genus, _substitute(f.images, _word(s.genus, cls.word)))
+    if image is None:  # cls was built around a null-homotopic word
+        raise TrivialClass(f"{format_word(cls.word)} is null-homotopic")
+    return image
 
 
 def apply_to_multicurve(s: Surface, f: MappingClass, mc: Multicurve) -> Multicurve:
@@ -547,6 +536,7 @@ def verify_algebra_automorphism(
     s: Surface, action, samples: int = 25, seed: int = 0, bound: int = 2
 ) -> AutomorphismReport:
     """Check the action against products of randomly sampled basis pairs."""
+    _length_bound(samples, 0, "samples")
     kind, act = _action_on_expression(s, action)
     universe = enumerate_multicurves(s, bound)
     rng = random.Random(seed)

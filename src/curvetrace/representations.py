@@ -144,5 +144,8 @@ def random_representation(surface: Surface, seed: int) -> Representation:
 
 def evaluate_trace(rep: Representation, word) -> int:
     """Trace of the word under the representation, as a residue mod P."""
-    m = _word_matrix(rep.letters, word)
+    try:
+        m = _word_matrix(rep.letters, word)
+    except TypeError:  # letters are checked there: the word is no sequence
+        raise BadLetter(f"letter {word!r} outside {2 * rep.genus} generators") from None
     return (m[0] + m[3]) % P

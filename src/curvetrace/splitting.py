@@ -62,7 +62,7 @@ from heapq import heappop, heappush
 from . import mapping
 from .curves import enumerate_simple_classes
 from .words import (
-    canonical_class,
+    _canonical_class,
     cyclic_free_reduce,
     free_reduce,
     homology_class,
@@ -190,7 +190,6 @@ class _TwistSearch:
     def __init__(self, genus: int):
         s = make_surface(genus)
         self.genus = genus
-        self.surface = s
         self.twists = tuple(
             (c.word, turns)
             for c in enumerate_simple_classes(s, 2)
@@ -206,7 +205,7 @@ class _TwistSearch:
             self.counters[_commutators(range(1, h + 1))] = count
         identity = tuple((k,) for k in range(1, 2 * genus + 1))
         self.classes = {
-            canonical_class(s, standard).word: (standard, (), identity)
+            _canonical_class(genus, standard).word: (standard, (), identity)
             for standard in self.counters
         }
 
@@ -221,8 +220,8 @@ class _TwistSearch:
             here = heappop(heap)[1]
             for twist in self.twists:
                 f = mapping._twist_cached(self.genus, *twist)
-                image = canonical_class(
-                    self.surface, mapping._substitute(f.images, here)
+                image = _canonical_class(
+                    self.genus, mapping._substitute(f.images, here)
                 ).word
                 if image in came_from:
                     continue

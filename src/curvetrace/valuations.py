@@ -34,6 +34,7 @@ from .algebra import (
 )
 from .curves import (
     _check_genus,
+    _length_bound,
     check_disjoint_simple,
     enumerate_simple_classes,
     intersection_number,
@@ -43,9 +44,10 @@ from .errors import BadLetter, BadValue, NotSimple
 from .words import (
     CurveClass,
     Surface,
+    _canonical_class,
     _text,
+    _word,
     canonical_class,
-    dehn_reduce,
     format_word,
     homology_class,
     mod2_class,
@@ -268,15 +270,12 @@ def thurston_max_check(s: Surface, delta: CurveClass, word) -> ThurstonReport:
     valuation of the expanded trace."""
     if not is_simple(s, delta):
         raise NotSimple(f"{format_word(delta.word)} is not a simple class")
-    word = tuple(word)
+    word = _word(s.genus, word)
     # make_lamination would only test delta's simplicity again
     lam = Lamination(genus=s.genus, weights=((delta, 1),))
     value = valuate(s, lam, expand_trace(s, word))
-    reduced = dehn_reduce(s.genus, word)
-    if reduced:
-        count = intersection_number(s, delta, canonical_class(s, reduced))
-    else:
-        count = 0
+    cls = _canonical_class(s.genus, word)
+    count = 0 if cls is None else intersection_number(s, delta, cls)
     return ThurstonReport(
         delta=delta, word=word, diagram_count=count, expansion_value=value
     )
@@ -365,8 +364,7 @@ class PositivityReport:
 
 def check_positive_up_to(s: Surface, lam: Lamination, bound: int) -> PositivityReport:
     """Positive pairing with every simple class of length <= bound."""
-    if bound < 1:
-        raise BadValue("bound must be at least 1")
+    _length_bound(bound, 1)
     pairing = _Pairing(s, lam)
     for c in enumerate_simple_classes(s, bound):
         if pairing.of_class(c) == 0:
@@ -394,8 +392,7 @@ class StrictnessReport:
 
 def check_strict_up_to(s: Surface, lam: Lamination, bound: int) -> StrictnessReport:
     """Pairwise-distinct values on all multicurves of total length <= bound."""
-    if bound < 1:
-        raise BadValue("bound must be at least 1")
+    _length_bound(bound, 1)
     pairing = _Pairing(s, lam)
     seen: dict = {}
     for mc in enumerate_multicurves(s, bound):

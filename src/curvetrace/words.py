@@ -36,6 +36,11 @@ canonical word, the least member of closure and mirror together, so
 canonical_class closes one orientation and later spellings of the class in
 either orientation are one table read.  Spellings of equal length are ordered
 by their letter codes 2|l| + (l < 0), so a1 < A1 < b1 < B1 < a2 < ...
+
+A caller's word is checked once, by _word, in every public function that
+takes one, cached or not.  The package's own words are valid by construction
+and unchecked: it reads their classes through _canonical_class (None when
+null-homotopic).
 """
 from __future__ import annotations
 
@@ -351,31 +356,24 @@ def geodesic_spellings(genus: int, word: Iterable):
             w = dehn_reduce(genus, s.word)
 
 
-def _bad_word(word) -> BadLetter:
-    """BadLetter for the TypeError being handled while reading word (the
-    handlers keep type checks off the cache-hit paths).  Int letters cannot
-    raise one, so for them the TypeError is a fault and propagates."""
-    if isinstance(word, tuple) and all(isinstance(l, int) for l in word):
-        raise  # the TypeError being handled
-    return BadLetter(f"a word is a sequence of int letters, not {word!r}")
-
-
-def _check_letters(genus: int, word: GroupWord) -> None:
-    """BadLetter naming the first letter that is not an int of the genus's
-    alphabet; a bool is no letter, though True == 1."""
+def _word(genus: int, word) -> GroupWord:
+    """The caller's word as a tuple, or BadLetter naming its first letter
+    outside the genus's alphabet (a bool is none, though True == 1), or the
+    word itself when it is not iterable."""
+    try:
+        word = tuple(word)
+    except TypeError:
+        raise BadLetter(f"letter {word!r} outside genus-{genus} alphabet") from None
     top = 2 * genus
     for l in word:
         if type(l) is not int or not 0 < abs(l) <= top:
             raise BadLetter(f"letter {l!r} outside genus-{genus} alphabet")
+    return word
 
 
 def normalize_word(surface: Surface, word: Iterable) -> GroupWord:
     """Canonical geodesic form of the group element (lex-min spelling)."""
-    try:
-        word = tuple(word)
-    except TypeError:
-        raise _bad_word(word) from None
-    _check_letters(surface.genus, word)
+    word = _word(surface.genus, word)
     return min(geodesic_spellings(surface.genus, word), key=_letter_codes)
 
 
@@ -515,13 +513,9 @@ def _chase_spellings(genus: int, w: GroupWord) -> set:
 
 
 def canonical_class(surface: Surface, word: Iterable) -> CurveClass:
-    """Canonical representative of the unoriented free homotopy class."""
-    try:
-        if type(word) is not tuple:  # a cache key must be a tuple
-            word = free_reduce(word)
-        cls = _canonical_class(surface.genus, word)
-    except TypeError:
-        raise _bad_word(word) from None
+    """Canonical representative of the unoriented free homotopy class.  The
+    caller's word is checked by _word on every call, cached or not."""
+    cls = _canonical_class(surface.genus, _word(surface.genus, word))
     if cls is None:
         raise TrivialClass("word is null-homotopic")
     return cls
@@ -529,11 +523,9 @@ def canonical_class(surface: Surface, word: Iterable) -> CurveClass:
 
 @lru_cache(maxsize=None)
 def _canonical_class(genus: int, word: GroupWord) -> CurveClass | None:
-    # checked and reduced on cache misses only: a word that was ever cached
-    # is valid (so no bool letter becomes a key), and a word that is not
-    # freely reduced is looked up again as its reduction, so the classes of
-    # both spellings are built once
-    _check_letters(genus, word)
+    """The class of the word, None when it is null-homotopic; unchecked (see
+    the module docstring).  A word that is not freely reduced is looked up
+    again as its reduction, so both spellings build the class once."""
     reduced = free_reduce(word)
     if reduced != word:
         return _canonical_class(genus, reduced)
@@ -605,9 +597,7 @@ def homology_class(surface: Surface, word: Iterable, ring: str = "Z") -> Homolog
     if ring not in ("Z", "Z2"):
         raise BadValue(f"ring must be 'Z' or 'Z2', got {ring!r}")
     coords = [0] * surface.rank
-    for l in word:
-        if type(l) is not int or l == 0 or abs(l) > surface.rank:
-            raise BadLetter(f"letter {l!r} outside alphabet")
+    for l in _word(surface.genus, word):
         coords[abs(l) - 1] += 1 if l > 0 else -1
     if ring == "Z2":
         coords = [c % 2 for c in coords]

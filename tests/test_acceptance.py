@@ -19,7 +19,7 @@ import pytest
 
 from curvetrace import algebra, curves, mapping, valuations
 from curvetrace.acceptance import SUITES, run_suite
-from curvetrace.errors import BadValue, CurvetraceError
+from curvetrace.errors import BadArgument, BadValue, CurvetraceError
 from curvetrace.words import canonical_class, homology_class, make_surface, parse_word
 
 
@@ -107,6 +107,26 @@ def test_out_of_range_values_raise_a_typed_value_error():
         and getattr(node.exc.func, "id", None) in ("ValueError", "TypeError")
     ]
     assert raised == []
+
+
+def test_counts_and_bounds_of_the_wrong_type_or_sign_are_typed():
+    # each raised a bare TypeError, and samples=-2 returned a report of no
+    # samples that read ok
+    s = make_surface(2)
+    a1 = canonical_class(s, parse_word(s, "a1"))
+    lam = valuations.make_lamination(s, {a1: 1})
+    mc = algebra.make_multicurve(s, {a1: 1})
+    t1 = mapping.twist_generator(s, 1)
+    for call in (
+        lambda: algebra.basis_rank_check(s, [mc], "a", 1),
+        lambda: mapping.verify_algebra_automorphism(s, t1, samples="a"),
+        lambda: valuations.check_positive_up_to(s, lam, "a"),
+        lambda: valuations.check_strict_up_to(s, lam, "a"),
+    ):
+        with pytest.raises(BadArgument):
+            call()
+    with pytest.raises(BadValue, match="^samples must be at least 0, got -2$"):
+        mapping.verify_algebra_automorphism(s, t1, samples=-2)
 
 
 # rotate the genus-2 cell move of the relator's first LENGTH letters by one

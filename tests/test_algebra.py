@@ -408,19 +408,20 @@ def test_crossing_loop_checks_raise_typed_errors(monkeypatch):
     # every strand's arcs must read its class again; the check survives
     # python -O and raises a package error
     f, g = expand("a1"), expand("b1")
-    real = algebra.canonical_class
+    real = algebra._canonical_class
     monkeypatch.setattr(algebra, "_EXPAND_CACHE", {})
     monkeypatch.setattr(algebra, "_MERGE_CACHE", {})
-    monkeypatch.setattr(algebra, "canonical_class", lambda s, w: real(s, (3,)))
+    monkeypatch.setattr(algebra, "_canonical_class", lambda genus, w: real(genus, (3,)))
     with pytest.raises(ModelInconsistency):
         multiply_expressions(S2, f, g)
     calls = []
 
-    def wrong_after_first(s, w):
+    def wrong_after_first(genus, w):
+        # the first lookup is expand_trace's own, of the word's class
         calls.append(w)
-        return real(s, w) if len(calls) == 1 else real(s, (3,))
+        return real(genus, w) if len(calls) == 1 else real(genus, (3,))
 
-    monkeypatch.setattr(algebra, "canonical_class", wrong_after_first)
+    monkeypatch.setattr(algebra, "_canonical_class", wrong_after_first)
     with pytest.raises(ModelInconsistency):
         expand_trace(S2, W("a1b2"))
 
@@ -517,34 +518,35 @@ def test_products_on_the_built_union_match_both_references(monkeypatch):
 
 def test_state_sum_past_the_budget_raises_before_any_state(monkeypatch):
     # 22 crossings make 2^22 states; the sum spends them all before the
-    # first, so the only class read is the strand check's, none a state's
+    # first, so after expand_trace's lookup of the word's own class the only
+    # class read is the strand check's, none a state's
     word = W("a1a1A2A2b1a1a2B1A2A1a2b2")
     assert _taut_single(2, canonical_class(S2, word).word).crossing_count == 22
     reads = []
-    read_class = algebra._read_class
+    read_class = algebra._canonical_class
 
-    def recording(s, w):
+    def recording(genus, w):
         reads.append(w)
-        return read_class(s, w)
+        return read_class(genus, w)
 
-    monkeypatch.setattr(algebra, "_read_class", recording)
+    monkeypatch.setattr(algebra, "_canonical_class", recording)
     monkeypatch.setattr(algebra, "_EXPAND_CACHE", {})
     with pytest.raises(ReductionBudgetExceeded, match="budget of 1000000"):
         expand_trace(S2, word)
-    assert len(reads) == 1
+    assert reads[0] == word and len(reads) == 2
 
 
 def test_state_sums_look_classes_up_by_reduced_words(monkeypatch):
     # arc words read off a smoothing are reduced before the class lookup, so
     # no key the class cache is left with after a state sum is unreduced
     keys = []
-    lookup = words._canonical_class
+    lookup = algebra._canonical_class
 
     def recording(genus, word):
         keys.append(word)
         return lookup(genus, word)
 
-    monkeypatch.setattr(words, "_canonical_class", recording)
+    monkeypatch.setattr(algebra, "_canonical_class", recording)
     monkeypatch.setattr(algebra, "_EXPAND_CACHE", {})
     monkeypatch.setattr(algebra, "_MERGE_CACHE", {})
     for text in ("a1B2B1", "a1b1a1b1", "a1a2B1B2"):

@@ -665,12 +665,13 @@ def test_bracket_floor_meets_the_counts(genus, delta_len, alpha_len):
 
 def _counting_canonical_class(monkeypatch):
     calls = []
+    lookup = curves._canonical_class
 
-    def counting(surface, word):
+    def counting(genus, word):
         calls.append(word)
-        return canonical_class(surface, word)
+        return lookup(genus, word)
 
-    monkeypatch.setattr(curves, "canonical_class", counting)
+    monkeypatch.setattr(curves, "_canonical_class", counting)
     return calls
 
 
@@ -684,8 +685,9 @@ def test_floors_key_every_term_when_every_trace_is_2(monkeypatch):
     # term takes the keyed path, and the floors are still the reference's
     model = polygon_model(2)
     monkeypatch.setattr(model, "trace_representation", trivial_representation(S2))
+    classes = enumerate_classes(S2, 4)[::7]
     calls = _counting_canonical_class(monkeypatch)
-    for cls in enumerate_classes(S2, 4)[::7]:
+    for cls in classes:
         for seed in _route_seeds(2, cls.word):
             d = build_diagram(model, (), (seed,))
             want = reference_cobracket_floor(model, d)

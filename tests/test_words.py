@@ -1,4 +1,5 @@
 """Word handling on the surface group: reduction, conjugacy classes, homology."""
+import inspect
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from curvetrace.words import (
     _min_rotation,
     _Shortened,
     _tables,
+    CurveClass,
     canonical_class,
     cyclic_spellings,
     dehn_reduce,
@@ -107,8 +109,7 @@ def test_parse_reads_indices_that_are_not_generator_names():
 
 
 def test_canonical_class_rejects_letters_outside_alphabet():
-    # letters that are not ints fail in free_reduce, as a cache key or in
-    # the miss path's check, and each raises BadLetter
+    # words._word checks every word on every call, cached or not
     not_ints = ("a1B2", "a", (1.5,), ([1],), (None,), (1, "b"), iter("a1"), 5)
     for word in ((99,), (5,), (1, -6), (2, 5, -2)) + not_ints:
         with pytest.raises(BadLetter):
@@ -172,15 +173,56 @@ def test_normalize_word_names_a_letter_outside_the_alphabet():
 
 def test_a_bool_letter_neither_reads_as_a1_nor_enters_the_class_cache():
     # True == 1 and hashes alike, so a class built from (True, 2) was cached
-    # under (1, 2) and handed its bool-holding word to later callers; only a
-    # miss is checked, so the cache starts cold
+    # under (1, 2) and handed its bool-holding word to later callers; this
+    # is the cold cache, test_every_public_word_is_checked_cached_or_not the
+    # warm one
     words._canonical_class.cache_clear()
     for word in ((True, 4), (4, True, -4), (True, -1)):
         with pytest.raises(BadLetter, match="^letter True outside genus-2 alphabet$"):
             canonical_class(S2, word)
     assert [type(l) for l in canonical_class(S2, (1, 4)).word] == [int, int]
-    with pytest.raises(BadLetter, match="outside alphabet"):
+    with pytest.raises(BadLetter, match="^letter True outside genus-2 alphabet$"):
         homology_class(S2, (True, 2))
+
+
+def test_every_public_word_is_checked_cached_or_not():
+    # a bool letter reads as 1 and hashes like it, so once (1, 4) and (1,)
+    # were cached, (True, 4) and (True,) got their answers, and 5, which is
+    # no sequence, raised a bare TypeError.  format_word is exempt: it has
+    # no genus to check letters against.
+    a1, t1 = canonical_class(S2, (1,)), curvetrace.twist_generator(S2, 1)
+    rep = curvetrace.random_representation(S2, 0)
+    calls = {
+        "canonical_class": lambda w: canonical_class(S2, w),
+        "normalize_word": lambda w: normalize_word(S2, w),
+        "homology_class": lambda w: homology_class(S2, w),
+        "evaluate_trace": lambda w: curvetrace.evaluate_trace(rep, w),
+        "expand_trace": lambda w: curvetrace.expand_trace(S2, w),
+        "apply_to_word": lambda w: curvetrace.apply_to_word(S2, t1, w),
+        "thurston_max_check": lambda w: curvetrace.thurston_max_check(S2, a1, w),
+        # takes a class, whose word it checks the same way
+        "apply_to_class": lambda w: curvetrace.apply_to_class(S2, t1, CurveClass(2, w)),
+    }
+    takes_a_word = {
+        name
+        for name in curvetrace.__all__
+        if inspect.isfunction(getattr(curvetrace, name))
+        and "word" in inspect.signature(getattr(curvetrace, name)).parameters
+    }
+    assert sorted(takes_a_word - set(calls) - {"format_word"}) == []
+    for call in calls.values():
+        call((1, 4))
+        call((1,))
+    accepted = []
+    for name, call in calls.items():
+        for word, letter in (((True, 4), True), ((0,), 0), ((9,), 9), (5, 5)):
+            try:
+                call(word)
+            except BadLetter as e:
+                assert str(e).startswith(f"letter {letter!r} outside "), name
+            else:
+                accepted.append((name, word))
+    assert accepted == []
 
 
 def test_alphabet_and_reduced_words():
@@ -207,8 +249,8 @@ def test_homology_class_rejects_bad_rings_and_letters():
     assert homology_class(S2, W("a1a1B2"), "Z2").coords == (0, 0, 0, 1)
     with pytest.raises(ValueError, match="ring must be 'Z' or 'Z2', got 'Q'"):
         homology_class(S2, W("a1"), "Q")
-    for word in ((5,), (0,), (1, "b")):
-        with pytest.raises(BadLetter, match="outside alphabet"):
+    for word, letter in (((5,), 5), ((0,), 0), ((1, "b"), "b")):
+        with pytest.raises(BadLetter, match=f"^letter {letter!r} outside genus-2 alphabet$"):
             homology_class(S2, word)
 
 
