@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -49,6 +48,7 @@ from .valuations import (
 )
 from .words import (
     _canonical_class,
+    _record,
     canonical_class,
     homology_class,
     inverse_word,
@@ -61,13 +61,10 @@ from .words import (
     rotations,
 )
 
-@dataclass(frozen=True)
-class CriterionResult:
-    name: str
-    passed: bool
-    seconds: float
-    budget: float
-    detail: str
+class CriterionResult(
+    _record("CriterionResult", "name passed seconds budget detail")
+):
+    __slots__ = ()
 
     @property
     def within_budget(self) -> bool:

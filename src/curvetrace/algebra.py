@@ -22,7 +22,6 @@ or simple; parallel ones add up as multiplicity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -50,6 +49,7 @@ from .words import (
     Surface,
     _canonical_class,
     _join,
+    _record,
     _text,
     _word,
     canonical_class,
@@ -59,12 +59,11 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class Multicurve:
-    """Embedded union of simple classes, each with a positive multiplicity."""
+class Multicurve(_record("Multicurve", "genus components")):
+    """Embedded union of simple classes, each with a positive multiplicity:
+    components is ((CurveClass, multiplicity), ...) in sort-key order."""
 
-    genus: int
-    components: tuple  # ((CurveClass, multiplicity), ...) in sort-key order
+    __slots__ = ()
 
     def total_length(self) -> int:
         return sum(m * len(c.word) for c, m in self.components)
@@ -135,14 +134,12 @@ def parse_multicurve(s: Surface, text: str) -> Multicurve:
     return make_multicurve(s, counts)
 
 
-@dataclass(frozen=True)
-class TraceExpression:
-    """Finite rational combination of multicurve basis elements."""
+class TraceExpression(_record("TraceExpression", "genus terms")):
+    """Finite rational combination of multicurve basis elements: terms is
+    ((Multicurve, coefficient), ...) with no zero coefficients, and a
+    coefficient is an int when integral and a Fraction otherwise."""
 
-    genus: int
-    # ((Multicurve, coefficient), ...), no zero coefficients; a coefficient
-    # is an int when integral and a Fraction otherwise
-    terms: tuple
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -417,12 +414,8 @@ def evaluate_expression(rep: Representation, f: TraceExpression) -> int:
     return total % P
 
 
-@dataclass(frozen=True)
-class RankReport:
-    size: int
-    trials: int
-    seed: int
-    rank: int
+class RankReport(_record("RankReport", "size trials seed rank")):
+    __slots__ = ()
 
     @property
     def full_rank(self) -> bool:

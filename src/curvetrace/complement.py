@@ -41,12 +41,11 @@ no monogons and no bigons realizes minimal position.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 
 from .errors import ModelInconsistency
 from .polygon import PolygonModel
-from .words import dehn_reduce, inverse_word
+from .words import _record, dehn_reduce, inverse_word
 
 _MAX_JITTER_RETRIES = 8
 
@@ -201,15 +200,13 @@ def _arc_events(route_len: int, p_from: int, p_to: int, wraps: bool) -> int:
     return span
 
 
-@dataclass(frozen=True)
-class Arc:
-    """Crossing-free piece of a strand between consecutive double points."""
+class Arc(_record("Arc", "strand chord_from n_events x_from x_to")):
+    """Crossing-free piece of a strand between consecutive double points:
+    chord_from is the route position of the chord carrying the start point,
+    n_events counts the edge crossings strictly inside the arc, and x_from
+    and x_to are the crossing ids at its ends."""
 
-    strand: int
-    chord_from: int   # route position of the chord carrying the start point
-    n_events: int     # edge crossings strictly inside the arc
-    x_from: tuple     # crossing id at the start
-    x_to: tuple       # crossing id at the end
+    __slots__ = ()
 
     def sides(self, route):
         n = len(route)
@@ -263,15 +260,16 @@ def certify_taut(model: PolygonModel, diagram):
 # -- complement faces ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplementReport:
-    """Census of the complement of the strands in the surface."""
+class ComplementReport(_record(
+    "ComplementReport",
+    "crossing_count euler_total face_count corner_counts region_eulers",
+)):
+    """Census of the complement of the strands in the surface: face_count
+    counts the simply connected components, corner_counts holds one count
+    per polygonal face, sorted descending, and region_eulers one Euler
+    characteristic per component, sorted."""
 
-    crossing_count: int
-    euler_total: int
-    face_count: int          # simply connected components
-    corner_counts: tuple     # per polygonal face, sorted descending
-    region_eulers: tuple     # per component, sorted
+    __slots__ = ()
 
     def __str__(self):
         corners = ",".join(str(c) for c in self.corner_counts) or "-"

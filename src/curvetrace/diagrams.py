@@ -14,12 +14,12 @@ packed by a fixed positional rule, which cannot create crossings among them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .complement import Geometry
 from .errors import ModelInconsistency, ReductionBudgetExceeded
 from .polygon import PolygonModel, polygon_model
+from .words import _record
 
 DEFAULT_BUDGET = 10**6
 
@@ -43,22 +43,17 @@ class Budget:
             )
 
 
-@dataclass(frozen=True)
-class CurveDiagram:
+class CurveDiagram(
+    _record("CurveDiagram", "genus classes routes slot_orders chord_points crossings")
+):
     """Strands in transverse position on the glued polygon.
 
     slot_orders[k-1] lists the events on the edge of generator k in
     increasing boundary parameter.  chord_points[i][p] gives strand i's
     chord after its p-th edge point as a ((side, rank), (side, rank)) pair.
-    crossings holds interleaved chord pairs as sorted ((i, p), (j, q)).
+    crossings, a frozenset, holds interleaved chord pairs as sorted
+    ((i, p), (j, q)).
     """
-
-    genus: int
-    classes: tuple
-    routes: tuple
-    slot_orders: tuple
-    chord_points: tuple
-    crossings: frozenset
 
     @property
     def crossing_count(self) -> int:

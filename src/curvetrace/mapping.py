@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import (
@@ -60,6 +59,7 @@ from .words import (
     GroupWord,
     Surface,
     _canonical_class,
+    _record,
     _text,
     _word,
     canonical_class,
@@ -79,32 +79,28 @@ from .words import (
 # -- mapping classes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RelatorCertificate:
+class RelatorCertificate(_record("RelatorCertificate", "sign")):
     """Witness that a substitution is an endomorphism of pi1.
 
     The relator's image is trivial in pi1.  sign is the orientation read off
     H1: +1 when sum_i omega(phi(a_i), phi(b_i)) is g, -1 when it is -g.
     """
 
-    sign: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"relator image: trivial in pi1, sign={self.sign:+d}"
 
 
-@dataclass(frozen=True)
-class MappingClass:
+class MappingClass(_record("MappingClass", "genus images inverse_images certificate")):
     """Surface-group automorphism given by generator images.
 
     images[k-1] and inverse_images[k-1] hold normalized words for the image
-    of generator k under the map and its inverse.
+    of generator k under the map and its inverse; certificate is its
+    RelatorCertificate.
     """
 
-    genus: int
-    images: tuple
-    inverse_images: tuple
-    certificate: RelatorCertificate
+    __slots__ = ()
 
     def __str__(self) -> str:
         parts = ", ".join(
@@ -430,12 +426,10 @@ def parse_mapping_class(s: Surface, text: str) -> MappingClass:
 # -- sign characters ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignCharacter:
+class SignCharacter(_record("SignCharacter", "genus bits")):
     """Mod-2 cohomology class, one bit per generator in a1 b1 a2 b2 order."""
 
-    genus: int
-    bits: tuple
+    __slots__ = ()
 
     def __str__(self) -> str:
         return format_sign_character(self)
@@ -504,13 +498,10 @@ def central_twist(s: Surface, rep: Representation, a: SignCharacter) -> Represen
 # -- automorphism and semidirect checks ---------------------------------------
 
 
-@dataclass(frozen=True)
-class AutomorphismReport:
-    kind: str
-    samples: int
-    seed: int
-    bound: int
-    failures: tuple
+class AutomorphismReport(
+    _record("AutomorphismReport", "kind samples seed bound failures")
+):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -572,11 +563,8 @@ def character_pullback(s: Surface, a: SignCharacter, f: MappingClass) -> SignCha
     return SignCharacter(genus=s.genus, bits=tuple(bits))
 
 
-@dataclass(frozen=True)
-class SemidirectReport:
-    bound: int
-    checked: int
-    failures: tuple
+class SemidirectReport(_record("SemidirectReport", "bound checked failures")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

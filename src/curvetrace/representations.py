@@ -17,10 +17,9 @@ SL2.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .errors import BadArgument, BadLetter, ModelInconsistency, SolveFailed
-from .words import Surface, make_surface
+from .words import Surface, _record, make_surface
 
 P = 1073741783  # prime, P = 3 mod 4, below 2^30
 _I = (1, 0, 0, 1)
@@ -75,24 +74,23 @@ def _word_matrix(table: dict, word) -> tuple:
     return a, b, c, d
 
 
-@dataclass(frozen=True)
-class Representation:
-    """2g matrices of SL2(F_P) that satisfy the surface relator exactly."""
+class Representation(_record("Representation", "genus matrices")):
+    """2g matrices of SL2(F_P) that satisfy the surface relator exactly.
+    matrices holds residue tuples (a, b, c, d), index k-1 for generator k.
+    letters, letter -> matrix, is built once here so that traces invert no
+    matrix; it is no field, so equality and hash ignore it."""
 
-    genus: int
-    matrices: tuple  # residue tuples (a, b, c, d); index k-1 holds generator k
-    # letter -> matrix, built once here so that traces invert no matrix
-    letters: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        relator = make_surface(self.genus).relator
+    def __new__(cls, genus: int, matrices: tuple):
+        relator = make_surface(genus).relator
         if (
-            len(self.matrices) != 2 * self.genus
-            or any(_det(m) != 1 for m in self.matrices)
-            or _word_matrix(letters := _letter_table(self.matrices), relator) != _I
+            len(matrices) != 2 * genus
+            or any(_det(m) != 1 for m in matrices)
+            or _word_matrix(letters := _letter_table(matrices), relator) != _I
         ):
             raise ModelInconsistency("matrices are not a representation in SL2(F_P)")
-        object.__setattr__(self, "letters", letters)
+        self = tuple.__new__(cls, (genus, matrices))
+        self.letters = letters
+        return self
 
 
 def _unipotent_product(rng: random.Random, factors: int = 4) -> tuple:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from math import lcm
 
 from .algebra import (
@@ -45,6 +44,7 @@ from .words import (
     CurveClass,
     Surface,
     _canonical_class,
+    _record,
     _text,
     _word,
     canonical_class,
@@ -57,14 +57,12 @@ from .words import (
 WITNESS_LENGTH_BOUND = 4
 
 
-@dataclass(frozen=True)
-class Lamination:
-    """Disjoint simple classes with positive rational weights."""
+class Lamination(_record("Lamination", "genus weights")):
+    """Disjoint simple classes with positive rational weights: weights is
+    ((CurveClass, weight), ...) in component order, and a weight is a
+    Fraction, or an int when thurston_max_check builds a unit weight."""
 
-    genus: int
-    # ((CurveClass, weight), ...) in component order; a weight is a Fraction,
-    # or an int when thurston_max_check builds a unit weight
-    weights: tuple
+    __slots__ = ()
 
     def weight(self, cls: CurveClass) -> Fraction:
         for c, w in self.weights:
@@ -127,15 +125,13 @@ def parse_lamination(s: Surface, text: str) -> Lamination:
 # -- the valuation -------------------------------------------------------------
 
 
-@total_ordering
-@dataclass(frozen=True)
-class ValuationValue:
+class ValuationValue(_record("ValuationValue", "finite value")):
     """A rational, or the bottom element taken only by the zero expression.
     The value is an int when integral and a Fraction otherwise, as are
-    expression coefficients."""
+    expression coefficients.  <=, > and >= are the tuple's, which agree
+    with __lt__: bottom is (False, 0), below every (True, value)."""
 
-    finite: bool
-    value: int | Fraction
+    __slots__ = ()
 
     @staticmethod
     def bottom() -> "ValuationValue":
@@ -239,6 +235,8 @@ def valuate(s: Surface, lam: Lamination, f: TraceExpression) -> ValuationValue:
 # -- checks with reports --------------------------------------------------------
 
 
+# The one dataclass of the package (see words): perfbench/selftest.py
+# corrupts reports with dataclasses.replace to check the benchmark's checks.
 @dataclass(frozen=True)
 class ThurstonReport:
     """Geometric count against the valuation of the expanded trace."""
@@ -281,11 +279,10 @@ def thurston_max_check(s: Surface, delta: CurveClass, word) -> ThurstonReport:
     )
 
 
-@dataclass(frozen=True)
-class MultiplicativityReport:
-    left_value: ValuationValue
-    right_value: ValuationValue
-    product_value: ValuationValue
+class MultiplicativityReport(
+    _record("MultiplicativityReport", "left_value right_value product_value")
+):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -310,11 +307,8 @@ def multiplicativity_check(
     )
 
 
-@dataclass(frozen=True)
-class DiscretenessReport:
-    discrete: bool
-    witness: CurveClass | None
-    value: Fraction | None
+class DiscretenessReport(_record("DiscretenessReport", "discrete witness value")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.discrete:
@@ -347,11 +341,8 @@ def classify_discrete(s: Surface, lam: Lamination) -> DiscretenessReport:
     return DiscretenessReport(discrete=False, witness=None, value=None)
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    bound: int
-    positive: bool
-    witness: CurveClass | None
+class PositivityReport(_record("PositivityReport", "bound positive witness")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.positive:
@@ -372,13 +363,10 @@ def check_positive_up_to(s: Surface, lam: Lamination, bound: int) -> PositivityR
     return PositivityReport(bound=bound, positive=True, witness=None)
 
 
-@dataclass(frozen=True)
-class StrictnessReport:
-    bound: int
-    strict: bool
-    first: Multicurve | None
-    second: Multicurve | None
-    value: int | Fraction | None
+class StrictnessReport(
+    _record("StrictnessReport", "bound strict first second value")
+):
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.strict:

@@ -38,15 +38,26 @@ either orientation are one table read.  Spellings of equal length are ordered
 by their letter codes 2|l| + (l < 0), so a1 < A1 < b1 < B1 < a2 < ...
 
 A caller's word is checked once, by _word, in every public function that
-takes one, cached or not.  The package's own words are valid by construction
-and unchecked: it reads their classes through _canonical_class (None when
-null-homotopic).
+takes one, cached or not.  A CurveClass checks its word the same way when it
+is built, and refuses an empty word or one that is not cyclically reduced.
+The package's own words are valid by construction and unchecked: it reads
+their classes through _canonical_class (None when null-homotopic), which
+builds each class around its canonical word without that check.
+
+Value types (surfaces, classes, multicurves, expressions, laminations and the
+reports on them) are records built by _record: namedtuples that equal only
+values of their own type, hash as the tuple of their fields and refuse tuple
++ and *.  A record class is built without generating code per class, which
+a dataclass does at every import.  valuations.ThurstonReport is the one
+dataclass, because the benchmark's self-test (perfbench/selftest.py)
+corrupts reports with dataclasses.replace.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
+from operator import add
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -69,17 +80,37 @@ _CLOSURE_CAP = 200_000
 _CLOSURES: dict = {}
 
 
-@dataclass(frozen=True)
-class Surface:
+def _record_eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _record_ne(self, other) -> bool:
+    return not _record_eq(self, other)
+
+
+def _refuse(self, other):
+    return NotImplemented
+
+
+def _record(name: str, fields: str) -> type:
+    """A namedtuple base for a value type whose values equal only values of
+    their own type, hash as the tuple of their fields (as a frozen dataclass
+    does, so set and dict order stay fixed under one hash seed) and refuse
+    tuple + and *.  A subclass sets __slots__ = () unless its values keep
+    attributes beside their fields, such as a cached_property."""
+    base = namedtuple(name, fields)
+    base.__eq__, base.__ne__, base.__hash__ = _record_eq, _record_ne, tuple.__hash__
+    base.__add__ = base.__mul__ = base.__rmul__ = _refuse
+    return base
+
+
+class Surface(_record("Surface", "genus generators relator")):
     """Closed orientable surface of genus >= 2 with its one-relator data."""
 
-    genus: int
-    generators: tuple
-    relator: GroupWord
-
-    def __post_init__(self):
-        if self.genus < 2:
-            raise GenusTooSmall(f"genus must be >= 2, got {self.genus}")
+    def __new__(cls, genus: int, generators: tuple, relator: GroupWord):
+        if genus < 2:
+            raise GenusTooSmall(f"genus must be >= 2, got {genus}")
+        return tuple.__new__(cls, (genus, generators, relator))
 
     @property
     def rank(self) -> int:
@@ -94,18 +125,28 @@ class Surface:
         return table
 
 
-@dataclass(frozen=True, order=True)
-class CurveClass:
+class CurveClass(_record("CurveClass", "genus word")):
     """A nontrivial free homotopy class, keyed by its canonical cyclic word.
 
     Construct through canonical_class(); the word is cyclically reduced,
     geodesic, and lexicographically minimal over all rotations, ladders of
     relator cells (a lone cell is a half swap, a closed ladder a ring), and
-    both orientations.
+    both orientations.  Building a class checks its letters by _word and
+    raises BadValue for an empty word or one that is not cyclically reduced;
+    whether the word is canonical is not checked.  Classes order by (genus,
+    word).
     """
 
-    genus: int
-    word: GroupWord
+    __slots__ = ()
+
+    def __new__(cls, genus: int, word: GroupWord):
+        word = _word(genus, word)
+        # a letter cyclically next to its inverse sums with it to 0
+        if not word or 0 in map(add, word, word[1:] + word[:1]):
+            raise BadValue(
+                f"a class word is cyclically reduced and not empty, not {word}"
+            )
+        return tuple.__new__(cls, (genus, word))
 
     def __len__(self) -> int:
         return len(self.word)
@@ -525,14 +566,15 @@ def canonical_class(surface: Surface, word: Iterable) -> CurveClass:
 def _canonical_class(genus: int, word: GroupWord) -> CurveClass | None:
     """The class of the word, None when it is null-homotopic; unchecked (see
     the module docstring).  A word that is not freely reduced is looked up
-    again as its reduction, so both spellings build the class once."""
+    again as its reduction, so both spellings build the class once.  The class
+    skips CurveClass's check, which its canonical word passes by construction."""
     reduced = free_reduce(word)
     if reduced != word:
         return _canonical_class(genus, reduced)
     w = _cyclic_dehn_reduce(genus, word)
     while w:
         try:
-            return CurveClass(genus=genus, word=_closure_entry(genus, w)[1])
+            return tuple.__new__(CurveClass, (genus, _closure_entry(genus, w)[1]))
         except _Shortened as s:
             w = _cyclic_dehn_reduce(genus, s.word)
     return None  # null-homotopic, and cached so that repeats are not reduced
@@ -582,12 +624,11 @@ def is_primitive(surface: Surface, cls: CurveClass) -> bool:
     return primitive_root(surface, cls)[1] == 1
 
 
-@dataclass(frozen=True)
-class HomologyVector:
-    """Exponent-sum vector in H_1, over Z or Z/2, coordinates a1,b1,...,ag,bg."""
+class HomologyVector(_record("HomologyVector", "ring coords")):
+    """Exponent-sum vector in H_1, over Z or Z/2, coordinates a1,b1,...,ag,bg;
+    ring is "Z" or "Z2"."""
 
-    ring: str  # "Z" or "Z2"
-    coords: tuple
+    __slots__ = ()
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -19,6 +19,7 @@ from curvetrace.curves import enumerate_classes
 from curvetrace.errors import (
     BadArgument,
     BadLetter,
+    BadValue,
     GenusTooSmall,
     ReductionBudgetExceeded,
     TrivialClass,
@@ -223,6 +224,33 @@ def test_every_public_word_is_checked_cached_or_not():
             else:
                 accepted.append((name, word))
     assert accepted == []
+
+
+@pytest.mark.parametrize(
+    "word, error",
+    [((9,), BadLetter), ((0,), BadLetter), ((True, 2), BadLetter), ((1, -1), BadValue)],
+)
+def test_a_class_checks_its_word_when_built(word, error):
+    # a hand-built class reached the curves layer unchecked: (9,) and (0,)
+    # raised a bare KeyError, (True, 2) read as a1b1, (1, -1) raised
+    # ModelInconsistency, and intersection_number with (9,) returned 0
+    a1 = canonical_class(S2, (1,))
+
+    def built():
+        return CurveClass(2, word)
+
+    calls = (
+        lambda: curvetrace.is_simple(S2, built()),
+        lambda: curvetrace.self_intersection(S2, built()),
+        lambda: curvetrace.realize(S2, built()),
+        lambda: curvetrace.twist_along(S2, built()),
+        lambda: curvetrace.intersection_number(S2, a1, built()),
+    )
+    for call in calls:
+        with pytest.raises(error):
+            call()
+    with pytest.raises(BadValue):
+        CurveClass(2, ())
 
 
 def test_alphabet_and_reduced_words():
