@@ -98,10 +98,18 @@ def empty_multicurve(genus: int) -> Multicurve:
     return Multicurve(genus=genus, components=())
 
 
+def _weight_map(weights) -> dict:
+    """dict(weights); BadArgument when weights is neither a map nor pairs."""
+    try:
+        return dict(weights)
+    except (TypeError, ValueError):
+        raise BadArgument(f"expected a map from classes, not {weights!r}") from None
+
+
 def make_multicurve(s: Surface, weights) -> Multicurve:
     """Validated constructor: simple components, pairwise disjoint."""
     counts = {}
-    for cls, mult in dict(weights).items():
+    for cls, mult in _weight_map(weights).items():
         if not isinstance(mult, int):
             raise BadArgument(f"a multiplicity is an int, not {mult!r}")
         if mult <= 0:
@@ -173,15 +181,21 @@ class TraceExpression(_record("TraceExpression", "genus terms")):
 
 def _rational(value, what: str) -> Fraction:
     """value as a Fraction; BadArgument for a float, whose binary rounding
-    (0.1 is 3602879701896397/2^55) would become the value, and for NaN and
-    the infinities, as floats or Decimals."""
+    (0.1 is 3602879701896397/2^55) would become the value, for NaN and the
+    infinities, as floats or Decimals, and for any other kind Fraction does
+    not take; BadValue for text it cannot read or a zero denominator."""
     if isinstance(value, float):
         raise BadArgument(
             f"{what} {value!r} is a float; give an int, a Fraction or text such as '1/10'"
         )
     if isinstance(value, Decimal) and not value.is_finite():
         raise BadArgument(f"{what} {value!r} is not finite")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except TypeError:
+        raise BadArgument(f"{what} {value!r} is not a rational number") from None
+    except (ValueError, ZeroDivisionError):
+        raise BadValue(f"{what} {value!r} is not a rational number") from None
 
 
 def _from_terms(genus: int, acc: dict) -> TraceExpression:

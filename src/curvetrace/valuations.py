@@ -12,9 +12,11 @@ weight denominators.  Every weight is then an integer numerator over that
 positive denominator, so every pairing and every term sum is an integer over
 it too, and comparing, maximizing and testing equality of the numerators is
 exact.  A value leaves as an int when den divides its numerator and as a
-Fraction only otherwise.  Each public call builds one pairing table that
-pairs every distinct component class with the lamination once; the table
-lives for that call only.
+Fraction only otherwise.  A lamination keeps den, its scaled weights and
+its pairings with the classes paired so far, so it pairs with each class
+once in its life.  Every public call first checks that the lamination and
+what it pairs are on the surface (an empty lamination makes no pair count
+that would notice), so the table is keyed by word.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from .algebra import (
     Multicurve,
     TraceExpression,
     _rational,
+    _weight_map,
     enumerate_multicurves,
     expand_trace,
     multiply_expressions,
@@ -39,7 +42,7 @@ from .curves import (
     intersection_number,
     is_simple,
 )
-from .errors import BadLetter, BadValue, NotSimple
+from .errors import BadArgument, BadLetter, BadValue, NotSimple
 from .words import (
     CurveClass,
     Surface,
@@ -60,9 +63,26 @@ WITNESS_LENGTH_BOUND = 4
 class Lamination(_record("Lamination", "genus weights")):
     """Disjoint simple classes with positive rational weights: weights is
     ((CurveClass, weight), ...) in component order, and a weight is a
-    Fraction, or an int when thurston_max_check builds a unit weight."""
+    Fraction, or an int when thurston_max_check builds a unit weight.
+    Beside the fields, which alone make equality and hash, it keeps _den,
+    _scaled (den * weight per component) and _pairings: den * i(lam, c) for
+    each class c paired so far, keyed by word, as every class paired with it
+    has passed _check_genus against it."""
 
-    __slots__ = ()
+    def __new__(cls, genus: int, weights: tuple):
+        # built here, not as cached_property: under Python 3.11 the three
+        # first reads take a lock each, which doubles the set-up of a
+        # lamination that valuates once, as thurston_max_check's do
+        self = tuple.__new__(cls, (genus, weights))
+        self._den = den = lcm(*(w.denominator for _, w in weights))
+        self._scaled = tuple((c, w.numerator * (den // w.denominator)) for c, w in weights)
+        self._pairings = {}
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Lamination:
+        # namedtuple's _make, and so _replace, would skip __new__
+        return cls(*iterable)
 
     def weight(self, cls: CurveClass) -> Fraction:
         for c, w in self.weights:
@@ -73,11 +93,32 @@ class Lamination(_record("Lamination", "genus weights")):
     def __str__(self) -> str:
         return format_lamination(self)
 
+    def _of_class(self, s: Surface, c: CurveClass) -> int:
+        """den * i(lam, c)."""
+        value = self._pairings.get(c.word)
+        if value is None:
+            value = sum(w * intersection_number(s, comp, c) for comp, w in self._scaled)
+            self._pairings[c.word] = value
+        return value
+
+    def _of_multicurve(self, s: Surface, mc: Multicurve) -> int:
+        """den * i(lam, mc)."""
+        of_class = self._of_class
+        # lists rather than generators here and in _value: the sums are short
+        # and run once per term of every valuation
+        return sum([mult * of_class(s, c) for c, mult in mc.components])
+
+    def _value(self, s: Surface, f: TraceExpression) -> ValuationValue:
+        if f.is_zero():
+            return ValuationValue.bottom()
+        best = max([self._of_multicurve(s, mc) for mc, _ in f.terms])
+        return ValuationValue(finite=True, value=_quotient(best, self._den))
+
 
 def make_lamination(s: Surface, weights) -> Lamination:
     """Validated constructor: positive weights, simple disjoint components."""
     acc = {}
-    for cls, w in dict(weights).items():
+    for cls, w in _weight_map(weights).items():
         w = _rational(w, "weight")
         if w <= 0:
             raise BadValue(f"weight {w} of {format_word(cls.word)} not positive")
@@ -88,6 +129,8 @@ def make_lamination(s: Surface, weights) -> Lamination:
 
 
 def scale_lamination(lam: Lamination, factor) -> Lamination:
+    if not isinstance(lam, Lamination):
+        raise BadArgument(f"expected a Lamination, not {type(lam).__name__}")
     factor = _rational(factor, "scale factor")
     if factor <= 0:
         raise BadValue(f"scale factor {factor} not positive")
@@ -168,68 +211,37 @@ def _quotient(num: int, den: int) -> int | Fraction:
     return num // den if num % den == 0 else Fraction(num, den)
 
 
-class _Pairing:
-    """The pairings of one lamination, as integers over its common
-    denominator den, with a table of the classes paired so far.  One public
-    call builds one and drops it when it returns.  Raises GenusMismatch up
-    front unless lam and the other items (anything with .genus) are on s: an
-    empty lamination makes no pair count that would notice."""
-
-    def __init__(self, s: Surface, lam: Lamination, *items):
-        _check_genus(s, lam, *items)
-        self.s = s
-        self.den = lcm(*(w.denominator for _, w in lam.weights))
-        # den * weight, an integer for every component
-        self.scaled = tuple(
-            (c, w.numerator * (self.den // w.denominator)) for c, w in lam.weights
-        )
-        self.table: dict = {}
-
-    def of_class(self, c: CurveClass) -> int:
-        """den * i(lam, c)."""
-        # keyed by word: every class of one call has the genus of s
-        value = self.table.get(c.word)
-        if value is None:
-            s = self.s
-            value = sum(w * intersection_number(s, comp, c) for comp, w in self.scaled)
-            self.table[c.word] = value
-        return value
-
-    def of_multicurve(self, mc: Multicurve) -> int:
-        """den * i(lam, mc)."""
-        of_class = self.of_class
-        # lists rather than generators here and in value: the sums are short
-        # and run once per term of every valuation
-        return sum([mult * of_class(c) for c, mult in mc.components])
-
-    def value(self, f: TraceExpression) -> ValuationValue:
-        if f.is_zero():
-            return ValuationValue.bottom()
-        best = max([self.of_multicurve(mc) for mc, _ in f.terms])
-        return ValuationValue(finite=True, value=_quotient(best, self.den))
+def _check_pairing(s: Surface, lam, kind=None, *items) -> None:
+    """BadArgument unless lam is a Lamination and each item a kind, then
+    GenusMismatch unless lam and the items are on s."""
+    if not isinstance(lam, Lamination):
+        raise BadArgument(f"expected a Lamination, not {type(lam).__name__}")
+    for x in items:
+        if not isinstance(x, kind):
+            raise BadArgument(f"expected a {kind.__name__}, not {type(x).__name__}")
+    _check_genus(s, lam, *items)
 
 
 def lamination_intersection(
     s: Surface, lam: Lamination, c: CurveClass
 ) -> int | Fraction:
-    pairing = _Pairing(s, lam, c)
-    return _quotient(pairing.of_class(c), pairing.den)
+    _check_pairing(s, lam, CurveClass, c)
+    return _quotient(lam._of_class(s, c), lam._den)
 
 
 def multicurve_intersection(
     s: Surface, lam: Lamination, mc: Multicurve
 ) -> int | Fraction:
-    pairing = _Pairing(s, lam, mc)
-    return _quotient(pairing.of_multicurve(mc), pairing.den)
+    _check_pairing(s, lam, Multicurve, mc)
+    return _quotient(lam._of_multicurve(s, mc), lam._den)
 
 
 def valuate(s: Surface, lam: Lamination, f: TraceExpression) -> ValuationValue:
     """The largest pairing of lam with a basis term of f, or the bottom value
     when f is zero.  The maximum is taken over integers on one common
-    denominator and turned into one int or Fraction at the end, and each
-    distinct component class of f is paired with lam once, in a table that
-    lives for this call only."""
-    return _Pairing(s, lam, f).value(f)
+    denominator and turned into one int or Fraction at the end."""
+    _check_pairing(s, lam, TraceExpression, f)
+    return lam._value(s, f)
 
 
 # -- checks with reports --------------------------------------------------------
@@ -299,11 +311,11 @@ class MultiplicativityReport(
 def multiplicativity_check(
     s: Surface, lam: Lamination, f: TraceExpression, g: TraceExpression
 ) -> MultiplicativityReport:
-    pairing = _Pairing(s, lam, f, g)
+    _check_pairing(s, lam, TraceExpression, f, g)
     return MultiplicativityReport(
-        left_value=pairing.value(f),
-        right_value=pairing.value(g),
-        product_value=pairing.value(multiply_expressions(s, f, g)),
+        left_value=lam._value(s, f),
+        right_value=lam._value(s, g),
+        product_value=lam._value(s, multiply_expressions(s, f, g)),
     )
 
 
@@ -325,15 +337,15 @@ def classify_discrete(s: Surface, lam: Lamination) -> DiscretenessReport:
     """Integer-valued exactly for half-integer weights whose doubled
     multicurve is null-homologous mod 2; otherwise hunt a witness curve
     with fractional pairing among simple classes of bounded length."""
-    pairing = _Pairing(s, lam)
-    den = pairing.den
+    _check_pairing(s, lam)
+    den = lam._den
     # half-integral weights: den divides 2
     if 2 % den == 0:
-        doubled = [(c, n * (2 // den)) for c, n in pairing.scaled]
+        doubled = [(c, n * (2 // den)) for c, n in lam._scaled]
         if not any(mod2_class(s, doubled)):
             return DiscretenessReport(discrete=True, witness=None, value=None)
     for c in enumerate_simple_classes(s, WITNESS_LENGTH_BOUND):
-        value = pairing.of_class(c)
+        value = lam._of_class(s, c)
         if value % den:
             return DiscretenessReport(
                 discrete=False, witness=c, value=Fraction(value, den)
@@ -356,9 +368,9 @@ class PositivityReport(_record("PositivityReport", "bound positive witness")):
 def check_positive_up_to(s: Surface, lam: Lamination, bound: int) -> PositivityReport:
     """Positive pairing with every simple class of length <= bound."""
     _length_bound(bound, 1)
-    pairing = _Pairing(s, lam)
+    _check_pairing(s, lam)
     for c in enumerate_simple_classes(s, bound):
-        if pairing.of_class(c) == 0:
+        if lam._of_class(s, c) == 0:
             return PositivityReport(bound=bound, positive=False, witness=c)
     return PositivityReport(bound=bound, positive=True, witness=None)
 
@@ -381,17 +393,17 @@ class StrictnessReport(
 def check_strict_up_to(s: Surface, lam: Lamination, bound: int) -> StrictnessReport:
     """Pairwise-distinct values on all multicurves of total length <= bound."""
     _length_bound(bound, 1)
-    pairing = _Pairing(s, lam)
+    _check_pairing(s, lam)
     seen: dict = {}
     for mc in enumerate_multicurves(s, bound):
-        value = pairing.of_multicurve(mc)
+        value = lam._of_multicurve(s, mc)
         if value in seen:
             return StrictnessReport(
                 bound=bound,
                 strict=False,
                 first=seen[value],
                 second=mc,
-                value=_quotient(value, pairing.den),
+                value=_quotient(value, lam._den),
             )
         seen[value] = mc
     return StrictnessReport(

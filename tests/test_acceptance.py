@@ -7,10 +7,13 @@ curvetrace.acceptance.run_suite instead; CI runs each as its own step.
 presentation must also be able to fail: with one cell move of the genus-2
 words tables rotated, it gives FAIL.  The package's own invariants raise
 typed errors rather than assert, so they hold under python -O as well, no
-module of the package imports numpy, and none imports a name it never reads.
+module of the package imports numpy, none imports a name it never reads,
+and the package keeps the eleven module-level caches that it has, no more.
 """
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +45,30 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_keeps_its_eleven_module_level_caches():
+    # every lru_cache and every module-level dict, list or set, by name (a
+    # name imported into another module counts once); SUITES is the one
+    # constant table among them
+    import curvetrace
+
+    modules = [curvetrace] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(curvetrace.__path__, "curvetrace.")
+    ]
+    found = {
+        name
+        for module in modules
+        for name, value in vars(module).items()
+        if not name.startswith("__")
+        and (hasattr(value, "cache_info") or isinstance(value, (dict, list, set)))
+    }
+    assert found == {
+        "_CLOSURES", "_EXPAND_CACHE", "_MERGE_CACHE", "_tables",
+        "_canonical_class", "polygon_model", "_taut_single", "_pair_count",
+        "_twist_cached", "_humphries", "twist_search", "SUITES",
+    }
 
 
 def test_package_has_one_dataclass():

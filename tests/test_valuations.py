@@ -13,11 +13,12 @@ from curvetrace.algebra import (
     enumerate_multicurves,
     expand_trace,
     make_multicurve,
+    scalar_expression,
     zero_expression,
 )
 from curvetrace.curves import enumerate_classes
 from curvetrace import valuations
-from curvetrace.errors import BadArgument, BadLetter, GenusMismatch, NotSimple
+from curvetrace.errors import BadArgument, BadLetter, BadValue, GenusMismatch, NotSimple
 from curvetrace.valuations import (
     ValuationValue,
     check_positive_up_to,
@@ -94,6 +95,17 @@ def test_weights_that_are_not_rationals_are_typed(line):
     bad = re.escape(repr(line.splitlines()[-1]))
     with pytest.raises(BadLetter, match=f"^cannot parse the weight of {bad}$"):
         parse_lamination(S2, line)
+    # the weight's text given as a value is a BadValue wherever a rational
+    # is taken
+    text = line.splitlines()[-1].split()[0]
+    for call in (
+        lambda: L({C("a1"): text}),
+        lambda: scale_lamination(L({C("a1"): 1}), text),
+        lambda: scalar_expression(2, text),
+        lambda: ValuationValue.of(text),
+    ):
+        with pytest.raises(BadValue, match="is not a rational number$"):
+            call()
 
 
 def test_scale_lamination():
@@ -105,14 +117,40 @@ def test_scale_lamination():
 
 @pytest.mark.parametrize(
     "weight",
-    [0.1, 0.5, 2.0, float("nan"), float("inf"), Decimal("NaN"), Decimal("-Infinity")],
+    [
+        0.1, 0.5, 2.0, float("nan"), float("inf"), Decimal("NaN"),
+        Decimal("-Infinity"), None, 1j,
+    ],
 )
 def test_float_and_non_finite_weights_are_typed_errors(weight):
-    # 0.1 would be stored as its binary rounding, 3602879701896397/2^55
-    with pytest.raises(BadArgument):
-        L({C("a1"): weight})
-    with pytest.raises(BadArgument):
-        scale_lamination(L({C("a1"): 1}), weight)
+    # 0.1 would be stored as its binary rounding, 3602879701896397/2^55;
+    # None and complex numbers are of a kind Fraction does not take
+    for call in (
+        lambda: L({C("a1"): weight}),
+        lambda: scale_lamination(L({C("a1"): 1}), weight),
+        lambda: scalar_expression(2, weight),
+        lambda: ValuationValue.of(weight),
+    ):
+        with pytest.raises(BadArgument):
+            call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_lamination(S2, "x"),
+        lambda: make_lamination(S2, 3),
+        lambda: make_lamination(S2, None),
+        lambda: make_lamination(S2, [(C("a1"), 1, 2)]),
+        lambda: make_multicurve(S2, "x"),
+        lambda: make_multicurve(S2, None),
+    ],
+    ids=["lamination-str", "lamination-int", "lamination-None",
+         "lamination-triples", "multicurve-str", "multicurve-None"],
+)
+def test_weight_maps_that_are_not_maps_are_typed(call):
+    with pytest.raises(BadArgument, match="^expected a map from classes"):
+        call()
 
 
 def test_exact_weights_are_kept():
@@ -293,6 +331,78 @@ def test_genus_mismatch_raised_before_any_pairing(call):
     # an empty lamination makes no pair count that could notice the mismatch
     with pytest.raises(GenusMismatch):
         call(L({}))
+
+
+_MC = make_multicurve(S2, {C("a1"): 1})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lam: valuate(S2, _MC, expand("a1")),
+        lambda lam: lamination_intersection(S2, _MC, C("a1")),
+        lambda lam: classify_discrete(S2, _MC),
+        lambda lam: check_positive_up_to(S2, _MC, 1),
+        lambda lam: check_strict_up_to(S2, _MC, 1),
+        lambda lam: scale_lamination(_MC, 2),
+        lambda lam: valuate(S2, lam, _MC),
+        lambda lam: multicurve_intersection(S2, lam, expand("a1")),
+        lambda lam: lamination_intersection(S2, lam, _MC),
+        lambda lam: multiplicativity_check(S2, lam, _MC, _MC),
+    ],
+    ids=[
+        "valuate-lamination",
+        "lamination_intersection-lamination",
+        "classify_discrete",
+        "check_positive_up_to",
+        "check_strict_up_to",
+        "scale_lamination",
+        "valuate-expression",
+        "multicurve_intersection",
+        "lamination_intersection-class",
+        "multiplicativity_check",
+    ],
+)
+def test_arguments_of_the_wrong_kind_raised_before_any_pairing(call):
+    # a multicurve has a genus, so only a kind check tells it from a lamination
+    with pytest.raises(BadArgument, match="^expected a "):
+        call(L({C("b1"): 1}))
+
+
+def test_a_lamination_keeps_its_pairings(monkeypatch):
+    paired = []
+
+    def counting(s, x, y):
+        paired.append(y)
+        return intersection_number(s, x, y)
+
+    intersection_number = valuations.intersection_number
+    monkeypatch.setattr(valuations, "intersection_number", counting)
+    lam = L({C("b1"): Fraction(1, 2), C("b2"): 1})
+    f = expand("a1b1a2")
+    first = valuate(S2, lam, f)
+    assert paired
+    del paired[:]
+    assert valuate(S2, lam, f) == first and paired == []
+    # a class paired by one public call is not paired again by another
+    c = C("a2")
+    del paired[:]
+    assert lamination_intersection(S2, lam, c) == 1 and c in paired
+    g = expand("a2a2")  # a2^2 - 2
+    assert g.terms[0][0].components == ((c, 2),)
+    del paired[:]
+    assert valuate(S2, lam, g) == ValuationValue.of(2) and paired == []
+    # equality and hash see the fields only: a fresh twin gives equal values
+    twin = L({C("b2"): 1, C("b1"): Fraction(1, 2)})
+    assert twin == lam and hash(twin) == hash(lam)
+    for other in (twin, lam._replace(genus=2)):
+        for h in (f, g):
+            assert valuate(S2, other, h) == valuate(S2, lam, h)
+    # a scaled lamination carries no pairings, nor the denominator, over
+    third = scale_lamination(lam, Fraction(1, 3))
+    for h in (f, g):
+        assert valuate(S2, third, h).value == Fraction(valuate(S2, lam, h).value, 3)
+    assert lamination_intersection(S2, third, c) == Fraction(1, 3)
 
 
 # -- two-sided checks -------------------------------------------------------------
