@@ -14,8 +14,9 @@ closed curve is -t_D (Bullock, Comment. Math. Helv. 72, 1997; Przytycki &
 Sikora, Topology 39, 2000).  Every crossing is smoothed both ways with
 coefficient -1, a trivial circle counts -2 and an essential component c
 counts -t_c.  Crossing changes do nothing at A = -1, so any diagram gives
-the same sum.  A class, power or not, sums over its certified taut diagram;
-a product sums over the union of its components' taut routes as the slot
+the same sum.  A class, power or not, sums over its taut direct drawing,
+the route of its own word read in the dual presentation (see polygon); a
+product sums over the union of its components' direct drawings as the slot
 comparator builds it, untautened, since fewer crossings would not change
 the answer.  The components of a smoothed state are embedded, hence trivial
 or simple; parallel ones add up as multiplicity.
@@ -286,8 +287,10 @@ _MERGE_CACHE: dict = {}
 def expand_trace(s: Surface, word) -> TraceExpression:
     """The trace of the word in the multicurve basis.
 
-    The state sum runs over the certified taut diagram of the word's class,
-    a proper power included, so powers need no separate rule.
+    The state sum runs over the taut direct drawing of the word's class
+    (curves._taut_single), a proper power included, so powers need no
+    separate rule.  Any diagram gives the same sum, so it runs there even
+    where only the route seeds certify the class's count.
     """
     cls = _canonical_class(s.genus, _word(s.genus, word))
     if cls is None:
@@ -299,7 +302,7 @@ def _expand_class(s: Surface, cls: CurveClass) -> TraceExpression:
     key = (s.genus, cls.word)
     hit = _EXPAND_CACHE.get(key)
     if hit is None:
-        hit = _EXPAND_CACHE[key] = _state_sum(s, _taut_single(s.genus, cls.word))
+        hit = _EXPAND_CACHE[key] = _state_sum(s, _taut_single(s.genus, cls.word)[0])
     return hit
 
 
@@ -309,8 +312,8 @@ def multiply_expressions(
     """Product re-expressed in the basis.
 
     Each pair of basis elements is multiplied by one state sum over the
-    built union of their components' taut routes, one strand per unit of
-    multiplicity.
+    built union of their components' direct drawings, one strand per unit
+    of multiplicity.
     """
     _check_genus(s, f, g)
     acc = {}
@@ -330,17 +333,17 @@ def _merge_basis(s: Surface, mc1: Multicurve, mc2: Multicurve) -> TraceExpressio
 
 
 def _built_union(s: Surface, mc1: Multicurve, mc2: Multicurve):
-    """The diagram built from the taut routes of both multicurves'
+    """The diagram built from the direct drawings' routes of both multicurves'
     components, one strand per unit of multiplicity."""
     classes = tuple(c for mc in (mc1, mc2) for c, m in mc.components for _ in range(m))
-    routes = tuple(_taut_single(s.genus, c.word).routes[0] for c in classes)
+    routes = tuple(_taut_single(s.genus, c.word)[0].routes[0] for c in classes)
     return build_diagram(polygon_model(s.genus), classes, routes)
 
 
 def _state_sum(s: Surface, diagram) -> TraceExpression:
     """Product of the strands' traces, summed over the states of a diagram of
-    the strands (see the module docstring): a class's certified taut one, or
-    the built union of a product's taut routes.  A strand of class c is -t_c.
+    the strands (see the module docstring): a class's taut direct drawing,
+    or the built union of a product's direct drawings.  A strand of class c is -t_c.
 
     Arc k has ends 2k (start) and 2k + 1 (finish), and a state links the four
     ends met at each crossing in two pairs.  A strand without crossings is

@@ -14,18 +14,23 @@ with double points can need immersed monogons or bigons to witness its excess
 (Hass & Scott, "Intersections of curves on surfaces", Israel J. Math. 51,
 1985).  So each question runs one search:
 
-- A class tries its route seeds, shortest first.  Its self count is bounded
-  below by the Turaev cobracket d(x) = sum over self-crossings p of
-  e_p (u_p (x) v_p - v_p (x) u_p), u_p and v_p the two loops at p (Turaev,
-  "Skein quantization of Poisson algebras of loops on surfaces", Ann. Sci.
-  ENS 24, 1991): a class invariant that a diagram with k crossings writes
-  as k antisymmetric terms, so its term count is a floor.  A seed whose
-  built diagram is embedded or meets the floor is the answer as built;
-  otherwise the seed is tautened, and the first tautened count that meets
-  the floor is the answer; a count below it raises.  A class that no seed
-  brings down to its floor takes the best of them all.  That diagram is
-  kept: realize returns it, self_intersection counts it, and the state sum
-  of the class runs on it.
+- A class is drawn by its own word: its canonical word side by side is a
+  route that reads the word in the dual presentation (see polygon).  Its
+  self count is bounded below by the Turaev cobracket d(x) = sum over
+  self-crossings p of e_p (u_p (x) v_p - v_p (x) u_p), u_p and v_p the two
+  loops at p (Turaev, "Skein quantization of Poisson algebras of loops on
+  surfaces", Ann. Sci. ENS 24, 1991): a class invariant that a diagram with
+  k crossings writes as k antisymmetric terms, so its term count is a
+  floor.  The direct drawing, built, is the answer when it is embedded or
+  meets the floor; otherwise it is tautened, and its tautened count is the
+  answer when it meets the floor; a count below it raises.  Only where the
+  direct drawing misses its floor does the count fall back to the route
+  seeds that draw the class through sigma, shortest first, each built and
+  tautened the same way: the first count that meets the floor is the
+  answer, and failing that the least of them all.  Those seeds draw
+  another curve of the same orbit under homeomorphisms, so they give the
+  count only.  The direct drawing is kept with the count: realize returns
+  it, and the state sums of the class and of its products run on it.
 - A pair tests its members shortest first and is counted on the splitting of
   pi1 along the first simple one (see splitting).  On a splitting miss, two
   simple members read their pair diagram, one tautened pair of taut routes
@@ -38,10 +43,11 @@ with double points can need immersed monogons or bigons to witness its excess
   signed terms, so after cancellation it keeps at most i(x, y) of them
   (Chas, "Minimal intersection of curves on surfaces", Geom. Dedicata 144,
   2010).  Terms keyed by unoriented class can only merge further, so their
-  count stays a lower bound.  The built diagram of the two classes' taut
-  routes is tried first, then every seed pair's: one whose count meets the
-  floor is the answer.  Otherwise the exact minimum over every slot
-  assignment of every seed pair is, stopping at a count that meets it.  The
+  count stays a lower bound.  The built diagram of the two classes' direct
+  drawings is tried first, then every seed pair's, both members of a pair
+  drawn in one reading: one whose count meets the floor is the answer.
+  Otherwise the exact minimum over every slot assignment of every seed pair
+  is, stopping at a count that meets it.  The
   builds and searches of one pair spend one Budget, so a pair that
   outgrows it raises, and so does a count below the floor.
 
@@ -85,11 +91,16 @@ from .words import (
 
 
 def _route_seeds(genus: int, class_word) -> tuple:
-    """Rotation-minimal routes of the class, shortest first.
+    """Rotation-minimal routes that draw the class read through sigma,
+    shortest first.
 
-    A route is a word of the dual presentation (see polygon), so the routes
-    of the class are the half-swap closure of the canonical spelling's one
-    route; the other spellings and junction choices land in that closure.
+    A route is a word of the dual presentation (see polygon), so these
+    routes are the half-swap closure of the one route of the canonical
+    spelling read through sigma; the other spellings and junction choices
+    land in that closure.  In the dual reading they draw the image of the
+    class under the automorphism between the two readings: a different
+    curve with the same self count, and with the same count against the
+    seeds of another class.
     """
     routes = polygon_model(genus).route_variants(class_word)
     return tuple(sorted(routes, key=lambda r: (len(r), r)))
@@ -209,35 +220,49 @@ def _meets_floor(count, floor, words, name) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _taut_single(genus: int, class_word) -> CurveDiagram:
-    """Certified taut diagram of one class, kept for every later reader.
+def _taut_single(genus: int, class_word) -> tuple:
+    """(diagram, count) of one class, kept for every later reader.
 
-    The route seeds are tried shortest first, each built as _route_seeds
-    gives it: the half-swap closure yields reduced routes.  A seed's built
-    diagram is the answer when its count meets the cobracket floor
-    (_cobracket_floor, taken once on the first built diagram; an embedded
-    diagram's floor is 0): that count is minimal, so no bigon is left to
-    remove.  Otherwise the seed is tautened, and a tautened count that meets
-    the floor is the answer (_meets_floor).  If no seed meets it, the fewest
-    crossings over all seeds (then the shorter, then the smaller route)
-    stand.
+    The diagram is the class's direct drawing: its canonical word side by
+    side (PolygonModel._sides) is a route that reads the word itself.  Its
+    built diagram stands when its count meets the cobracket floor
+    (_cobracket_floor, taken on it; an embedded diagram's floor is 0), and
+    is tautened otherwise.  The count is the diagram's when it meets the
+    floor (_meets_floor).  Only where it does not, the count falls back to
+    the route seeds of _route_seeds, which draw the class through sigma:
+    each seed is built, tautened above the floor, and the first whose count
+    meets the floor gives it.  If none does, the fewest crossings of the
+    direct drawing and of every seed stand.  Those seeds draw another curve
+    of the same self count in the dual reading, so they give the count
+    only; the direct drawing reads the class, so the state sums of
+    expansions and products run on it.
     """
     model = polygon_model(genus)
     classes = (CurveClass(genus, class_word),)
     budget = Budget()
-    floor = best = None
-    for seed in _route_seeds(genus, class_word):
-        d = build_diagram(model, classes, (seed,), budget)
-        if floor is None:
-            floor = _cobracket_floor(model, d)
-        if d.crossing_count > floor:
-            d = tauten_routes(genus, classes, d.routes, budget)
+    diagram = build_diagram(model, classes, (model._sides(class_word),), budget)
+    floor = _cobracket_floor(model, diagram)
+    if diagram.crossing_count > floor:
+        diagram = tauten_routes(genus, classes, diagram.routes, budget)
+    count = diagram.crossing_count
+    if _meets_floor(count, floor, (class_word,), "cobracket"):
+        return diagram, count
+    for d in _seed_drawings(genus, class_word, floor, budget):
         if _meets_floor(d.crossing_count, floor, (class_word,), "cobracket"):
-            return d
-        key = (d.crossing_count, len(d.routes[0]), d.routes[0])
-        if best is None or key < best[0]:
-            best = key, d
-    return best[1]
+            return diagram, floor
+        count = min(count, d.crossing_count)
+    return diagram, count
+
+
+def _seed_drawings(genus: int, class_word, floor: int, budget):
+    """The diagram of each route seed of the class (_route_seeds), shortest
+    first: built, and tautened when its count is above the floor."""
+    model = polygon_model(genus)
+    for seed in _route_seeds(genus, class_word):
+        d = build_diagram(model, (), (seed,), budget)
+        if d.crossing_count > floor:
+            d = tauten_routes(genus, (), d.routes, budget)
+        yield d
 
 
 def _check_genus(s: Surface, *items) -> None:
@@ -258,10 +283,12 @@ def _check_genus(s: Surface, *items) -> None:
 
 
 def realize(s: Surface, c: CurveClass) -> CurveDiagram:
-    """Certified taut single-strand diagram of the class, built once and
-    shared: self_intersection counts it and expand_trace sums over it."""
+    """Taut single-strand diagram of the class, its direct drawing, built
+    once and shared: expand_trace sums over it.  Its crossings are the
+    class's self count wherever that drawing meets the cobracket floor or
+    no route seed does better (_taut_single)."""
     _check_genus(s, c)
-    return _taut_single(s.genus, c.word)
+    return _taut_single(s.genus, c.word)[0]
 
 
 def tauten(d: CurveDiagram) -> CurveDiagram:
@@ -274,7 +301,7 @@ def self_intersection(s: Surface, c: CurveClass) -> int:
     n chords in the 4g-gon, a class of canonical length n crosses itself at
     most C(n, 2) times, so a count above that raises ModelInconsistency."""
     _check_genus(s, c)
-    count = _taut_single(s.genus, c.word).crossing_count
+    count = _taut_single(s.genus, c.word)[1]
     n = len(c.word)
     bound = n * (n - 1) // 2
     if count > bound:
@@ -290,14 +317,14 @@ def is_simple(s: Surface, c: CurveClass) -> bool:
     from an actual diagram, so 0 means one exists; an embedded essential
     curve is primitive, and a diagram of a proper power crosses itself."""
     _check_genus(s, c)
-    return _taut_single(s.genus, c.word).crossing_count == 0
+    return _taut_single(s.genus, c.word)[1] == 0
 
 
 def _pair_diagram(s: Surface, x: CurveClass, y: CurveClass) -> CurveDiagram:
     """Taut diagram of two simple classes.  The embedded-bigon certificate is
     conclusive for simple curves, so one tauten of their taut routes is
     minimal."""
-    routes = tuple(_taut_single(s.genus, c.word).routes[0] for c in (x, y))
+    routes = tuple(_taut_single(s.genus, c.word)[0].routes[0] for c in (x, y))
     return tauten_routes(s.genus, (x, y), routes)
 
 
@@ -606,30 +633,28 @@ def _pair_cross_refined(genus: int, wx, wy) -> int:
 
     The floor is the Goldman bracket's term count (_bracket_floor, counted
     by _term_count), the same on every diagram of the pair, so it is taken
-    once, on the built diagram of the two classes' own taut routes
+    once, on the built diagram of the two classes' direct drawings
     (_taut_single), which is the answer when its count meets it.  Otherwise
-    the first seed pair whose built count meets the floor is the answer,
-    with no search, and failing that the least exact minimum over every slot
-    assignment of every built seed pair, a search that meets the floor
-    stopping there.  A count below the floor raises (_meets_floor).  All of
-    it spends one Budget.
+    the first pair of route seeds (_route_seeds, both read through sigma,
+    so one homeomorphism carries both curves) whose built count meets the
+    floor is the answer, with no search, and failing that the least exact
+    minimum over every slot assignment of every built seed pair, a search
+    that meets the floor stopping there.  A count below the floor raises
+    (_meets_floor).  All of it spends one Budget.
     """
     model = polygon_model(genus)
     budget = Budget()
-    taut = tuple(_taut_single(genus, w).routes[0] for w in (wx, wy))
-    first = build_diagram(model, (), taut, budget)
+    direct = tuple(_taut_single(genus, w)[0].routes[0] for w in (wx, wy))
+    first = build_diagram(model, (), direct, budget)
     floor = _bracket_floor(model, first)
     words = (wx, wy)
     if _meets_floor(first.cross_strand_crossings(), floor, words, "bracket"):
         return floor
     built = []
     for routes in product(_route_seeds(genus, wx), _route_seeds(genus, wy)):
-        if routes == taut:
-            diagram = first
-        else:
-            diagram = build_diagram(model, (), routes, budget)
-            if _meets_floor(diagram.cross_strand_crossings(), floor, words, "bracket"):
-                return floor
+        diagram = build_diagram(model, (), routes, budget)
+        if _meets_floor(diagram.cross_strand_crossings(), floor, words, "bracket"):
+            return floor
         built.append(diagram)
     counts = []
     for diagram in built:
@@ -646,14 +671,14 @@ def _pair_count(genus: int, wx, wy) -> int:
 
     short, long_ = sorted((wx, wy), key=lambda w: (len(w), w))
     for delta, other in ((short, long_), (long_, short)):
-        if _taut_single(genus, delta).crossing_count == 0:
+        if _taut_single(genus, delta)[1] == 0:
             break
     else:
         return _pair_cross_refined(genus, wx, wy)
     count = splitting_count(genus, delta, other)
     if count is not None:
         return count
-    if _taut_single(genus, other).crossing_count == 0:
+    if _taut_single(genus, other)[1] == 0:
         return _pair_taut(genus, wx, wy).cross_strand_crossings()
     raise ReductionBudgetExceeded(
         f"no product of short twists carries a standard curve to"

@@ -1,10 +1,12 @@
 """Mapping classes and sign characters acting on the trace algebra.
 
-Dehn twists are built on the one-vertex polygon model.  Each generator loop,
-pushed off the vertex, becomes a rotation to its side's start corner, a slide
-along the side, and a rotation back.  Twisting along a taut simple curve
-inserts the curve's based loop word wherever the slide crosses a strand, with
-the insertion direction set by the crossing side.  Images are stored in
+Dehn twists are built on the one-vertex polygon model, read in its primal
+presentation through the side table sigma (see polygon).  Each generator
+loop, pushed off the vertex, becomes a rotation to its side's start corner, a
+slide along the side, and a rotation back.  Twisting along an embedded
+drawing of a simple curve by its sigma route seeds (_sigma_drawing) inserts
+the curve's based loop word wherever the slide crosses a strand, with the
+insertion direction set by the crossing side.  Images are stored in
 normalized form, a free-group lift of the map only up to the relator, so every
 constructor certifies itself in pi1: the relator's image under the map and
 under the stored inverse Dehn-reduces to the empty word (both are endomorphisms
@@ -36,11 +38,12 @@ from .algebra import (
 from .curves import (
     _check_genus,
     _length_bound,
-    _taut_single,
+    _seed_drawings,
     check_disjoint_simple,
     intersection_number,
     is_simple,
 )
+from .diagrams import Budget
 from .errors import (
     BadArgument,
     BadIndex,
@@ -176,18 +179,29 @@ def invert_mapping_class(f: MappingClass) -> MappingClass:
 # -- Dehn twists --------------------------------------------------------------
 
 
-def _twist_words(s: Surface, cls: CurveClass, turns: int) -> tuple:
-    """Raw generator images of the twist along cls, with the given number of
-    turns (sign = handedness)."""
+def _sigma_drawing(s: Surface, cls: CurveClass):
+    """Embedded diagram of a simple class that reads it through sigma: the
+    first of its route seeds whose built diagram, or else its tautened one,
+    has no crossing (curves._seed_drawings, floor 0)."""
+    for diagram in _seed_drawings(s.genus, cls.word, 0, Budget()):
+        if not diagram.crossing_count:
+            return diagram
+    raise NotSimple(f"cannot twist along {format_word(cls.word)}")
+
+
+def _twist_words(s: Surface, diagram, turns: int) -> tuple:
+    """Raw generator images of the twist along the simple class of the
+    sigma drawing, with the given number of turns (sign = handedness)."""
     model = polygon_model(s.genus)
-    diagram = _taut_single(s.genus, cls.word)
-    if diagram.crossing_count:
-        raise NotSimple(f"cannot twist along {format_word(cls.word)}")
     route = diagram.routes[0]
+
+    def loop(start):
+        # the curve's word through sigma, read on from route position start
+        return model._sigma_word(route[start:] + route[:start])
+
     # prefixes[j]: word read rotating from the base corner sector past the
     # first j side germs of the vertex walk
-    prefixes = [model.exits_word(model.orbit[:j]) for j in range(model.n_sides + 1)]
-    n = len(route)
+    prefixes = [model._sigma_word(model.orbit[:j]) for j in range(model.n_sides + 1)]
     images = []
     for k in range(1, s.rank + 1):
         word = list(prefixes[model.start_pos[k]])
@@ -196,26 +210,25 @@ def _twist_words(s: Surface, cls: CurveClass, turns: int) -> tuple:
             # just before its edge event, an entering one from just after,
             # and the two directions insert opposite powers
             if route[p] == model.side_of[k]:
-                loop = model.route_word(route, p)
+                read = loop(p)
                 power = turns
             elif route[p] == model.side_of[-k]:
-                loop = model.route_word(route, (p + 1) % n)
+                read = loop(p + 1)
                 power = -turns
             else:
                 raise ModelInconsistency("slide crossing off its own edge")
             if power >= 0:
-                word.extend(loop * power)
+                word.extend(read * power)
             else:
-                word.extend(inverse_word(loop) * (-power))
+                word.extend(inverse_word(read) * (-power))
         word.extend(inverse_word(prefixes[model.end_pos[k]]))
         images.append(free_reduce(word))
     return tuple(images)
 
 
-def _twist_homology_check(s: Surface, cls: CurveClass, turns: int, images):
+def _twist_homology_check(s: Surface, diagram, turns: int, images):
     model = polygon_model(s.genus)
-    route = _taut_single(s.genus, cls.word).routes[0]
-    curve = homology_class(s, model.route_word(route, 0)).coords
+    curve = homology_class(s, model._sigma_word(diagram.routes[0])).coords
     for k in range(1, s.rank + 1):
         before = homology_class(s, (k,)).coords
         after = homology_class(s, images[k - 1]).coords
@@ -231,10 +244,10 @@ def _twist_homology_check(s: Surface, cls: CurveClass, turns: int, images):
 @lru_cache(maxsize=None)
 def _twist_cached(genus: int, word, turns: int) -> MappingClass:
     s = make_surface(genus)
-    cls = CurveClass(genus, word)
-    raw = _twist_words(s, cls, turns)
-    raw_inverse = _twist_words(s, cls, -turns)
-    _twist_homology_check(s, cls, turns, raw)
+    diagram = _sigma_drawing(s, CurveClass(genus, word))
+    raw = _twist_words(s, diagram, turns)
+    raw_inverse = _twist_words(s, diagram, -turns)
+    _twist_homology_check(s, diagram, turns, raw)
     images = tuple(normalize_word(s, w) for w in raw)
     inverse_images = tuple(normalize_word(s, w) for w in raw_inverse)
     return _checked(s, images, inverse_images)

@@ -5,29 +5,37 @@ labeled x is glued to the side labeled x^-1 with reversed boundary parameter,
 and all corners land on a single vertex v.
 
 A curve transverse to the edges is encoded by its cyclic "route": the sequence
-of sides through which it exits the polygon.  Reading a route back as a group
-element uses the side table sigma: crossing out through side s contributes the
-word sigma[s], and the class of any closed transversal equals the product of
-sigma over its exits.  The table is solved once per genus from the corner walk:
-each generator loop, pushed off the vertex, crosses exactly the germs between
-its two ends in the vertex rotation, which pins every sigma up to the relator.
-
-Route words are all read through exits_word, which joins the sigma words of a
-sequence of exits; each is freely reduced, so letters cancel only where one
-meets the next (words._join).
-
-A route is also a word of the surface group itself, in the dual presentation:
+of sides through which it exits the polygon.  A route is read as a word of the
+surface group in the dual presentation, based at the centre of the polygon:
 name side s by its relator letter with every b_i inverted (side_letter), and
-the corner walk around v reads exactly the relator.  Exiting through s and then
-through its partner is a letter followed by its inverse, and a run of exits
-turning around v is a relator factor.  So removing backtracks and replacing a
-turn of more than half around v by the complementary turn is cyclic Dehn
-reduction (words._cyclic_dehn_reduce), and flipping an exact half turn to the
-other side of v is a half swap (words.half_swap_closure).
+the corner walk around v reads exactly the relator, so crossing out through s
+is the dual generator side_letter[s].  Route and arc words are all read through
+exits_word, which joins the letters of a sequence of exits at their seams.  So
+a class's canonical word w, taken side by side (_sides), is a route of len(w)
+sides that reads w itself: the class's direct drawing.
 
-A letter's pushoff contributes a rotation arc around v (at most half a turn)
-between its slide along the glued edge and the next letter's.  Exact half
-turns are genuinely ambiguous (the two choices are isotopic across v):
+Exiting through s and then through its partner is a letter followed by its
+inverse, and a run of exits turning around v is a relator factor.  So removing
+backtracks and replacing a turn of more than half around v by the
+complementary turn is cyclic Dehn reduction (words._cyclic_dehn_reduce), and
+flipping an exact half turn to the other side of v is a half swap
+(words.half_swap_closure).
+
+The primal reading, based at v, uses the side table sigma: crossing out
+through side s contributes the word sigma[s], and the class of any closed
+transversal equals the product of sigma over its exits (_sigma_word).  The
+table is solved once per genus from the corner walk: each generator loop,
+pushed off the vertex, crosses exactly the germs between its two ends in the
+vertex rotation, which pins every sigma up to the relator.  The two readings
+differ by a fixed automorphism, so a route read through sigma draws a curve in
+the same orbit under homeomorphisms as the one it draws in the dual reading.
+Only two readers take sigma: Dehn twists (mapping), which read prefixes of the
+vertex rotation, and the count fallback of curves._taut_single, which draws a
+class by the routes of route_variants.
+
+There a letter's pushoff contributes a rotation arc around v (at most half a
+turn) between its slide along the glued edge and the next letter's.  Exact
+half turns are genuinely ambiguous (the two choices are isotopic across v):
 route_for_spelling takes the forward one, and route_variants reaches the
 others through the half-swap closure.
 """
@@ -139,13 +147,13 @@ class PolygonModel:
         for s in range(self.n_sides):
             if dehn_reduce(surface.genus, self.sigma[s] + self.sigma[self.partner[s]]):
                 raise ModelInconsistency("sigma not inverse across partners")
-        if dehn_reduce(surface.genus, self.exits_word(self.orbit)):
+        if dehn_reduce(surface.genus, self._sigma_word(self.orbit)):
             raise ModelInconsistency("full turn around the vertex not trivial")
         # a route's word is only well defined up to conjugacy (its basepoint
         # sits on an edge, not at the vertex)
         for letter in letters(self.genus):
             route = self.route_for_spelling((letter,))
-            read = canonical_class(surface, self.route_word(route)).word
+            read = canonical_class(surface, self._sigma_word(route)).word
             if read != canonical_class(surface, (letter,)).word:
                 raise ModelInconsistency(f"route for letter {letter} reads wrong class")
 
@@ -198,8 +206,14 @@ class PolygonModel:
     spelling_routes = route_variants  # perfbench/tracer.py wraps this name too
 
     def exits_word(self, exits) -> GroupWord:
-        """Freely reduced word read by crossing out through the given sides;
-        each sigma word is reduced, so only their seams can cancel."""
+        """Freely reduced word of the dual presentation read by crossing out
+        through the given sides: their side letters, joined at the seams."""
+        return free_reduce(map(self.side_letter.__getitem__, exits))
+
+    def _sigma_word(self, exits) -> GroupWord:
+        """Freely reduced word of the primal presentation read by crossing
+        out through the given sides; each sigma word is reduced, so only
+        their seams can cancel."""
         return _join(self.sigma[s] for s in exits)
 
     def route_word(self, route, start: int = 0) -> GroupWord:

@@ -79,11 +79,6 @@ class Lamination(_record("Lamination", "genus weights")):
         self._pairings = {}
         return self
 
-    @classmethod
-    def _make(cls, iterable) -> Lamination:
-        # namedtuple's _make, and so _replace, would skip __new__
-        return cls(*iterable)
-
     def weight(self, cls: CurveClass) -> Fraction:
         for c, w in self.weights:
             if c == cls:

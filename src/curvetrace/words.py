@@ -92,15 +92,22 @@ def _refuse(self, other):
     return NotImplemented
 
 
+def _record_make(cls, iterable):
+    return cls(*iterable)
+
+
 def _record(name: str, fields: str) -> type:
     """A namedtuple base for a value type whose values equal only values of
     their own type, hash as the tuple of their fields (as a frozen dataclass
     does, so set and dict order stay fixed under one hash seed) and refuse
-    tuple + and *.  A subclass sets __slots__ = () unless its values keep
+    tuple + and *.  _make, and so _replace, builds through the type itself,
+    so a subclass's __new__ checks and fills every value; namedtuple's own
+    would skip it.  A subclass sets __slots__ = () unless its values keep
     attributes beside their fields, such as a cached_property."""
     base = namedtuple(name, fields)
     base.__eq__, base.__ne__, base.__hash__ = _record_eq, _record_ne, tuple.__hash__
     base.__add__ = base.__mul__ = base.__rmul__ = _refuse
+    base._make = classmethod(_record_make)
     return base
 
 

@@ -6,9 +6,10 @@ the repository root:
 
     PYTHONPATH=src python tests/core_without_numpy.py
 
-It counts i(a2A1, B2a2A1A1) at genus 2, a pair of self-crossing classes
-whose built diagrams (9 and 7 crossings) miss its Goldman bracket floor, 5,
-so the count takes one exhaustive slot search.  It also checks one Thurston
+It counts i(a1A2B2B2, b1b2a2b2a2) at genus 2, a pair of self-crossing
+classes whose built diagrams (9 crossings on the direct drawings, 7 on the
+one seed pair) miss its Goldman bracket floor, 5, so the count takes one
+exhaustive slot search.  It also checks one Thurston
 pair and multiplies two disjoint curves into their multicurve.
 """
 import importlib
@@ -32,8 +33,8 @@ def basis(text):
 
 
 failures = []
-if ct.intersection_number(s, cls("a2A1"), cls("B2a2A1A1")) != 5:
-    failures.append("i(a2A1, B2a2A1A1) is not 5")
+if ct.intersection_number(s, cls("a1A2B2B2"), cls("b1b2a2b2a2")) != 5:
+    failures.append("i(a1A2B2B2, b1b2a2b2a2) is not 5")
 if not ct.thurston_max_check(s, cls("b1"), ct.parse_word(s, "a1b2A1a2")).ok:
     failures.append("thurston_max_check(b1, a1b2A1a2) does not match")
 if ct.multiply_expressions(s, basis("a1"), basis("a2")) != basis("a1,a2"):

@@ -22,10 +22,13 @@ of at least 2(2g-1) letters, one relator-cell move at a time from where the
 previous one left off, until the word is back to its length.
 
 reference_taut_single and reference_pair_diagram keep the seed searches that
-curvetrace.curves cut short: the fewest self crossings over every tautened
-route seed of a class (curves._taut_single stops at the first seed whose count
-meets the cobracket floor), and the fewest total crossings over every seed
-pair of two classes, stopping at self + self + |algebraic|.
+curvetrace.curves cut short.  The first takes a class's direct drawing (its
+canonical word side by side), tautened, and the fewest self crossings over it
+and every tautened route seed of the class, in that order
+(curves._taut_single stops at the first drawing whose count meets the
+cobracket floor, and tries the seeds only when the direct drawing misses it).
+The second takes the fewest total crossings over every seed pair of two
+classes, stopping at self + self + |algebraic|.
 
 reference_bracket_floor and reference_cobracket_floor keep the Goldman
 bracket and Turaev cobracket floors that curvetrace.curves._bracket_floor
@@ -142,17 +145,17 @@ ASSIGNMENT_CAP = 200_000
 
 
 def reference_taut_single(genus, class_word):
-    """(route, count) with the fewest self crossings over every route seed,
-    ties broken by the shorter, then the smaller route."""
-    best = None
+    """(route, count): the tautened route of the class's direct drawing, and
+    the fewest self crossings over that drawing and every tautened route
+    seed, with no floor to stop at."""
     budget = Budget()
-    for seed in _route_seeds(genus, class_word):
-        d = tauten_routes(genus, (class_word,), (seed,), budget)
-        key = (d.crossing_count, len(d.routes[0]), d.routes[0])
-        if best is None or key < best:
-            best = key
-    count, _, route = best
-    return route, count
+    direct = polygon_model(genus)._sides(class_word)
+    route, = tauten_routes(genus, (), (direct,), budget).routes
+    counts = [
+        tauten_routes(genus, (), (seed,), budget).crossing_count
+        for seed in (direct,) + _route_seeds(genus, class_word)
+    ]
+    return route, min(counts)
 
 
 def reference_pair_diagram(s, x, y):
@@ -864,7 +867,7 @@ def reference_merge_basis(s, mc1, mc2):
     classes = tuple(
         c for mc in (mc1, mc2) for c, m in mc.components for _ in range(m)
     )
-    routes = tuple(_taut_single(s.genus, c.word).routes[0] for c in classes)
+    routes = tuple(_taut_single(s.genus, c.word)[0].routes[0] for c in classes)
     diagram = tauten_routes(s.genus, classes, routes)
     return _state_sum(s, diagram)
 
@@ -903,7 +906,7 @@ def _reference_class(s, cls):
 
 
 def _reference_primitive(s, cls):
-    diagram = _taut_single(s.genus, cls.word)
+    diagram = _taut_single(s.genus, cls.word)[0]
     if diagram.crossing_count == 0:
         return basis_expression(_multicurve(s.genus, {cls: 1}))
     (_, p), (_, q) = min(diagram.crossings)

@@ -99,14 +99,13 @@ def product_differences(surface, pairs):
 
 def pair_search_misses(genus, pairs):
     """Each pair's count against the two-pass reference, wherever that
-    answers, and against the built diagrams of its seed pairs: every one
-    gives the same Goldman bracket floor, equal to the keyed reference's,
-    |algebraic| <= floor <= count <=
-    every built count, and the count has the algebraic intersection's
-    parity.  A pair that raises is a miss.  Returns the lines,
-    (wx, wy, outcome) where the reference raises, and how many pairs were
-    answered from a built diagram, by a search that met the floor, and by
-    the minimum."""
+    answers, and against the built diagrams of its direct drawings and of
+    its seed pairs: every one gives the same Goldman bracket floor, equal to
+    the keyed reference's, |algebraic| <= floor <= count <= every built
+    count, and the count has the algebraic intersection's parity.  A pair
+    that raises is a miss.  Returns the lines, (wx, wy, outcome) where the
+    reference raises, and how many pairs were answered from a built diagram,
+    by a search that met the floor, and by the minimum."""
     model, surface = polygon_model(genus), make_surface(genus)
     lines, beyond, answered = [], [], {"built": 0, "search": 0, "minimum": 0}
     for wx, wy in pairs:
@@ -120,8 +119,9 @@ def pair_search_misses(genus, pairs):
         if isinstance(got, tuple):
             lines.append(f"{name} raises {got[0]}: {got[1]}")
             continue
+        direct = tuple(curves._taut_single(genus, w)[0].routes[0] for w in (wx, wy))
         seeds = product(*(curves._route_seeds(genus, w) for w in (wx, wy)))
-        built = [build_diagram(model, (), routes) for routes in seeds]
+        built = [build_diagram(model, (), routes) for routes in (direct, *seeds)]
         floors = {bracket_floor_checked(model, d, name, lines) for d in built}
         counts = [d.cross_strand_crossings() for d in built]
         coords = [homology_class(surface, w).coords for w in (wx, wy)]
@@ -160,7 +160,7 @@ def bracket_misses(genus, pairs):
     lines = []
     for wx, wy in pairs:
         name = f"genus {genus}: {format_word(wx)} {format_word(wy)}"
-        routes = tuple(curves._taut_single(genus, w).routes[0] for w in (wx, wy))
+        routes = tuple(curves._taut_single(genus, w)[0].routes[0] for w in (wx, wy))
         diagram = build_diagram(model, (), routes)
         floor = bracket_floor_checked(model, diagram, name, lines)
         count = curves.intersection_number(
@@ -172,35 +172,45 @@ def bracket_misses(genus, pairs):
 
 
 def cobracket_misses(genus, words, against_reference):
-    """Each class's taut diagram against its Turaev cobracket floor, taken
-    on that diagram: the floor must equal the keyed reference of the test
-    oracles and must not exceed the count.  With
-    against_reference, the diagram's route and count must also be those of
-    the all-seeds reference.  Returns the lines, how many classes cross
-    themselves, and on how many of those the floor meets the count."""
+    """Each class's taut diagram and count against its Turaev cobracket
+    floor, taken on that diagram: the floor must equal the keyed reference
+    of the test oracles and must not exceed the count, and the count must
+    not exceed C(n, 2) for a class of length n.  With against_reference,
+    the diagram's route and the count must also be those of the all-seeds
+    reference.  Returns the lines and a tally of the classes that cross
+    themselves: how many there are, and how many of their counts the direct
+    drawing certifies (it meets the floor), the fallback to the route seeds
+    certifies, or nothing certifies."""
     model = polygon_model(genus)
-    lines, crossing, met = [], 0, 0
+    lines = []
+    tally = dict.fromkeys(("crossing", "direct", "fallback", "uncertified"), 0)
     for word in words:
         name = f"genus {genus}: {format_word(word)}"
         try:
-            d = curves._taut_single(genus, word)
+            d, count = curves._taut_single(genus, word)
         except CurvetraceError as exc:
             lines.append(f"{name} raises {type(exc).__name__}: {exc}")
             continue
-        count = d.crossing_count
         floor = curves._cobracket_floor(model, d)
         want = oracles.reference_cobracket_floor(model, d)
         if floor != want:
             lines.append(f"{name} has cobracket floor {floor}, the reference {want}")
         if floor > count:
             lines.append(f"{name} has cobracket floor {floor}, count {count}")
-        crossing += count > 0
-        met += 0 < count == floor
+        bound = len(word) * (len(word) - 1) // 2
+        if count > bound:
+            lines.append(f"{name} counts {count}, over C({len(word)}, 2) = {bound}")
+        if count > 0:
+            tally["crossing"] += 1
+            if count > floor:
+                tally["uncertified"] += 1
+            else:
+                tally["direct" if d.crossing_count == floor else "fallback"] += 1
         if against_reference:
             got, want = (d.routes[0], count), oracles.reference_taut_single(genus, word)
             if got != want:
                 lines.append(f"{name} gives {got}, the reference {want}")
-    return lines, crossing, met
+    return lines, tally
 
 
 def splitting_differences(genus, deltas, alphas):
@@ -366,11 +376,13 @@ def test_cobracket_floor_sweep():
         s = make_surface(genus)
         words = [c.word for c in curves.enumerate_classes(s, bound)]
         assert len(words) == size
-        found, crossing, met = cobracket_misses(genus, words, genus == 2)
+        found, tally = cobracket_misses(genus, words, genus == 2)
         lines += found
         counts.append(
-            f"genus {genus}: {size} classes of length <= {bound}, {crossing} cross"
-            f" themselves, the floor meets the count on {met}"
+            f"genus {genus}: {size} classes of length <= {bound}, {tally['crossing']}"
+            f" cross themselves; the floor certifies {tally['direct']} counts on the"
+            f" direct drawing and {tally['fallback']} on the route seeds, and"
+            f" {tally['uncertified']} stay uncertified"
         )
     _fail_on(lines, *counts, f"{len(lines)} misses")
 
@@ -379,7 +391,8 @@ def test_crossing_order_sweep():
     def taut(genus, bound):
         s = make_surface(genus)
         for c in curves.enumerate_classes(s, bound):
-            yield f"genus {genus}: {format_word(c.word)}", curves._taut_single(genus, c.word)
+            name = f"genus {genus}: {format_word(c.word)}"
+            yield name, curves._taut_single(genus, c.word)[0]
 
     def seed_pairs(genus):
         model = polygon_model(genus)

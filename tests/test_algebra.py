@@ -481,11 +481,11 @@ def test_expansion_reuses_the_cached_taut_diagram(monkeypatch):
     classes = {C("a1B2B1"): 2, C("a1b1a1b1"): 1}
     want = {}
     for cls, crossings in classes.items():
-        assert _taut_single(2, cls.word).crossing_count == crossings
+        assert _taut_single(2, cls.word)[1] == crossings
         want[cls] = reference_expand(S2, cls.word)
     # the built union of a1b1 and a1a1b1 keeps a bigon: 3 crossings, not 1
     pair = (C("a1b1"), C("a1a1b1"))
-    routes = tuple(_taut_single(2, c.word).routes[0] for c in pair)
+    routes = tuple(_taut_single(2, c.word)[0].routes[0] for c in pair)
     assert build_diagram(polygon_model(2), pair, routes).crossing_count == 3
     assert tauten_routes(2, pair, routes).crossing_count == 1
     x, y = (basis_expression(make_multicurve(S2, {c: 1})) for c in pair)
@@ -521,7 +521,7 @@ def test_state_sum_past_the_budget_raises_before_any_state(monkeypatch):
     # first, so after expand_trace's lookup of the word's own class the only
     # class read is the strand check's, none a state's
     word = W("a1a1A2A2b1a1a2B1A2A1a2b2")
-    assert _taut_single(2, canonical_class(S2, word).word).crossing_count == 22
+    assert _taut_single(2, canonical_class(S2, word).word)[0].crossing_count == 22
     reads = []
     read_class = algebra._canonical_class
 

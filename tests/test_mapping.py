@@ -86,6 +86,30 @@ def test_twist_images_whole_family():
     assert got[5] == (W("a1"), W("b1"), W("a2"), W("b2a2"))
 
 
+def test_twist_images_whole_family_genus_three():
+    def images(*texts):
+        return tuple(W(text, S3) for text in texts)
+
+    got = {idx: twist_generator(S3, idx) for idx in range(1, 8)}
+    assert got[1].images == images("a1", "b1", "a2B2", "b2", "a3", "b3")
+    assert got[2].images == images("a1B1", "b1", "a2", "b2", "a3", "b3")
+    assert got[3].images == images("a1", "b1a1", "a2", "b2", "a3", "b3")
+    assert got[4].images == images(
+        "a1B1a2b2A2", "a2B2A2b1a2b2A2", "a2B2A2b1a2", "b2", "a3", "b3"
+    )
+    assert got[5].images == images("a1", "b1", "a2", "b2a2", "a3", "b3")
+    assert got[6].images == images(
+        "a1", "b1", "a2B2a3b3A3", "a3B3A3b2a3b3A3", "a3B3A3b2a3", "b3"
+    )
+    assert got[7].images == images("a1", "b1", "a2", "b2", "a3", "b3a3")
+    assert got[4].inverse_images == images(
+        "a1a2B2A2b1", "B1a2b2A2b1a2B2A2b1", "B1a2b2", "b2", "a3", "b3"
+    )
+    assert got[6].inverse_images == images(
+        "a1", "b1", "a2a3B3A3b2", "B2a3b3A3b2a3B3A3b2", "B2a3b3", "b3"
+    )
+
+
 def test_twist_certificates():
     for surface in (S2, S3):
         for curve in humphries_classes(surface):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import all_classes_up_to, reference_route_seeds
-from curvetrace.curves import _route_seeds, _taut_single
+from curvetrace.curves import _route_seeds, _taut_single, enumerate_classes
 from curvetrace.errors import TrivialClass
 from curvetrace.polygon import polygon_model
 from curvetrace.words import (
@@ -66,7 +66,7 @@ def test_route_seeds_keep_longer_routes_that_tauten_lower():
     # a1a1A2a1A2: its one 13-letter route seed tautens to 8 crossings, five of
     # its six 15-letter seeds to 6; an upper bound, as a linked count may be lower
     word = canonical_class(S2, (1, 1, -3, 1, -3)).word
-    assert _taut_single(2, word).crossing_count <= 6
+    assert _taut_single(2, word)[1] <= 6
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -83,17 +83,26 @@ def test_route_variants_agree_across_spellings(word):
 
 
 @pytest.mark.parametrize("genus", [2, 3])
-def test_exits_word_is_the_reduced_chain_of_sigma_words(genus):
-    # exits_word joins the sigma words at their seams only; on random exit
-    # sequences and on arcs of the route seeds of random classes it must read
-    # what one free reduction of the chained sigma words reads
+def test_route_readers_join_their_letters_at_the_seams(genus):
+    # exits_word joins the side letters of the exits, and _sigma_word their
+    # sigma words, at the seams only; on random exit sequences each must read
+    # what one free reduction of the chained letters reads, and so must
+    # arc_word on arcs of the direct routes and route seeds of random classes
     model = polygon_model(genus)
+
+    def side_letters(exits):
+        return free_reduce(model.side_letter[s] for s in exits)
+
+    def sigma_words(exits):
+        return free_reduce(l for s in exits for l in model.sigma[s])
+
     rng = random.Random(genus)
     for _ in range(500):
         exits = [rng.randrange(model.n_sides) for _ in range(rng.randint(0, 12))]
-        chained = free_reduce(l for s in exits for l in model.sigma[s])
-        assert model.exits_word(exits) == chained, exits
-        assert model.exits_word(iter(exits)) == chained
+        readers = ((model.exits_word, side_letters), (model._sigma_word, sigma_words))
+        for read, chained in readers:
+            assert read(exits) == chained(exits), exits
+            assert read(iter(exits)) == chained(exits)
     surface, alphabet = make_surface(genus), letters(genus)
     for _ in range(60):
         word = [rng.choice(alphabet) for _ in range(rng.randint(1, 8))]
@@ -101,8 +110,18 @@ def test_exits_word_is_the_reduced_chain_of_sigma_words(genus):
             cls = canonical_class(surface, word)
         except TrivialClass:
             continue
-        for route in _route_seeds(genus, cls.word):
+        for route in (model._sides(cls.word),) + _route_seeds(genus, cls.word):
             first, last = rng.randrange(len(route)), rng.randrange(len(route))
             arc = [route[(first + t) % len(route)] for t in range((last - first) % len(route) + 1)]
-            chained = free_reduce(l for s in arc for l in model.sigma[s])
-            assert model.arc_word(route, first, last) == chained, (route, first, last)
+            read = model.arc_word(route, first, last)
+            assert read == side_letters(arc), (route, first, last)
+
+
+@pytest.mark.parametrize("genus, bound", [(2, 5), (3, 4)])
+def test_a_class_word_side_by_side_is_a_reduced_route_that_reads_it(genus, bound):
+    # the direct drawing's route: _taut_single builds it without reducing it
+    model = polygon_model(genus)
+    for cls in enumerate_classes(make_surface(genus), bound):
+        route = model._sides(cls.word)
+        assert model.reduce_route(route) == route, cls.word
+        assert model.route_word(route) == cls.word

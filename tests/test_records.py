@@ -7,7 +7,7 @@ import pytest
 
 import curvetrace
 from curvetrace import acceptance, algebra, complement, curves, mapping, valuations
-from curvetrace.errors import GenusTooSmall
+from curvetrace.errors import BadLetter, GenusTooSmall, ModelInconsistency
 from curvetrace.polygon import polygon_model
 from curvetrace.representations import Representation, random_representation
 from curvetrace.words import CurveClass, Surface, canonical_class, make_surface
@@ -90,6 +90,36 @@ def test_record_contract(value):
     if cls is not algebra.TraceExpression:  # which adds as an expression
         with pytest.raises(TypeError):
             value + value
+
+
+# For each record type whose __new__ checks its fields: a bad field, and the
+# typed error that building a value with it raises.
+BAD_FIELDS = {
+    Surface: ("genus", 1, GenusTooSmall),
+    CurveClass: ("word", (9,), BadLetter),
+    Representation: ("matrices", (), ModelInconsistency),
+}
+
+
+def test_every_record_type_that_checks_has_a_bad_field():
+    # Lamination's __new__ fills its pairing state and checks nothing
+    built = {cls for cls in record_types() if "__new__" in vars(cls)}
+    assert built == set(BAD_FIELDS) | {valuations.Lamination}
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_make_and_replace_build_through_the_type(value):
+    cls = type(value)
+    for same in (value._replace(), cls._make(value), cls._make(iter(value))):
+        assert type(same) is cls and same == value
+    if cls is valuations.Lamination:
+        assert value._replace()._scaled == value._scaled
+    if cls in BAD_FIELDS:
+        field, bad, error = BAD_FIELDS[cls]
+        with pytest.raises(error):
+            value._replace(**{field: bad})
+        with pytest.raises(error):
+            cls._make(bad if f == field else v for f, v in zip(cls._fields, value))
 
 
 def test_records_of_the_same_fields_differ_by_type():

@@ -1,4 +1,5 @@
 """Intersection with a simple class, counted on the splitting it defines."""
+import hashlib
 import random
 
 import pytest
@@ -212,6 +213,20 @@ def test_composed_images_carry_each_class_to_its_standard_curve():
             assert mapping.relator_certificate(surface, images).sign == 1
             back = canonical_class(surface, mapping._substitute(images, c.word))
             assert back == canonical_class(surface, standard), c.word
+
+
+def test_search_entries_of_short_simple_classes_are_pinned():
+    # The entry (standard curve, twist chain, phi^-1 images) of each of the
+    # 83 simple genus-2 classes of length <= 4, found in (length, word) order
+    # by a fresh search, as the SHA-256 of the repr of the list of
+    # (class word, entry).  The digest was taken when every twist was drawn
+    # through the sigma reading of its curve's routes; an entry moves if a
+    # twist image or the search order moves.
+    search = splitting._TwistSearch(2)
+    entries = [(c.word, search.find(c.word)) for c in enumerate_simple_classes(S2, 4)]
+    assert len(entries) == 83 and all(entry for _, entry in entries)
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+    assert digest == "cd1c272eb5ea5f0828e69007b24394e4eb6338514462f1d6770c22ce7cc1e697"
 
 
 @pytest.fixture
