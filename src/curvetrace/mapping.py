@@ -243,6 +243,9 @@ def _twist_homology_check(s: Surface, diagram, turns: int, images):
 
 @lru_cache(maxsize=None)
 def _twist_cached(genus: int, word, turns: int) -> MappingClass:
+    if turns < 0:
+        # the inverse of the opposite twist, which already holds these words
+        return invert_mapping_class(_twist_cached(genus, word, -turns))
     s = make_surface(genus)
     diagram = _sigma_drawing(s, CurveClass(genus, word))
     raw = _twist_words(s, diagram, turns)

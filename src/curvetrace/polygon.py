@@ -208,7 +208,7 @@ class PolygonModel:
     def exits_word(self, exits) -> GroupWord:
         """Freely reduced word of the dual presentation read by crossing out
         through the given sides: their side letters, joined at the seams."""
-        return free_reduce(map(self.side_letter.__getitem__, exits))
+        return free_reduce(self._letters(exits))
 
     def _sigma_word(self, exits) -> GroupWord:
         """Freely reduced word of the primal presentation read by crossing
