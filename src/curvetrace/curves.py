@@ -25,7 +25,7 @@ with double points can need immersed monogons or bigons to witness its excess
   meets the floor; otherwise it is tautened, and its tautened count is the
   answer when it meets the floor; a count below it raises.  Only where the
   direct drawing misses its floor does the count fall back to the route
-  seeds that draw the class through sigma, shortest first, each built and
+  seeds that draw the class through beta, shortest first, each built and
   tautened the same way: the first count that meets the floor is the
   answer, and failing that the least of them all.  Those seeds draw
   another curve of the same orbit under homeomorphisms, so they give the
@@ -91,16 +91,16 @@ from .words import (
 
 
 def _route_seeds(genus: int, class_word) -> tuple:
-    """Rotation-minimal routes that draw the class read through sigma,
-    shortest first.
+    """Rotation-minimal routes that draw the class through beta, shortest
+    first.
 
     A route is a word of the dual presentation (see polygon), so these
     routes are the half-swap closure of the one route of the canonical
-    spelling read through sigma; the other spellings and junction choices
-    land in that closure.  In the dual reading they draw the image of the
-    class under the automorphism between the two readings: a different
-    curve with the same self count, and with the same count against the
-    seeds of another class.
+    spelling drawn by its primal loops; the other spellings and junction
+    choices land in that closure.  They read the image of the class under
+    beta, the automorphism between the two readings (PolygonModel._beta):
+    a different curve with the same self count, and with the same count
+    against the seeds of another class.
     """
     routes = polygon_model(genus).route_variants(class_word)
     return tuple(sorted(routes, key=lambda r: (len(r), r)))
@@ -229,7 +229,7 @@ def _taut_single(genus: int, class_word) -> tuple:
     (_cobracket_floor, taken on it; an embedded diagram's floor is 0), and
     is tautened otherwise.  The count is the diagram's when it meets the
     floor (_meets_floor).  Only where it does not, the count falls back to
-    the route seeds of _route_seeds, which draw the class through sigma:
+    the route seeds of _route_seeds, which draw the class through beta:
     each seed is built, tautened above the floor, and the first whose count
     meets the floor gives it.  If none does, the fewest crossings of the
     direct drawing and of every seed stand.  Those seeds draw another curve
@@ -247,22 +247,14 @@ def _taut_single(genus: int, class_word) -> tuple:
     count = diagram.crossing_count
     if _meets_floor(count, floor, (class_word,), "cobracket"):
         return diagram, count
-    for d in _seed_drawings(genus, class_word, floor, budget):
-        if _meets_floor(d.crossing_count, floor, (class_word,), "cobracket"):
-            return diagram, floor
-        count = min(count, d.crossing_count)
-    return diagram, count
-
-
-def _seed_drawings(genus: int, class_word, floor: int, budget):
-    """The diagram of each route seed of the class (_route_seeds), shortest
-    first: built, and tautened when its count is above the floor."""
-    model = polygon_model(genus)
     for seed in _route_seeds(genus, class_word):
         d = build_diagram(model, (), (seed,), budget)
         if d.crossing_count > floor:
             d = tauten_routes(genus, (), d.routes, budget)
-        yield d
+        if _meets_floor(d.crossing_count, floor, (class_word,), "cobracket"):
+            return diagram, floor
+        count = min(count, d.crossing_count)
+    return diagram, count
 
 
 def _check_genus(s: Surface, *items) -> None:
@@ -635,7 +627,7 @@ def _pair_cross_refined(genus: int, wx, wy) -> int:
     by _term_count), the same on every diagram of the pair, so it is taken
     once, on the built diagram of the two classes' direct drawings
     (_taut_single), which is the answer when its count meets it.  Otherwise
-    the first pair of route seeds (_route_seeds, both read through sigma,
+    the first pair of route seeds (_route_seeds, both drawn through beta,
     so one homeomorphism carries both curves) whose built count meets the
     floor is the answer, with no search, and failing that the least exact
     minimum over every slot assignment of every built seed pair, a search
@@ -745,7 +737,7 @@ def complement_report(s: Surface, x: CurveClass, y: CurveClass) -> ComplementRep
 
 def _length_bound(bound, least: int, what: str = "a length bound") -> None:
     """BadArgument unless the bound named what is an int, BadValue below least."""
-    if not isinstance(bound, int):
+    if isinstance(bound, bool) or not isinstance(bound, int):
         raise BadArgument(f"{what} is an int, not {bound!r}")
     if bound < least:
         raise BadValue(f"{what} must be at least {least}, got {bound}")

@@ -1,20 +1,23 @@
 """Mapping classes and sign characters acting on the trace algebra.
 
-Dehn twists are built on the one-vertex polygon model, read in its primal
-presentation through the side table sigma (see polygon).  Each generator
-loop, pushed off the vertex, becomes a rotation to its side's start corner, a
-slide along the side, and a rotation back.  Twisting along an embedded
-drawing of a simple curve by its sigma route seeds (_sigma_drawing) inserts
-the curve's based loop word wherever the slide crosses a strand, with the
-insertion direction set by the crossing side.  Images are stored in
-normalized form, a free-group lift of the map only up to the relator, so every
-constructor certifies itself in pi1: the relator's image under the map and
-under the stored inverse Dehn-reduces to the empty word (both are endomorphisms
-of pi1), and the stored inverse undoes the map on every generator (the inverse
-is onto).  Surface groups are Hopfian, so the onto inverse is an automorphism
-and the map is its inverse.  The orientation sign comes from H1, where an
-automorphism keeps the intersection form up to sign: sum_i omega(phi(a_i),
-phi(b_i)) must be +g or -g.
+Dehn twists are built on the one-vertex polygon model, read in its dual
+presentation based inside the polygon (see polygon), on the direct drawing of
+a simple curve, which is embedded (curves._taut_single).  The base point sits
+in the corner sector at the start of side 0.  Generator k runs along the
+inside of the boundary past sides 0 .. s-1, crosses its side s just past its
+start corner, and comes back in at the end of the partner side p, running on
+past sides p+1 .. 4g-1 to the base.  The twist inserts the curve's loop, read
+on from each strand that path passes, exiting and entering strands with
+opposite powers (Farb & Margalit, A Primer on Mapping Class Groups, sections
+3.1-3.2).  Images are stored in normalized form, a free-group lift of the map
+only up to the relator, so every constructor certifies itself in pi1: the
+relator's image under the map and under the stored inverse Dehn-reduces to
+the empty word (both are endomorphisms of pi1), and the stored inverse undoes
+the map on every generator (the inverse is onto).  Surface groups are
+Hopfian, so the onto inverse is an automorphism and the map is its inverse.
+The orientation sign comes from H1, where an automorphism keeps the
+intersection form up to sign: sum_i omega(phi(a_i), phi(b_i)) must be +g or
+-g.
 
 Sign characters flip basis coefficients by the mod-2 pairing with the class
 of the multicurve; together with mapping classes they generate the symmetry
@@ -25,6 +28,7 @@ from __future__ import annotations
 import operator
 import random
 from functools import lru_cache
+from itertools import chain
 
 from .algebra import (
     Multicurve,
@@ -38,12 +42,11 @@ from .algebra import (
 from .curves import (
     _check_genus,
     _length_bound,
-    _seed_drawings,
+    _taut_single,
     check_disjoint_simple,
     intersection_number,
     is_simple,
 )
-from .diagrams import Budget
 from .errors import (
     BadArgument,
     BadIndex,
@@ -179,56 +182,40 @@ def invert_mapping_class(f: MappingClass) -> MappingClass:
 # -- Dehn twists --------------------------------------------------------------
 
 
-def _sigma_drawing(s: Surface, cls: CurveClass):
-    """Embedded diagram of a simple class that reads it through sigma: the
-    first of its route seeds whose built diagram, or else its tautened one,
-    has no crossing (curves._seed_drawings, floor 0)."""
-    for diagram in _seed_drawings(s.genus, cls.word, 0, Budget()):
-        if not diagram.crossing_count:
-            return diagram
-    raise NotSimple(f"cannot twist along {format_word(cls.word)}")
-
-
 def _twist_words(s: Surface, diagram, turns: int) -> tuple:
     """Raw generator images of the twist along the simple class of the
-    sigma drawing, with the given number of turns (sign = handedness)."""
+    embedded one-strand diagram, with the given number of turns (sign =
+    handedness)."""
     model = polygon_model(s.genus)
     route = diagram.routes[0]
+    n = len(route)
 
-    def loop(start):
-        # the curve's word through sigma, read on from route position start
-        return model._sigma_word(route[start:] + route[:start])
+    def loop(start, power):
+        # the curve's word read on from route position start, to the power
+        read = model.exits_word(route[(start + t) % n] for t in range(n))
+        return read * power if power >= 0 else inverse_word(read) * -power
 
-    # prefixes[j]: word read rotating from the base corner sector past the
-    # first j side germs of the vertex walk
-    prefixes = [model._sigma_word(model.orbit[:j]) for j in range(model.n_sides + 1)]
+    passed = []  # per side, counterclockwise: the loops its strands insert
+    for side, letter in enumerate(model.sides):
+        events = diagram.slot_orders[abs(letter) - 1]
+        word = []
+        for _, p in events if letter > 0 else reversed(events):
+            # an exiting strand is read from its exit, an entering one from
+            # its next; the exiting one inserts the loop to -turns, as the
+            # dual reading reverses orientation: so a positive turn along a1
+            # sends b1 to b1a1
+            word += loop(p, -turns) if route[p] == side else loop(p + 1, turns)
+        passed.append(word)
     images = []
     for k in range(1, s.rank + 1):
-        word = list(prefixes[model.start_pos[k]])
-        for _, p in diagram.slot_orders[k - 1]:
-            # slide crossings in slot order; an exiting strand is read from
-            # just before its edge event, an entering one from just after,
-            # and the two directions insert opposite powers
-            if route[p] == model.side_of[k]:
-                read = loop(p)
-                power = turns
-            elif route[p] == model.side_of[-k]:
-                read = loop(p + 1)
-                power = -turns
-            else:
-                raise ModelInconsistency("slide crossing off its own edge")
-            if power >= 0:
-                word.extend(read * power)
-            else:
-                word.extend(inverse_word(read) * (-power))
-        word.extend(inverse_word(prefixes[model.end_pos[k]]))
-        images.append(free_reduce(word))
+        out = model.letter_side[k]
+        back = model.partner[out]
+        images.append(free_reduce(chain(*passed[:out], (k,), *passed[back + 1 :])))
     return tuple(images)
 
 
-def _twist_homology_check(s: Surface, diagram, turns: int, images):
-    model = polygon_model(s.genus)
-    curve = homology_class(s, model._sigma_word(diagram.routes[0])).coords
+def _twist_homology_check(s: Surface, word, turns: int, images):
+    curve = homology_class(s, word).coords
     for k in range(1, s.rank + 1):
         before = homology_class(s, (k,)).coords
         after = homology_class(s, images[k - 1]).coords
@@ -247,10 +234,12 @@ def _twist_cached(genus: int, word, turns: int) -> MappingClass:
         # the inverse of the opposite twist, which already holds these words
         return invert_mapping_class(_twist_cached(genus, word, -turns))
     s = make_surface(genus)
-    diagram = _sigma_drawing(s, CurveClass(genus, word))
+    diagram = _taut_single(genus, word)[0]
+    if diagram.crossing_count:
+        raise NotSimple(f"cannot twist along {format_word(word)}")
     raw = _twist_words(s, diagram, turns)
     raw_inverse = _twist_words(s, diagram, -turns)
-    _twist_homology_check(s, diagram, turns, raw)
+    _twist_homology_check(s, word, turns, raw)
     images = tuple(normalize_word(s, w) for w in raw)
     inverse_images = tuple(normalize_word(s, w) for w in raw_inverse)
     return _checked(s, images, inverse_images)
@@ -263,6 +252,8 @@ def twist_along(s: Surface, cls: CurveClass, turns: int = 1) -> MappingClass:
     and fixes the other generators.
     """
     try:
+        if isinstance(turns, bool):  # operator.index reads it as 0 or 1
+            raise TypeError
         turns = operator.index(turns)
     except TypeError:
         raise BadArgument(f"turns {turns!r} must be an integer") from None

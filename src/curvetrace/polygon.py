@@ -21,17 +21,16 @@ complementary turn is cyclic Dehn reduction (words._cyclic_dehn_reduce), and
 flipping an exact half turn to the other side of v is a half swap
 (words.half_swap_closure).
 
-The primal reading, based at v, uses the side table sigma: crossing out
-through side s contributes the word sigma[s], and the class of any closed
-transversal equals the product of sigma over its exits (_sigma_word).  The
-table is solved once per genus from the corner walk: each generator loop,
-pushed off the vertex, crosses exactly the germs between its two ends in the
-vertex rotation, which pins every sigma up to the relator.  The two readings
-differ by a fixed automorphism, so a route read through sigma draws a curve in
-the same orbit under homeomorphisms as the one it draws in the dual reading.
-Only two readers take sigma: Dehn twists (mapping), which read prefixes of the
-vertex rotation, and the count fallback of curves._taut_single, which draws a
-class by the routes of route_variants.
+The primal reading, based at v, names each generator by a loop at v.  Pushed
+off v, generator k rotates from the base corner sector to the start corner of
+its side, slides along the side and rotates back from its end corner, so in
+the dual reading it is beta(k) = R[:start_pos k] R[:end_pos k]^-1, R the
+relator (_beta).  beta sends R to 1 and reverses the intersection form on H1,
+so it is induced by an orientation-reversing homeomorphism, and _verify
+certifies both when the model is built.  The routes of route_variants draw a
+class by its primal loops, so they read beta of the class: the count fallbacks
+of curves take them as route seeds, and one homeomorphism carries every class
+to what its seeds read, so they keep self and pair counts.
 
 There a letter's pushoff contributes a rotation arc around v (at most half a
 turn) between its slide along the glued edge and the next letter's.  Exact
@@ -48,11 +47,12 @@ from .representations import Representation, random_representation
 from .words import (
     GroupWord,
     _cyclic_dehn_reduce,
-    _join,
     canonical_class,
     dehn_reduce,
     free_reduce,
     half_swap_closure,
+    homology_class,
+    intersection_form,
     inverse_word,
     letters,
     make_surface,
@@ -97,8 +97,7 @@ class PolygonModel:
         for letter, s in side_of.items():
             self.start_pos[letter] = orbitpos[s]
             self.end_pos[letter] = orbitpos[(s + 1) % self.n_sides]
-        self.sigma = self._solve_sigma(surface)
-        self._verify(surface)
+        self._verify(surface, self._beta())
 
     @cached_property
     def trace_representation(self) -> Representation:
@@ -106,55 +105,47 @@ class PolygonModel:
         loop traces, drawn on first use and kept with the model."""
         return random_representation(make_surface(self.genus), 0)
 
-    # -- reading table ------------------------------------------------------
+    # -- the primal reading -------------------------------------------------
 
-    def _solve_sigma(self, surface):
-        n4 = self.n_sides
-        relations = []  # (j, m, letter): V[j] = letter . V[m]
-        for letter in letters(self.genus):
-            relations.append(
-                (self.start_pos[letter], self.end_pos[letter], letter)
+    def _beta(self) -> tuple:
+        """Images of the generators under beta, which reads a word of the
+        primal presentation in the dual one: beta(k) = R[:start_pos k]
+        R[:end_pos k]^-1, as generator k's rotations cross prefixes of the
+        vertex walk and its slide crosses nothing (see the module docstring)."""
+        relator = make_surface(self.genus).relator
+        return tuple(
+            free_reduce(
+                relator[: self.start_pos[k]] + inverse_word(relator[: self.end_pos[k]])
             )
-        v = [None] * n4
-        v[0] = ()
-        pending = list(relations)
-        progress = True
-        while progress:
-            progress = False
-            for j, m, letter in pending:
-                if v[j] is None and v[m] is not None:
-                    v[j] = free_reduce((letter,) + v[m])
-                    progress = True
-                elif v[m] is None and v[j] is not None:
-                    v[m] = free_reduce((-letter,) + v[j])
-                    progress = True
-        if any(x is None for x in v):
-            raise ModelInconsistency("corner relation graph is disconnected")
-        for j, m, letter in relations:
-            lhs = free_reduce(inverse_word(v[j]) + (letter,) + v[m])
-            if dehn_reduce(surface.genus, lhs):
-                raise ModelInconsistency("corner relations inconsistent")
-        full = v + [()]
-        sigma = [None] * n4
-        for k in range(n4):
-            sigma[self.orbit[k]] = free_reduce(
-                inverse_word(full[k]) + full[k + 1]
-            )
-        return tuple(sigma)
+            for k in range(1, 2 * self.genus + 1)
+        )
 
-    def _verify(self, surface):
-        # crossing back is the inverse crossing
-        for s in range(self.n_sides):
-            if dehn_reduce(surface.genus, self.sigma[s] + self.sigma[self.partner[s]]):
-                raise ModelInconsistency("sigma not inverse across partners")
-        if dehn_reduce(surface.genus, self._sigma_word(self.orbit)):
-            raise ModelInconsistency("full turn around the vertex not trivial")
+    def _verify(self, surface, beta):
+        """Certify beta, and with it the route seeds of route_variants, which
+        draw a class by its primal loops: beta sends R to 1, reverses the
+        intersection form on H1 (the two readings are dual), and the route of
+        each letter reads the class of its image."""
+        genus = surface.genus
+
+        def image(word):
+            return free_reduce(
+                l
+                for x in word
+                for l in (beta[x - 1] if x > 0 else inverse_word(beta[-x - 1]))
+            )
+
+        if dehn_reduce(genus, image(surface.relator)):
+            raise ModelInconsistency("beta does not send the relator to 1")
+        h1 = [homology_class(surface, w).coords for w in beta]
+        degree = sum(intersection_form(h1[2 * i], h1[2 * i + 1]) for i in range(genus))
+        if degree != -genus:
+            raise ModelInconsistency(f"beta pairs to {degree} in H1, not -{genus}")
         # a route's word is only well defined up to conjugacy (its basepoint
         # sits on an edge, not at the vertex)
-        for letter in letters(self.genus):
+        for letter in letters(genus):
             route = self.route_for_spelling((letter,))
-            read = canonical_class(surface, self._sigma_word(route)).word
-            if read != canonical_class(surface, (letter,)).word:
+            read = canonical_class(surface, self.route_word(route))
+            if read != canonical_class(surface, image((letter,))):
                 raise ModelInconsistency(f"route for letter {letter} reads wrong class")
 
     # -- arcs and routes ----------------------------------------------------
@@ -209,12 +200,6 @@ class PolygonModel:
         """Freely reduced word of the dual presentation read by crossing out
         through the given sides: their side letters, joined at the seams."""
         return free_reduce(self._letters(exits))
-
-    def _sigma_word(self, exits) -> GroupWord:
-        """Freely reduced word of the primal presentation read by crossing
-        out through the given sides; each sigma word is reduced, so only
-        their seams can cancel."""
-        return _join(self.sigma[s] for s in exits)
 
     def route_word(self, route, start: int = 0) -> GroupWord:
         """Group word read by the closed route, starting after position start."""

@@ -22,7 +22,9 @@ inputs:
 - the splitting count sweep: test_splitting.py's
   test_composed_count_matches_the_chain_walk;
 - the crossing order sweep: test_complement.py's
-  test_a_triangle_is_placed_and_other_orders_are_read_off_the_boundary.
+  test_a_triangle_is_placed_and_other_orders_are_read_off_the_boundary;
+- the twist sweep, the only one that runs at genus 4: test_mapping.py's
+  test_twists_fix_their_curve_and_square_its_intersections.
 The genus-3 pair sweep has none.
 """
 import random
@@ -30,7 +32,7 @@ import time
 from itertools import combinations, combinations_with_replacement, product
 
 import oracles
-from curvetrace import algebra, curves
+from curvetrace import algebra, curves, mapping
 from curvetrace.complement import Geometry
 from curvetrace.diagrams import build_diagram
 from curvetrace.errors import CurvetraceError
@@ -255,6 +257,44 @@ def placement_mismatches(model, diagrams):
     return lines, paths
 
 
+def twist_mismatches(surface, classes, pool, rng, samples=3):
+    """Each simple class against the twists along it.  Its direct drawing
+    must be embedded, and one turn either way must have certificate sign +1
+    and fix the class.  Each twist must also move each of samples classes x,
+    drawn by rng from the pool of simple classes, to a class that meets x
+    i(class, x)^2 times (Farb & Margalit, A Primer on Mapping Class Groups,
+    Proposition 3.2).  A twist that raises is a mismatch.  Returns the lines
+    and how many checks were made."""
+    genus = surface.genus
+    lines, checks = [], 0
+    for c in classes:
+        name = f"genus {genus}: {format_word(c.word)}"
+        checks += 1
+        if curves._taut_single(genus, c.word)[0].crossing_count:
+            lines.append(f"{name}: its direct drawing crosses itself")
+        xs = rng.sample(pool, samples)
+        for turns in (1, -1):
+            checks += 2 + len(xs)
+            try:
+                t = mapping.twist_along(surface, c, turns)
+                if t.certificate.sign != 1:
+                    lines.append(f"{name}: turns {turns} has sign {t.certificate.sign}")
+                if mapping.apply_to_class(surface, t, c) != c:
+                    lines.append(f"{name}: turns {turns} moves the class")
+                for x in xs:
+                    moved = mapping.apply_to_class(surface, t, x)
+                    got = curves.intersection_number(surface, moved, x)
+                    want = curves.intersection_number(surface, c, x) ** 2
+                    if got != want:
+                        lines.append(
+                            f"{name}: turns {turns} moves {format_word(x.word)} to"
+                            f" meet it {got} times, not {want}"
+                        )
+            except CurvetraceError as exc:
+                lines.append(f"{name}: turns {turns} raises {type(exc).__name__}: {exc}")
+    return lines, checks
+
+
 def _fail_on(lines, *summary):
     print(*lines, *summary, sep="\n")
     assert not lines
@@ -421,5 +461,20 @@ def test_crossing_order_sweep():
         counts.append(
             f"{family}: {paths['read']} read off the boundary, {paths['placed']}"
             f" placed, {paths['misread']} of them misread by the boundary"
+        )
+    _fail_on(lines, *counts, f"{len(lines)} mismatches")
+
+
+def test_twist_sweep():
+    lines, counts = [], []
+    for genus, bound, size in ((2, 6, 405), (3, 5, 1004), (4, 4, 754)):
+        s = make_surface(genus)
+        classes = curves.enumerate_simple_classes(s, bound)
+        assert len(classes) == size
+        pool = curves.enumerate_simple_classes(s, 2)
+        found, checks = twist_mismatches(s, classes, pool, random.Random(genus))
+        lines += found
+        counts.append(
+            f"genus {genus}: {size} simple classes of length <= {bound}, {checks} checks"
         )
     _fail_on(lines, *counts, f"{len(lines)} mismatches")

@@ -112,10 +112,11 @@ def test_self_intersection_frozen_values():
 
 
 # (genus, class, count, n): n chords in the 4g-gon cross at most C(n, 2)
-# times, and these classes counted more when every class was drawn through
-# sigma, as tauten removes embedded bigons only.  Their direct drawings meet
-# their floors (test_direct_drawings_meet_the_floor_where_sigma_overcounts),
-# so no class is known to break the bound; each old count is patched back in.
+# times, and these classes counted more when every class was drawn by its
+# route seeds, through beta (see polygon), as tauten removes embedded bigons
+# only.  Their direct drawings meet their floors
+# (test_direct_drawings_meet_the_floor_where_sigma_overcounts), so no class
+# is known to break the bound; each seed count is patched back in.
 @pytest.mark.parametrize(
     "genus,text,count,n",
     [
@@ -403,8 +404,9 @@ def test_certified_overcounts_keep_their_counts(genus, text, count, floor):
 
 # (genus, class, fewest crossings over the route seeds, cobracket floor) of
 # the classes whose counts were over their floors when every class was drawn
-# through sigma: the first five kept those counts, and the last broke the
-# chord bound.  Each direct drawing meets the floor as built or tautened.
+# by its route seeds, through beta (see polygon): the first five kept those
+# counts, and the last broke the chord bound.  Each direct drawing meets the
+# floor as built or tautened.
 SIGMA_OVERCOUNTS = (
     (3, "a1A3B1B2", 9, 3),
     (3, "a1A2b3b2", 9, 3),

@@ -1,9 +1,11 @@
 """Dehn twists, sign characters, and their action on the trace algebra."""
+import random
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sweeps import twist_mismatches
 
 from curvetrace import mapping
 from curvetrace.algebra import (
@@ -51,7 +53,14 @@ from curvetrace.mapping import (
     verify_algebra_automorphism,
 )
 from curvetrace.representations import evaluate_trace, random_representation
-from curvetrace.words import CurveClass, canonical_class, make_surface, parse_word
+from curvetrace.words import (
+    CurveClass,
+    canonical_class,
+    inverse_word,
+    make_surface,
+    normalize_word,
+    parse_word,
+)
 
 S2 = make_surface(2)
 S3 = make_surface(3)
@@ -82,7 +91,12 @@ def test_twist_images_whole_family():
     assert got[1] == (W("a1"), W("b1"), W("a2B2"), W("b2"))
     assert got[2] == (W("a1B1"), W("b1"), W("a2"), W("b2"))
     assert got[3] == (W("a1"), W("b1a1"), W("a2"), W("b2"))
-    assert got[4] == (W("B1B2a1"), W("b1"), W("B2B1a2"), W("b2"))
+    assert got[4] == (W("a1B1B2"), W("b2b1B2"), W("b2b1B2B1a2B1B2"), W("b2b1b2B1B2"))
+    # up to conjugation by b2b1, the twist along b1b2 is the substitution
+    # a1 -> B1B2a1, a2 -> B2B1a2 that fixes b1 and b2
+    g = W("b2b1")
+    plain = (W("B1B2a1"), W("b1"), W("B2B1a2"), W("b2"))
+    assert got[4] == tuple(normalize_word(S2, g + w + inverse_word(g)) for w in plain)
     assert got[5] == (W("a1"), W("b1"), W("a2"), W("b2a2"))
 
 
@@ -117,6 +131,18 @@ def test_twist_certificates():
             assert t.certificate.sign == 1
 
 
+def test_twists_fix_their_curve_and_square_its_intersections():
+    # the twist sweep of tests/sweeps.py on shorter classes
+    lines, checks = [], 0
+    for surface, bound in ((S2, 3), (S3, 2)):
+        classes = enumerate_simple_classes(surface, bound)
+        pool = enumerate_simple_classes(surface, 2)
+        found, n = twist_mismatches(surface, classes, pool, random.Random(surface.genus))
+        lines += found
+        checks += n
+    assert (lines, checks) == ([], 616)
+
+
 def test_twist_homology_shift():
     # twisting along b2 moves a2 by the symplectic pairing, nothing else
     t = twist_generator(S2, 1)
@@ -132,7 +158,7 @@ def test_twist_rejects_bad_input():
 
 
 def test_twist_rejects_non_integer_turns():
-    for bad in (1.5, "2", None, 2.0):
+    for bad in (1.5, "2", None, 2.0, True, False):
         with pytest.raises(BadArgument, match="must be an integer"):
             twist_along(S2, C("a1"), turns=bad)
 
@@ -409,7 +435,7 @@ def test_mapping_class_round_trip():
     text = format_mapping_class(t)
     assert parse_mapping_class(S2, text) == t
     lines = text.splitlines()
-    assert lines[0] == "a1\tB1B2a1"
+    assert lines[0] == "a1\ta1B1B2"
     assert lines[4] == ""
     # a composite certifies the images it stores, so it survives the round trip
     composed = compose_mapping_classes(

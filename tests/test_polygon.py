@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from oracles import all_classes_up_to, reference_route_seeds
 from curvetrace.curves import _route_seeds, _taut_single, enumerate_classes
-from curvetrace.errors import TrivialClass
+from curvetrace.errors import ModelInconsistency, TrivialClass
+from curvetrace.mapping import _substitute, relator_certificate
 from curvetrace.polygon import polygon_model
 from curvetrace.words import (
     _cyclic_dehn_reduce,
     canonical_class,
+    cyclic_free_reduce,
     free_reduce,
     inverse_word,
     letters,
@@ -84,25 +86,20 @@ def test_route_variants_agree_across_spellings(word):
 
 @pytest.mark.parametrize("genus", [2, 3])
 def test_route_readers_join_their_letters_at_the_seams(genus):
-    # exits_word joins the side letters of the exits, and _sigma_word their
-    # sigma words, at the seams only; on random exit sequences each must read
-    # what one free reduction of the chained letters reads, and so must
-    # arc_word on arcs of the direct routes and route seeds of random classes
+    # exits_word joins the side letters of the exits at the seams only; on
+    # random exit sequences it must read what one free reduction of the
+    # chained letters reads, and so must arc_word on arcs of the direct
+    # routes and route seeds of random classes
     model = polygon_model(genus)
 
     def side_letters(exits):
         return free_reduce(model.side_letter[s] for s in exits)
 
-    def sigma_words(exits):
-        return free_reduce(l for s in exits for l in model.sigma[s])
-
     rng = random.Random(genus)
     for _ in range(500):
         exits = [rng.randrange(model.n_sides) for _ in range(rng.randint(0, 12))]
-        readers = ((model.exits_word, side_letters), (model._sigma_word, sigma_words))
-        for read, chained in readers:
-            assert read(exits) == chained(exits), exits
-            assert read(iter(exits)) == chained(exits)
+        assert model.exits_word(exits) == side_letters(exits), exits
+        assert model.exits_word(iter(exits)) == side_letters(exits)
     surface, alphabet = make_surface(genus), letters(genus)
     for _ in range(60):
         word = [rng.choice(alphabet) for _ in range(rng.randint(1, 8))]
@@ -115,6 +112,31 @@ def test_route_readers_join_their_letters_at_the_seams(genus):
             arc = [route[(first + t) % len(route)] for t in range((last - first) % len(route) + 1)]
             read = model.arc_word(route, first, last)
             assert read == side_letters(arc), (route, first, last)
+
+
+@pytest.mark.parametrize("genus", range(2, 6))
+def test_beta_reverses_orientation_and_the_route_seeds_read_it(genus):
+    # beta reads the primal generators in the dual presentation: an
+    # automorphism of pi1 that reverses the intersection form on H1
+    surface, model = make_surface(genus), polygon_model(genus)
+    beta = model._beta()
+    assert relator_certificate(surface, beta).sign == -1
+    # the route of a spelling, drawn by its primal loops, reads the class
+    # of beta of the spelling
+    rng, alphabet = random.Random(1909 + genus), letters(genus)
+    for _ in range(500):
+        word = cyclic_free_reduce(rng.choice(alphabet) for _ in range(rng.randint(1, 10)))
+        try:
+            want = canonical_class(surface, _substitute(beta, word))
+        except TrivialClass:
+            continue
+        read = model.exits_word(model.route_for_spelling(word))
+        assert canonical_class(surface, read) == want, word
+    # the model certifies beta: two images swapped fail
+    swapped = (beta[1], beta[0]) + beta[2:]
+    with pytest.raises(ModelInconsistency):
+        model._verify(surface, swapped)
+    model._verify(surface, beta)
 
 
 @pytest.mark.parametrize("genus, bound", [(2, 5), (3, 4)])

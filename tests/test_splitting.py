@@ -219,14 +219,14 @@ def test_search_entries_of_short_simple_classes_are_pinned():
     # The entry (standard curve, twist chain, phi^-1 images) of each of the
     # 83 simple genus-2 classes of length <= 4, found in (length, word) order
     # by a fresh search, as the SHA-256 of the repr of the list of
-    # (class word, entry).  The digest was taken when every twist was drawn
-    # through the sigma reading of its curve's routes; an entry moves if a
-    # twist image or the search order moves.
+    # (class word, entry).  Each twist is built on the direct drawing of its
+    # curve (see mapping); an entry moves if a twist image or the search
+    # order moves.
     search = splitting._TwistSearch(2)
     entries = [(c.word, search.find(c.word)) for c in enumerate_simple_classes(S2, 4)]
     assert len(entries) == 83 and all(entry for _, entry in entries)
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()
-    assert digest == "cd1c272eb5ea5f0828e69007b24394e4eb6338514462f1d6770c22ce7cc1e697"
+    assert digest == "ccf19f2f0fb314f80c6b2052b1c219f5c6563c2f41efc8147bd278ebee0fdfc8"
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from oracles import (
 import curvetrace
 from curvetrace import errors, words
 from curvetrace.algebra import enumerate_multicurves, parse_expression, parse_multicurve
-from curvetrace.curves import enumerate_classes
+from curvetrace.curves import enumerate_classes, enumerate_simple_classes
 from curvetrace.errors import (
     BadArgument,
     BadLetter,
@@ -184,6 +184,24 @@ def test_a_bool_letter_neither_reads_as_a1_nor_enters_the_class_cache():
     assert [type(l) for l in canonical_class(S2, (1, 4)).word] == [int, int]
     with pytest.raises(BadLetter, match="^letter True outside genus-2 alphabet$"):
         homology_class(S2, (True, 2))
+
+
+def test_a_bool_bound_is_refused_as_a_bool_letter_is():
+    # True is an int to isinstance, so enumerate_classes(S2, True) listed the
+    # 4 classes of length 1; length bounds and sample counts refuse a bool,
+    # as twist_generator does
+    calls = (
+        enumerate_classes,
+        enumerate_simple_classes,
+        enumerate_multicurves,
+        lambda s, n: curvetrace.verify_algebra_automorphism(
+            s, curvetrace.twist_generator(s, 1), samples=n
+        ),
+    )
+    for call in calls:
+        for flag in (True, False):
+            with pytest.raises(BadArgument, match=f"is an int, not {flag}$"):
+                call(S2, flag)
 
 
 def test_every_public_word_is_checked_cached_or_not():
