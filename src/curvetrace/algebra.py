@@ -44,7 +44,13 @@ from .errors import (
     ModelInconsistency,
 )
 from .polygon import polygon_model
-from .representations import P, Representation, evaluate_trace, random_representation
+from .representations import (
+    P,
+    Representation,
+    _seed,
+    evaluate_trace,
+    random_representation,
+)
 from .words import (
     CurveClass,
     Surface,
@@ -111,7 +117,7 @@ def make_multicurve(s: Surface, weights) -> Multicurve:
     """Validated constructor: simple components, pairwise disjoint."""
     counts = {}
     for cls, mult in _weight_map(weights).items():
-        if not isinstance(mult, int):
+        if isinstance(mult, bool) or not isinstance(mult, int):
             raise BadArgument(f"a multiplicity is an int, not {mult!r}")
         if mult <= 0:
             raise BadValue(f"multiplicity {mult!r} must be a positive integer")
@@ -183,8 +189,11 @@ class TraceExpression(_record("TraceExpression", "genus terms")):
 def _rational(value, what: str) -> Fraction:
     """value as a Fraction; BadArgument for a float, whose binary rounding
     (0.1 is 3602879701896397/2^55) would become the value, for NaN and the
-    infinities, as floats or Decimals, and for any other kind Fraction does
-    not take; BadValue for text it cannot read or a zero denominator."""
+    infinities, as floats or Decimals, for a bool, which Fraction reads as 0
+    or 1, and for any other kind Fraction does not take; BadValue for text it
+    cannot read or a zero denominator."""
+    if isinstance(value, bool):
+        raise BadArgument(f"{what} {value!r} is a bool, not a rational number")
     if isinstance(value, float):
         raise BadArgument(
             f"{what} {value!r} is a float; give an int, a Fraction or text such as '1/10'"
@@ -461,6 +470,7 @@ def basis_rank_check(s: Surface, curves, trials: int, seed: int) -> RankReport:
     curves = list(curves)
     _check_genus(s, *curves)
     _length_bound(trials, len(curves), "trials")
+    _seed(seed)
     rows = []
     for j in range(trials):
         rep = random_representation(s, seed + j)

@@ -59,7 +59,7 @@ from .errors import (
     TrivialClass,
 )
 from .polygon import polygon_model
-from .representations import P, Representation
+from .representations import P, Representation, _seed
 from .words import (
     CurveClass,
     GroupWord,
@@ -457,7 +457,7 @@ def make_sign_character(s: Surface, bits) -> SignCharacter:
             bits = tuple(bits)
         except TypeError:
             raise BadArgument(f"sign character bits are ints, not {bits!r}") from None
-        if not all(isinstance(b, int) for b in bits):
+        if not all(isinstance(b, int) and not isinstance(b, bool) for b in bits):
             raise BadArgument(f"sign character bits are ints, not {bits!r}")
         values = tuple(int(b) for b in bits)
         if not all(b in (0, 1) for b in values):
@@ -536,8 +536,8 @@ def verify_algebra_automorphism(
     """Check the action against products of randomly sampled basis pairs."""
     _length_bound(samples, 0, "samples")
     kind, act = _action_on_expression(s, action)
+    rng = random.Random(_seed(seed))
     universe = enumerate_multicurves(s, bound)
-    rng = random.Random(seed)
     failures = []
     for _ in range(samples):
         left = rng.choice(universe)

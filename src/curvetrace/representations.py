@@ -105,10 +105,16 @@ def trivial_representation(surface: Surface) -> Representation:
     return Representation(genus=surface.genus, matrices=(_I,) * surface.rank)
 
 
-def random_representation(surface: Surface, seed: int) -> Representation:
-    if not isinstance(seed, int):  # Random(None) would seed from the OS
+def _seed(seed) -> int:
+    """seed, or BadArgument unless it is an int: Random(None) would seed from
+    the OS, and a bool would stand for 0 or 1."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise BadArgument(f"a seed is an int, not {seed!r}")
-    rng = random.Random(seed)
+    return seed
+
+
+def random_representation(surface: Surface, seed: int) -> Representation:
+    rng = random.Random(_seed(seed))
     g = surface.genus
     for _ in range(100):
         fixed = [_unipotent_product(rng) for _ in range(2 * g - 2)]

@@ -39,7 +39,8 @@ first, that stops at a class whose phi is known; the table of known classes
 is kept per genus.  Searching from delta rather than breadth-first from the
 standard curves keeps the table to the classes asked about: on the benchmark's
 twist workload, the breadth-first table took 371 classes to reach one simple
-class of length 6.
+class of length 6.  The twists the search expands by are built on its first
+miss, so a count against a standard curve draws no class.
 
 The table holds one entry per class word: the standard curve, the chain,
 and phi^-1 itself as the images of the generators, composed once when the
@@ -56,7 +57,7 @@ substituted and freely reduced, never normalized.
 """
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from heapq import heappop, heappush
 
 from . import mapping
@@ -169,7 +170,7 @@ def _amalgam_length(top: int, ends, word) -> int:
 class _TwistSearch:
     """Products of short twists that carry a standard curve to a given
     simple class: +-1 twists along the non-separating simple classes of
-    length <= 2.
+    length <= 2, which twists builds on the first miss.
 
     counters maps each standard curve, a generator or a separating
     [a1,b1]...[ah,bh], to its count as a function of the word, with its
@@ -188,14 +189,7 @@ class _TwistSearch:
     """
 
     def __init__(self, genus: int):
-        s = make_surface(genus)
         self.genus = genus
-        self.twists = tuple(
-            (c.word, turns)
-            for c in enumerate_simple_classes(s, 2)
-            if not homology_class(s, c.word).is_zero()
-            for turns in (1, -1)
-        )
         self.counters = {
             (d,): partial(_hnn_length, *_hnn_edge(genus, d))
             for d in range(1, 2 * genus + 1)
@@ -208,6 +202,18 @@ class _TwistSearch:
             _canonical_class(genus, standard).word: (standard, (), identity)
             for standard in self.counters
         }
+
+    @cached_property
+    def twists(self) -> tuple:
+        """(class word, turns) of the twists find expands by, built on the
+        first miss and kept with the search."""
+        s = make_surface(self.genus)
+        return tuple(
+            (c.word, turns)
+            for c in enumerate_simple_classes(s, 2)
+            if not homology_class(s, c.word).is_zero()
+            for turns in (1, -1)
+        )
 
     def find(self, word):
         """(standard, chain, phi^-1 images) for the canonical class word, or

@@ -8,10 +8,12 @@ presentation must also be able to fail: with one cell move of the genus-2
 words tables rotated, it gives FAIL.  The package's own invariants raise
 typed errors rather than assert, so they hold under python -O as well, no
 module of the package imports numpy, none imports a name it never reads,
-and the package keeps the eleven module-level caches that it has, no more.
+and the package keeps the eleven module-level caches that it has, no more,
+all of them empty after import and one surface.
 """
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -47,6 +49,14 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+# the package's module-level caches, each an lru_cache or a dict
+CACHES = (
+    "_CLOSURES", "_EXPAND_CACHE", "_MERGE_CACHE", "_tables",
+    "_canonical_class", "polygon_model", "_taut_single", "_pair_count",
+    "_twist_cached", "_humphries", "twist_search",
+)
+
+
 def test_package_keeps_its_eleven_module_level_caches():
     # every lru_cache and every module-level dict, list or set, by name (a
     # name imported into another module counts once); SUITES is the one
@@ -64,11 +74,7 @@ def test_package_keeps_its_eleven_module_level_caches():
         if not name.startswith("__")
         and (hasattr(value, "cache_info") or isinstance(value, (dict, list, set)))
     }
-    assert found == {
-        "_CLOSURES", "_EXPAND_CACHE", "_MERGE_CACHE", "_tables",
-        "_canonical_class", "polygon_model", "_taut_single", "_pair_count",
-        "_twist_cached", "_humphries", "twist_search", "SUITES",
-    }
+    assert found == {*CACHES, "SUITES"}
 
 
 def test_package_has_one_dataclass():
@@ -155,7 +161,8 @@ def test_out_of_range_values_raise_a_typed_value_error():
 
 def test_counts_and_bounds_of_the_wrong_type_or_sign_are_typed():
     # each raised a bare TypeError, and samples=-2 returned a report of no
-    # samples that read ok
+    # samples that read ok; a bool seed was taken as 1 and reported as
+    # seed=True
     s = make_surface(2)
     a1 = canonical_class(s, parse_word(s, "a1"))
     lam = valuations.make_lamination(s, {a1: 1})
@@ -166,6 +173,9 @@ def test_counts_and_bounds_of_the_wrong_type_or_sign_are_typed():
         lambda: mapping.verify_algebra_automorphism(s, t1, samples="a"),
         lambda: valuations.check_positive_up_to(s, lam, "a"),
         lambda: valuations.check_strict_up_to(s, lam, "a"),
+        lambda: algebra.basis_rank_check(s, [mc], 1, True),
+        lambda: mapping.verify_algebra_automorphism(s, t1, seed=True),
+        lambda: mapping.verify_algebra_automorphism(s, t1, seed=None),
     ):
         with pytest.raises(BadArgument):
             call()
@@ -198,6 +208,28 @@ def _run_python(*args):
         text=True,
         timeout=120,
     )
+
+
+# the sizes of the named caches after the set-up that the benchmark's set-up
+# probe times: import and one surface
+_SETUP_CACHE_SIZES = """
+import json, sys
+import curvetrace
+curvetrace.make_surface(2)
+sizes = {}
+for module in [m for n, m in sys.modules.items() if n.startswith("curvetrace")]:
+    for name in set(sys.argv[1:]) & set(vars(module)):
+        cache = vars(module)[name]
+        info = getattr(cache, "cache_info", None)
+        sizes[name] = info().currsize if info else len(cache)
+print(json.dumps(sizes))
+"""
+
+
+def test_import_and_one_surface_fill_no_cache():
+    done = _run_python("-c", _SETUP_CACHE_SIZES, *CACHES)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == dict.fromkeys(CACHES, 0)
 
 
 def test_core_runs_without_numpy():

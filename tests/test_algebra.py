@@ -87,11 +87,12 @@ def test_make_multicurve_rejects_bad_multiplicity():
 
 @pytest.mark.parametrize(
     "mult",
-    [float("nan"), float("inf"), 2.0, Fraction(2), "2"],
-    ids=["nan", "inf", "float", "fraction", "str"],
+    [float("nan"), float("inf"), 2.0, Fraction(2), "2", True],
+    ids=["nan", "inf", "float", "fraction", "str", "bool"],
 )
 def test_multiplicities_that_are_not_ints_are_typed_errors(mult):
-    # NaN raised a bare ValueError, inf an OverflowError, and 2.0 was accepted
+    # NaN raised a bare ValueError, inf an OverflowError, and 2.0 and True
+    # were accepted
     with pytest.raises(BadArgument):
         make_multicurve(S2, {C("a1"): mult})
 
@@ -210,10 +211,11 @@ def test_evaluate_expression_agrees_on_int_and_fraction_forms():
 
 
 @pytest.mark.parametrize(
-    "factor", [0.1, 2.0, float("nan"), float("inf"), Decimal("NaN")]
+    "factor", [0.1, 2.0, float("nan"), float("inf"), Decimal("NaN"), True]
 )
 def test_scale_rejects_floats_and_non_finite_factors(factor):
-    # 0.1 would scale by its binary rounding, 3602879701896397/2^55
+    # 0.1 would scale by its binary rounding, 3602879701896397/2^55, and True
+    # by 1
     with pytest.raises(BadArgument):
         expand("a1b2").scale(factor)
     with pytest.raises(BadArgument):

@@ -115,7 +115,7 @@ def test_self_intersection_frozen_values():
 # times, and these classes counted more when every class was drawn by its
 # route seeds, through beta (see polygon), as tauten removes embedded bigons
 # only.  Their direct drawings meet their floors
-# (test_direct_drawings_meet_the_floor_where_sigma_overcounts), so no class
+# (test_direct_drawings_meet_the_floor_where_seeds_overcount), so no class
 # is known to break the bound; each seed count is patched back in.
 @pytest.mark.parametrize(
     "genus,text,count,n",
@@ -407,7 +407,7 @@ def test_certified_overcounts_keep_their_counts(genus, text, count, floor):
 # by its route seeds, through beta (see polygon): the first five kept those
 # counts, and the last broke the chord bound.  Each direct drawing meets the
 # floor as built or tautened.
-SIGMA_OVERCOUNTS = (
+SEED_OVERCOUNTS = (
     (3, "a1A3B1B2", 9, 3),
     (3, "a1A2b3b2", 9, 3),
     (3, "a2b3B2A3", 7, 5),
@@ -417,8 +417,8 @@ SIGMA_OVERCOUNTS = (
 )
 
 
-@pytest.mark.parametrize("genus,text,seeded,floor", SIGMA_OVERCOUNTS)
-def test_direct_drawings_meet_the_floor_where_sigma_overcounts(
+@pytest.mark.parametrize("genus,text,seeded,floor", SEED_OVERCOUNTS)
+def test_direct_drawings_meet_the_floor_where_seeds_overcount(
     genus, text, seeded, floor
 ):
     word = C(text, make_surface(genus)).word

@@ -485,12 +485,12 @@ def test_sign_character_parse_format():
 
 @pytest.mark.parametrize(
     "bits",
-    [(0.5, 1, 0, 0), (1.0, 0, 0, 0), ("1", 0, 0, 0), None],
-    ids=["half", "float", "str", "None"],
+    [(0.5, 1, 0, 0), (1.0, 0, 0, 0), ("1", 0, 0, 0), None, (True, False, True, False)],
+    ids=["half", "float", "str", "None", "bool"],
 )
 def test_sign_character_bits_that_are_not_ints_are_typed_errors(bits):
-    # int(0.5) would truncate to 0 and give the character 0100; None is not
-    # iterable at all
+    # int(0.5) would truncate to 0 and give the character 0100, and the bools
+    # gave 1010; None is not iterable at all
     with pytest.raises(BadArgument):
         make_sign_character(S2, bits)
 

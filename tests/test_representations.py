@@ -42,9 +42,12 @@ def test_determinism():
     assert random_representation(S2, 42) != random_representation(S2, 43)
 
 
-@pytest.mark.parametrize("seed", [None, 1.0, "1"], ids=["None", "float", "str"])
+@pytest.mark.parametrize(
+    "seed", [None, 1.0, "1", True], ids=["None", "float", "str", "bool"]
+)
 def test_a_seed_that_is_not_an_int_is_a_typed_error(seed):
-    # Random(None) seeds from the OS, so the representation could not be redrawn
+    # Random(None) seeds from the OS, so the representation could not be
+    # redrawn; True was taken as the seed 1
     with pytest.raises(BadArgument):
         random_representation(S2, seed)
 

@@ -229,6 +229,21 @@ def test_search_entries_of_short_simple_classes_are_pinned():
     assert digest == "ccf19f2f0fb314f80c6b2052b1c219f5c6563c2f41efc8147bd278ebee0fdfc8"
 
 
+def test_twists_are_built_on_the_first_miss():
+    # a count against a standard curve expands no class, so it draws none
+    search = splitting._TwistSearch(2)
+    for standard, count in search.counters.items():
+        word = canonical_class(S2, standard).word
+        assert search.find(word) == (standard, (), tuple((k,) for k in range(1, 5)))
+        assert count(C("a1b2").word) >= 0
+    assert "twists" not in vars(search)
+    assert search.find(C("a1B2").word)[1]
+    classes = "a1 b1 a2 b2 a1B2 a1B1 a1b1 a1a2 b1A2 b1b2 a2B2 a2b2".split()
+    assert vars(search)["twists"] == tuple(
+        (C(text).word, turns) for text in classes for turns in (1, -1)
+    )
+
+
 @pytest.fixture
 def fresh_search(monkeypatch):
     """A search with no memory and a cap the standard curves already fill,
@@ -253,6 +268,13 @@ def test_search_miss_with_one_simple_member_is_loud(fresh_search):
     # a standard curve needs no search
     x, y = sorted((C("b1").word, C("a1b2").word))
     assert _pair_count.__wrapped__(2, x, y) == 1
+
+
+def test_a_pair_with_a_generator_builds_no_twists(fresh_search):
+    for x, y in (("a1", "b1"), ("b1", "a1b2")):
+        x, y = sorted((C(x).word, C(y).word))
+        assert _pair_count.__wrapped__(2, x, y) == 1
+    assert "twists" not in vars(splitting.twist_search(2))
 
 
 def test_search_miss_with_two_simple_members_reads_the_diagram(fresh_search):

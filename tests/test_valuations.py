@@ -119,12 +119,12 @@ def test_scale_lamination():
     "weight",
     [
         0.1, 0.5, 2.0, float("nan"), float("inf"), Decimal("NaN"),
-        Decimal("-Infinity"), None, 1j,
+        Decimal("-Infinity"), None, 1j, True,
     ],
 )
 def test_float_and_non_finite_weights_are_typed_errors(weight):
-    # 0.1 would be stored as its binary rounding, 3602879701896397/2^55;
-    # None and complex numbers are of a kind Fraction does not take
+    # 0.1 would be stored as its binary rounding, 3602879701896397/2^55, and
+    # True as 1; None and complex numbers are of a kind Fraction does not take
     for call in (
         lambda: L({C("a1"): weight}),
         lambda: scale_lamination(L({C("a1"): 1}), weight),
