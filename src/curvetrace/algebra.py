@@ -216,8 +216,19 @@ def _from_terms(genus: int, acc: dict) -> TraceExpression:
         for mc, coeff in acc.items()
         if coeff
     ]
-    items.sort(key=lambda kv: (-kv[0].total_length(), kv[0].sort_key()))
+    items.sort(key=_term_key)
     return TraceExpression(genus=genus, terms=tuple(items))
+
+
+def _term_key(term):
+    """(-total length, sort key) of the term's multicurve, read in one pass
+    over its components: terms list longer multicurves first."""
+    total, key = 0, []
+    for cls, m in term[0].components:
+        n = len(cls.word)
+        total -= m * n
+        key.append((n, cls.word, m))
+    return total, tuple(key)
 
 
 def zero_expression(genus: int) -> TraceExpression:
@@ -354,67 +365,86 @@ def _state_sum(s: Surface, diagram) -> TraceExpression:
     the strands (see the module docstring): a class's taut direct drawing,
     or the built union of a product's direct drawings.  A strand of class c is -t_c.
 
-    Arc k has ends 2k (start) and 2k + 1 (finish), and a state links the four
-    ends met at each crossing in two pairs.  A strand without crossings is
-    one arc whose two ends stay linked.  Arc words joined by _join are
-    freely reduced, so the class cache keeps one key per class.
+    Arc k has ends 2k (start) and 2k + 1 (finish).  On each chord through a
+    crossing one arc finishes and the next starts, and a state links those
+    four ends in two pairs.  A strand without crossings is one arc whose two
+    ends stay linked.  States run in Gray-code order, so each relinks one
+    crossing.  A component is keyed by the ends it enters from its least
+    arc on, and a state by its components; the class of a component, and the
+    coefficient and multicurve key of a component set, are taken once each,
+    however many states share them.  Arc words joined by _join are freely
+    reduced, so the class cache keeps one key per class.
     """
     model = polygon_model(s.genus)
     arcs = list(strand_arcs(model, diagram))
     words = [word for word, _ in arcs]
+    own = [[] for _ in diagram.classes]
+    # per crossing: the arriving and leaving ends on its first chord, then
+    # on its second
+    quads = {x: [0] * 4 for x in diagram.crossings}
+    for k, (word, arc) in enumerate(arcs):
+        own[arc.strand].append(word)
+        x, chord = arc.x_from, (arc.strand, arc.chord_from)
+        quads[x][1 if chord == x[0] else 3] = 2 * k
+        x, n = arc.x_to, len(diagram.routes[arc.strand])
+        chord = (arc.strand, (arc.chord_from + arc.n_events) % n)
+        quads[x][0 if chord == x[0] else 2] = 2 * k + 1
     for i, cls in enumerate(diagram.classes):
-        own = [word for word, arc in arcs if arc.strand == i]
-        if not own:
-            own = [model.route_word(diagram.routes[i])]
-            words += own
-        if _canonical_class(s.genus, _join(own)) != cls:
+        if not own[i]:
+            own[i] = [model.exits_word(diagram.routes[i])]
+            words += own[i]
+        if _canonical_class(s.genus, _join(own[i])) != cls:
             raise ModelInconsistency("strand arcs do not read the strand's class")
-    ends = {}  # (crossing, chord, 0 arriving / 1 leaving) -> arc end
-    for k, (_, arc) in enumerate(arcs):
-        n = len(diagram.routes[arc.strand])
-        ends[arc.x_from, (arc.strand, arc.chord_from), 1] = 2 * k
-        to = (arc.strand, (arc.chord_from + arc.n_events) % n)
-        ends[arc.x_to, to, 0] = 2 * k + 1
-    # per crossing: arriving and leaving ends on its first chord, then second
-    quads = [
-        tuple(ends[x, chord, way] for chord in x for way in (0, 1))
-        for x in sorted(diagram.crossings)
-    ]
+    quads = list(quads.values())
     reads = [w for word in words for w in (word, inverse_word(word))]
     link = [e ^ 1 for e in range(len(reads))]
-    components = {}  # entered ends, from the least arc -> class or None
-    acc = {}
+    for in0, out0, in1, out1 in quads:
+        link[in0], link[out1], link[in1], link[out0] = out1, in0, out0, in1
+    paths = {}  # entered ends, from the least arc -> component id
+    sets = {}  # component ids of a state -> how many states have them
     Budget().spend(1 << len(quads))
     for state in range(1 << len(quads)):
-        for j, (in0, out0, in1, out1) in enumerate(quads):
-            if state >> j & 1:
+        if state:
+            # crossing j takes bit j of the Gray code state ^ state >> 1
+            j = (state & -state).bit_length() - 1
+            in0, out0, in1, out1 = quads[j]
+            if (state ^ state >> 1) >> j & 1:
                 link[in0], link[in1], link[out0], link[out1] = in1, in0, out1, out0
             else:
                 link[in0], link[out1], link[in1], link[out0] = out1, in0, out0, in1
-        coeff = (-1) ** (len(diagram.classes) + len(quads))
-        counts = {}
         seen = [False] * len(words)
-        for k in range(len(words)):
-            if seen[k]:
+        ids = []
+        for k, done in enumerate(seen):
+            if done:
                 continue
             path, end = [], 2 * k
             while not path or end != 2 * k:
                 seen[end >> 1] = True
                 path.append(end)
                 end = link[end ^ 1]
-            path = tuple(path)
-            if path not in components:
-                components[path] = _canonical_class(
-                    s.genus, _join(reads[e] for e in path)
-                )
-            cls = components[path]
-            coeff *= -2 if cls is None else -1
-            if cls is not None:
+            ids.append(paths.setdefault(tuple(path), len(paths)))
+        ids = tuple(ids)
+        sets[ids] = sets.get(ids, 0) + 1
+    classes = [
+        _canonical_class(s.genus, _join([reads[e] for e in path])) for path in paths
+    ]
+    sign = (-1) ** (len(diagram.classes) + len(quads))
+    acc, at_one = {}, 0
+    for ids, n_states in sets.items():
+        coeff = sign * n_states
+        counts = {}
+        for c in ids:
+            cls = classes[c]
+            if cls is None:
+                coeff *= -2
+            else:
+                coeff = -coeff
                 counts[cls] = counts.get(cls, 0) + 1
         key = tuple(sorted(counts.items(), key=_component_key))
         acc[key] = acc.get(key, 0) + coeff
-    # at the trivial representation every trace is 2
-    at_one = sum(c * 2 ** sum(m for _, m in key) for key, c in acc.items())
+        # at the trivial representation every trace is 2, so that every
+        # component, trivial or not, counts -2
+        at_one += sign * n_states * (-2) ** len(ids)
     if at_one != 2 ** len(diagram.classes):
         raise ModelInconsistency("state sum is wrong at the trivial representation")
     return _from_terms(

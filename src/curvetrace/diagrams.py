@@ -11,10 +11,17 @@ the larger boundary parameter, and relative order along a common corridor is
 preserved from tile to tile (it reverses once at the far side of the tile and
 once again across the gluing).  Strands that never part are parallel and are
 packed by a fixed positional rule, which cannot create crossings among them.
+
+Assembly places each event's two boundary points once, one on each side of
+its edge, at their positions round the boundary circle: a side's points come
+after those of the sides before it, so the point of rank r on side s sits at
+first[s] + r.  One sweep round the circle then finds every interleaved chord
+pair.
 """
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 
 from .complement import Geometry
 from .errors import ModelInconsistency, ReductionBudgetExceeded
@@ -88,36 +95,26 @@ class CurveDiagram(
 # -- comparator --------------------------------------------------------------
 
 
-def _ray_exits(model: PolygonModel, route, pos: int, forward: bool):
-    n = len(route)
-    t = 1
-    while True:
-        if forward:
-            yield route[(pos + t) % n]
-        else:
-            yield model.partner[route[(pos - t) % n]]
-        t += 1
-
-
 def _ray_verdict(model, routes, ev_x, ev_y, anchor, budget) -> int:
     """+1 if ev_x sits at larger parameter along the anchor side of its own
-    tile, -1 for smaller, 0 when the rays agree past the periodicity cap."""
-    rx, ry = routes[ev_x[0]], routes[ev_y[0]]
-    fx = rx[ev_x[1]] != anchor
-    fy = ry[ev_y[1]] != anchor
-    gx = _ray_exits(model, rx, ev_x[1], fx)
-    gy = _ray_exits(model, ry, ev_y[1], fy)
+    tile, -1 for smaller, 0 when the rays agree past the periodicity cap.
+    A ray leaving through the anchor side reads its route's exits backward,
+    each as the partner side it came in by; any other reads them forward."""
+    (i, px), (j, py) = ev_x, ev_y
+    rx, ry = routes[i], routes[j]
+    nx, ny = len(rx), len(ry)
+    fx = rx[px] != anchor
+    fy = ry[py] != anchor
+    partner = model.partner
     iota = anchor
     n4 = model.n_sides
-    for _ in range(len(rx) + len(ry) + 4):
+    for t in range(1, nx + ny + 5):
         budget.spend()
-        ex = next(gx)
-        ey = next(gy)
+        ex = rx[(px + t) % nx] if fx else partner[rx[(px - t) % nx]]
+        ey = ry[(py + t) % ny] if fy else partner[ry[(py - t) % ny]]
         if ex != ey:
-            theta_x = (ex - iota) % n4
-            theta_y = (ey - iota) % n4
-            return 1 if theta_x < theta_y else -1
-        iota = model.partner[ex]
+            return 1 if (ex - iota) % n4 < (ey - iota) % n4 else -1
+        iota = partner[ex]
     return 0
 
 
@@ -186,64 +183,58 @@ def build_with_slots(model, classes, routes, slot_orders, budget=None) -> CurveD
 
 
 def _assemble(model, classes, routes, slot_orders, budget) -> CurveDiagram:
-    genus = model.genus
-    slot_of = {}
-    for k in range(1, 2 * genus + 1):
-        for t, ev in enumerate(slot_orders[k - 1]):
-            slot_of[ev] = (k, t)
-
-    def exit_entry(ev):
-        side = routes[ev[0]][ev[1]]
-        k, t = slot_of[ev]
-        m = len(slot_orders[k - 1])
-        s_plus = model.side_of[k]
-        s_minus = model.side_of[-k]
-        if side == s_plus:
-            return (s_plus, t), (s_minus, m - 1 - t)
-        return (s_minus, m - 1 - t), (s_plus, t)
-
+    side_of = model.side_of
+    counts = [0] * model.n_sides
+    for k, order in enumerate(slot_orders, 1):
+        counts[side_of[k]] = counts[side_of[-k]] = len(order)
+    if sum(counts) != 2 * sum(map(len, routes)):
+        raise ModelInconsistency("slot orders do not list each event once")
+    # each event's exit and entry point, the one on the side it leaves by
+    # and the one on the partner side it comes in by
+    exits = [[None] * len(route) for route in routes]
+    entries = [[None] * len(route) for route in routes]
+    for k, order in enumerate(slot_orders, 1):
+        s_plus, s_minus = side_of[k], side_of[-k]
+        m = len(order)
+        for t, (i, p) in enumerate(order):
+            if exits[i][p] is not None:
+                raise ModelInconsistency("slot orders do not list each event once")
+            if routes[i][p] == s_plus:
+                exits[i][p], entries[i][p] = (s_plus, t), (s_minus, m - 1 - t)
+            else:
+                exits[i][p], entries[i][p] = (s_minus, m - 1 - t), (s_plus, t)
+    # the circle lists each side's points after those of the sides before it
+    first = list(accumulate(counts, initial=0))
+    chord_at = [None] * first[-1]
+    closes = [False] * first[-1]
     chord_points = []
-    for i, route in enumerate(routes):
-        n = len(route)
-        strand_points = []
-        for p in range(n):
-            _, entry_pt = exit_entry((i, p))
-            exit_pt, _ = exit_entry((i, (p + 1) % n))
-            strand_points.append((entry_pt, exit_pt))
-        chord_points.append(tuple(strand_points))
-
-    flat = [
-        pt for strand in chord_points for pts in strand for pt in pts
-    ]
-    circle = sorted(flat)
-    index = {pt: n for n, pt in enumerate(circle)}
-    if len(index) != len(circle):
-        raise ModelInconsistency("duplicate boundary point in diagram")
+    for i, exit_points in enumerate(exits):
+        strand = tuple(zip(entries[i], exit_points[1:] + exit_points[:1]))
+        chord_points.append(strand)
+        for p, ((s, r), (u, q)) in enumerate(strand):
+            a, b = first[s] + r, first[u] + q
+            chord_at[a] = chord_at[b] = (i, p)
+            closes[max(a, b)] = True
     # One sweep round the circle: a chord closing crosses exactly the chords
     # opened after it and still open.  The budget is charged one operation
     # per chord pair, as a pairwise test would spend.
-    n_chords = len(circle) // 2
+    n_chords = len(chord_at) // 2
     budget.spend(n_chords * (n_chords - 1) // 2)
-    chord_at = [None] * len(circle)
-    for i, strand in enumerate(chord_points):
-        for p, (a, b) in enumerate(strand):
-            chord_at[index[a]] = chord_at[index[b]] = (i, p)
     crossings = set()
     opened = []
-    for c in chord_at:
-        if c not in opened:
+    for c, close in zip(chord_at, closes):
+        if not close:
             opened.append(c)
             continue
         at = opened.index(c)
-        crossings.update((min(c, d), max(c, d)) for d in opened[at + 1:])
+        for d in opened[at + 1 :]:
+            crossings.add((c, d) if c < d else (d, c))
         del opened[at]
     return CurveDiagram(
-        genus=genus,
+        genus=model.genus,
         classes=tuple(classes),
         routes=tuple(routes),
         slot_orders=slot_orders,
         chord_points=tuple(chord_points),
         crossings=frozenset(crossings),
     )
-
-

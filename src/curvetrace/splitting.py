@@ -53,7 +53,10 @@ standard curve.  Substitutions are homomorphisms of the free group and
 compose as such, so substituting the composed images into alpha gives the
 same freely reduced word as substituting the chain's inverse twists one at
 a time.  The count is a conjugacy invariant, so phi^-1(alpha) is only
-substituted and freely reduced, never normalized.
+substituted and freely reduced, never normalized.  A counter takes a freely
+reduced word, a class word or a substitution's, and only strips it
+cyclically; a backtrack merges reduced segments and edge words at their
+seams.
 """
 from __future__ import annotations
 
@@ -64,8 +67,8 @@ from . import mapping
 from .curves import enumerate_simple_classes
 from .words import (
     _canonical_class,
-    cyclic_free_reduce,
-    free_reduce,
+    _cyclic_strip,
+    _join,
     homology_class,
     inverse_word,
     make_surface,
@@ -117,7 +120,7 @@ def _tree_length(signs, segs, ends) -> int:
             j = (i - 1) % m
             signs = signs[j:] + signs[:j]
             segs = segs[j:] + segs[:j]
-            merged = free_reduce(segs[0] + _repeat(ends[-signs[1]], n) + segs[2])
+            merged = _join((segs[0], _repeat(ends[-signs[1]], n), segs[2]))
             signs = signs[:1] + signs[3:]
             segs = [merged] + segs[3:]
             pinched = True
@@ -144,7 +147,7 @@ def _hnn_edge(genus: int, d: int):
 
 
 def _hnn_length(t: int, ends, word) -> int:
-    w = cyclic_free_reduce(word)
+    w = _cyclic_strip(word)
     cuts = [i for i, l in enumerate(w) if abs(l) == t]
     signs = [1 if w[i] == t else -1 for i in cuts]
     return _tree_length(signs, _segments(w, cuts, 1), ends)
@@ -160,7 +163,7 @@ def _amalgam_edge(genus: int, h: int):
 
 
 def _amalgam_length(top: int, ends, word) -> int:
-    w = cyclic_free_reduce(word)
+    w = _cyclic_strip(word)
     inner = [abs(l) <= top for l in w]
     cuts = [i for i in range(len(w)) if inner[i] != inner[i - 1]]
     signs = [-1 if inner[i] else 1 for i in cuts]
@@ -256,8 +259,8 @@ def twist_search(genus: int) -> _TwistSearch:
 
 
 def splitting_count(genus: int, delta, word):
-    """i(delta, word) for a simple class delta (canonical word), or None
-    when the search finds no phi for delta."""
+    """i(delta, word) for a simple class delta (canonical word) and a freely
+    reduced word, or None when the search finds no phi for delta."""
     search = twist_search(genus)
     hit = search.find(delta)
     if hit is None:

@@ -57,7 +57,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, neg
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -240,7 +240,7 @@ def format_word(word: Iterable) -> str:
 
 
 def inverse_word(word: GroupWord) -> GroupWord:
-    return tuple(-l for l in reversed(word))
+    return tuple(map(neg, reversed(word)))
 
 
 def free_reduce(word: Iterable) -> GroupWord:
@@ -270,10 +270,17 @@ def _join(pieces: Iterable) -> GroupWord:
 
 
 def cyclic_free_reduce(word: Iterable) -> GroupWord:
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    return _cyclic_strip(free_reduce(word))
+
+
+def _cyclic_strip(w: GroupWord) -> GroupWord:
+    """The cyclic reduction of a freely reduced word: the letters at its two
+    ends that cancel cyclically stripped off."""
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i += 1
+        j -= 1
+    return w[i : j + 1]
 
 
 def rotations(word: GroupWord) -> Iterator[GroupWord]:
@@ -428,14 +435,19 @@ def normalize_word(surface: Surface, word: Iterable) -> GroupWord:
 def _cyclic_dehn_reduce(genus: int, word: Iterable) -> GroupWord:
     """Cyclic Dehn reduction.  Relator letters are pairwise distinct, so the
     cyclic factors that can match are the factors of w + w[:4g-2] in span."""
-    t = _tables(genus)
-    w = cyclic_free_reduce(word)
+    return _cyclic_dehn(_tables(genus), cyclic_free_reduce(word))
+
+
+def _cyclic_dehn(t: _Tables, w: GroupWord) -> GroupWord:
+    """_cyclic_dehn_reduce of a word that is already cyclically reduced.  A
+    replacement and the rest of the rotated word are freely reduced, so they
+    cancel only at their seams."""
     while True:
-        hit = _first_long_match(t, w + w[: 4 * genus - 2], len(w))
+        hit = _first_long_match(t, w + w[: 4 * t.genus - 2], len(w))
         if hit is None:
             return w
         i, length, repl = hit
-        w = cyclic_free_reduce(repl + (w[i:] + w[:i])[length:])
+        w = _cyclic_strip(_join((repl, (w[i:] + w[:i])[length:])))
 
 
 def half_swap_closure(genus: int, word: GroupWord) -> set:
@@ -507,7 +519,7 @@ def _ladders(t: _Tables, word: GroupWord) -> Iterator[GroupWord]:
         i, covered, repl = stack.pop()
         new = cyclic_free_reduce(repl + doubled[i + covered : i + n])
         if len(new) <= n:
-            reduced = _cyclic_dehn_reduce(t.genus, new)
+            reduced = _cyclic_dehn(t, new)
             if len(reduced) < n:
                 raise _Shortened(reduced)
             yield new
@@ -575,10 +587,9 @@ def _canonical_class(genus: int, word: GroupWord) -> CurveClass | None:
     the module docstring).  A word that is not freely reduced is looked up
     again as its reduction, so both spellings build the class once.  The class
     skips CurveClass's check, which its canonical word passes by construction."""
-    reduced = free_reduce(word)
-    if reduced != word:
-        return _canonical_class(genus, reduced)
-    w = _cyclic_dehn_reduce(genus, word)
+    if 0 in map(add, word, word[1:]):  # a letter next to its inverse
+        return _canonical_class(genus, free_reduce(word))
+    w = _cyclic_dehn(_tables(genus), _cyclic_strip(word))
     while w:
         try:
             return tuple.__new__(CurveClass, (genus, _closure_entry(genus, w)[1]))

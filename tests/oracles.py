@@ -59,6 +59,11 @@ curvetrace.splitting replaced by one tree reduction with two cutters: Britton
 pinches of t u t^-1 for the HNN splitting, and syllables moved across the
 edge and merged for the amalgam.
 
+reference_entry_count keeps the count through a stored entry that
+curvetrace.splitting.splitting_count must reproduce, with no seam joins and
+no strip of a word already reduced: one splice and free reduction, then the
+reference loop of the standard curve.
+
 reference_count_through keeps the chain walk that the composed inverse
 images of curvetrace.splitting._TwistSearch replaced: the inverse of each
 twist of the chain substituted into the word, last twist first, before one
@@ -84,6 +89,14 @@ every slot assignment, whose minimum it returns.  Its cap, ASSIGNMENT_CAP by
 default, bounds the number of assignments it takes on.  It derives each
 chord's endpoints from the routes, where the search reads them off a built
 diagram, so agreement also checks that reading.
+
+reference_ray_verdict, reference_assemble and reference_state_sum keep the
+kernels that curvetrace.diagrams and curvetrace.algebra must reproduce field
+for field and term for term, with the same Budget spent: rays read through
+generators of exits; assembly by sorting (side, rank) points round the circle
+and sweeping it with a list-membership test; and the state sum relinking
+every crossing in every state, in binary order, with one multicurve key per
+state.
 """
 import random
 from fractions import Fraction
@@ -94,13 +107,15 @@ import numpy as np
 
 from curvetrace import mapping
 from curvetrace.algebra import (
+    Multicurve,
+    TraceExpression,
     _from_terms,
     _multicurve,
     _state_sum,
     basis_expression,
     scalar_expression,
 )
-from curvetrace.complement import _MAX_JITTER_RETRIES
+from curvetrace.complement import _MAX_JITTER_RETRIES, strand_arcs
 from curvetrace.curves import (
     _crossing_loops,
     _pair_taut,
@@ -111,7 +126,7 @@ from curvetrace.curves import (
     is_simple,
     tauten_routes,
 )
-from curvetrace.diagrams import Budget
+from curvetrace.diagrams import Budget, CurveDiagram
 from curvetrace.errors import (
     ModelInconsistency,
     ReductionBudgetExceeded,
@@ -123,7 +138,9 @@ from curvetrace.valuations import ValuationValue
 from curvetrace.words import (
     _CLOSURE_CAP,
     CurveClass,
+    _canonical_class,
     _cyclic_dehn_reduce,
+    _join,
     _min_rotation,
     _Shortened,
     _tables,
@@ -1097,3 +1114,180 @@ def reference_count_through(genus: int, standard, chain, word) -> int:
             mapping._twist_cached(genus, *twist).inverse_images, word
         )
     return twist_search(genus).counters[standard](word)
+
+
+# -- diagram and state sum kernels, as first written ----------------------------
+
+
+def _reference_ray_exits(model, route, pos, forward):
+    n = len(route)
+    t = 1
+    while True:
+        if forward:
+            yield route[(pos + t) % n]
+        else:
+            yield model.partner[route[(pos - t) % n]]
+        t += 1
+
+
+def reference_ray_verdict(model, routes, ev_x, ev_y, anchor, budget):
+    """curvetrace.diagrams._ray_verdict with each ray a generator of exits."""
+    rx, ry = routes[ev_x[0]], routes[ev_y[0]]
+    fx = rx[ev_x[1]] != anchor
+    fy = ry[ev_y[1]] != anchor
+    gx = _reference_ray_exits(model, rx, ev_x[1], fx)
+    gy = _reference_ray_exits(model, ry, ev_y[1], fy)
+    iota = anchor
+    n4 = model.n_sides
+    for _ in range(len(rx) + len(ry) + 4):
+        budget.spend()
+        ex = next(gx)
+        ey = next(gy)
+        if ex != ey:
+            theta_x = (ex - iota) % n4
+            theta_y = (ey - iota) % n4
+            return 1 if theta_x < theta_y else -1
+        iota = model.partner[ex]
+    return 0
+
+
+def reference_assemble(model, classes, routes, slot_orders, budget):
+    """curvetrace.diagrams._assemble by (side, rank) points: sort them round
+    the circle and sweep it, testing each chord for membership in the list
+    of open ones."""
+    genus = model.genus
+    slot_of = {}
+    for k in range(1, 2 * genus + 1):
+        for t, ev in enumerate(slot_orders[k - 1]):
+            slot_of[ev] = (k, t)
+
+    def exit_entry(ev):
+        side = routes[ev[0]][ev[1]]
+        k, t = slot_of[ev]
+        m = len(slot_orders[k - 1])
+        s_plus = model.side_of[k]
+        s_minus = model.side_of[-k]
+        if side == s_plus:
+            return (s_plus, t), (s_minus, m - 1 - t)
+        return (s_minus, m - 1 - t), (s_plus, t)
+
+    chord_points = []
+    for i, route in enumerate(routes):
+        n = len(route)
+        strand_points = []
+        for p in range(n):
+            _, entry_pt = exit_entry((i, p))
+            exit_pt, _ = exit_entry((i, (p + 1) % n))
+            strand_points.append((entry_pt, exit_pt))
+        chord_points.append(tuple(strand_points))
+
+    flat = [pt for strand in chord_points for pts in strand for pt in pts]
+    circle = sorted(flat)
+    index = {pt: n for n, pt in enumerate(circle)}
+    if len(index) != len(circle):
+        raise ModelInconsistency("duplicate boundary point in diagram")
+    n_chords = len(circle) // 2
+    budget.spend(n_chords * (n_chords - 1) // 2)
+    chord_at = [None] * len(circle)
+    for i, strand in enumerate(chord_points):
+        for p, (a, b) in enumerate(strand):
+            chord_at[index[a]] = chord_at[index[b]] = (i, p)
+    crossings = set()
+    opened = []
+    for c in chord_at:
+        if c not in opened:
+            opened.append(c)
+            continue
+        at = opened.index(c)
+        crossings.update((min(c, d), max(c, d)) for d in opened[at + 1 :])
+        del opened[at]
+    return CurveDiagram(
+        genus=genus,
+        classes=tuple(classes),
+        routes=tuple(routes),
+        slot_orders=slot_orders,
+        chord_points=tuple(chord_points),
+        crossings=frozenset(crossings),
+    )
+
+
+def reference_state_sum(s, diagram):
+    """curvetrace.algebra._state_sum with every crossing relinked in every
+    state, states in binary order, one multicurve key built per state and the
+    terms ordered by total length, then sort key."""
+    model = polygon_model(s.genus)
+    arcs = list(strand_arcs(model, diagram))
+    words = [word for word, _ in arcs]
+    for i, cls in enumerate(diagram.classes):
+        own = [word for word, arc in arcs if arc.strand == i]
+        if not own:
+            own = [model.route_word(diagram.routes[i])]
+            words += own
+        if _canonical_class(s.genus, _join(own)) != cls:
+            raise ModelInconsistency("strand arcs do not read the strand's class")
+    ends = {}  # (crossing, chord, 0 arriving / 1 leaving) -> arc end
+    for k, (_, arc) in enumerate(arcs):
+        n = len(diagram.routes[arc.strand])
+        ends[arc.x_from, (arc.strand, arc.chord_from), 1] = 2 * k
+        to = (arc.strand, (arc.chord_from + arc.n_events) % n)
+        ends[arc.x_to, to, 0] = 2 * k + 1
+    quads = [
+        tuple(ends[x, chord, way] for chord in x for way in (0, 1))
+        for x in sorted(diagram.crossings)
+    ]
+    reads = [w for word in words for w in (word, inverse_word(word))]
+    link = [e ^ 1 for e in range(len(reads))]
+    components = {}  # entered ends, from the least arc -> class or None
+    acc = {}
+    Budget().spend(1 << len(quads))
+    for state in range(1 << len(quads)):
+        for j, (in0, out0, in1, out1) in enumerate(quads):
+            if state >> j & 1:
+                link[in0], link[in1], link[out0], link[out1] = in1, in0, out1, out0
+            else:
+                link[in0], link[out1], link[in1], link[out0] = out1, in0, out0, in1
+        coeff = (-1) ** (len(diagram.classes) + len(quads))
+        counts = {}
+        seen = [False] * len(words)
+        for k in range(len(words)):
+            if seen[k]:
+                continue
+            path, end = [], 2 * k
+            while not path or end != 2 * k:
+                seen[end >> 1] = True
+                path.append(end)
+                end = link[end ^ 1]
+            path = tuple(path)
+            if path not in components:
+                components[path] = _canonical_class(
+                    s.genus, _join(reads[e] for e in path)
+                )
+            cls = components[path]
+            coeff *= -2 if cls is None else -1
+            if cls is not None:
+                counts[cls] = counts.get(cls, 0) + 1
+        key = tuple(sorted(counts.items(), key=lambda kv: (len(kv[0].word), kv[0].word)))
+        acc[key] = acc.get(key, 0) + coeff
+    at_one = sum(c * 2 ** sum(m for _, m in key) for key, c in acc.items())
+    if at_one != 2 ** len(diagram.classes):
+        raise ModelInconsistency("state sum is wrong at the trivial representation")
+    items = [(Multicurve(s.genus, key), c) for key, c in acc.items() if c]
+    items.sort(key=lambda kv: (-kv[0].total_length(), kv[0].sort_key()))
+    return TraceExpression(genus=s.genus, terms=tuple(items))
+
+
+def reference_entry_count(genus, entry, word):
+    """curvetrace.splitting.splitting_count through a twist search entry, as
+    first written: the images of phi^-1 spliced in letter by letter and the
+    word freely reduced once, then the standard curve's count by its
+    reference loop."""
+    standard, chain_, images = entry
+    if chain_:
+        word = free_reduce(
+            l
+            for x in word
+            for l in (images[x - 1] if x > 0 else inverse_word(images[-x - 1]))
+        )
+    if len(standard) == 1:
+        return reference_hnn_count(genus, standard[0], word)
+    return reference_amalgam_count(genus, len(standard) // 4, word)

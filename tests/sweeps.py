@@ -23,18 +23,24 @@ inputs:
   test_composed_count_matches_the_chain_walk;
 - the crossing order sweep: test_complement.py's
   test_a_triangle_is_placed_and_other_orders_are_read_off_the_boundary;
-- the twist sweep, the only one that runs at genus 4: test_mapping.py's
-  test_twists_fix_their_curve_and_square_its_intersections.
-The genus-3 pair sweep has none.
+- the twist sweep: test_mapping.py's
+  test_twists_fix_their_curve_and_square_its_intersections;
+- the kernel sweep, which builds diagrams and sums states both as the
+  package does and with the first versions of those kernels kept in the test
+  oracles: test_geometry.py's test_kernels_match_their_first_versions.
+The twist and kernel sweeps also run at genus 4.  The genus-3 pair sweep has
+no twin.
 """
 import random
 import time
-from itertools import combinations, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 
 import oracles
-from curvetrace import algebra, curves, mapping
+import pytest
+
+from curvetrace import algebra, curves, diagrams, mapping
 from curvetrace.complement import Geometry
-from curvetrace.diagrams import build_diagram
+from curvetrace.diagrams import Budget, build_diagram, build_with_slots
 from curvetrace.errors import CurvetraceError
 from curvetrace.polygon import polygon_model
 from curvetrace.representations import evaluate_trace, random_representation
@@ -295,6 +301,77 @@ def twist_mismatches(surface, classes, pool, rng, samples=3):
     return lines, checks
 
 
+def _built(model, classes, routes, slot_orders):
+    """The diagram and the Budget it spent: built by the comparator, or from
+    the slot orders when they are given."""
+    budget = Budget()
+    if slot_orders is None:
+        diagram = build_diagram(model, classes, routes, budget)
+    else:
+        diagram = build_with_slots(model, classes, routes, slot_orders, budget)
+    return diagram, budget.used
+
+
+def kernel_differences(genus, drawings, max_crossings):
+    """Each drawing, (name, classes, routes, slot orders or None), built by
+    the package and again with the rays and the assembly kept in the test
+    oracles (reference_ray_verdict, reference_assemble): the two diagrams
+    must have the same repr, so every field and the order the crossings
+    iterate in agree, and spend the same Budget.  A drawing that names a
+    class per strand and has at most max_crossings crossings also sums its
+    states both ways, and the two expressions must have the same repr.
+    Returns the lines, how many diagrams were built and how many summed."""
+    model, surface = polygon_model(genus), make_surface(genus)
+    drawings = list(drawings)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagrams, "_ray_verdict", oracles.reference_ray_verdict)
+        patch.setattr(diagrams, "_assemble", oracles.reference_assemble)
+        wanted = [_built(model, *drawing[1:]) for drawing in drawings]
+    lines, summed = [], 0
+    for (name, classes, routes, orders), (want, spent) in zip(drawings, wanted):
+        name = f"genus {genus}: {name}"
+        got, used = _built(model, classes, routes, orders)
+        fields = [f for f, x, y in zip(got._fields, got, want) if repr(x) != repr(y)]
+        if fields:
+            lines.append(f"{name}: {', '.join(fields)} differ from the reference")
+        if used != spent:
+            lines.append(f"{name}: spends {used} operations, the reference {spent}")
+        if classes and got.crossing_count <= max_crossings:
+            summed += 1
+            ours = algebra._state_sum(surface, got)
+            if repr(ours) != repr(oracles.reference_state_sum(surface, got)):
+                lines.append(f"{name}: the state sum differs from the reference")
+    return lines, len(drawings), summed
+
+
+def direct_drawings(genus, classes):
+    """(name, (class,), its direct drawing's route, None) for each class."""
+    model = polygon_model(genus)
+    for c in classes:
+        yield format_word(c.word), (c,), (model._sides(c.word),), None
+
+
+def union_drawings(genus, classes, count, rng):
+    """count drawings of two classes drawn by rng, side by side, one in five
+    the same class twice (a doubled strand), each built by the comparator
+    and also with every edge's events in route order and reversed."""
+    model = polygon_model(genus)
+    for _ in range(count):
+        pair = rng.sample(classes, 2)
+        if rng.random() < 0.2:
+            pair[1] = pair[0]
+        name = " ".join(format_word(c.word) for c in pair)
+        routes = tuple(model._sides(c.word) for c in pair)
+        orders = [[] for _ in range(2 * genus)]
+        for i, route in enumerate(routes):
+            for p, side in enumerate(route):
+                orders[abs(model.sides[side]) - 1].append((i, p))
+        yield name, tuple(pair), routes, None
+        yield f"{name} in route order", tuple(pair), routes, tuple(map(tuple, orders))
+        reverse = tuple(tuple(reversed(order)) for order in orders)
+        yield f"{name} in reversed route order", tuple(pair), routes, reverse
+
+
 def _fail_on(lines, *summary):
     print(*lines, *summary, sep="\n")
     assert not lines
@@ -478,3 +555,34 @@ def test_twist_sweep():
             f"genus {genus}: {size} simple classes of length <= {bound}, {checks} checks"
         )
     _fail_on(lines, *counts, f"{len(lines)} mismatches")
+
+
+def test_kernel_sweep():
+    # the state sums stop at 10 crossings, 1,024 states each way, to bound
+    # the run; the union of a1^4 and b1^4 alone has 16
+    lines, counts = [], []
+    for genus, bound, sample in ((2, 6, None), (3, 4, 1500), (4, 3, 600)):
+        s = make_surface(genus)
+        classes = curves.enumerate_classes(s, bound)
+        rng = random.Random(60 + genus)
+        if sample:
+            classes = rng.sample(classes, sample)
+        drawings = chain(
+            direct_drawings(genus, classes),
+            union_drawings(genus, classes, 1000, rng),
+        )
+        found, built, summed = kernel_differences(genus, drawings, 10)
+        lines += found
+        counts.append(
+            f"genus {genus}: {len(classes)} classes of length <= {bound} and 1000"
+            f" unions of two, {built} diagrams, {summed} state sums"
+        )
+    s = make_surface(2)
+    pairs = combinations_with_replacement(algebra.enumerate_multicurves(s, 4), 2)
+    unions = ((f"{x} * {y}", algebra._built_union(s, x, y)) for x, y in pairs)
+    found, built, summed = kernel_differences(
+        2, ((name, d.classes, d.routes, None) for name, d in unions), 10
+    )
+    lines += found
+    counts.append(f"product sweep unions: {built} diagrams, {summed} state sums")
+    _fail_on(lines, *counts, f"{len(lines)} differences")

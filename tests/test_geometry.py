@@ -17,7 +17,14 @@ from oracles import (
     reference_cross_min,
     reference_taut_single,
 )
-from sweeps import bracket_misses, cobracket_misses, pair_search_misses
+from sweeps import (
+    bracket_misses,
+    cobracket_misses,
+    direct_drawings,
+    kernel_differences,
+    pair_search_misses,
+    union_drawings,
+)
 from curvetrace import curves
 from curvetrace.algebra import enumerate_multicurves, evaluate_expression, expand_trace
 from curvetrace.complement import certify_taut
@@ -491,6 +498,41 @@ def test_tauten_removes_artificial_pushoff_crossings():
     taut = tauten(d)
     assert taut.crossing_count == 0
     assert taut.routes == ((1,), (1,))
+
+
+@pytest.mark.parametrize("genus, bound, unions", [(2, 5, 300), (3, 3, 100)])
+def test_kernels_match_their_first_versions(genus, bound, unions):
+    # the direct drawing of every class up to the bound, then seeded unions
+    # of two (one in five a doubled strand), each built by the comparator and
+    # from explicit slot orders; state sums up to 8 crossings
+    s = make_surface(genus)
+    classes = enumerate_classes(s, bound)
+    drawings = [
+        *direct_drawings(genus, classes),
+        *union_drawings(genus, classes, unions, random.Random(70 + genus)),
+    ]
+    if genus == 2:
+        # b1 and a pushoff through its edge, from explicit slot orders
+        orders = ((1, 1), (1, 2)), ((0, 0), (1, 0)), (), ()
+        drawings.append(("b1 and a pushoff", (C("b1"),) * 2, ((1,), (1, 0, 2)), orders))
+    lines, built, summed = kernel_differences(genus, drawings, 8)
+    assert lines == []
+    assert built == len(drawings) and summed > built // 2
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [
+        ((), ((0, 0), (0, 0)), (), ()),
+        ((), ((0, 0), (0, 0), (1, 0)), (), ()),
+        ((), ((0, 0),), (), ()),
+    ],
+)
+def test_slot_orders_must_list_each_event_once(orders):
+    # b1 and a parallel copy: an event listed twice, or one left out, is
+    # refused rather than assembled into a diagram of other points
+    with pytest.raises(ModelInconsistency, match="each event once"):
+        build_with_slots(polygon_model(2), (), ((1,), (1,)), orders)
 
 
 def test_pair_diagram_strand_accounting():

@@ -56,7 +56,9 @@ from curvetrace.representations import evaluate_trace, random_representation
 from curvetrace.words import (
     CurveClass,
     canonical_class,
+    free_reduce,
     inverse_word,
+    letters,
     make_surface,
     normalize_word,
     parse_word,
@@ -281,6 +283,28 @@ def test_certificate_rejects_non_automorphisms():
     # sums to 0, not +-2
     with pytest.raises(ModelInconsistency, match="in H1"):
         relator_certificate(S2, (W("a1"), W("a1"), W("a2"), W("a2")))
+
+
+def test_substitution_reduces_inside_images_that_are_not_reduced():
+    # relator_certificate takes any images: _substitute joins them at their
+    # seams and must still give the free reduction of the spliced word
+    rng = random.Random(8)
+    alphabet = letters(2)
+    for _ in range(300):
+        images = [
+            tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 5)))
+            for _ in range(4)
+        ]
+        word = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+        spliced = [
+            l
+            for x in word
+            for l in (images[x - 1] if x > 0 else inverse_word(images[-x - 1]))
+        ]
+        assert mapping._substitute(images, word) == free_reduce(spliced), (images, word)
+    twist = twist_generator(S2, 1)
+    padded = [w[:1] + (3, -3) + w[1:] for w in twist.images]
+    assert relator_certificate(S2, padded) == twist.certificate
 
 
 _GENUS_MISMATCH_CALLS = {

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     reference_amalgam_count,
     reference_count_through,
+    reference_entry_count,
     reference_hnn_count,
 )
 from sweeps import splitting_differences
@@ -25,6 +26,7 @@ from curvetrace.words import (
     canonical_class,
     free_reduce,
     inverse_word,
+    letters,
     make_surface,
     parse_word,
 )
@@ -227,6 +229,27 @@ def test_search_entries_of_short_simple_classes_are_pinned():
     assert len(entries) == 83 and all(entry for _, entry in entries)
     digest = hashlib.sha256(repr(entries).encode()).hexdigest()
     assert digest == "ccf19f2f0fb314f80c6b2052b1c219f5c6563c2f41efc8147bd278ebee0fdfc8"
+
+
+def test_counts_through_the_pinned_entries_match_the_reference_loops():
+    # splitting_count takes a freely reduced word, cyclically reduced or not:
+    # seeded words, every third with a letter and its inverse at its two ends
+    alphabet = letters(2)
+    rng = random.Random(12)
+    words = []
+    while len(words) < 60:
+        w = free_reduce(rng.choice(alphabet) for _ in range(rng.randint(1, 10)))
+        if w and len(words) % 3 == 0:
+            l = rng.choice([l for l in alphabet if l not in (-w[0], w[-1])])
+            w = (l, *w, -l)
+        if w:
+            words.append(w)
+    search = twist_search(2)
+    for c in enumerate_simple_classes(S2, 4):
+        entry = search.find(c.word)
+        for w in words:
+            want = reference_entry_count(2, entry, w)
+            assert splitting_count(2, c.word, w) == want, (c.word, w)
 
 
 def test_twists_are_built_on_the_first_miss():
